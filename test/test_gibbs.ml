@@ -329,6 +329,117 @@ let test_fully_observed_sweep_noop () =
   let after = Array.init (Store.num_events store) (Store.departure store) in
   Alcotest.(check bool) "no latent events, no changes" true (before = after)
 
+(* ------------------------------------------------------------------ *)
+(* Golden chain digests: the departures' bits (plus the generator state)
+   after seeded sweeps, pinned so that any change to the kernel, the
+   sweep driver or the generator that alters a chain by even one bit
+   fails here. Telemetry and profiling must not consume draws, so every
+   mode of one order shares one digest. *)
+
+module Metrics = Qnet_obs.Metrics
+module Prof = Qnet_obs.Prof
+module Parallel_gibbs = Qnet_core.Parallel_gibbs
+
+(* The 1-2-4 paper fixture at 300 tasks (about 1.1k latent events),
+   initialised by the difference-constraint solver, swept under rates
+   that differ per queue so every piece shape occurs. *)
+let digest_three_tier =
+  lazy
+    (let net =
+       Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 ()
+     in
+     let trace = Net_helpers.simulate_n (Rng.create ~seed:1001 ()) net 300 in
+     let mask = Obs.mask (Rng.create ~seed:1002 ()) (Obs.Task_fraction 0.05) trace in
+     let store = Store.of_trace ~observed:mask trace in
+     (match Init.feasible ~target:(Params.of_network net) store with
+     | Ok () -> ()
+     | Error m -> Alcotest.failf "Init.feasible: %s" m);
+     let params =
+       Params.create ~rates:[| 10.0; 4.0; 6.0; 5.5; 3.0; 7.0; 5.0; 4.5 |] ~arrival_queue:0
+     in
+     (store, params))
+
+(* Tasks that revisit their queue: covers g = e. *)
+let digest_feedback =
+  lazy
+    (let store = feedback_store ~seed:131 ~tasks:200 ~frac:0.2 in
+     (store, Params.create ~rates:[| 2.5; 7.0 |] ~arrival_queue:0))
+
+let digest_of store rng =
+  let b = Buffer.create (8 * (Store.num_events store + 4)) in
+  for i = 0 to Store.num_events store - 1 do
+    Buffer.add_int64_le b (Int64.bits_of_float (Store.departure store i))
+  done;
+  Array.iter (Buffer.add_int64_le b) (Rng.state rng);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let chain_digest fixture ~shuffle ~sweeps =
+  let store0, params = Lazy.force fixture in
+  let store = Store.copy store0 in
+  let rng = Rng.create ~seed:2024 () in
+  Gibbs.run ~shuffle ~sweeps rng store params;
+  digest_of store rng
+
+let with_mode mode f =
+  match mode with
+  | `Plain -> f ()
+  | `Metrics ->
+      Metrics.set_enabled true;
+      Fun.protect ~finally:(fun () -> Metrics.set_enabled false) f
+  | `Profiled ->
+      ignore (Prof.start ());
+      Fun.protect ~finally:Prof.stop f
+
+let check_digest fixture_name fixture ~shuffle expected =
+  List.iter
+    (fun (mode_name, mode) ->
+      let got = with_mode mode (fun () -> chain_digest fixture ~shuffle ~sweeps:5) in
+      Alcotest.(check string)
+        (Printf.sprintf "%s, %s, %s" fixture_name
+           (if shuffle then "shuffled" else "in order")
+           mode_name)
+        expected got)
+    [ ("plain", `Plain); ("metrics", `Metrics); ("profiled", `Profiled) ]
+
+let test_digest_three_tier_in_order () =
+  check_digest "three-tier" digest_three_tier ~shuffle:false
+    "9ae76e07acc21cbe67fac21128f26350"
+
+let test_digest_three_tier_shuffled () =
+  check_digest "three-tier" digest_three_tier ~shuffle:true
+    "6bc60b5acccba54470f6409baee95c8f"
+
+let test_digest_feedback_in_order () =
+  check_digest "feedback" digest_feedback ~shuffle:false
+    "5c8aa0858749b71f4f7f904e520f68fb"
+
+let test_digest_feedback_shuffled () =
+  check_digest "feedback" digest_feedback ~shuffle:true
+    "738f5e0fface1e8a9b6d3b4ea2d32e98"
+
+(* Single-event entry points and the coloured parallel sweep, which
+   resample through the same kernel. *)
+let test_digest_single_event_and_parallel () =
+  let store0, params = Lazy.force digest_three_tier in
+  let store = Store.copy store0 in
+  let rng = Rng.create ~seed:2025 () in
+  let draws = Buffer.create 1024 in
+  Array.iter
+    (fun f ->
+      Buffer.add_int64_le draws
+        (Int64.bits_of_float (Gibbs.sample_event rng store params f));
+      Gibbs.resample_event rng store params f)
+    (Store.unobserved_events store);
+  Alcotest.(check string) "sample_event draws"
+    "700bdac5a21dc683516f6a9a802a24d1"
+    (Digest.to_hex (Digest.string (Buffer.contents draws)));
+  Alcotest.(check string) "resample_event state"
+    "8c115f7298cb7a5835297f2c85d7ecf1" (digest_of store rng);
+  let plan = Parallel_gibbs.plan ~num_domains:2 store in
+  Parallel_gibbs.run ~sweeps:3 rng plan store params;
+  Alcotest.(check string) "parallel sweeps"
+    "2273216201979cc27088aa7b0a0f9d81" (digest_of store rng)
+
 let () =
   Alcotest.run "qnet_gibbs"
     [
@@ -357,5 +468,14 @@ let () =
             test_gibbs_invariance_under_truth;
           Alcotest.test_case "run sweep counts" `Quick test_run_sweeps_count;
           Alcotest.test_case "fully observed noop" `Quick test_fully_observed_sweep_noop;
+        ] );
+      ( "chain digest",
+        [
+          Alcotest.test_case "three-tier in order" `Quick test_digest_three_tier_in_order;
+          Alcotest.test_case "three-tier shuffled" `Quick test_digest_three_tier_shuffled;
+          Alcotest.test_case "feedback in order" `Quick test_digest_feedback_in_order;
+          Alcotest.test_case "feedback shuffled" `Quick test_digest_feedback_shuffled;
+          Alcotest.test_case "single event + parallel" `Quick
+            test_digest_single_event_and_parallel;
         ] );
     ]

@@ -107,6 +107,37 @@ let test_int_rejects_nonpositive () =
   Alcotest.check_raises "zero bound" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Rng.int rng 0))
 
+(* Golden stream: the first outputs of a fixed seed and the state after
+   them, pinned bit for bit so a change to the generator's
+   representation cannot alter any seeded chain. The bound 2^61 + 1
+   rejects about half the raw draws (two of the six here). *)
+let test_rng_golden_stream () =
+  let rng = Rng.create ~seed:20240 () in
+  let bits = List.init 4 (fun _ -> Rng.bits64 rng) in
+  let floats = List.init 4 (fun _ -> Int64.bits_of_float (Rng.float_unit rng)) in
+  let ints =
+    List.map (Rng.int rng)
+      ([ 1; 2; 7; 1000; 1 lsl 40 ] @ List.init 6 (fun _ -> (1 lsl 61) + 1))
+  in
+  let pos = Int64.bits_of_float (Rng.float_pos rng) in
+  let shuffled = Array.init 10 Fun.id in
+  Rng.shuffle_in_place rng shuffled;
+  Alcotest.(check (list int64)) "bits64"
+    [ 0x74365ed98e37c276L; 0x2f81f8e7c578e4f9L; 0xd5a23fde4456a7f3L; 0xacfdccacd11f98daL ]
+    bits;
+  Alcotest.(check (list int64)) "float_unit bits"
+    [ 0x3fee49ffaf537616L; 0x3fc3bf95f9875320L; 0x3fe179c4d7f9211cL; 0x3fe415ff0f17fcbfL ]
+    floats;
+  Alcotest.(check (list int)) "int"
+    [ 0; 0; 5; 354; 951563038202; 1282640472110920516; 1087806395542890999;
+      890134953775620647; 279635190302988754; 1025397012135024156; 952293077652101103 ]
+    ints;
+  Alcotest.(check int64) "float_pos bits" 0x3fe0f7fd1093bc90L pos;
+  Alcotest.(check (array int)) "shuffle" [| 3; 4; 8; 6; 5; 2; 9; 7; 0; 1 |] shuffled;
+  Alcotest.(check (array int64)) "state after"
+    [| 0xf145cf884edeab37L; 0xd57f141f0954e9b1L; 0x2357c1bfffd1f9bL; 0xdc5bb829aa12d225L |]
+    (Rng.state rng)
+
 let test_shuffle_permutation () =
   let rng = Rng.create ~seed:16 () in
   let a = Array.init 50 Fun.id in
@@ -891,6 +922,7 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int uniformity" `Quick test_int_uniformity;
           Alcotest.test_case "int rejects bad bound" `Quick test_int_rejects_nonpositive;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutation;
           Alcotest.test_case "sample w/o replacement" `Quick test_sample_without_replacement;
           Alcotest.test_case "sample w/o replacement all" `Quick
