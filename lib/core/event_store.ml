@@ -20,7 +20,24 @@ type t = {
       (* bumped whenever the queue/ρ-chain structure changes, so
          structure-dependent caches (Parallel_gibbs plans) can detect
          staleness instead of silently corrupting the chain *)
+  latent : int array;
+      (* ascending unobserved indices; [observed] never changes after
+         [of_trace], so this is computed once *)
+  order : int array; (* shuffle buffer for [shuffled_latent], one per copy *)
 }
+
+let latent_of observed =
+  let n = Array.fold_left (fun acc o -> if o then acc else acc + 1) 0 observed in
+  let latent = Array.make n 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun i o ->
+      if not o then begin
+        latent.(!k) <- i;
+        incr k
+      end)
+    observed;
+  latent
 
 let of_trace ?observed trace =
   let events = trace.Trace.events in
@@ -125,6 +142,7 @@ let of_trace ?observed trace =
         rho_inv.(order.(k - 1)) <- order.(k)
       done)
     by_queue;
+  let latent = latent_of observed in
   {
     num_queues = trace.Trace.num_queues;
     num_tasks;
@@ -142,6 +160,8 @@ let of_trace ?observed trace =
     arrival_queue;
     task_ids;
     generation = 0;
+    latent;
+    order = Array.copy latent;
   }
 
 let num_events t = Array.length t.departure
@@ -181,12 +201,34 @@ let events_at_queue t q =
   let rec collect i acc = if i < 0 then List.rev acc else collect t.rho_inv.(i) (i :: acc) in
   Array.of_list (collect t.heads.(q) [])
 
-let unobserved_events t =
-  let acc = ref [] in
-  for i = num_events t - 1 downto 0 do
-    if not t.observed.(i) then acc := i :: !acc
-  done;
-  Array.of_list !acc
+let unobserved_events t = Array.copy t.latent
+let latent t = t.latent
+
+let shuffled_latent t rng =
+  Array.blit t.latent 0 t.order 0 (Array.length t.latent);
+  Qnet_prob.Rng.shuffle_in_place rng t.order;
+  t.order
+
+type view = {
+  v_departure : float array;
+  v_observed : bool array;
+  v_queue : int array;
+  v_pi : int array;
+  v_pi_inv : int array;
+  v_rho : int array;
+  v_rho_inv : int array;
+}
+
+let view t =
+  {
+    v_departure = t.departure;
+    v_observed = t.observed;
+    v_queue = t.queue;
+    v_pi = t.pi;
+    v_pi_inv = t.pi_inv;
+    v_rho = t.rho;
+    v_rho_inv = t.rho_inv;
+  }
 
 let arrival_queue t = t.arrival_queue
 let generation t = t.generation
@@ -215,6 +257,7 @@ let copy t =
     rho = Array.copy t.rho;
     rho_inv = Array.copy t.rho_inv;
     heads = Array.copy t.heads;
+    order = Array.copy t.order;
   }
 
 type snapshot = {

@@ -92,7 +92,38 @@ val events_at_queue : t -> int -> int array
 (** Event indices at a queue in (fixed) arrival order. *)
 
 val unobserved_events : t -> int array
-(** Indices with latent departures, ascending. *)
+(** Indices with latent departures, ascending (a fresh copy). *)
+
+val latent : t -> int array
+(** The same indices without the copy: the array the store computes
+    once in {!of_trace} (the observed mask never changes afterwards).
+    Read it, never write it. *)
+
+val shuffled_latent : t -> Qnet_prob.Rng.t -> int array
+(** A uniform shuffle of {!latent}, drawn exactly as
+    [Rng.shuffle_in_place] on a fresh copy would be, into a buffer this
+    store owns and reuses (each {!copy} has its own). Valid until the
+    next call on this store; read it, never write it. *)
+
+(** {1 In-place view for the Gibbs kernel} *)
+
+type view = {
+  v_departure : float array;  (** written only at latent indices *)
+  v_observed : bool array;
+  v_queue : int array;
+  v_pi : int array;
+  v_pi_inv : int array;
+  v_rho : int array;
+  v_rho_inv : int array;
+}
+(** The store's own arrays, not copies, so a sampler in another
+    compilation unit can read times without boxing them. The arrays
+    are updated in place for the store's lifetime ({!restore} blits
+    into them), so a view stays current. Only {!Qnet_core.Gibbs}
+    writes through it, under {!set_departure}'s checks; everything
+    else must treat it as read-only. *)
+
+val view : t -> view
 
 val arrival_queue : t -> int
 (** The queue of the initial events (q0). *)

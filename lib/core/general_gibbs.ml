@@ -33,28 +33,8 @@ let m_slice_shrinks =
        ~help:"Shrink rejections inside slice transitions"
        "qnet_slice_shrinks_total")
 
-(* Feasibility window: identical bounds to the exponential kernel
-   (Gibbs.local_density); a test asserts they agree. *)
-let window store f =
-  let lower = ref (Store.start_service store f) in
-  let upper = ref None in
-  let tighten_upper u =
-    match !upper with
-    | None -> upper := Some u
-    | Some u0 -> if u < u0 then upper := Some u
-  in
-  let e = Store.pi_inv store f in
-  let g = Store.rho_inv store f in
-  if e >= 0 then begin
-    tighten_upper (Store.departure store e);
-    let rho_e = Store.rho store e in
-    if rho_e >= 0 && rho_e <> f then
-      lower := Float.max !lower (Store.arrival store rho_e);
-    let next_e = Store.rho_inv store e in
-    if next_e >= 0 then tighten_upper (Store.arrival store next_e)
-  end;
-  if g >= 0 && g <> e then tighten_upper (Store.departure store g);
-  (!lower, !upper)
+(* Feasibility window: the exponential kernel's own bounds code. *)
+let window = Gibbs.window
 
 let log_conditional store model f d =
   let lower, upper = window store f in
@@ -126,8 +106,7 @@ let resample_event rng store model f =
       end
 
 let sweep ?(shuffle = false) rng store model =
-  let order = Store.unobserved_events store in
-  if shuffle then Rng.shuffle_in_place rng order;
+  let order = if shuffle then Store.shuffled_latent store rng else Store.latent store in
   if not (Metrics.enabled ()) then
     Array.iter (fun f -> resample_event rng store model f) order
   else begin

@@ -18,11 +18,21 @@
     the arrival order at [e]'s queue unchanged. The result is a
     piecewise log-linear density with at most two interior breakpoints
     — exactly the paper's Figure 3 / Eq. (3)–(4) sampler, including the
-    δμ = μ_e − μ_f middle piece — which is sampled exactly via
-    {!Qnet_prob.Piecewise}. The derivation here additionally covers
-    the cases the paper's formula leaves implicit: missing neighbours,
-    the task's final event, initial (q0) events, and a task queueing
-    directly behind itself at the same queue ([g = e]). *)
+    δμ = μ_e − μ_f middle piece — which is sampled exactly. The
+    derivation here additionally covers the cases the paper's formula
+    leaves implicit: missing neighbours, the task's final event,
+    initial (q0) events, and a task queueing directly behind itself at
+    the same queue ([g = e]).
+
+    Two implementations exist. The {e reference} builds the conditional
+    as data ({!local_density}, {!compile}) and samples it with
+    {!Qnet_prob.Piecewise} ({!sample_compiled}). The {e production
+    kernel}, behind {!sample_event}, {!resample_event},
+    {!resample_range} and {!sweep}, performs the same floating-point
+    operations in the same order and the same RNG draws without
+    allocating; tests hold the two equal bit for bit. *)
+
+(** {1 Reference} *)
 
 type local_density = {
   event : int;
@@ -51,12 +61,37 @@ val log_conditional : local_density -> float -> float
     terms of Eq. 1 up to a constant); [neg_infinity] outside the
     window. For tests. *)
 
+val sample_compiled :
+  Qnet_prob.Rng.t ->
+  [ `Bounded of Qnet_prob.Piecewise.t | `Tail of float * float | `Point of float ] ->
+  float
+(** One draw from a compiled conditional: [`Point x] is [x] without a
+    draw, [`Tail] one exponential draw, [`Bounded] a
+    [Piecewise.sample]. The reference the production kernel must equal
+    bit for bit. *)
+
+(** {1 Production kernel} *)
+
+val window : Event_store.t -> int -> float * float option
+(** The feasibility window [(L, U)] of one event ([None] = unbounded
+    tail), computed by the production kernel's bounds code and shared
+    with {!General_gibbs}. Does not check that the event is latent. *)
+
 val sample_event : Qnet_prob.Rng.t -> Event_store.t -> Params.t -> int -> float
 (** Draw a new departure for one event from its full conditional (does
-    not write it back). *)
+    not write it back). Raises [Invalid_argument] on an observed
+    event. *)
 
 val resample_event : Qnet_prob.Rng.t -> Event_store.t -> Params.t -> int -> unit
-(** {!sample_event} and write back via [Event_store.set_departure]. *)
+(** {!sample_event} and write back under [Event_store.set_departure]'s
+    checks. *)
+
+val resample_range :
+  Qnet_prob.Rng.t -> Event_store.t -> Params.t -> int array -> int -> int -> unit
+(** [resample_range rng store params events lo hi] resamples
+    [events.(lo)] to [events.(hi - 1)] in turn, through the same loop
+    as {!sweep}: one scratch per call, nothing allocated per event.
+    {!Parallel_gibbs} runs one call per domain slice. *)
 
 val sweep :
   ?shuffle:bool -> Qnet_prob.Rng.t -> Event_store.t -> Params.t -> unit

@@ -102,11 +102,6 @@ let check_fresh who t store =
           generation %d); rebuild with Parallel_gibbs.plan or Parallel_gibbs.refresh"
          who t.generation (Store.generation store))
 
-let process_slice rng store params events lo hi =
-  for k = lo to hi - 1 do
-    Gibbs.resample_event rng store params events.(k)
-  done
-
 let sweep rng t store params =
   check_fresh "Parallel_gibbs.sweep" t store;
   Array.iter
@@ -116,7 +111,7 @@ let sweep rng t store params =
         let d = Stdlib.min t.num_domains (Stdlib.max 1 (n / 16)) in
         if d <= 1 then begin
           let local = Rng.split rng in
-          process_slice local store params events 0 n
+          Gibbs.resample_range local store params events 0 n
         end
         else begin
           (* per-domain independent streams, derived from the sweep rng *)
@@ -128,9 +123,9 @@ let sweep rng t store params =
                 let hi = Stdlib.min n (lo + chunk) in
                 Domain.spawn (fun () ->
                     if lo < hi then
-                      process_slice streams.(w + 1) store params events lo hi))
+                      Gibbs.resample_range streams.(w + 1) store params events lo hi))
           in
-          process_slice streams.(0) store params events 0 (Stdlib.min chunk n);
+          Gibbs.resample_range streams.(0) store params events 0 (Stdlib.min chunk n);
           Array.iter Domain.join workers
         end
       end)

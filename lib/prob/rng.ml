@@ -1,6 +1,36 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four xoshiro words live in 32 bytes read and written through the
+   unchecked 64-bit primitives, so a draw keeps them in registers
+   instead of boxing an [int64] per mutable record field. *)
+type t = Bytes.t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+(* One xoshiro256++ step. Straight-line and inlined at every call site,
+   so the words and the result stay unboxed. *)
+let[@inline] next t =
+  let s0 = get64u t 0 and s1 = get64u t 8 and s2 = get64u t 16 and s3 = get64u t 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let tmp = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  set64u t 0 s0;
+  set64u t 8 s1;
+  set64u t 16 (Int64.logxor s2 tmp);
+  set64u t 24 (rotl s3 45);
+  result
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set64u t 0 s0;
+  set64u t 8 s1;
+  set64u t 16 s2;
+  set64u t 24 s3;
+  t
 
 (* splitmix64: used only to expand a seed into the xoshiro state, per
    the xoshiro authors' recommendation. *)
@@ -17,47 +47,35 @@ let of_seed64 seed =
   let s1 = splitmix64_next st in
   let s2 = splitmix64_next st in
   let s3 = splitmix64_next st in
-  { s0; s1; s2; s3 }
+  of_words s0 s1 s2 s3
 
 let default_seed = 0x51CEB00B1E5
 
 let create ?(seed = default_seed) () = of_seed64 (Int64.of_int seed)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let state t = [| t.s0; t.s1; t.s2; t.s3 |]
+let state t = [| get64u t 0; get64u t 8; get64u t 16; get64u t 24 |]
 
 let set_state t s =
   if Array.length s <> 4 then invalid_arg "Rng.set_state: need 4 words";
   if Array.for_all (fun w -> Int64.equal w 0L) s then
     invalid_arg "Rng.set_state: all-zero state is invalid for xoshiro256++";
-  t.s0 <- s.(0);
-  t.s1 <- s.(1);
-  t.s2 <- s.(2);
-  t.s3 <- s.(3)
+  Array.iteri (fun i w -> set64u t (8 * i) w) s
 
 let of_state s =
-  let t = { s0 = 0L; s1 = 0L; s2 = 0L; s3 = 1L } in
+  let t = of_words 0L 0L 0L 1L in
   set_state t s;
   t
 
-let bits64 t =
-  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
-  result
+let bits64 t = next t
 
-let split t = of_seed64 (bits64 t)
+let split t = of_seed64 (next t)
 
-let float_unit t =
-  (* 53 high bits of the output word, scaled by 2^-53. *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float bits *. 0x1p-53
+(* The 53 high bits of the output word, as an immediate int. *)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
+
+let float_unit t = float_of_int (bits53 t) *. 0x1p-53
 
 let float_pos t = 1.0 -. float_unit t
 
@@ -68,14 +86,15 @@ let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection from the top 62 bits to avoid modulo bias. *)
   let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  let rec draw () =
-    let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) land mask in
-    let r = v mod n in
-    if v - r + (n - 1) < 0 then draw () else r
-  in
-  draw ()
+  let r = ref (-1) in
+  while !r < 0 do
+    let v = Int64.to_int (Int64.shift_right_logical (next t) 2) land mask in
+    let x = v mod n in
+    if v - x + (n - 1) >= 0 then r := x
+  done;
+  !r
 
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
+let bool t = Int64.compare (Int64.logand (next t) 1L) 0L <> 0
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do

@@ -40,6 +40,13 @@ val split : t -> t
 val bits64 : t -> int64
 (** [bits64 t] is the next raw 64-bit output word. *)
 
+val bits53 : t -> int
+(** [bits53 t] is the 53 high bits of the next output word, in
+    [[0, 2^53)]: [float_of_int (bits53 t) *. 0x1p-53] is bit for bit
+    the value {!float_unit} would have returned. It returns an
+    immediate, so a caller in another compilation unit can draw without
+    boxing a float. *)
+
 val float_unit : t -> float
 (** [float_unit t] is uniform on [[0, 1)], with 53 bits of precision. *)
 

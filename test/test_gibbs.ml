@@ -440,6 +440,142 @@ let test_digest_single_event_and_parallel () =
   Alcotest.(check string) "parallel sweeps"
     "2273216201979cc27088aa7b0a0f9d81" (digest_of store rng)
 
+(* ------------------------------------------------------------------ *)
+(* Differential: the production kernel against the reference
+   [sample_compiled (compile (local_density ...))], bit for bit, from
+   copies of one generator, for every latent event of randomized
+   stores and rates. *)
+
+let bits = Int64.bits_of_float
+
+let reference_draw rng store params f =
+  Gibbs.sample_compiled rng (Gibbs.compile (Gibbs.local_density store params f))
+
+(* Rates log-uniform over [lo, hi] per queue. *)
+let random_params rng ~num_queues ~lo ~hi =
+  Params.create ~arrival_queue:0
+    ~rates:
+      (Array.init num_queues (fun _ ->
+           exp (log lo +. (Rng.float_unit rng *. (log hi -. log lo)))))
+
+let check_events_match_reference store params rng =
+  Array.iter
+    (fun f ->
+      let r_ref = Rng.copy rng in
+      let expected = reference_draw r_ref store params f in
+      let got = Gibbs.sample_event rng store params f in
+      if not (Int64.equal (bits expected) (bits got)) then
+        Alcotest.failf "event %d: kernel %h, reference %h" f got expected;
+      if Rng.state rng <> Rng.state r_ref then
+        Alcotest.failf "event %d: kernel and reference drew differently" f)
+    (Store.unobserved_events store)
+
+(* Per event on fresh stores, then again after production sweeps have
+   moved the latents away from the simulated truth. *)
+let check_store_family make ~num_queues =
+  for seed = 0 to 5 do
+    let store = make seed in
+    let rng = Rng.create ~seed:(500 + seed) () in
+    List.iter
+      (fun (lo, hi) ->
+        let params = random_params rng ~num_queues ~lo ~hi in
+        check_events_match_reference store params rng;
+        Gibbs.run ~shuffle:true ~sweeps:2 rng store params;
+        check_events_match_reference store params rng)
+      [ (0.5, 20.0); (1e-3, 1e3); (5.0, 5.0) ]
+  done
+
+let test_kernel_matches_reference_tandem () =
+  check_store_family ~num_queues:3 (fun seed ->
+      tandem_store ~seed:(200 + seed) ~tasks:60 ~frac:0.2)
+
+let test_kernel_matches_reference_three_tier () =
+  check_store_family ~num_queues:6 (fun seed ->
+      three_tier_store ~seed:(210 + seed) ~tasks:60 ~frac:0.15)
+
+let test_kernel_matches_reference_feedback () =
+  check_store_family ~num_queues:2 (fun seed ->
+      feedback_store ~seed:(220 + seed) ~tasks:80 ~frac:0.2)
+
+(* Whole sweeps: the production sweep against a sweep written with the
+   reference, from the same state and seed. *)
+let reference_sweep ~shuffle rng store params =
+  let order = Store.unobserved_events store in
+  if shuffle then Rng.shuffle_in_place rng order;
+  Array.iter
+    (fun f -> Store.set_departure store f (reference_draw rng store params f))
+    order
+
+let test_sweep_matches_reference () =
+  List.iter
+    (fun (name, store) ->
+      let num_queues = Store.num_queues store in
+      let params =
+        random_params (Rng.create ~seed:230 ()) ~num_queues ~lo:0.5 ~hi:20.0
+      in
+      List.iter
+        (fun shuffle ->
+          let a = Store.copy store and b = Store.copy store in
+          let ra = Rng.create ~seed:231 () and rb = Rng.create ~seed:231 () in
+          for _ = 1 to 4 do
+            Gibbs.sweep ~shuffle ra a params;
+            reference_sweep ~shuffle rb b params
+          done;
+          Alcotest.(check string)
+            (Printf.sprintf "%s, shuffle %b" name shuffle)
+            (digest_of b rb) (digest_of a ra))
+        [ false; true ])
+    [
+      ("tandem", tandem_store ~seed:232 ~tasks:80 ~frac:0.2);
+      ("three-tier", three_tier_store ~seed:233 ~tasks:80 ~frac:0.15);
+      ("feedback", feedback_store ~seed:234 ~tasks:80 ~frac:0.2);
+    ]
+
+let test_window_matches_reference () =
+  let store = feedback_store ~seed:235 ~tasks:80 ~frac:0.2 in
+  let params = Params.create ~rates:[| 3.0; 6.0 |] ~arrival_queue:0 in
+  Array.iter
+    (fun f ->
+      let ld = Gibbs.local_density store params f in
+      let lo, hi = Gibbs.window store f in
+      let same_bits a b = Int64.equal (bits a) (bits b) in
+      let same_upper =
+        match (ld.Gibbs.upper, hi) with
+        | None, None -> true
+        | Some a, Some b -> same_bits a b
+        | _ -> false
+      in
+      if not (same_bits ld.Gibbs.lower lo && same_upper) then
+        Alcotest.failf "event %d: window differs from the reference" f)
+    (Store.unobserved_events store)
+
+(* The allocation contract: a plain sweep allocates its scratch, a view
+   of the store and a closure, and nothing per event, so the whole
+   sweep stays under one byte per latent event on the 1k fixture. *)
+let test_plain_sweep_allocation () =
+  let store0, params = Lazy.force digest_three_tier in
+  let store = Store.copy store0 in
+  let rng = Rng.create ~seed:236 () in
+  let latent = Array.length (Store.latent store) in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    (minor +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+  in
+  List.iter
+    (fun shuffle ->
+      Gibbs.sweep ~shuffle rng store params;
+      let sweeps = 10 in
+      let b0 = allocated () in
+      for _ = 1 to sweeps do
+        Gibbs.sweep ~shuffle rng store params
+      done;
+      let per_event = (allocated () -. b0) /. float_of_int (sweeps * latent) in
+      if per_event > 1.0 then
+        Alcotest.failf "%s sweep allocated %.2f B per event"
+          (if shuffle then "shuffled" else "in-order")
+          per_event)
+    [ false; true ]
+
 let () =
   Alcotest.run "qnet_gibbs"
     [
@@ -477,5 +613,18 @@ let () =
           Alcotest.test_case "feedback shuffled" `Quick test_digest_feedback_shuffled;
           Alcotest.test_case "single event + parallel" `Quick
             test_digest_single_event_and_parallel;
+        ] );
+      ( "production kernel",
+        [
+          Alcotest.test_case "≡ reference (tandem)" `Quick
+            test_kernel_matches_reference_tandem;
+          Alcotest.test_case "≡ reference (3-tier)" `Quick
+            test_kernel_matches_reference_three_tier;
+          Alcotest.test_case "≡ reference (feedback)" `Quick
+            test_kernel_matches_reference_feedback;
+          Alcotest.test_case "sweep ≡ reference sweep" `Quick test_sweep_matches_reference;
+          Alcotest.test_case "window ≡ reference window" `Quick
+            test_window_matches_reference;
+          Alcotest.test_case "plain sweep allocation" `Quick test_plain_sweep_allocation;
         ] );
     ]

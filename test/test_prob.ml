@@ -138,6 +138,22 @@ let test_rng_golden_stream () =
     [| 0xf145cf884edeab37L; 0xd57f141f0954e9b1L; 0x2357c1bfffd1f9bL; 0xdc5bb829aa12d225L |]
     (Rng.state rng)
 
+(* The int-returning draws keep the generator's words unboxed:
+   thousands of them allocate nothing beyond the measurement itself. *)
+let test_rng_int_draws_allocate_nothing () =
+  let rng = Rng.create ~seed:21 () in
+  let a = Array.init 64 Fun.id in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    acc := !acc lxor Rng.bits53 rng lxor Rng.int rng 1000;
+    Rng.shuffle_in_place rng a
+  done;
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity !acc);
+  if words > 16.0 then
+    Alcotest.failf "%.0f words allocated by 65,000 int draws" words
+
 let test_shuffle_permutation () =
   let rng = Rng.create ~seed:16 () in
   let a = Array.init 50 Fun.id in
@@ -923,6 +939,8 @@ let () =
           Alcotest.test_case "int uniformity" `Quick test_int_uniformity;
           Alcotest.test_case "int rejects bad bound" `Quick test_int_rejects_nonpositive;
           Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
+          Alcotest.test_case "int draws allocate nothing" `Quick
+            test_rng_int_draws_allocate_nothing;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutation;
           Alcotest.test_case "sample w/o replacement" `Quick test_sample_without_replacement;
           Alcotest.test_case "sample w/o replacement all" `Quick

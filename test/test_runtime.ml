@@ -478,6 +478,102 @@ let test_compile_filters_nan_hinges () =
       done
   | _ -> Alcotest.fail "finite window with salvageable hinges must stay bounded"
 
+(* The same guards through the production kernel: hand-built stores
+   whose latent event sees each degenerate or corrupted window, drawn by
+   Gibbs.sample_event and held bit-equal to the reference from a copied
+   generator. *)
+
+let ev task state queue arrival departure = { Trace.task; state; queue; arrival; departure }
+
+(* Three tasks through q0 -> q1 -> q2. Event 1 (task 0 at q1) is the
+   only latent one: window [1, 3], a within-queue successor (event 4,
+   knee 1.5) and a consumer queued behind event 8 (knee 1.9), so three
+   pieces when healthy. *)
+let window_store () =
+  let trace =
+    Trace.create ~num_queues:3
+      [
+        ev 0 0 0 0.0 1.0; ev 0 1 1 1.0 2.0; ev 0 2 2 2.0 4.0;
+        ev 1 0 0 0.0 1.5; ev 1 1 1 1.5 3.0; ev 1 2 2 3.0 5.0;
+        ev 2 0 0 0.0 0.5; ev 2 1 1 0.5 0.8; ev 2 2 2 0.8 1.9;
+      ]
+  in
+  Store.of_trace ~observed:(Array.init 9 (fun i -> i <> 1)) trace
+
+(* One task, q0 -> q1, the q1 departure latent: an exponential tail. *)
+let tail_store () =
+  Store.of_trace ~observed:[| true; false |]
+    (Trace.create ~num_queues:2 [ ev 0 0 0 0.0 1.0; ev 0 1 1 1.0 2.0 ])
+
+let set_departures store updates =
+  let s = Store.snapshot store in
+  List.iter (fun (i, d) -> s.Store.s_departure.(i) <- d) updates;
+  Store.restore store s
+
+(* Both draws for the store's one latent event; fails unless they agree
+   bit for bit and consume the same draws. *)
+let kernel_draw what store params =
+  let f = (Store.unobserved_events store).(0) in
+  let rng = Rng.create ~seed:27 () in
+  let r_ref = Rng.copy rng in
+  let expected =
+    Gibbs.sample_compiled r_ref (Gibbs.compile (Gibbs.local_density store params f))
+  in
+  let got = Gibbs.sample_event rng store params f in
+  check_bits (what ^ ": kernel = reference") expected got;
+  Alcotest.(check (array int64)) (what ^ ": same draws") (Rng.state r_ref) (Rng.state rng);
+  got
+
+let test_kernel_degenerate_windows () =
+  let params = Params.create ~rates:[| 1.0; 2.0; 3.0 |] ~arrival_queue:0 in
+  let point what updates expected =
+    let store = window_store () in
+    set_departures store updates;
+    check_bits what expected (kernel_draw what store params)
+  in
+  point "zero width" [ (0, 3.0) ] 3.0;
+  point "negative width" [ (0, 3.5) ] 3.5;
+  point "width below resolution" [ (0, 3.0 -. 1e-13) ] (3.0 -. 1e-13);
+  point "nan lower, finite upper" [ (0, nan) ] 3.0;
+  point "infinite upper" [ (2, infinity); (4, infinity) ] 1.0;
+  let store = window_store () in
+  (match Gibbs.compile (Gibbs.local_density store params 1) with
+  | `Bounded pw ->
+      Alcotest.(check int) "healthy window has three pieces" 3
+        (List.length (Piecewise.pieces pw))
+  | _ -> Alcotest.fail "healthy window must stay bounded");
+  let healthy = kernel_draw "three pieces" store params in
+  Alcotest.(check bool) "three pieces: inside [1, 3]" true (healthy >= 1.0 && healthy <= 3.0);
+  (* rates outside Params.create's checks reach the tail case only
+     through corrupted state; build them as records *)
+  let tail what rates = kernel_draw what (tail_store ()) { Params.rates; arrival_queue = 0 } in
+  check_bits "tail with non-contracting slope" 1.0 (tail "non-contracting" [| 1.0; -1.0 |]);
+  check_bits "tail with nan slope" 1.0 (tail "nan slope" [| 1.0; nan |]);
+  let x = tail "healthy tail" [| 1.0; 2.0 |] in
+  Alcotest.(check bool) "healthy tail draws past its origin" true (x > 1.0 && Float.is_finite x);
+  (* a window NaN at both ends collapses to NaN, which the write-back
+     refuses exactly as Event_store.set_departure does *)
+  let store = window_store () in
+  set_departures store [ (0, nan); (2, nan); (4, nan) ];
+  Alcotest.(check bool) "nan window draws nan" true
+    (Float.is_nan (kernel_draw "nan window" store params));
+  Alcotest.check_raises "nan write-back refused"
+    (Invalid_argument "Event_store.set_departure: NaN") (fun () ->
+      Gibbs.resample_event (Rng.create ~seed:28 ()) store params 1)
+
+let test_kernel_filters_nan_hinges () =
+  (* g's knee is NaN (corrupted arrival) and e's slope infinite: both
+     hinges drop, leaving one piece on [1, 3] *)
+  let store = window_store () in
+  set_departures store [ (3, nan) ];
+  let params = { Params.rates = [| 1.0; 2.0; infinity |]; arrival_queue = 0 } in
+  for _ = 1 to 3 do
+    let x = kernel_draw "nan knee, infinite slope" store params in
+    Alcotest.(check bool) "sample finite and in window" true
+      (Float.is_finite x && x >= 1.0 && x <= 3.0);
+    Gibbs.resample_event (Rng.create ~seed:29 ()) store params 1
+  done
+
 (* An adversarial sweep: corrupt one latent to -inf via snapshot (NaN
    neighbourhoods collapse to points) and check a full sweep neither
    raises nor writes NaN. *)
@@ -559,6 +655,10 @@ let () =
         [
           Alcotest.test_case "degenerate windows" `Quick test_compile_degenerate_windows;
           Alcotest.test_case "nan hinges filtered" `Quick test_compile_filters_nan_hinges;
+          Alcotest.test_case "kernel: degenerate windows" `Quick
+            test_kernel_degenerate_windows;
+          Alcotest.test_case "kernel: nan hinges filtered" `Quick
+            test_kernel_filters_nan_hinges;
           Alcotest.test_case "sweep survives corruption" `Quick
             test_sweep_survives_corrupt_neighbourhood;
         ] );
