@@ -20,14 +20,16 @@
    Regression mode: `dune exec bench/main.exe -- --core-json [PATH]
    [--sizes 1k,10k,100k,1m]` skips Bechamel and the experiments and
    instead runs the ROADMAP size sweep: per store size it times Gibbs
-   sweeps/s directly (median of repeats), measures exact allocated
-   bytes/sweep on the plain hot path, and takes a short profiled pass
-   (Qnet_obs.Prof) for GC pause p50/p99 and the phase self-time split;
-   StEM iterations/s and piecewise draws/s are timed on the 1k
-   fixture. Everything lands in PATH (default BENCH_core.json,
-   schema 2, one size object per line). `make bench` compares that
-   file against the committed baseline per size and fails on a >20%
-   sweeps/s regression or alloc-per-sweep growth
+   sweeps/s directly (median of repeats) in index order and shuffled
+   (the order Stem and estimate_waiting use), measures exact allocated
+   bytes/sweep on the plain hot path in both orders, and takes a short
+   profiled pass (Qnet_obs.Prof) for GC pause p50/p99 and the phase
+   self-time split; StEM iterations/s and piecewise draws/s are timed
+   on the 1k fixture. Everything lands in PATH (default
+   BENCH_core.json, schema 2, one size object per line). `make bench`
+   compares that file against the committed baseline per size and
+   fails on a >20% sweeps/s regression, or on a plain sweep that
+   allocates more than 1 byte per resampled event
    (scripts/bench_compare). *)
 
 open Bechamel
@@ -189,10 +191,10 @@ let median_rate ~repeats ~work ~per_repeat =
    100k / 1M unobserved events (events ~= 3.8 x tasks at 5%
    observation). The 1k rung IS the historical fig4 fixture, so its
    sweeps/s stays comparable across baselines. The larger stores skip
-   Init.feasible on purpose — a simulated trace is already a feasible
-   latent configuration (it is the ground truth), and the
-   difference-constraint initializer costs ~80s at 1M events, which
-   would be the bench timing the initializer instead of the sweep. *)
+   Init.feasible: a simulated trace is already a feasible latent
+   configuration (it is the ground truth), and on the 1m store the
+   difference-constraint initializer takes 2.5-3.8 s on a 2-core VM,
+   more than all the sweeps this bench times there. *)
 type size_spec = {
   label : string;
   tasks : int;
@@ -227,6 +229,8 @@ type size_result = {
   events : int;
   sweeps_per_s : float;
   alloc_bytes_per_sweep : float;
+  shuffled_sweeps_per_s : float;
+  shuffled_alloc_bytes_per_sweep : float;
   pause_minor : Prof.pause_stats;
   pause_major : Prof.pause_stats;
   pauses_recorded : int;
@@ -237,6 +241,21 @@ let allocated_words () =
   let minor, promoted, major = Gc.counters () in
   minor +. major -. promoted
 
+(* Median sweeps/s over the spec's repeats, and the exact bytes each
+   sweep allocated on the plain (unprofiled, unmetered) path: the
+   Gc.counters delta over the measured sweeps. *)
+let time_sweeps spec ~shuffle rng store params =
+  let a0 = allocated_words () in
+  let sweeps_per_s =
+    median_rate ~repeats:spec.repeats ~per_repeat:spec.sweeps_per_repeat
+      ~work:(fun () -> Gibbs.sweep ~shuffle rng store params)
+  in
+  let total_sweeps = spec.repeats * spec.sweeps_per_repeat in
+  ( sweeps_per_s,
+    (allocated_words () -. a0)
+    *. float_of_int (Sys.word_size / 8)
+    /. float_of_int total_sweeps )
+
 let run_size spec =
   let store, params = size_store spec in
   let events = Array.length (Store.unobserved_events store) in
@@ -245,18 +264,11 @@ let run_size spec =
   for _ = 1 to Stdlib.min 3 spec.sweeps_per_repeat + 1 do
     Gibbs.sweep ~shuffle:false rng store params
   done;
-  (* Exact allocation per sweep on the plain (unprofiled, unmetered)
-     hot path: Gc.counters delta over the measured sweeps. *)
-  let a0 = allocated_words () in
-  let sweeps_per_s =
-    median_rate ~repeats:spec.repeats ~per_repeat:spec.sweeps_per_repeat
-      ~work:(fun () -> Gibbs.sweep ~shuffle:false rng store params)
+  let sweeps_per_s, alloc_bytes_per_sweep =
+    time_sweeps spec ~shuffle:false rng store params
   in
-  let total_sweeps = spec.repeats * spec.sweeps_per_repeat in
-  let alloc_bytes_per_sweep =
-    (allocated_words () -. a0)
-    *. float_of_int (Sys.word_size / 8)
-    /. float_of_int total_sweeps
+  let shuffled_sweeps_per_s, shuffled_alloc_bytes_per_sweep =
+    time_sweeps spec ~shuffle:true rng store params
   in
   (* Profiled pass: GC pauses (stride probes inside the sweep) and the
      per-phase self-time split come from a short Prof session. *)
@@ -273,6 +285,8 @@ let run_size spec =
     events;
     sweeps_per_s;
     alloc_bytes_per_sweep;
+    shuffled_sweeps_per_s;
+    shuffled_alloc_bytes_per_sweep;
     pause_minor = find Prof.Minor;
     pause_major = find Prof.Major;
     pauses_recorded = pstats.Prof.pauses_recorded;
@@ -292,9 +306,10 @@ let size_json r =
     |> String.concat ""
   in
   Printf.sprintf
-    "\"%s\":{\"tasks\":%d,\"store_events\":%d,\"repeats\":%d,\"gibbs_sweeps_per_s\":%.2f,\"alloc_bytes_per_sweep\":%.1f,\"minor_pause_p50_s\":%s,\"minor_pause_p99_s\":%s,\"major_pause_p50_s\":%s,\"major_pause_p99_s\":%s,\"gc_pauses\":%d%s}"
+    "\"%s\":{\"tasks\":%d,\"store_events\":%d,\"repeats\":%d,\"gibbs_sweeps_per_s\":%.2f,\"alloc_bytes_per_sweep\":%.1f,\"shuffled_sweeps_per_s\":%.2f,\"shuffled_alloc_bytes_per_sweep\":%.1f,\"minor_pause_p50_s\":%s,\"minor_pause_p99_s\":%s,\"major_pause_p50_s\":%s,\"major_pause_p99_s\":%s,\"gc_pauses\":%d%s}"
     r.spec.label r.spec.tasks r.events r.spec.repeats r.sweeps_per_s
-    r.alloc_bytes_per_sweep (jnum r.pause_minor.Prof.p50_s)
+    r.alloc_bytes_per_sweep r.shuffled_sweeps_per_s r.shuffled_alloc_bytes_per_sweep
+    (jnum r.pause_minor.Prof.p50_s)
     (jnum r.pause_minor.Prof.p99_s) (jnum r.pause_major.Prof.p50_s)
     (jnum r.pause_major.Prof.p99_s) r.pauses_recorded phase_keys
 
@@ -349,9 +364,9 @@ let core_json ~sizes out =
   List.iter
     (fun r ->
       Printf.printf
-        "  %-4s %8d events: %10.2f sweeps/s, %11.0f alloc B/sweep, %d GC pause(s) [minor p99 %s, major p99 %s]\n"
+        "  %-4s %8d events: %10.2f sweeps/s in order (%.0f alloc B/sweep), %10.2f shuffled (%.0f B), %d GC pause(s) [minor p99 %s, major p99 %s]\n"
         r.spec.label r.events r.sweeps_per_s r.alloc_bytes_per_sweep
-        r.pauses_recorded
+        r.shuffled_sweeps_per_s r.shuffled_alloc_bytes_per_sweep r.pauses_recorded
         (jnum r.pause_minor.Prof.p99_s)
         (jnum r.pause_major.Prof.p99_s))
     results;

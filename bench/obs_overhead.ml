@@ -6,11 +6,12 @@
    (c) with metrics and span tracing enabled, and (d) with the
    allocation/GC-pause profiler (Qnet_obs.Prof) running alone.
 
-   The disabled run doubles as the profiler's off-by-default guard:
-   it asserts that a profiler that was never started contributed zero
-   Memprof callbacks and zero pause probes to the sweep loop (the
-   <1%-when-off contract from DESIGN.md section 15 — the off path is
-   one extra atomic load per sweep, not per event).
+   The warm-up sweeps, run before any profiler session exists, double
+   as the profiler's off-by-default guard: the bench asserts that a
+   profiler that was never started contributed zero Memprof callbacks
+   and zero pause probes to the sweep loop (the <1%-when-off contract
+   from DESIGN.md section 15 — the off path is one extra atomic load
+   per sweep, not per event).
 
    Writes BENCH_obs.json at the repo root (or the path given as
    argv(1)) and prints the same numbers as a table.
@@ -45,32 +46,71 @@ let fixture () =
   | Error m -> failwith m);
   (store, params)
 
-(* Median-of-repeats sweep rate, so one noisy repeat (GC, scheduler)
-   cannot fake an overhead regression either way. *)
-let sweep_rate ~repeats ~sweeps store params =
+(* Sweeps/s of one repeat. *)
+let sweep_rate rng ~sweeps store params =
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to sweeps do
+    Gibbs.sweep ~shuffle:false rng store params
+  done;
+  float_of_int sweeps /. (Unix.gettimeofday () -. t0)
+
+type mode = Disabled | Metrics_on | Metrics_and_tracing | Profiling
+
+(* Run [f] with one telemetry configuration switched on, and everything
+   back off afterwards. The profiler runs alone: Counters backend
+   doing phase accounting + stride pause probes. *)
+let with_mode mode f =
+  match mode with
+  | Disabled -> f ()
+  | Metrics_on ->
+      Metrics.set_enabled true;
+      Fun.protect ~finally:(fun () -> Metrics.set_enabled false) f
+  | Metrics_and_tracing ->
+      Metrics.set_enabled true;
+      Span.enable ~capacity:(1 lsl 16) ();
+      Fun.protect
+        ~finally:(fun () ->
+          ignore (Span.drain ());
+          Span.disable ();
+          Metrics.set_enabled false)
+        f
+  | Profiling ->
+      ignore (Prof.start ~config:{ Prof.sampling_rate = 0.01; max_sites = 64 } ());
+      Fun.protect ~finally:Prof.stop f
+
+let modes = [| Disabled; Metrics_on; Metrics_and_tracing; Profiling |]
+
+(* Median sweep rate per mode. The modes take turns within every
+   repeat, in an order that rotates, so a slow spell on a shared host
+   lands on all of them alike instead of on whichever mode it happened
+   to coincide with; the median then drops it. *)
+let rates_by_mode ~repeats ~sweeps store params =
   let rng = Rng.create ~seed:42 () in
-  let rates =
-    Array.init repeats (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to sweeps do
-          Gibbs.sweep ~shuffle:false rng store params
-        done;
-        float_of_int sweeps /. (Unix.gettimeofday () -. t0))
-  in
-  Array.sort compare rates;
-  rates.(repeats / 2)
+  let nm = Array.length modes in
+  let rates = Array.make_matrix nm repeats 0.0 in
+  for r = 0 to repeats - 1 do
+    for j = 0 to nm - 1 do
+      let m = (r + j) mod nm in
+      rates.(m).(r) <- with_mode modes.(m) (fun () -> sweep_rate rng ~sweeps store params)
+    done
+  done;
+  Array.map
+    (fun a ->
+      Array.sort compare a;
+      a.(repeats / 2))
+    rates
 
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_obs.json" in
   let store, params = fixture () in
   let events = Array.length (Store.unobserved_events store) in
-  let repeats = 7 and sweeps = 60 in
-  (* warmup: fault in code paths, warm the allocator *)
-  ignore (sweep_rate ~repeats:1 ~sweeps:20 store params);
-
+  (* ~30 ms per repeat at 1140 events: long enough that one scheduler
+     hiccup is a small share of a repeat *)
+  let repeats = 9 and sweeps = 150 in
   Metrics.set_enabled false;
   Span.disable ();
-  let disabled = sweep_rate ~repeats ~sweeps store params in
+  (* warmup: fault in code paths, warm the allocator *)
+  ignore (sweep_rate (Rng.create ~seed:41 ()) ~sweeps:20 store params);
   (* Off-by-default guard: with no Prof session ever started, the
      sweeps above must not have touched the profiler at all. *)
   let st = Prof.stats () in
@@ -80,22 +120,9 @@ let () =
          "obs_overhead: profiler touched while disabled (probes %d, \
           memprof callbacks %d)"
          st.Prof.probes st.Prof.memprof_callbacks);
-
-  Metrics.set_enabled true;
-  let metrics_on = sweep_rate ~repeats ~sweeps store params in
-
-  Span.enable ~capacity:(1 lsl 16) ();
-  let tracing_on = sweep_rate ~repeats ~sweeps store params in
-  ignore (Span.drain ());
-  Span.disable ();
-  Metrics.set_enabled false;
-
-  (* Profiler alone: metrics and tracing back off, Counters backend
-     doing phase accounting + stride pause probes. *)
-  ignore
-    (Prof.start ~config:{ Prof.sampling_rate = 0.01; max_sites = 64 } ());
-  let profiling_on = sweep_rate ~repeats ~sweeps store params in
-  Prof.stop ();
+  let rates = rates_by_mode ~repeats ~sweeps store params in
+  let disabled = rates.(0) and metrics_on = rates.(1) in
+  let tracing_on = rates.(2) and profiling_on = rates.(3) in
 
   let pct base x = 100.0 *. (base -. x) /. base in
   let json =
