@@ -33,9 +33,9 @@ let m_kernel kind =
     ~help:"Compiled conditional kind drawn from (point/tail/bounded)"
     "qnet_gibbs_kernel_total"
 
-let m_kernel_point = lazy (m_kernel "point")
-let m_kernel_tail = lazy (m_kernel "tail")
-let m_kernel_bounded = lazy (m_kernel "bounded")
+(* Indexed by the production kernel's kind codes (below). *)
+let m_kernel_kinds =
+  [| lazy (m_kernel "point"); lazy (m_kernel "tail"); lazy (m_kernel "bounded") |]
 
 (* ------------------------------------------------------------------ *)
 (* The reference: the conditional as data, compiled by Piecewise. The
@@ -164,6 +164,7 @@ let s_acc = 22 (* loop accumulator *)
 let s_draw = 23 (* the kernel's result *)
 let scratch_len = 24
 
+(* Kernel kinds, as indices into [m_kernel_kinds]. *)
 let kind_point = 0
 let kind_tail = 1
 let kind_bounded = 2
@@ -431,11 +432,6 @@ let kernel sc (v : Store.view) rates rng f =
     end
   end
 
-let kind_counter kind =
-  if kind = kind_bounded then m_kernel_bounded
-  else if kind = kind_tail then m_kernel_tail
-  else m_kernel_point
-
 (* Telemetry fast path (DESIGN.md section 14): per-event clock reads
    and per-event counter bumps are too expensive to leave on. Instead
    the enabled loop (a) tallies kernel kinds into local ints and
@@ -459,14 +455,14 @@ let visit ~metrics ~profiling rng store params order lo hi =
   let rates = params.Params.rates in
   let departure = v.Store.v_departure in
   let per_event = if metrics then Some (Lazy.force m_event_seconds) else None in
-  let pt = ref 0 and tl = ref 0 and bd = ref 0 in
+  let kinds = Array.make (Array.length m_kernel_kinds) 0 in
   for k = lo to hi - 1 do
     let f = order.(k) in
     let on_stride = (k - lo) land (timing_stride - 1) = 0 in
     let timed = metrics && on_stride in
     let te = if timed then Clock.now_raw () else 0.0 in
     let kind = kernel sc v rates rng f in
-    if kind = kind_bounded then incr bd else if kind = kind_tail then incr tl else incr pt;
+    kinds.(kind) <- kinds.(kind) + 1;
     let x = sc.(s_draw) in
     if Float.is_nan x then invalid_arg "Event_store.set_departure: NaN";
     departure.(f) <- x;
@@ -480,14 +476,12 @@ let visit ~metrics ~profiling rng store params order lo hi =
        enough that quick_stat stays off the per-event path. *)
     if profiling && on_stride then Prof.pause_probe ()
   done;
-  if metrics then begin
-    if !pt > 0 then
-      Metrics.Counter.inc ~by:(float_of_int !pt) (Lazy.force m_kernel_point);
-    if !tl > 0 then
-      Metrics.Counter.inc ~by:(float_of_int !tl) (Lazy.force m_kernel_tail);
-    if !bd > 0 then
-      Metrics.Counter.inc ~by:(float_of_int !bd) (Lazy.force m_kernel_bounded)
-  end
+  if metrics then
+    Array.iteri
+      (fun kind n ->
+        if n > 0 then
+          Metrics.Counter.inc ~by:(float_of_int n) (Lazy.force m_kernel_kinds.(kind)))
+      kinds
 
 let window store f =
   let sc = Array.make scratch_len 0.0 in
@@ -497,7 +491,7 @@ let window store f =
 let sample_event rng store params f =
   let sc = Array.make scratch_len 0.0 in
   let kind = kernel sc (Store.view store) params.Params.rates rng f in
-  if Metrics.enabled () then Metrics.Counter.inc (Lazy.force (kind_counter kind));
+  if Metrics.enabled () then Metrics.Counter.inc (Lazy.force m_kernel_kinds.(kind));
   sc.(s_draw)
 
 let resample_range rng store params events lo hi =

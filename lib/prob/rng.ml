@@ -64,7 +64,7 @@ let set_state t s =
   Array.iteri (fun i w -> set64u t (8 * i) w) s
 
 let of_state s =
-  let t = of_words 0L 0L 0L 1L in
+  let t = Bytes.create 32 in
   set_state t s;
   t
 

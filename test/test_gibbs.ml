@@ -531,24 +531,6 @@ let test_sweep_matches_reference () =
       ("feedback", feedback_store ~seed:234 ~tasks:80 ~frac:0.2);
     ]
 
-let test_window_matches_reference () =
-  let store = feedback_store ~seed:235 ~tasks:80 ~frac:0.2 in
-  let params = Params.create ~rates:[| 3.0; 6.0 |] ~arrival_queue:0 in
-  Array.iter
-    (fun f ->
-      let ld = Gibbs.local_density store params f in
-      let lo, hi = Gibbs.window store f in
-      let same_bits a b = Int64.equal (bits a) (bits b) in
-      let same_upper =
-        match (ld.Gibbs.upper, hi) with
-        | None, None -> true
-        | Some a, Some b -> same_bits a b
-        | _ -> false
-      in
-      if not (same_bits ld.Gibbs.lower lo && same_upper) then
-        Alcotest.failf "event %d: window differs from the reference" f)
-    (Store.unobserved_events store)
-
 (* The allocation contract: a plain sweep allocates its scratch, a view
    of the store and a closure, and nothing per event, so the whole
    sweep stays under one byte per latent event on the 1k fixture. *)
@@ -623,8 +605,6 @@ let () =
           Alcotest.test_case "≡ reference (feedback)" `Quick
             test_kernel_matches_reference_feedback;
           Alcotest.test_case "sweep ≡ reference sweep" `Quick test_sweep_matches_reference;
-          Alcotest.test_case "window ≡ reference window" `Quick
-            test_window_matches_reference;
           Alcotest.test_case "plain sweep allocation" `Quick test_plain_sweep_allocation;
         ] );
     ]
