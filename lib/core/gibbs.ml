@@ -169,27 +169,28 @@ let kind_point = 0
 let kind_tail = 1
 let kind_bounded = 2
 
+(* [Event_store.arrival] on the view's arrays. *)
+let[@inline] arrival d pi i =
+  let p = pi.(i) in
+  if p < 0 then 0.0 else d.(p)
+
 (* The feasibility window of event [f]: L to [s_lower], U to [s_upper];
    returns whether U exists. The comparisons of [local_density], in its
    order. *)
 let bounds sc (v : Store.view) f =
   let d = v.Store.v_departure and pi = v.Store.v_pi in
   let rho = v.Store.v_rho and rho_inv = v.Store.v_rho_inv in
-  let p = pi.(f) and r = rho.(f) in
-  let a = if p < 0 then 0.0 else d.(p) in
+  let a = arrival d pi f and r = rho.(f) in
   sc.(s_lower) <- (if r < 0 then a else Float.max a d.(r));
   let e = v.Store.v_pi_inv.(f) in
   if e >= 0 then begin
     sc.(s_upper) <- d.(e);
     let rho_e = rho.(e) in
-    if rho_e >= 0 && rho_e <> f then begin
-      let p = pi.(rho_e) in
-      sc.(s_lower) <- Float.max sc.(s_lower) (if p < 0 then 0.0 else d.(p))
-    end;
+    if rho_e >= 0 && rho_e <> f then
+      sc.(s_lower) <- Float.max sc.(s_lower) (arrival d pi rho_e);
     let next_e = rho_inv.(e) in
     if next_e >= 0 then begin
-      let p = pi.(next_e) in
-      let a = if p < 0 then 0.0 else d.(p) in
+      let a = arrival d pi next_e in
       if a < sc.(s_upper) then sc.(s_upper) <- a
     end
   end;
@@ -227,8 +228,7 @@ let terms sc (v : Store.view) (rates : float array) f =
   in
   let g = v.Store.v_rho_inv.(f) in
   if g >= 0 && g <> e then begin
-    let p = v.Store.v_pi.(g) in
-    sc.(s_hinge) <- (if p < 0 then 0.0 else d.(p));
+    sc.(s_hinge) <- arrival d v.Store.v_pi g;
     sc.(s_hinge + 1) <- mu_f;
     if e_hinge then 2 else 1
   end
