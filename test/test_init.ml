@@ -185,6 +185,80 @@ let test_init_with_nothing_observed () =
   | Ok () -> ()
   | Error m -> Alcotest.fail m
 
+(* ------------------------------------------------------------------ *)
+(* Golden initializations: the departures' bits after Init.feasible
+   under every strategy, on seeded tandem, three-tier (1-2-4) and
+   feedback stores, plus each store's constraint count. The solver
+   relaxes an edge only on an improvement of more than 1e-12, so its
+   result depends on the order in which it visits edges: a change to
+   that order, to the constraint set or to the targeted walk that moves
+   a single bit fails here. *)
+
+let golden_store net ~seed ~tasks ~frac =
+  lazy
+    (let trace = Net_helpers.simulate_n (Rng.create ~seed ()) net tasks in
+     let mask = Obs.mask (Rng.create ~seed:(seed + 1) ()) (Obs.Task_fraction frac) trace in
+     (Store.of_trace ~observed:mask trace, Params.of_network net))
+
+let golden_tandem =
+  golden_store ~seed:301 ~tasks:200 ~frac:0.1
+    (Topologies.tandem ~arrival_rate:6.0 ~service_rates:[ 8.0; 7.0 ])
+
+let golden_three_tier =
+  golden_store ~seed:303 ~tasks:300 ~frac:0.05
+    (Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 ())
+
+let golden_feedback =
+  golden_store ~seed:305 ~tasks:200 ~frac:0.1
+    (Topologies.feedback ~arrival_rate:3.0 ~service_rate:6.0 ~loop_prob:0.4)
+
+let departures_digest store =
+  let b = Buffer.create (8 * Store.num_events store) in
+  for i = 0 to Store.num_events store - 1 do
+    Buffer.add_int64_le b (Int64.bits_of_float (Store.departure store i))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let check_init_golden name fixture ~constraints expected =
+  let store0, target = Lazy.force fixture in
+  Alcotest.(check int) (name ^ " constraint count") constraints
+    (Init.constraint_count store0);
+  List.iter
+    (fun (strategy_name, strategy, digest) ->
+      let store = Store.copy store0 in
+      (match Init.feasible ~strategy ~target store with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s %s: %s" name strategy_name m);
+      Alcotest.(check string) (name ^ " " ^ strategy_name) digest (departures_digest store))
+    expected
+
+let test_golden_tandem () =
+  check_init_golden "tandem" golden_tandem ~constraints:1650
+    [
+      ("earliest", Init.Earliest, "43fb71ff01ff2634b2d8fa74452a6b16");
+      ("latest", Init.Latest, "3de862124782d88da581fb75b3673df8");
+      ("centered", Init.Centered, "c8541b328ba40a3b50ee96f44b60782b");
+      ("targeted", Init.Targeted, "a737642619f10d3a615803d79f2d2230");
+    ]
+
+let test_golden_three_tier () =
+  check_init_golden "three-tier" golden_three_tier ~constraints:3343
+    [
+      ("earliest", Init.Earliest, "2baec5e7e03079d3e839ce80657ae7a1");
+      ("latest", Init.Latest, "1ff318ca9aed4c7d1ef46e3bb5a52808");
+      ("centered", Init.Centered, "6bb21a0b8bb4999b616099ccddfa2f84");
+      ("targeted", Init.Targeted, "388e1ed94a42300fff0b716294540b4a");
+    ]
+
+let test_golden_feedback () =
+  check_init_golden "feedback" golden_feedback ~constraints:1439
+    [
+      ("earliest", Init.Earliest, "177949b6afd62410f101ebf27397514b");
+      ("latest", Init.Latest, "66e76d5617609f83cabaa6e7f7daa272");
+      ("centered", Init.Centered, "67c52a882856485e594e69edc3fef51f");
+      ("targeted", Init.Targeted, "37e418aa10a3025c8c38177c53783799");
+    ]
+
 let () =
   Alcotest.run "qnet_init"
     [
@@ -202,5 +276,11 @@ let () =
           Alcotest.test_case "LP beats greedy" `Quick test_lp_objective_beats_greedy;
           Alcotest.test_case "feedback topology" `Quick test_feedback_topology_init;
           Alcotest.test_case "nothing observed" `Quick test_init_with_nothing_observed;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "tandem" `Quick test_golden_tandem;
+          Alcotest.test_case "three-tier" `Quick test_golden_three_tier;
+          Alcotest.test_case "feedback" `Quick test_golden_feedback;
         ] );
     ]

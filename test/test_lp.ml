@@ -103,6 +103,49 @@ let test_dcs_bad_variable_rejected () =
     (Invalid_argument "Difference_constraints.add_le: bad variable") (fun () ->
       Dcs.add_le t 0 2 1.0)
 
+(* The solver relaxes an edge only on an improvement of more than
+   1e-12, so when two paths give values closer than that, the one it
+   visits first wins. Each system below has such a near-tie, and the
+   expected bits pin the visiting order: a row lists its constraints'
+   edges in insertion order, the reference row then lists the
+   default-upper caps from the last variable down to the first, and
+   the worklist is first in, first out. *)
+let test_dcs_visiting_order () =
+  let bits = Int64.bits_of_float in
+  let check_bits name expected got =
+    if not (Int64.equal (bits expected) (bits got)) then
+      Alcotest.failf "%s: expected %h, got %h" name expected got
+  in
+  let tie = 5e-13 in
+  (* two upper bounds on one variable: the first inserted wins *)
+  let t = Dcs.create ~default_upper:100.0 2 in
+  Dcs.add_upper t 1 2.0;
+  Dcs.add_upper t 1 (2.0 -. tie);
+  check_bits "latest, row in insertion order" 2.0 (solve_ok t `Latest).(1);
+  (* the mirror image for the earliest solution *)
+  let t = Dcs.create ~default_upper:100.0 2 in
+  Dcs.add_lower t 1 2.0;
+  Dcs.add_lower t 1 (2.0 +. tie);
+  check_bits "earliest, row in insertion order" 2.0 (solve_ok t `Earliest).(1);
+  (* a constraint's edge out of the reference precedes the caps *)
+  let t = Dcs.create ~default_upper:100.0 2 in
+  Dcs.add_upper t 0 (100.0 -. tie);
+  check_bits "constraints before caps" (100.0 -. tie) (solve_ok t `Latest).(0);
+  (* caps from the last variable down: x1 is dequeued before x0, so its
+     path to x2 is the one kept *)
+  let t = Dcs.create ~default_upper:10.0 3 in
+  Dcs.add_le t 2 0 (-1.0);
+  Dcs.add_le t 2 1 (-1.0 +. tie);
+  check_bits "caps descending, FIFO worklist" (10.0 +. (-1.0 +. tie)) (solve_ok t `Latest).(2);
+  (* with several violations, check reports the last one added *)
+  let t = Dcs.create 2 in
+  Dcs.add_upper t 0 1.0;
+  Dcs.add_le t 0 1 (-1.0);
+  Dcs.add_lower t 1 9.0;
+  match Dcs.check t [| 5.0; 5.5 |] with
+  | Error m -> Alcotest.(check string) "last violation reported" "violated: x1 >= 9 (got 5.5)" m
+  | Ok () -> Alcotest.fail "expected violation"
+
 let test_dcs_large_chain_performance () =
   (* a long chain must solve quickly (SPFA, not naive O(VE)) *)
   let n = 20_000 in
@@ -384,6 +427,7 @@ let () =
           Alcotest.test_case "bound interaction" `Quick test_dcs_upper_lower_interaction;
           Alcotest.test_case "check detects violation" `Quick test_dcs_check_detects_violation;
           Alcotest.test_case "bad variable" `Quick test_dcs_bad_variable_rejected;
+          Alcotest.test_case "visiting order" `Quick test_dcs_visiting_order;
           Alcotest.test_case "20k-var chain fast" `Slow test_dcs_large_chain_performance;
           qc qcheck_dcs_solution_feasible;
         ] );

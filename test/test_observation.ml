@@ -105,6 +105,41 @@ let test_mask_determinism () =
   let m3 = Obs.mask (Rng.create ~seed:22 ()) (Obs.Task_fraction 0.4) trace in
   Alcotest.(check bool) "different seed differs" true (m1 <> m3)
 
+(* Golden masks: the mask's bits, the generator state after drawing it
+   and the observed task ids, pinned per scheme on a feedback trace
+   (tasks of varying length) whose task ids are renumbered to
+   descending, negative and non-contiguous values, so the grouping by
+   task id is exercised beyond 0..n-1. *)
+let golden_trace =
+  lazy
+    (let net = Topologies.feedback ~arrival_rate:3.0 ~service_rate:6.0 ~loop_prob:0.4 in
+     let trace = Net_helpers.simulate_n (Rng.create ~seed:401 ()) net 150 in
+     Trace.create ~num_queues:trace.Trace.num_queues
+       (Array.to_list
+          (Array.map
+             (fun e -> { e with Trace.task = 100 - (3 * e.Trace.task) })
+             trace.Trace.events)))
+
+let mask_digest rng trace mask =
+  let b = Buffer.create (Array.length mask + 64) in
+  Array.iter (fun o -> Buffer.add_char b (if o then '1' else '0')) mask;
+  Array.iter (Buffer.add_int64_le b) (Rng.state rng);
+  List.iter (fun k -> Buffer.add_string b (Printf.sprintf ",%d" k)) (Obs.observed_tasks trace mask);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_masks () =
+  let trace = Lazy.force golden_trace in
+  List.iter
+    (fun (name, scheme, expected) ->
+      let rng = Rng.create ~seed:402 () in
+      let mask = Obs.mask rng scheme trace in
+      Alcotest.(check string) name expected (mask_digest rng trace mask))
+    [
+      ("task fraction", Obs.Task_fraction 0.3, "64426137604a0644fa5a57ff40fe9446");
+      ("event fraction", Obs.Event_fraction 0.4, "142eaf218f0fa7615682e30ff1fe8692");
+      ("explicit tasks", Obs.Explicit_tasks [ -44; 100; 7; -347 ], "66c73a6996987c6488912dfca1908496");
+    ]
+
 let () =
   Alcotest.run "qnet_observation"
     [
@@ -122,5 +157,6 @@ let () =
           Alcotest.test_case "validate" `Quick test_validate_fractions;
           Alcotest.test_case "fraction helper" `Quick test_fraction_events_observed;
           Alcotest.test_case "determinism" `Quick test_mask_determinism;
+          Alcotest.test_case "golden masks" `Quick test_golden_masks;
         ] );
     ]

@@ -183,6 +183,65 @@ let test_large_simulated_store_consistency () =
       order
   done
 
+(* Golden structure: everything [of_trace] derives from a trace — the
+   dense task index, the π and ρ chains both ways, the per-queue heads,
+   the latent indices, the per-task event lists and the task ids that
+   [to_trace] maps back to — pinned on a masked three-tier (1-2-4)
+   store and on a feedback store whose task ids are renumbered to
+   descending, negative and non-contiguous values. *)
+let structure_digest store =
+  let b = Buffer.create 4096 in
+  let add k = Buffer.add_string b (string_of_int k); Buffer.add_char b ',' in
+  add (Store.num_tasks store);
+  add (Store.arrival_queue store);
+  for i = 0 to Store.num_events store - 1 do
+    List.iter add
+      [ Store.task store i; Store.state store i; Store.queue store i;
+        Store.pi store i; Store.pi_inv store i; Store.rho store i; Store.rho_inv store i;
+        Bool.to_int (Store.observed store i) ]
+  done;
+  Array.iter add (Store.snapshot store).Store.s_heads;
+  Array.iter add (Store.latent store);
+  for k = 0 to Store.num_tasks store - 1 do
+    Array.iter add (Store.events_of_task store k);
+    Buffer.add_char b ';'
+  done;
+  Array.iter (fun e -> add e.Trace.task) (Store.to_trace store).Trace.events;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_structure () =
+  let three_tier =
+    let net =
+      Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 ()
+    in
+    let trace = Net_helpers.simulate_n (Rng.create ~seed:501 ()) net 300 in
+    let mask =
+      Qnet_core.Observation.mask (Rng.create ~seed:502 ())
+        (Qnet_core.Observation.Task_fraction 0.05) trace
+    in
+    Store.of_trace ~observed:mask trace
+  in
+  let feedback =
+    let net = Topologies.feedback ~arrival_rate:3.0 ~service_rate:6.0 ~loop_prob:0.4 in
+    let trace = Net_helpers.simulate_n (Rng.create ~seed:503 ()) net 200 in
+    let trace =
+      Trace.create ~num_queues:trace.Trace.num_queues
+        (Array.to_list
+           (Array.map
+              (fun e -> { e with Trace.task = 50 - (7 * e.Trace.task) })
+              trace.Trace.events))
+    in
+    let mask =
+      Qnet_core.Observation.mask (Rng.create ~seed:504 ())
+        (Qnet_core.Observation.Event_fraction 0.3) trace
+    in
+    Store.of_trace ~observed:mask trace
+  in
+  Alcotest.(check string) "three-tier" "7148b458503daff9b54c155f5630cd41"
+    (structure_digest three_tier);
+  Alcotest.(check string) "feedback" "612f95561bc1baea18d4a8c1c4ebba1e"
+    (structure_digest feedback)
+
 let () =
   Alcotest.run "qnet_core_store"
     [
@@ -206,5 +265,6 @@ let () =
           Alcotest.test_case "mask length" `Quick test_mask_length_checked;
           Alcotest.test_case "simulated store consistency" `Quick
             test_large_simulated_store_consistency;
+          Alcotest.test_case "golden structure" `Quick test_golden_structure;
         ] );
     ]
