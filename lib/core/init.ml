@@ -4,140 +4,152 @@ module Simplex = Qnet_lp.Simplex
 
 type strategy = Earliest | Latest | Centered | Targeted
 
-(* Collect the timing constraints induced by the fixed structure.
-   Constraints between two observed (hence fixed) departures are
-   skipped: they hold in any mask derived from a valid trace. *)
-let build_system ?(slack = 1e-9) store =
-  let m = Store.num_events store in
+(* Enumerate the timing constraints induced by the fixed structure, in
+   the order the solver receives them: [order i j] for
+   x_i - x_j <= -slack (i strictly before j), [self p] for the trivial
+   x_p - x_p <= 0, [lower i] for x_i >= slack and [eq i] for x_i fixed
+   at its observed departure. Constraints between two observed (hence
+   fixed) departures are skipped: they hold in any mask derived from a
+   valid trace. *)
+let iter_constraints (v : Store.view) ~order ~self ~lower ~eq =
+  let fixed = v.Store.v_observed and pi = v.Store.v_pi in
+  let order i j = if not (fixed.(i) && fixed.(j)) then order i j in
+  for i = 0 to Array.length fixed - 1 do
+    if fixed.(i) then eq i;
+    (* service of i is non-negative: d_i >= a_i and d_i >= d_rho(i) *)
+    let p = pi.(i) in
+    if p >= 0 then order p i else if not fixed.(i) then lower i;
+    let r = v.Store.v_rho.(i) in
+    if r >= 0 then order r i;
+    (* arrival order at i's queue: a_i <= a_{rho_inv i} *)
+    let j = v.Store.v_rho_inv.(i) in
+    if j >= 0 then begin
+      let pj = pi.(j) in
+      if p >= 0 && pj >= 0 then order p pj
+      else if p >= 0 && pj < 0 && not fixed.(p) then
+        (* j is initial (arrival 0) while i is not: impossible unless
+           a_i <= 0; recorded to surface infeasibility *)
+        self p
+    end
+  done
+
+let build_system ~slack (v : Store.view) =
+  let m = Array.length v.Store.v_departure in
   (* Cap from observed data only: latent values must not leak. *)
   let max_obs = ref 0.0 in
   for i = 0 to m - 1 do
-    if Store.observed store i then max_obs := Float.max !max_obs (Store.departure store i)
+    if v.Store.v_observed.(i) then max_obs := Float.max !max_obs v.Store.v_departure.(i)
   done;
-  let cap = (1.5 *. !max_obs) +. 10.0 in
-  let sys = Dcs.create ~default_upper:cap m in
+  let sys = Dcs.create ~default_upper:((1.5 *. !max_obs) +. 10.0) m in
+  (* the closure holds one boxed -slack for every call *)
+  let before = -.slack in
+  iter_constraints v
+    ~order:(fun i j -> Dcs.add_le sys i j before)
+    ~self:(fun p -> Dcs.add_le sys p p 0.0)
+    ~lower:(fun i -> Dcs.add_lower sys i slack)
+    ~eq:(fun i -> Dcs.add_eq sys i v.Store.v_departure.(i));
+  sys
+
+let constraint_count store =
   let count = ref 0 in
-  let fixed = Store.observed store in
-  let le i j c =
-    (* x_i - x_j <= c, skipped when both endpoints are fixed *)
-    if not (fixed i && fixed j) then begin
-      Dcs.add_le sys i j c;
-      incr count
-    end
-  in
-  for i = 0 to m - 1 do
-    if fixed i then begin
-      Dcs.add_eq sys i (Store.departure store i);
-      count := !count + 2
-    end;
-    (* service of i is non-negative: d_i >= a_i and d_i >= d_rho(i) *)
-    let p = Store.pi store i in
-    if p >= 0 then le p i (-.slack)
-    else if not (fixed i) then begin
-      Dcs.add_lower sys i slack;
-      incr count
-    end;
-    let r = Store.rho store i in
-    if r >= 0 then le r i (-.slack);
-    (* arrival order at i's queue: a_i <= a_{rho_inv i} *)
-    let j = Store.rho_inv store i in
-    if j >= 0 then begin
-      let pj = Store.pi store j in
-      if p >= 0 && pj >= 0 then le p pj (-.slack)
-      else if p >= 0 && pj < 0 then
-        (* j is initial (arrival 0) while i is not: impossible unless
-           a_i <= 0; record as an upper bound to surface infeasibility *)
-        le p p 0.0
-    end
-  done;
-  (sys, !count)
+  let one _ = incr count in
+  iter_constraints (Store.view store)
+    ~order:(fun _ _ -> incr count)
+    ~self:one ~lower:one
+    ~eq:(fun _ -> count := !count + 2);
+  !count
 
-let constraint_count store = snd (build_system store)
-
+(* Through the view, so no value is boxed; a NaN still goes through
+   [Store.set_departure] and raises there, as it always has. *)
 let write_solution store solution =
-  let m = Store.num_events store in
-  for i = 0 to m - 1 do
-    if not (Store.observed store i) then Store.set_departure store i solution.(i)
+  let v = Store.view store in
+  for i = 0 to Array.length solution - 1 do
+    if not v.Store.v_observed.(i) then begin
+      let x = solution.(i) in
+      if Float.is_nan x then Store.set_departure store i x else v.Store.v_departure.(i) <- x
+    end
   done
 
-(* The "x_v >= x_u + slack" dependency edges: service non-negativity
-   (pi(i) -> i and rho(i) -> i) and the per-queue arrival-order
-   constraints (pi(i) -> pi(j) for consecutive arrivals i, j). These
-   all point forward in time, so the graph is acyclic for any store
+(* The "x_v >= x_u + slack" dependency edges as compressed rows: row u
+   holds u's successors [succ.(first.(u))] to [succ.(first.(u + 1) - 1)].
+   They are service non-negativity (pi(i) -> i and rho(i) -> i) and the
+   per-queue arrival order (pi(i) -> pi(j) for consecutive arrivals i,
+   j). All point forward in time, so the graph is acyclic for any store
    built from a valid trace. *)
-let dependency_edges store =
-  let m = Store.num_events store in
-  let edges = ref [] in
+let dependency_rows (v : Store.view) =
+  let m = Array.length v.Store.v_departure in
+  let pi = v.Store.v_pi and rho = v.Store.v_rho and rho_inv = v.Store.v_rho_inv in
+  let iter_edges f =
+    for i = 0 to m - 1 do
+      let p = pi.(i) and r = rho.(i) in
+      if p >= 0 then f p i;
+      if r >= 0 then f r i;
+      let j = rho_inv.(i) in
+      if j >= 0 && p >= 0 && pi.(j) >= 0 then f p pi.(j)
+    done
+  in
+  let first = Array.make (m + 1) 0 in
+  iter_edges (fun u _ -> first.(u + 1) <- first.(u + 1) + 1);
+  for u = 1 to m do
+    first.(u) <- first.(u) + first.(u - 1)
+  done;
+  let succ = Array.make first.(m) 0 in
+  let next = Array.sub first 0 m in
+  iter_edges (fun u w ->
+      succ.(next.(u)) <- w;
+      next.(u) <- next.(u) + 1);
+  (first, succ)
+
+(* Greedy LP surrogate: in dependency order (Kahn's, over an int array
+   that serves as its own queue), give each latent event a departure of
+   (service start + target mean service), clamped into [all incoming
+   dependencies + slack, latest-feasible]. Clamping by the
+   componentwise-latest solution keeps every later constraint
+   satisfiable; the dependency walk keeps every earlier one satisfied.
+   [floor.(i)] gathers max (value u + slack) over i's finished
+   predecessors u. *)
+let targeted_solution ~slack (v : Store.view) (target : Params.t) latest =
+  let m = Array.length v.Store.v_departure in
+  let observed = v.Store.v_observed and departure = v.Store.v_departure in
+  let pi = v.Store.v_pi and rho = v.Store.v_rho in
+  let first, succ = dependency_rows v in
+  let indegree = Array.make m 0 in
+  Array.iter (fun w -> indegree.(w) <- indegree.(w) + 1) succ;
+  let order = Array.make m 0 in
+  let tail = ref 0 in
   for i = 0 to m - 1 do
-    let p = Store.pi store i and r = Store.rho store i in
-    if p >= 0 then edges := (p, i) :: !edges;
-    if r >= 0 then edges := (r, i) :: !edges;
-    let j = Store.rho_inv store i in
-    if j >= 0 then begin
-      let pj = Store.pi store j in
-      if p >= 0 && pj >= 0 then edges := (p, pj) :: !edges
+    if indegree.(i) = 0 then begin
+      order.(!tail) <- i;
+      incr tail
     end
   done;
-  !edges
-
-let dependency_order store =
-  let m = Store.num_events store in
-  let indegree = Array.make m 0 in
-  let succs = Array.make m [] in
-  List.iter
-    (fun (u, v) ->
-      indegree.(v) <- indegree.(v) + 1;
-      succs.(u) <- v :: succs.(u))
-    (dependency_edges store);
-  let queue = Queue.create () in
-  for i = 0 to m - 1 do
-    if indegree.(i) = 0 then Queue.add i queue
-  done;
-  let order = Array.make m 0 in
-  let k = ref 0 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.take queue in
-    order.(!k) <- i;
-    incr k;
-    List.iter
-      (fun j ->
-        indegree.(j) <- indegree.(j) - 1;
-        if indegree.(j) = 0 then Queue.add j queue)
-      succs.(i)
-  done;
-  assert (!k = m);
-  order
-
-(* Greedy LP surrogate: in dependency order, give each latent event a
-   departure of (service start + target mean service), clamped into
-   [all incoming dependencies + slack, latest-feasible]. Clamping by
-   the componentwise-latest solution keeps every later constraint
-   satisfiable; the dependency walk keeps every earlier one satisfied. *)
-let targeted_solution ~slack store target latest =
-  let m = Store.num_events store in
   let solution = Array.make m 0.0 in
-  let value i =
-    if Store.observed store i then Store.departure store i else solution.(i)
-  in
-  let preds = Array.make m [] in
-  List.iter (fun (u, v) -> preds.(v) <- u :: preds.(v)) (dependency_edges store);
-  Array.iter
-    (fun i ->
-      if Store.observed store i then solution.(i) <- Store.departure store i
-      else begin
-        let p = Store.pi store i and r = Store.rho store i in
-        let arrival = if p < 0 then 0.0 else value p in
-        let start = if r < 0 then arrival else Float.max arrival (value r) in
-        let lower =
-          List.fold_left
-            (fun acc u -> Float.max acc (value u +. slack))
-            (Float.max slack (start +. slack))
-            preds.(i)
-        in
-        let wanted = start +. Params.mean_service target (Store.queue store i) in
-        solution.(i) <- Float.min latest.(i) (Float.max lower wanted)
-      end)
-    (dependency_order store);
+  let floor = Array.make m neg_infinity in
+  let head = ref 0 in
+  while !head < !tail do
+    let i = order.(!head) in
+    incr head;
+    if observed.(i) then solution.(i) <- departure.(i)
+    else begin
+      let p = pi.(i) and r = rho.(i) in
+      let arrival = if p < 0 then 0.0 else solution.(p) in
+      let start = if r < 0 then arrival else Float.max arrival solution.(r) in
+      let lower = Float.max (Float.max slack (start +. slack)) floor.(i) in
+      let wanted = start +. (1.0 /. target.Params.rates.(v.Store.v_queue.(i))) in
+      solution.(i) <- Float.min latest.(i) (Float.max lower wanted)
+    end;
+    let reach = solution.(i) +. slack in
+    for e = first.(i) to first.(i + 1) - 1 do
+      let w = succ.(e) in
+      floor.(w) <- Float.max floor.(w) reach;
+      indegree.(w) <- indegree.(w) - 1;
+      if indegree.(w) = 0 then begin
+        order.(!tail) <- w;
+        incr tail
+      end
+    done
+  done;
+  assert (!tail = m);
   solution
 
 let feasible ?strategy ?(slack = 1e-9) ?target store =
@@ -147,7 +159,8 @@ let feasible ?strategy ?(slack = 1e-9) ?target store =
     | None, Some _ -> Targeted
     | None, None -> Centered
   in
-  let sys, _ = build_system ~slack store in
+  let v = Store.view store in
+  let sys = build_system ~slack v in
   let solved =
     match strategy with
     | Earliest -> Dcs.solve sys `Earliest
@@ -159,7 +172,7 @@ let feasible ?strategy ?(slack = 1e-9) ?target store =
         | Some params -> (
             match Dcs.solve sys `Latest with
             | Error e -> Error e
-            | Ok latest -> Ok (targeted_solution ~slack store params latest)))
+            | Ok latest -> Ok (targeted_solution ~slack v params latest)))
   in
   match solved with
   | Error { Dcs.message } -> Error message
