@@ -13,7 +13,8 @@ type t = {
   rho : int array; (* within-queue chains; mutable through move_event *)
   rho_inv : int array;
   heads : int array; (* first event (in arrival order) per queue, -1 if none *)
-  by_task : int array array;
+  task_start : int array;
+      (* task k's events are task_start.(k) .. task_start.(k + 1) - 1 *)
   arrival_queue : int;
   task_ids : int array; (* dense task index -> original task id *)
   mutable generation : int;
@@ -51,89 +52,75 @@ let of_trace ?observed trace =
           invalid_arg "Event_store.of_trace: observed mask length mismatch";
         Array.copy o
   in
-  let task_ids =
-    let seen = Hashtbl.create 64 in
-    let acc = ref [] in
-    Array.iter
-      (fun e ->
-        if not (Hashtbl.mem seen e.Trace.task) then begin
-          Hashtbl.add seen e.Trace.task ();
-          acc := e.Trace.task :: !acc
-        end)
-      events;
-    let a = Array.of_list !acc in
-    Array.sort compare a;
-    a
-  in
-  let task_index = Hashtbl.create (Array.length task_ids) in
-  Array.iteri (fun i id -> Hashtbl.add task_index id i) task_ids;
-  let task = Array.map (fun e -> Hashtbl.find task_index e.Trace.task) events in
-  let state = Array.map (fun e -> e.Trace.state) events in
-  let queue = Array.map (fun e -> e.Trace.queue) events in
-  let departure = Array.map (fun e -> e.Trace.departure) events in
-  let arrival0 = Array.map (fun e -> e.Trace.arrival) events in
-  (* Within-task chains: events are sorted by (task, arrival). *)
+  (* Each task is a run of the (task, arrival)-sorted events, so the
+     dense task index, the task ids and the within-task chains all come
+     from the run boundaries. *)
+  let task_start = Task_runs.starts ~caller:"Event_store.of_trace" trace in
+  let num_tasks = Array.length task_start - 1 in
+  let task_ids = Array.init num_tasks (fun k -> events.(task_start.(k)).Trace.task) in
+  let task = Array.make n 0 in
   let pi = Array.make n (-1) in
   let pi_inv = Array.make n (-1) in
-  for i = 1 to n - 1 do
-    if task.(i) = task.(i - 1) then begin
+  for k = 0 to num_tasks - 1 do
+    task.(task_start.(k)) <- k;
+    for i = task_start.(k) + 1 to task_start.(k + 1) - 1 do
+      task.(i) <- k;
       pi.(i) <- i - 1;
       pi_inv.(i - 1) <- i
-    end
+    done
   done;
-  (* Group by task. *)
-  let num_tasks = Array.length task_ids in
-  let by_task =
-    let buckets = Array.make num_tasks [] in
-    for i = n - 1 downto 0 do
-      buckets.(task.(i)) <- i :: buckets.(task.(i))
-    done;
-    Array.map Array.of_list buckets
-  in
+  let state = Array.map (fun e -> e.Trace.state) events in
+  let queue = Array.map (fun e -> e.Trace.queue) events in
+  let departure = Array.make n 0.0 and arrival0 = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    departure.(i) <- events.(i).Trace.departure;
+    arrival0.(i) <- events.(i).Trace.arrival
+  done;
   (* Initial events must be first per task and at a common queue. *)
-  let arrival_queue = queue.(by_task.(0).(0)) in
-  Array.iter
-    (fun evs ->
-      if Array.length evs = 0 then invalid_arg "Event_store.of_trace: empty task";
-      let first = evs.(0) in
-      if not (Float.equal arrival0.(first) 0.0) then
-        invalid_arg "Event_store.of_trace: task without initial event";
-      if queue.(first) <> arrival_queue then
-        invalid_arg "Event_store.of_trace: inconsistent arrival queue";
-      (* Only initial events may sit at the arrival queue: routing back
-         to q0 would break the paper's convention. *)
-      Array.iteri
-        (fun k e ->
-          if k > 0 && queue.(e) = arrival_queue then
-            invalid_arg "Event_store.of_trace: a task revisits the arrival queue")
-        evs)
-    by_task;
+  let arrival_queue = queue.(0) in
+  for k = 0 to num_tasks - 1 do
+    let first = task_start.(k) in
+    if not (Float.equal arrival0.(first) 0.0) then
+      invalid_arg "Event_store.of_trace: task without initial event";
+    if queue.(first) <> arrival_queue then
+      invalid_arg "Event_store.of_trace: inconsistent arrival queue";
+    (* Only initial events may sit at the arrival queue: routing back
+       to q0 would break the paper's convention. *)
+    for i = first + 1 to task_start.(k + 1) - 1 do
+      if queue.(i) = arrival_queue then
+        invalid_arg "Event_store.of_trace: a task revisits the arrival queue"
+    done
+  done;
   (* Within-queue chains from the true arrival order (ties broken by
      departure, then index, so q0's simultaneous arrivals order by
-     entry time). This order is the fixed "event counter" data. *)
+     entry time). This order is the fixed "event counter" data. The
+     comparator is a total order, so the result does not depend on the
+     order events are bucketed in. *)
+  let num_queues = trace.Trace.num_queues in
   let by_queue =
-    let buckets = Array.make trace.Trace.num_queues [] in
-    for i = n - 1 downto 0 do
-      buckets.(queue.(i)) <- i :: buckets.(queue.(i))
+    let count = Array.make num_queues 0 in
+    Array.iter (fun q -> count.(q) <- count.(q) + 1) queue;
+    let buckets = Array.map (fun c -> Array.make c 0) count in
+    Array.fill count 0 num_queues 0;
+    for i = 0 to n - 1 do
+      let q = queue.(i) in
+      buckets.(q).(count.(q)) <- i;
+      count.(q) <- count.(q) + 1
     done;
-    Array.map
-      (fun l ->
-        let a = Array.of_list l in
-        Array.sort
-          (fun i j ->
-            match compare arrival0.(i) arrival0.(j) with
-            | 0 -> (
-                match compare departure.(i) departure.(j) with
-                | 0 -> compare i j
-                | c -> c)
-            | c -> c)
-          a;
-        a)
-      buckets
+    Array.iter
+      (Array.sort (fun i j ->
+           match compare arrival0.(i) arrival0.(j) with
+           | 0 -> (
+               match compare departure.(i) departure.(j) with
+               | 0 -> compare i j
+               | c -> c)
+           | c -> c))
+      buckets;
+    buckets
   in
   let rho = Array.make n (-1) in
   let rho_inv = Array.make n (-1) in
-  let heads = Array.make trace.Trace.num_queues (-1) in
+  let heads = Array.make num_queues (-1) in
   Array.iteri
     (fun q order ->
       if Array.length order > 0 then heads.(q) <- order.(0);
@@ -144,7 +131,7 @@ let of_trace ?observed trace =
     by_queue;
   let latent = latent_of observed in
   {
-    num_queues = trace.Trace.num_queues;
+    num_queues;
     num_tasks;
     task;
     state;
@@ -156,7 +143,7 @@ let of_trace ?observed trace =
     rho;
     rho_inv;
     heads;
-    by_task;
+    task_start;
     arrival_queue;
     task_ids;
     generation = 0;
@@ -177,24 +164,30 @@ let pi_inv t i = t.pi_inv.(i)
 let rho t i = t.rho.(i)
 let rho_inv t i = t.rho_inv.(i)
 
-let arrival t i =
-  let p = t.pi.(i) in
-  if p < 0 then 0.0 else t.departure.(p)
+(* The time arithmetic on the arrays themselves, inlined so that the
+   reductions below box no float per event. *)
+let[@inline] arrival_in d pi i =
+  let p = pi.(i) in
+  if p < 0 then 0.0 else d.(p)
 
-let start_service t i =
-  let a = arrival t i in
-  let r = t.rho.(i) in
-  if r < 0 then a else Float.max a t.departure.(r)
+let[@inline] start_in d pi rho i =
+  let a = arrival_in d pi i in
+  let r = rho.(i) in
+  if r < 0 then a else Float.max a d.(r)
 
-let service t i = t.departure.(i) -. start_service t i
-let waiting t i = start_service t i -. arrival t i
+let arrival t i = arrival_in t.departure t.pi i
+let start_service t i = start_in t.departure t.pi t.rho i
+let service t i = t.departure.(i) -. start_in t.departure t.pi t.rho i
+let waiting t i = start_in t.departure t.pi t.rho i -. arrival_in t.departure t.pi i
 
 let set_departure t i d =
   if t.observed.(i) then invalid_arg "Event_store.set_departure: event is observed";
   if Float.is_nan d then invalid_arg "Event_store.set_departure: NaN";
   t.departure.(i) <- d
 
-let events_of_task t k = Array.copy t.by_task.(k)
+let events_of_task t k =
+  let first = t.task_start.(k) in
+  Array.init (t.task_start.(k + 1) - first) (fun j -> first + j)
 
 let events_at_queue t q =
   (* walk the rho chain from the head *)
@@ -339,13 +332,14 @@ let move_event t i ~queue:q' =
 
 let validate t =
   let tol = 1e-9 in
+  let d = t.departure and pi = t.pi and rho = t.rho in
   let err = ref None in
   let fail msg = if !err = None then err := Some msg in
   for i = 0 to num_events t - 1 do
-    if service t i < -.tol then
+    if d.(i) -. start_in d pi rho i < -.tol then
       fail
         (Printf.sprintf "event %d: negative service %.12g" i (service t i));
-    if t.departure.(i) < -.tol then
+    if d.(i) < -.tol then
       fail (Printf.sprintf "event %d: negative departure" i)
   done;
   for q = 0 to t.num_queues - 1 do
@@ -353,7 +347,7 @@ let validate t =
       if cur >= 0 then begin
         if t.queue.(cur) <> q then
           fail (Printf.sprintf "event %d linked into queue %d but assigned to %d" cur q t.queue.(cur));
-        if prev >= 0 && arrival t cur < arrival t prev -. tol then
+        if prev >= 0 && arrival_in d pi cur < arrival_in d pi prev -. tol then
           fail (Printf.sprintf "queue order violated between events %d and %d" prev cur);
         walk cur t.rho_inv.(cur)
       end
@@ -365,43 +359,36 @@ let validate t =
 let log_likelihood t params =
   if Params.num_queues params <> t.num_queues then
     invalid_arg "Event_store.log_likelihood: params dimension mismatch";
+  let rates = params.Params.rates and d = t.departure and pi = t.pi and rho = t.rho in
   let acc = ref 0.0 in
   for i = 0 to num_events t - 1 do
-    let mu = Params.rate params t.queue.(i) in
-    let s = service t i in
+    let mu = rates.(t.queue.(i)) in
+    let s = d.(i) -. start_in d pi rho i in
     if s < 0.0 then acc := neg_infinity
     else acc := !acc +. log mu -. (mu *. s)
   done;
   !acc
 
-let service_sufficient_stats t =
+(* Per queue: the event count and the sum of each event's service
+   (or, with [~waiting:true], its waiting time), in index order. *)
+let sums_by_queue t ~waiting =
   let counts = Array.make t.num_queues 0 in
   let sums = Array.make t.num_queues 0.0 in
+  let d = t.departure and pi = t.pi and rho = t.rho in
   for i = 0 to num_events t - 1 do
     let q = t.queue.(i) in
+    let start = start_in d pi rho i in
     counts.(q) <- counts.(q) + 1;
-    sums.(q) <- sums.(q) +. service t i
+    sums.(q) <- sums.(q) +. (if waiting then start -. arrival_in d pi i else d.(i) -. start)
   done;
+  (counts, sums)
+
+let service_sufficient_stats t =
+  let counts, sums = sums_by_queue t ~waiting:false in
   Array.init t.num_queues (fun q -> (counts.(q), sums.(q)))
 
-let mean_waiting_by_queue t =
-  let counts = Array.make t.num_queues 0 in
-  let sums = Array.make t.num_queues 0.0 in
-  for i = 0 to num_events t - 1 do
-    let q = t.queue.(i) in
-    counts.(q) <- counts.(q) + 1;
-    sums.(q) <- sums.(q) +. waiting t i
-  done;
-  Array.init t.num_queues (fun q ->
-      if counts.(q) = 0 then 0.0 else sums.(q) /. float_of_int counts.(q))
+let means (counts, sums) =
+  Array.mapi (fun q c -> if c = 0 then 0.0 else sums.(q) /. float_of_int c) counts
 
-let mean_service_by_queue t =
-  let counts = Array.make t.num_queues 0 in
-  let sums = Array.make t.num_queues 0.0 in
-  for i = 0 to num_events t - 1 do
-    let q = t.queue.(i) in
-    counts.(q) <- counts.(q) + 1;
-    sums.(q) <- sums.(q) +. service t i
-  done;
-  Array.init t.num_queues (fun q ->
-      if counts.(q) = 0 then 0.0 else sums.(q) /. float_of_int counts.(q))
+let mean_waiting_by_queue t = means (sums_by_queue t ~waiting:true)
+let mean_service_by_queue t = means (sums_by_queue t ~waiting:false)

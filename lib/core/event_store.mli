@@ -23,7 +23,8 @@ val of_trace : ?observed:bool array -> Qnet_trace.Trace.t -> t
     canonical order) as measured and immutable; the default marks
     everything observed (a fully-observed store is useful for scoring
     and testing). Raises [Invalid_argument] if [observed] has the
-    wrong length. *)
+    wrong length, or if the events are not in [Trace.t]'s canonical
+    order (ascending by task, and by arrival within a task). *)
 
 (** {1 Sizes} *)
 
@@ -119,9 +120,10 @@ type view = {
 (** The store's own arrays, not copies, so a sampler in another
     compilation unit can read times without boxing them. The arrays
     are updated in place for the store's lifetime ({!restore} blits
-    into them), so a view stays current. Only {!Qnet_core.Gibbs}
-    writes through it, under {!set_departure}'s checks; everything
-    else must treat it as read-only. *)
+    into them), so a view stays current. Only {!Qnet_core.Gibbs} and
+    {!Qnet_core.Init} write through it, at latent indices and under
+    {!set_departure}'s checks; everything else must treat it as
+    read-only. *)
 
 val view : t -> view
 

@@ -14,69 +14,73 @@ let validate = function
       else Error "observation fraction must lie in [0,1]"
   | Explicit_tasks _ -> Ok ()
 
-(* Group event indices by task, in canonical (task, arrival) order. *)
-let task_groups trace =
-  let events = trace.Trace.events in
-  let tbl = Hashtbl.create 64 in
-  Array.iteri
-    (fun i e ->
-      let cur = try Hashtbl.find tbl e.Trace.task with Not_found -> [] in
-      Hashtbl.replace tbl e.Trace.task (i :: cur))
-    events;
-  Hashtbl.fold (fun task idxs acc -> (task, Array.of_list (List.rev idxs)) :: acc) tbl []
-  |> List.sort compare
+(* Task k, the k-th smallest id, owns the run of events
+   [starts.(k)] to [starts.(k + 1) - 1]. *)
+let task_id trace starts k = trace.Trace.events.(starts.(k)).Trace.task
 
-let mark_task_observed mask idxs =
-  (* Every departure, including the final one: in the paper's event
-     model the transition into the FSM's final state is itself an
-     event whose arrival time is the last service completion, so
-     observing all of a task's arrivals pins every departure. *)
-  Array.iter (fun i -> mask.(i) <- true) idxs
+(* Every departure, including the final one: in the paper's event model
+   the transition into the FSM's final state is itself an event whose
+   arrival time is the last service completion, so observing all of a
+   task's arrivals pins every departure. *)
+let mark_task_observed mask starts k = Array.fill mask starts.(k) (starts.(k + 1) - starts.(k)) true
+
+(* The run index of a task id, by binary search over the ascending ids. *)
+let find_task trace starts id =
+  let rec search lo hi =
+    if lo >= hi then None
+    else
+      let mid = (lo + hi) / 2 in
+      let c = compare (task_id trace starts mid) id in
+      if c = 0 then Some mid else if c < 0 then search (mid + 1) hi else search lo mid
+  in
+  search 0 (Array.length starts - 1)
 
 let mask rng scheme trace =
   (match validate scheme with
   | Ok () -> ()
   | Error m -> invalid_arg ("Observation.mask: " ^ m));
   let n = Array.length trace.Trace.events in
+  let starts = Task_runs.starts ~caller:"Observation.mask" trace in
+  let total = Array.length starts - 1 in
   let m = Array.make n false in
   (match scheme with
   | All -> Array.fill m 0 n true
   | Explicit_tasks tasks ->
-      let groups = task_groups trace in
       List.iter
         (fun task ->
-          match List.assoc_opt task groups with
-          | Some idxs -> mark_task_observed m idxs
+          match find_task trace starts task with
+          | Some k -> mark_task_observed m starts k
           | None -> invalid_arg (Printf.sprintf "Observation.mask: unknown task %d" task))
         tasks
   | Task_fraction f ->
-      let groups = Array.of_list (task_groups trace) in
-      let total = Array.length groups in
       let want = Stdlib.max 1 (int_of_float (Float.round (f *. float_of_int total))) in
       let want = Stdlib.min want total in
       let chosen = Rng.sample_without_replacement rng want total in
-      List.iter (fun gi -> mark_task_observed m (snd groups.(gi))) chosen
+      List.iter (mark_task_observed m starts) chosen
   | Event_fraction f ->
       (* Observing the arrival of event e fixes the departure of its
          within-task predecessor; the arrival of the implicit
          final-state event fixes the last departure. One independent
          coin per arrival. *)
-      List.iter
-        (fun (_, idxs) ->
-          let k = Array.length idxs in
-          for j = 1 to k - 1 do
-            if Rng.float_unit rng < f then m.(idxs.(j - 1)) <- true
-          done;
-          if Rng.float_unit rng < f then m.(idxs.(k - 1)) <- true)
-        (task_groups trace));
+      for k = 0 to total - 1 do
+        let last = starts.(k + 1) - 1 in
+        for i = starts.(k) to last - 1 do
+          if Rng.float_unit rng < f then m.(i) <- true
+        done;
+        if Rng.float_unit rng < f then m.(last) <- true
+      done);
   m
 
 let observed_tasks trace mask =
-  let groups = task_groups trace in
-  List.filter_map
-    (fun (task, idxs) ->
-      if Array.for_all (fun i -> mask.(i)) idxs then Some task else None)
-    groups
+  let starts = Task_runs.starts ~caller:"Observation.observed_tasks" trace in
+  let rec all_observed i stop = i >= stop || (mask.(i) && all_observed (i + 1) stop) in
+  let rec collect k acc =
+    if k < 0 then acc
+    else if all_observed starts.(k) starts.(k + 1) then
+      collect (k - 1) (task_id trace starts k :: acc)
+    else collect (k - 1) acc
+  in
+  collect (Array.length starts - 2) []
 
 let fraction_events_observed mask =
   let n = Array.length mask in

@@ -28,11 +28,15 @@ val mask : Qnet_prob.Rng.t -> scheme -> Qnet_trace.Trace.t -> bool array
     the FSM's final state is itself an event, so a task's completion
     time (its last departure) is among its observed arrival times.
     For [Task_fraction f], at least one task is always selected so the
-    posterior is anchored. *)
+    posterior is anchored. Raises [Invalid_argument] if the events are
+    not in [Trace.t]'s canonical order (ascending by task, and by
+    arrival within a task). *)
 
 val observed_tasks : Qnet_trace.Trace.t -> bool array -> int list
-(** Task ids all of whose departures are observed under the mask —
-    i.e. tasks the mean-observed-service baseline may use. *)
+(** Task ids, ascending, all of whose departures are observed under
+    the mask — i.e. tasks the mean-observed-service baseline may use.
+    Raises [Invalid_argument] on events out of canonical order, as
+    {!mask} does. *)
 
 val fraction_events_observed : bool array -> float
 (** Fraction of [true] entries. *)

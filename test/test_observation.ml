@@ -105,6 +105,23 @@ let test_mask_determinism () =
   let m3 = Obs.mask (Rng.create ~seed:22 ()) (Obs.Task_fraction 0.4) trace in
   Alcotest.(check bool) "different seed differs" true (m1 <> m3)
 
+(* [Trace.t] is a public record: a mask drawn over events that are not
+   in (task, arrival) order would not line up with the store's
+   canonical order, so every scheme must refuse them. *)
+let test_unsorted_trace_rejected () =
+  let trace = make_trace ~tasks:5 () in
+  let e = trace.Trace.events in
+  let swapped = Array.copy e in
+  swapped.(1) <- e.(Array.length e - 1);
+  swapped.(Array.length e - 1) <- e.(1);
+  let unsorted = { trace with Trace.events = swapped } in
+  List.iter
+    (fun scheme ->
+      Alcotest.check_raises "unsorted events"
+        (Invalid_argument "Observation.mask: event 2 is out of (task, arrival) order")
+        (fun () -> ignore (Obs.mask (Rng.create ~seed:3 ()) scheme unsorted)))
+    [ Obs.All; Obs.Task_fraction 0.5; Obs.Event_fraction 0.5; Obs.Explicit_tasks [ 0 ] ]
+
 (* Golden masks: the mask's bits, the generator state after drawing it
    and the observed task ids, pinned per scheme on a feedback trace
    (tasks of varying length) whose task ids are renumbered to
@@ -158,5 +175,6 @@ let () =
           Alcotest.test_case "fraction helper" `Quick test_fraction_events_observed;
           Alcotest.test_case "determinism" `Quick test_mask_determinism;
           Alcotest.test_case "golden masks" `Quick test_golden_masks;
+          Alcotest.test_case "unsorted trace rejected" `Quick test_unsorted_trace_rejected;
         ] );
     ]

@@ -158,6 +158,28 @@ let test_rejects_queue_revisit_of_q0 () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected rejection of q0 revisit"
 
+(* [Trace.t] is a public record, so its events may arrive unsorted;
+   the store's chains assume (task, arrival) order, and building one
+   from anything else must fail instead of giving a non-initial event
+   arrival 0. *)
+let unsorted_traces =
+  let two_tasks = two_task_trace () in
+  let e = two_tasks.Trace.events in
+  [
+    ( "tasks interleaved",
+      { two_tasks with Trace.events = [| e.(0); e.(3); e.(1); e.(4); e.(2); e.(5) |] } );
+    ( "arrivals descending within a task",
+      { two_tasks with Trace.events = [| e.(0); e.(2); e.(1); e.(3); e.(4); e.(5) |] } );
+  ]
+
+let test_rejects_unsorted_trace () =
+  List.iter
+    (fun (name, trace) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Event_store.of_trace: event 2 is out of (task, arrival) order")
+        (fun () -> ignore (Store.of_trace trace)))
+    unsorted_traces
+
 let test_mask_length_checked () =
   let trace = two_task_trace () in
   match Store.of_trace ~observed:[| true |] trace with
@@ -263,6 +285,7 @@ let () =
             test_mean_waiting_and_service_by_queue;
           Alcotest.test_case "q0 revisit rejected" `Quick test_rejects_queue_revisit_of_q0;
           Alcotest.test_case "mask length" `Quick test_mask_length_checked;
+          Alcotest.test_case "unsorted trace rejected" `Quick test_rejects_unsorted_trace;
           Alcotest.test_case "simulated store consistency" `Quick
             test_large_simulated_store_consistency;
           Alcotest.test_case "golden structure" `Quick test_golden_structure;
