@@ -190,9 +190,17 @@ let events_of_task t k =
   Array.init (t.task_start.(k + 1) - first) (fun j -> first + j)
 
 let events_at_queue t q =
-  (* walk the rho chain from the head *)
-  let rec collect i acc = if i < 0 then List.rev acc else collect t.rho_inv.(i) (i :: acc) in
-  Array.of_list (collect t.heads.(q) [])
+  (* walk the rho chain from the head: once to size, once to fill *)
+  let rec length i k = if i < 0 then k else length t.rho_inv.(i) (k + 1) in
+  let events = Array.make (length t.heads.(q) 0) 0 in
+  let rec fill i k =
+    if i >= 0 then begin
+      events.(k) <- i;
+      fill t.rho_inv.(i) (k + 1)
+    end
+  in
+  fill t.heads.(q) 0;
+  events
 
 let unobserved_events t = Array.copy t.latent
 let latent t = t.latent

@@ -6,12 +6,11 @@ type strategy = Earliest | Latest | Centered | Targeted
 
 (* Enumerate the timing constraints induced by the fixed structure, in
    the order the solver receives them: [order i j] for
-   x_i - x_j <= -slack (i strictly before j), [self p] for the trivial
-   x_p - x_p <= 0, [lower i] for x_i >= slack and [eq i] for x_i fixed
-   at its observed departure. Constraints between two observed (hence
-   fixed) departures are skipped: they hold in any mask derived from a
-   valid trace. *)
-let iter_constraints (v : Store.view) ~order ~self ~lower ~eq =
+   x_i - x_j <= -slack (i strictly before j), [lower i] for
+   x_i >= slack and [eq i] for x_i fixed at its observed departure.
+   Constraints between two observed (hence fixed) departures are
+   skipped: they hold in any mask derived from a valid trace. *)
+let iter_constraints (v : Store.view) ~order ~lower ~eq =
   let fixed = v.Store.v_observed and pi = v.Store.v_pi in
   let order i j = if not (fixed.(i) && fixed.(j)) then order i j in
   for i = 0 to Array.length fixed - 1 do
@@ -23,14 +22,7 @@ let iter_constraints (v : Store.view) ~order ~self ~lower ~eq =
     if r >= 0 then order r i;
     (* arrival order at i's queue: a_i <= a_{rho_inv i} *)
     let j = v.Store.v_rho_inv.(i) in
-    if j >= 0 then begin
-      let pj = pi.(j) in
-      if p >= 0 && pj >= 0 then order p pj
-      else if p >= 0 && pj < 0 && not fixed.(p) then
-        (* j is initial (arrival 0) while i is not: impossible unless
-           a_i <= 0; recorded to surface infeasibility *)
-        self p
-    end
+    if j >= 0 && p >= 0 && pi.(j) >= 0 then order p pi.(j)
   done
 
 let build_system ~slack (v : Store.view) =
@@ -45,22 +37,20 @@ let build_system ~slack (v : Store.view) =
   let before = -.slack in
   iter_constraints v
     ~order:(fun i j -> Dcs.add_le sys i j before)
-    ~self:(fun p -> Dcs.add_le sys p p 0.0)
     ~lower:(fun i -> Dcs.add_lower sys i slack)
     ~eq:(fun i -> Dcs.add_eq sys i v.Store.v_departure.(i));
   sys
 
 let constraint_count store =
   let count = ref 0 in
-  let one _ = incr count in
   iter_constraints (Store.view store)
     ~order:(fun _ _ -> incr count)
-    ~self:one ~lower:one
+    ~lower:(fun _ -> incr count)
     ~eq:(fun _ -> count := !count + 2);
   !count
 
-(* Through the view, so no value is boxed; a NaN still goes through
-   [Store.set_departure] and raises there, as it always has. *)
+(* Through the view, so no value is boxed; a NaN goes through
+   [Store.set_departure], which rejects it. *)
 let write_solution store solution =
   let v = Store.view store in
   for i = 0 to Array.length solution - 1 do

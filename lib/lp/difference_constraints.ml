@@ -79,13 +79,16 @@ type graph = { first : int array; target : int array; weight : float array }
 
 let graph t ~latest =
   let n = t.n in
+  (* constraint k's edge: a unary bound leaves the reference when it is
+     an upper bound read latest or a lower bound read earliest *)
+  let from_ref k = (t.cj.(k) = upper_bound) = latest in
   let source k =
     let i = t.ci.(k) and j = t.cj.(k) in
-    if j >= 0 then if latest then j else i else if (j = upper_bound) = latest then n else i
+    if j >= 0 then (if latest then j else i) else if from_ref k then n else i
   in
   let target_of k =
     let i = t.ci.(k) and j = t.cj.(k) in
-    if j >= 0 then if latest then i else j else if (j = upper_bound) = latest then i else n
+    if j >= 0 then (if latest then i else j) else if from_ref k then i else n
   in
   let first = Array.make (n + 2) 0 in
   for k = 0 to t.len - 1 do

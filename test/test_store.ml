@@ -264,6 +264,44 @@ let test_golden_structure () =
   Alcotest.(check string) "feedback" "612f95561bc1baea18d4a8c1c4ebba1e"
     (structure_digest feedback)
 
+(* Bytes [f] allocates. Gc.minor_words is exact; the minor count in
+   Gc.counters only advances at a minor collection. *)
+let allocated_bytes f =
+  let _, p0, m0 = Gc.counters () in
+  let w0 = Gc.minor_words () in
+  f ();
+  let w1 = Gc.minor_words () in
+  let _, p1, m1 = Gc.counters () in
+  (w1 -. w0 +. (m1 -. p1) -. (m0 -. p0)) *. float_of_int (Sys.word_size / 8)
+
+(* The reductions run once per StEM iteration over every event, so
+   they read the store's arrays in place: one fixed budget, the same
+   for a 1k and a 10k store, bounds what a call allocates (its
+   per-queue results: about 700 B at most with 8 queues). Boxing one
+   float per event would cost over 15 KB at 1k. *)
+let test_reductions_allocation () =
+  let budget = 1024.0 in
+  let net = Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 () in
+  let params = Params.of_network net in
+  List.iter
+    (fun tasks ->
+      let trace = Net_helpers.simulate_n (Rng.create ~seed:505 ()) net tasks in
+      let store = Store.of_trace trace in
+      List.iter
+        (fun (name, f) ->
+          f ();
+          let b = allocated_bytes f in
+          if b > budget then
+            Alcotest.failf "%s on %d events allocated %.0f B (budget %.0f)" name
+              (Store.num_events store) b budget)
+        [
+          ("log_likelihood", fun () -> ignore (Store.log_likelihood store params));
+          ("service_sufficient_stats", fun () -> ignore (Store.service_sufficient_stats store));
+          ("mean_service_by_queue", fun () -> ignore (Store.mean_service_by_queue store));
+          ("mean_waiting_by_queue", fun () -> ignore (Store.mean_waiting_by_queue store));
+        ])
+    [ 263; 2632 ]
+
 let () =
   Alcotest.run "qnet_core_store"
     [
@@ -289,5 +327,6 @@ let () =
           Alcotest.test_case "simulated store consistency" `Quick
             test_large_simulated_store_consistency;
           Alcotest.test_case "golden structure" `Quick test_golden_structure;
+          Alcotest.test_case "reductions allocate per queue" `Quick test_reductions_allocation;
         ] );
     ]
