@@ -22,15 +22,17 @@
    instead runs the ROADMAP size sweep: per store size it times Gibbs
    sweeps/s directly (median of repeats) in index order and shuffled
    (the order Stem and estimate_waiting use), measures exact allocated
-   bytes/sweep on the plain hot path in both orders, and takes a short
-   profiled pass (Qnet_obs.Prof) for GC pause p50/p99 and the phase
-   self-time split; StEM iterations/s and piecewise draws/s are timed
-   on the 1k fixture. Everything lands in PATH (default
-   BENCH_core.json, schema 2, one size object per line). `make bench`
-   compares that file against the committed baseline per size and
-   fails on a >20% sweeps/s regression, or on a plain sweep that
-   allocates more than 1 byte per resampled event
-   (scripts/bench_compare). *)
+   bytes/sweep on the plain hot path in both orders, times the
+   targeted Init.feasible on a copy of the store and counts its bytes
+   per store event, and takes a short profiled pass (Qnet_obs.Prof)
+   for GC pause p50/p99 and the phase self-time split; StEM
+   iterations/s and piecewise draws/s are timed on the 1k fixture.
+   Everything lands in PATH (default BENCH_core.json, schema 2, one
+   size object per line). `make bench` compares that file against the
+   committed baseline per size and fails on a >20% sweeps/s
+   regression, on a plain sweep that allocates more than 1 byte per
+   resampled event, or on an Init.feasible over its byte budget per
+   event (scripts/bench_compare). *)
 
 open Bechamel
 open Toolkit
@@ -190,11 +192,11 @@ let median_rate ~repeats ~work ~per_repeat =
 (* The ROADMAP size sweep: the same three-tier topology at 1k / 10k /
    100k / 1M unobserved events (events ~= 3.8 x tasks at 5%
    observation). The 1k rung IS the historical fig4 fixture, so its
-   sweeps/s stays comparable across baselines. The larger stores skip
-   Init.feasible: a simulated trace is already a feasible latent
-   configuration (it is the ground truth), and on the 1m store the
-   difference-constraint initializer takes 2.5-3.8 s on a 2-core VM,
-   more than all the sweeps this bench times there. *)
+   sweeps/s stays comparable across baselines. The larger stores sweep
+   the simulated configuration as it is: a simulated trace is already
+   a feasible latent configuration (it is the ground truth), so the
+   timed sweeps do not depend on the initializer. Init.feasible is
+   measured on its own, on a copy of each store. *)
 type size_spec = {
   label : string;
   tasks : int;
@@ -231,15 +233,20 @@ type size_result = {
   alloc_bytes_per_sweep : float;
   shuffled_sweeps_per_s : float;
   shuffled_alloc_bytes_per_sweep : float;
+  init_s : float;
+  init_alloc_bytes_per_event : float;
   pause_minor : Prof.pause_stats;
   pause_major : Prof.pause_stats;
   pauses_recorded : int;
   phase_self : (string * float) list;
 }
 
+(* Words allocated so far. Gc.minor_words is exact; the minor count in
+   Gc.counters only advances at a minor collection, so it misses
+   whatever the minor heap holds, which is all of a small pass. *)
 let allocated_words () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 (* Median sweeps/s over the spec's repeats, and the exact bytes each
    sweep allocated on the plain (unprofiled, unmetered) path: the
@@ -256,9 +263,29 @@ let time_sweeps spec ~shuffle rng store params =
     *. float_of_int (Sys.word_size / 8)
     /. float_of_int total_sweeps )
 
+(* Median seconds of the targeted Init.feasible over the spec's
+   repeats, each on a fresh copy of the store, and the bytes the first
+   one allocated per event of the store, observed or not (the count is
+   deterministic). *)
+let time_init spec store params =
+  let run () =
+    let copy = Store.copy store in
+    let a0 = allocated_words () in
+    let t0 = Unix.gettimeofday () in
+    (match Init.feasible ~target:params copy with Ok () -> () | Error m -> failwith m);
+    let t = Unix.gettimeofday () -. t0 in
+    (t, (allocated_words () -. a0) *. float_of_int (Sys.word_size / 8))
+  in
+  let runs = Array.init spec.repeats (fun _ -> run ()) in
+  let times = Array.map fst runs in
+  Array.sort compare times;
+  ( times.(spec.repeats / 2),
+    snd runs.(0) /. float_of_int (Store.num_events store) )
+
 let run_size spec =
   let store, params = size_store spec in
   let events = Array.length (Store.unobserved_events store) in
+  let init_s, init_alloc_bytes_per_event = time_init spec store params in
   let rng = Rng.create ~seed:42 () in
   (* warmup: fault in code paths, warm the allocator *)
   for _ = 1 to Stdlib.min 3 spec.sweeps_per_repeat + 1 do
@@ -287,6 +314,8 @@ let run_size spec =
     alloc_bytes_per_sweep;
     shuffled_sweeps_per_s;
     shuffled_alloc_bytes_per_sweep;
+    init_s;
+    init_alloc_bytes_per_event;
     pause_minor = find Prof.Minor;
     pause_major = find Prof.Major;
     pauses_recorded = pstats.Prof.pauses_recorded;
@@ -306,9 +335,10 @@ let size_json r =
     |> String.concat ""
   in
   Printf.sprintf
-    "\"%s\":{\"tasks\":%d,\"store_events\":%d,\"repeats\":%d,\"gibbs_sweeps_per_s\":%.2f,\"alloc_bytes_per_sweep\":%.1f,\"shuffled_sweeps_per_s\":%.2f,\"shuffled_alloc_bytes_per_sweep\":%.1f,\"minor_pause_p50_s\":%s,\"minor_pause_p99_s\":%s,\"major_pause_p50_s\":%s,\"major_pause_p99_s\":%s,\"gc_pauses\":%d%s}"
+    "\"%s\":{\"tasks\":%d,\"store_events\":%d,\"repeats\":%d,\"gibbs_sweeps_per_s\":%.2f,\"alloc_bytes_per_sweep\":%.1f,\"shuffled_sweeps_per_s\":%.2f,\"shuffled_alloc_bytes_per_sweep\":%.1f,\"init_s\":%.6g,\"init_alloc_bytes_per_event\":%.1f,\"minor_pause_p50_s\":%s,\"minor_pause_p99_s\":%s,\"major_pause_p50_s\":%s,\"major_pause_p99_s\":%s,\"gc_pauses\":%d%s}"
     r.spec.label r.spec.tasks r.events r.spec.repeats r.sweeps_per_s
     r.alloc_bytes_per_sweep r.shuffled_sweeps_per_s r.shuffled_alloc_bytes_per_sweep
+    r.init_s r.init_alloc_bytes_per_event
     (jnum r.pause_minor.Prof.p50_s)
     (jnum r.pause_minor.Prof.p99_s) (jnum r.pause_major.Prof.p50_s)
     (jnum r.pause_major.Prof.p99_s) r.pauses_recorded phase_keys
@@ -364,9 +394,10 @@ let core_json ~sizes out =
   List.iter
     (fun r ->
       Printf.printf
-        "  %-4s %8d events: %10.2f sweeps/s in order (%.0f alloc B/sweep), %10.2f shuffled (%.0f B), %d GC pause(s) [minor p99 %s, major p99 %s]\n"
+        "  %-4s %8d events: %10.2f sweeps/s in order (%.0f alloc B/sweep), %10.2f shuffled (%.0f B), init %.3f s (%.0f B/event), %d GC pause(s) [minor p99 %s, major p99 %s]\n"
         r.spec.label r.events r.sweeps_per_s r.alloc_bytes_per_sweep
-        r.shuffled_sweeps_per_s r.shuffled_alloc_bytes_per_sweep r.pauses_recorded
+        r.shuffled_sweeps_per_s r.shuffled_alloc_bytes_per_sweep r.init_s
+        r.init_alloc_bytes_per_event r.pauses_recorded
         (jnum r.pause_minor.Prof.p99_s)
         (jnum r.pause_major.Prof.p99_s))
     results;
