@@ -24,16 +24,13 @@ let task_id trace starts k = trace.Trace.events.(starts.(k)).Trace.task
    task's arrivals pins every departure. *)
 let mark_task_observed mask starts k = Array.fill mask starts.(k) (starts.(k + 1) - starts.(k)) true
 
-(* The run index of a task id, by binary search over the ascending ids. *)
 let find_task trace starts id =
-  let rec search lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let c = compare (task_id trace starts mid) id in
-      if c = 0 then Some mid else if c < 0 then search (mid + 1) hi else search lo mid
+  let rec scan k =
+    if k >= Array.length starts - 1 then None
+    else if task_id trace starts k = id then Some k
+    else scan (k + 1)
   in
-  search 0 (Array.length starts - 1)
+  scan 0
 
 let mask rng scheme trace =
   (match validate scheme with
