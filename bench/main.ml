@@ -306,9 +306,8 @@ let run_size spec =
   let pauses = Prof.pause_summary () in
   let find k = List.assoc k pauses in
   let pstats = Prof.stats () in
-  (* Last, so that the sweeps above run on the same heap as before
-     Init.feasible was benched: its copies and constraint arrays would
-     otherwise sit in the major heap while the sweeps are timed. *)
+  (* Last, so that Init's store copies and constraint arrays are not
+     on the major heap while the sweeps above are timed. *)
   let init_s, init_alloc_bytes_per_event = time_init spec store params in
   {
     spec;
