@@ -178,10 +178,11 @@ verify-fleet: build
 	scripts/verify_fleet
 
 # Profiler verification (DESIGN.md section 15): a profiled short run
-# must produce a non-empty allocation site table, live pause
-# histograms and a diffable folded export; an unprofiled run must
-# publish zero qnet_prof_* series (the off-by-default guard).
-# Details in scripts/verify_prof.
+# must produce a non-empty allocation site table, one minor pause per
+# minor collection and a diffable folded export, and must finish even
+# when the ring directory is unusable; an unprofiled run must publish
+# zero qnet_prof_* series and start no event rings (the off-by-default
+# guard). Details in scripts/verify_prof.
 verify-prof: build
 	scripts/verify_prof
 

@@ -241,25 +241,18 @@ type size_result = {
   phase_self : (string * float) list;
 }
 
-(* Words allocated so far. Gc.minor_words is exact; the minor count in
-   Gc.counters only advances at a minor collection, so it misses
-   whatever the minor heap holds, which is all of a small pass. *)
-let allocated_words () =
-  let _, promoted, major = Gc.counters () in
-  Gc.minor_words () +. major -. promoted
-
 (* Median sweeps/s over the spec's repeats, and the bytes each sweep
    allocated on the plain (unprofiled, unmetered) path, counted by
-   allocated_words over the measured sweeps. *)
+   Prof.allocated_words over the measured sweeps. *)
 let time_sweeps spec ~shuffle rng store params =
-  let a0 = allocated_words () in
+  let a0 = Prof.allocated_words () in
   let sweeps_per_s =
     median_rate ~repeats:spec.repeats ~per_repeat:spec.sweeps_per_repeat
       ~work:(fun () -> Gibbs.sweep ~shuffle rng store params)
   in
   let total_sweeps = spec.repeats * spec.sweeps_per_repeat in
   ( sweeps_per_s,
-    (allocated_words () -. a0)
+    (Prof.allocated_words () -. a0)
     *. float_of_int (Sys.word_size / 8)
     /. float_of_int total_sweeps )
 
@@ -270,11 +263,11 @@ let time_sweeps spec ~shuffle rng store params =
 let time_init spec store params =
   let run () =
     let copy = Store.copy store in
-    let a0 = allocated_words () in
+    let a0 = Prof.allocated_words () in
     let t0 = Unix.gettimeofday () in
     (match Init.feasible ~target:params copy with Ok () -> () | Error m -> failwith m);
     let t = Unix.gettimeofday () -. t0 in
-    (t, (allocated_words () -. a0) *. float_of_int (Sys.word_size / 8))
+    (t, (Prof.allocated_words () -. a0) *. float_of_int (Sys.word_size / 8))
   in
   let runs = Array.init spec.repeats (fun _ -> run ()) in
   let times = Array.map fst runs in
@@ -296,9 +289,10 @@ let run_size spec =
   let shuffled_sweeps_per_s, shuffled_alloc_bytes_per_sweep =
     time_sweeps spec ~shuffle:true rng store params
   in
-  (* Profiled pass: GC pauses (stride probes inside the sweep) and the
-     per-phase self-time split come from a short Prof session. *)
-  ignore (Prof.start ());
+  (* Profiled pass: GC pauses (every collection in the pass, read from
+     the runtime's event rings) and the per-phase self-time split come
+     from a short Prof session. *)
+  Prof.start ();
   for _ = 1 to spec.profiled_sweeps do
     Gibbs.sweep ~shuffle:false rng store params
   done;

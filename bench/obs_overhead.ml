@@ -8,10 +8,9 @@
 
    The warm-up sweeps, run before any profiler session exists, double
    as the profiler's off-by-default guard: the bench asserts that a
-   profiler that was never started contributed zero Memprof callbacks
-   and zero pause probes to the sweep loop (the <1%-when-off contract
-   from DESIGN.md section 15 — the off path is one extra atomic load
-   per sweep, not per event).
+   profiler that was never started never started Runtime_events (the
+   off-is-free contract from DESIGN.md section 15 — the off path is
+   one extra atomic load per sweep, not per event).
 
    Writes BENCH_obs.json at the repo root (or the path given as
    argv(1)) and prints the same numbers as a table.
@@ -57,8 +56,8 @@ let sweep_rate rng ~sweeps store params =
 type mode = Disabled | Metrics_on | Metrics_and_tracing | Profiling
 
 (* Run [f] with one telemetry configuration switched on, and everything
-   back off afterwards. The profiler runs alone: Counters backend
-   doing phase accounting + stride pause probes. *)
+   back off afterwards. The profiler runs alone: phase accounting and
+   a ring poll at every sweep's phase exit. *)
 let with_mode mode f =
   match mode with
   | Disabled -> f ()
@@ -75,7 +74,7 @@ let with_mode mode f =
           Metrics.set_enabled false)
         f
   | Profiling ->
-      ignore (Prof.start ~config:{ Prof.sampling_rate = 0.01; max_sites = 64 } ());
+      Prof.start ();
       Fun.protect ~finally:Prof.stop f
 
 let modes = [| Disabled; Metrics_on; Metrics_and_tracing; Profiling |]
@@ -112,14 +111,9 @@ let () =
   (* warmup: fault in code paths, warm the allocator *)
   ignore (sweep_rate (Rng.create ~seed:41 ()) ~sweeps:20 store params);
   (* Off-by-default guard: with no Prof session ever started, the
-     sweeps above must not have touched the profiler at all. *)
-  let st = Prof.stats () in
-  if st.Prof.probes <> 0 || st.Prof.memprof_callbacks <> 0 then
-    failwith
-      (Printf.sprintf
-         "obs_overhead: profiler touched while disabled (probes %d, \
-          memprof callbacks %d)"
-         st.Prof.probes st.Prof.memprof_callbacks);
+     sweeps above must not have started the runtime's event rings. *)
+  if (Prof.stats ()).Prof.runtime_events_started then
+    failwith "obs_overhead: Runtime_events started while the profiler was off";
   let rates = rates_by_mode ~repeats ~sweeps store params in
   let disabled = rates.(0) and metrics_on = rates.(1) in
   let tracing_on = rates.(2) and profiling_on = rates.(3) in
@@ -127,7 +121,7 @@ let () =
   let pct base x = 100.0 *. (base -. x) /. base in
   let json =
     Printf.sprintf
-      "{\"benchmark\":\"obs_overhead\",\"store_events\":%d,\"sweeps_per_repeat\":%d,\"repeats\":%d,\"sweep_rate_per_s\":{\"telemetry_disabled\":%.2f,\"metrics_enabled\":%.2f,\"metrics_and_tracing\":%.2f,\"profiling_enabled\":%.2f},\"overhead_pct_vs_disabled\":{\"metrics_enabled\":%.2f,\"metrics_and_tracing\":%.2f,\"profiling_enabled\":%.2f},\"budget\":{\"disabled_vs_seed_pct_max\":5.0,\"note\":\"the disabled path is the seed code behind one atomic load per sweep/event site; a never-started profiler contributes zero probes and zero Memprof callbacks (asserted)\"}}\n"
+      "{\"benchmark\":\"obs_overhead\",\"store_events\":%d,\"sweeps_per_repeat\":%d,\"repeats\":%d,\"sweep_rate_per_s\":{\"telemetry_disabled\":%.2f,\"metrics_enabled\":%.2f,\"metrics_and_tracing\":%.2f,\"profiling_enabled\":%.2f},\"overhead_pct_vs_disabled\":{\"metrics_enabled\":%.2f,\"metrics_and_tracing\":%.2f,\"profiling_enabled\":%.2f},\"budget\":{\"disabled_vs_seed_pct_max\":5.0,\"note\":\"the disabled path is the seed code behind one atomic load per sweep/event site; a never-started profiler never starts Runtime_events (asserted)\"}}\n"
       events sweeps repeats disabled metrics_on tracing_on profiling_on
       (pct disabled metrics_on) (pct disabled tracing_on)
       (pct disabled profiling_on)

@@ -174,7 +174,7 @@ let write_profile path =
    one you want a trace of), and a telemetry write failure surfaces as
    the run's error rather than vanishing. *)
 let with_telemetry ~metrics_out ~trace_out ~diagnostics_out ~serve_metrics
-    ~serve_linger ~profile_out ~profile_alloc_rate f =
+    ~serve_linger ~profile_out f =
   if metrics_out <> None || serve_metrics <> None || diagnostics_out <> None
   then begin
     Metrics.set_enabled true;
@@ -183,18 +183,10 @@ let with_telemetry ~metrics_out ~trace_out ~diagnostics_out ~serve_metrics
     Diagnostics.register_metrics ()
   end;
   if trace_out <> None then Span.enable ();
-  (match profile_out with
-  | None -> ()
-  | Some _ ->
-      let backend =
-        Prof.start
-          ~config:
-            { Prof.default_config with sampling_rate = profile_alloc_rate }
-          ()
-      in
-      chat "profiling allocations and GC pauses (%s backend, rate %g)@."
-        (match backend with Prof.Counters -> "counters" | Prof.Memprof -> "memprof")
-        profile_alloc_rate);
+  if profile_out <> None then begin
+    Prof.start ();
+    chat "profiling allocations and GC pauses@."
+  end;
   let diag_sink =
     match diagnostics_out with
     | None -> Ok None
@@ -396,29 +388,23 @@ let infer input num_queues fraction iterations seed bayes lenient checkpoint_eve
 let run input num_queues fraction iterations seed bayes lenient checkpoint_every
     checkpoint resume max_retries budget_seconds chains min_chains
     sweep_deadline_ms chain_faults quiet metrics_out trace_out diagnostics_out
-    log_level serve_metrics serve_linger profile_out profile_alloc_rate =
+    log_level serve_metrics serve_linger profile_out =
   quiet_flag := quiet;
   match
-    if not (profile_alloc_rate > 0.0 && profile_alloc_rate <= 1.0) then
-      Error
-        (Printf.sprintf
-           "bad --profile-alloc-rate %g: expected a rate in (0, 1]"
-           profile_alloc_rate)
-    else
-      match log_level with
-      | None -> Ok ()
-      | Some s -> (
-          match parse_log_level s with
-          | Error m -> Error m
-          | Ok level ->
-              Logs.set_reporter (Logs_fmt.reporter ());
-              Logs.set_level level;
-              Ok ())
+    match log_level with
+    | None -> Ok ()
+    | Some s -> (
+        match parse_log_level s with
+        | Error m -> Error m
+        | Ok level ->
+            Logs.set_reporter (Logs_fmt.reporter ());
+            Logs.set_level level;
+            Ok ())
   with
   | Error m -> Error m
   | Ok () ->
       with_telemetry ~metrics_out ~trace_out ~diagnostics_out ~serve_metrics
-        ~serve_linger ~profile_out ~profile_alloc_rate (fun () ->
+        ~serve_linger ~profile_out (fun () ->
           Span.with_span "infer.run" (fun () ->
               infer input num_queues fraction iterations seed bayes lenient
                 checkpoint_every checkpoint resume max_retries budget_seconds
@@ -624,14 +610,6 @@ let profile_out =
            ends in .folded, the full JSON snapshot (site table, pause \
            histograms, rusage) otherwise.")
 
-let profile_alloc_rate =
-  Arg.(
-    value & opt float 0.01
-    & info [ "profile-alloc-rate" ] ~docv:"RATE"
-        ~doc:
-          "Memprof sampling rate in (0,1] for --profile-out (default 1%; \
-           ignored by the exact counters backend).")
-
 let cmd =
   let term =
     Term.(
@@ -639,7 +617,7 @@ let cmd =
       $ checkpoint_every $ checkpoint $ resume $ max_retries $ budget_seconds
       $ chains $ min_chains $ sweep_deadline_ms $ chain_faults $ quiet $ metrics_out
       $ trace_out $ diagnostics_out $ log_level $ serve_metrics $ serve_linger
-      $ profile_out $ profile_alloc_rate)
+      $ profile_out)
   in
   let info =
     Cmd.info "qnet_infer"

@@ -101,16 +101,11 @@ let serve shards data_dir host port retry_ephemeral queues queue_capacity
     refit_events refit_interval min_tenant_events fit_iterations chains
     max_restarts fit_deadline admission_min_rate seed dead_letter
     no_dead_letter tails tail_policy faults trace_out trace_sample_rate
-    trace_seed run_seconds metrics_out log_level profile profile_alloc_rate =
+    trace_seed run_seconds metrics_out log_level profile =
   if not (trace_sample_rate >= 0.0 && trace_sample_rate <= 1.0) then
     Error
       (Printf.sprintf "bad --trace-sample-rate %g: expected a rate in [0, 1]"
          trace_sample_rate)
-  else if not (profile_alloc_rate > 0.0 && profile_alloc_rate <= 1.0) then
-    Error
-      (Printf.sprintf
-         "bad --profile-alloc-rate %g: expected a rate in (0, 1]"
-         profile_alloc_rate)
   else
   match
     match log_level with
@@ -179,7 +174,6 @@ let serve shards data_dir host port retry_ephemeral queues queue_capacity
                   trace_sample_rate;
                   trace_seed;
                   profile_on_start = profile;
-                  profile_alloc_rate;
                 }
               in
               if trace_out <> None then Span.enable ();
@@ -446,13 +440,6 @@ let profile =
               can still be profiled on demand via POST /profile/start and \
               /profile/stop.")
 
-let profile_alloc_rate =
-  Arg.(
-    value & opt float 0.01
-    & info [ "profile-alloc-rate" ] ~docv:"RATE"
-        ~doc:"Memprof sampling rate in (0,1] used when profiling starts \
-              (default 1%; ignored by the exact counters backend).")
-
 let cmd =
   let term =
     Term.(
@@ -461,7 +448,7 @@ let cmd =
       $ fit_iterations $ chains $ max_restarts $ fit_deadline
       $ admission_min_rate $ seed $ dead_letter $ no_dead_letter $ tails
       $ tail_policy $ faults $ trace_out $ trace_sample_rate $ trace_seed
-      $ run_seconds $ metrics_out $ log_level $ profile $ profile_alloc_rate)
+      $ run_seconds $ metrics_out $ log_level $ profile)
   in
   let info =
     Cmd.info "qnet_serve"

@@ -442,14 +442,13 @@ let kernel sc (v : Store.view) rates rng f =
    count while paying for two gettimeofday calls per stride. The
    stride keeps that cost within the 5% metrics budget: at 32 it was
    about 5% of a 1k-event sweep once the kernel stopped allocating, at
-   128 it is about 1%, and a stride still spans 20-60 µs, as 32 events
-   did before. *)
+   128 it is about 1%. *)
 let timing_stride = 128
 
 (* The one sweep loop, behind every entry point: resample
    [order.(lo)] .. [order.(hi - 1)] in turn, writing each draw back
    under [Event_store.set_departure]'s checks. *)
-let visit ~metrics ~profiling rng store params order lo hi =
+let visit ~metrics rng store params order lo hi =
   let sc = Array.make scratch_len 0.0 in
   let v = Store.view store in
   let rates = params.Params.rates in
@@ -458,8 +457,7 @@ let visit ~metrics ~profiling rng store params order lo hi =
   let kinds = Array.make (Array.length m_kernel_kinds) 0 in
   for k = lo to hi - 1 do
     let f = order.(k) in
-    let on_stride = (k - lo) land (timing_stride - 1) = 0 in
-    let timed = metrics && on_stride in
+    let timed = metrics && (k - lo) land (timing_stride - 1) = 0 in
     let te = if timed then Clock.now_raw () else 0.0 in
     let kind = kernel sc v rates rng f in
     kinds.(kind) <- kinds.(kind) + 1;
@@ -470,11 +468,7 @@ let visit ~metrics ~profiling rng store params order lo hi =
     if timed then
       Metrics.Histogram.observe_n (Option.get per_event)
         ~n:(Int.min timing_stride (hi - k))
-        (Float.max 0.0 (Clock.now_raw () -. te));
-    (* Probe at the same stride the timing samples use: frequent
-       enough to catch collection stalls inside one sweep, rare
-       enough that quick_stat stays off the per-event path. *)
-    if profiling && on_stride then Prof.pause_probe ()
+        (Float.max 0.0 (Clock.now_raw () -. te))
   done;
   if metrics then
     Array.iteri
@@ -495,7 +489,7 @@ let sample_event rng store params f =
   sc.(s_draw)
 
 let resample_range rng store params events lo hi =
-  visit ~metrics:(Metrics.enabled ()) ~profiling:false rng store params events lo hi
+  visit ~metrics:(Metrics.enabled ()) rng store params events lo hi
 
 let resample_event rng store params f = resample_range rng store params [| f |] 0 1
 
@@ -503,18 +497,17 @@ let sweep ?(shuffle = false) rng store params =
   let order = if shuffle then Store.shuffled_latent store rng else Store.latent store in
   let n = Array.length order in
   let metrics = Metrics.enabled () in
-  let profiling = Prof.running () in
   let go () =
     let t0 = if metrics then Clock.now () else 0.0 in
-    visit ~metrics ~profiling rng store params order 0 n;
+    visit ~metrics rng store params order 0 n;
     if metrics then begin
       Metrics.Histogram.observe (Lazy.force m_sweep_seconds) (Clock.now () -. t0);
       Metrics.Counter.inc ~by:(float_of_int n) (Lazy.force m_events)
     end
   in
-  (* Plain path: zero clock reads, zero probes, zero Memprof callbacks
-     from this module — two atomic loads per sweep. *)
-  if profiling then Prof.with_phase "gibbs.sweep" go else go ()
+  (* Plain path: zero clock reads from this module, two atomic loads
+     per sweep. *)
+  Prof.with_phase "gibbs.sweep" go
 
 let run ?shuffle ?(on_sweep = fun _ -> ()) ~sweeps rng store params =
   if sweeps < 0 then invalid_arg "Gibbs.run: negative sweep count";

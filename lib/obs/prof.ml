@@ -1,9 +1,7 @@
-type backend = Counters | Memprof
 type pause_kind = Minor | Major | Compaction
 
-type config = { sampling_rate : float; max_sites : int }
-
-let default_config = { sampling_rate = 0.01; max_sites = 512 }
+(* Rows of the site table that snapshot_json prints. *)
+let max_sites = 512
 
 (* The SLO ladder shared with the serving layer's latency histograms:
    decades from 1µs to 100s. GC pauses live at the low end; the high
@@ -19,10 +17,21 @@ type cell = {
   mutable self_seconds : float;
 }
 
+(* The Runtime_events consumer: one cursor on this process's rings
+   (one ring per domain), made by the first session and kept for the
+   life of the process, since the runtime can pause its event rings
+   but never stop them. [last] holds, per (ring, runtime phase), the
+   timestamp in ns of a pause's runtime_begin still waiting for its
+   runtime_end, or of the previous end of a major cycle. Only the
+   poller holding [poll_lock] touches it. *)
+type consumer = {
+  cursor : Runtime_events.cursor;
+  callbacks : Runtime_events.Callbacks.t;
+  poll_lock : Mutex.t;
+  last : (int * Runtime_events.runtime_phase, int) Hashtbl.t;
+}
+
 type session = {
-  id : int;
-  config : config;
-  active : backend;
   started_at : float;  (* Clock.now wall-clock seconds *)
   started_elapsed : float;  (* Clock.elapsed, for durations *)
   gc0 : Gc.stat;
@@ -36,13 +45,10 @@ type session = {
   p_major : Metrics.Histogram.t;
   p_compact : Metrics.Histogram.t;
   p_cycle : Metrics.Histogram.t;
-  mutable alarm : Gc.alarm option;
-  mutable stopped_after : float option;  (* duration at stop *)
-  probes : int Atomic.t;
-  callbacks : int Atomic.t;
+  events : (consumer, string) result;  (* or why pause data is unavailable *)
+  mutable stopped : (float * Gc.stat) option;  (* duration and GC counters at stop *)
   pauses : int Atomic.t;
-  dropped : int Atomic.t;  (* Memprof samples dropped on lock contention *)
-  last_cycle : float Atomic.t;  (* previous alarm timestamp, 0 = none *)
+  lost : int Atomic.t;  (* ring events overwritten before a poll read them *)
 }
 
 (* [current] is the running session (the hot-path gate: one atomic
@@ -51,12 +57,11 @@ type session = {
 let current : session option Atomic.t = Atomic.make None
 let latest : session option Atomic.t = Atomic.make None
 let lifecycle = Mutex.create ()
-let next_id = Atomic.make 0
 
 let running () = Atomic.get current <> None
 
-let backend () =
-  match Atomic.get latest with None -> None | Some s -> Some s.active
+let is_current s =
+  match Atomic.get current with Some s' -> s' == s | None -> false
 
 (* ------------------------------------------------------------------ *)
 (* Frame sanitization (same rules as Span.to_folded)                   *)
@@ -117,7 +122,172 @@ let record_site ~stack ~bytes =
       end
 
 (* ------------------------------------------------------------------ *)
-(* Phase attribution (Counters backend, but active under both)         *)
+(* Pause histograms                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Default-registry mirrors: scrape-visible, cumulative across
+   sessions (histogram series must stay monotone for Prometheus).
+   Lazily created, so a run that never profiles exports no
+   qnet_prof_* series at all. *)
+let m_minor =
+  lazy
+    (Metrics.Histogram.create ~buckets:pause_buckets
+       ~help:"Minor GC pauses while profiling, one per domain per collection"
+       "qnet_prof_minor_pause_seconds")
+
+let m_major =
+  lazy
+    (Metrics.Histogram.create ~buckets:pause_buckets
+       ~help:"Major GC slices while profiling"
+       "qnet_prof_major_pause_seconds")
+
+let m_compact =
+  lazy
+    (Metrics.Histogram.create ~buckets:pause_buckets
+       ~help:"Explicit compaction pauses while profiling"
+       "qnet_prof_compaction_pause_seconds")
+
+let m_cycle =
+  lazy
+    (Metrics.Histogram.create ~buckets:pause_buckets
+       ~help:"Intervals between the ends of major GC cycles while profiling"
+       "qnet_prof_major_cycle_seconds")
+
+let session_histogram s = function
+  | Minor -> s.p_minor
+  | Major -> s.p_major
+  | Compaction -> s.p_compact
+
+let mirror_histogram = function
+  | Minor -> Lazy.force m_minor
+  | Major -> Lazy.force m_major
+  | Compaction -> Lazy.force m_compact
+
+let record_pause kind seconds =
+  match Atomic.get current with
+  | None -> ()
+  | Some s ->
+      if Float.is_finite seconds then begin
+        let v = Float.max 0.0 seconds in
+        Metrics.Histogram.observe (session_histogram s kind) v;
+        Metrics.Histogram.observe (mirror_histogram kind) v;
+        Atomic.incr s.pauses
+      end
+
+let record_cycle seconds =
+  match Atomic.get current with
+  | None -> ()
+  | Some s ->
+      Metrics.Histogram.observe s.p_cycle seconds;
+      Metrics.Histogram.observe (Lazy.force m_cycle) seconds
+
+(* ------------------------------------------------------------------ *)
+(* Runtime_events consumer                                             *)
+(* ------------------------------------------------------------------ *)
+
+let pause_of_phase : Runtime_events.runtime_phase -> pause_kind option = function
+  | EV_MINOR -> Some Minor
+  | EV_MAJOR_SLICE -> Some Major
+  | EV_EXPLICIT_GC_COMPACT -> Some Compaction
+  | _ -> None
+
+let ns ts = Int64.to_int (Runtime_events.Timestamp.to_int64 ts)
+
+(* Pairs each begin with its end on the same ring. An end whose begin
+   was read before the session started, or was lost, is dropped. *)
+let make_callbacks last =
+  let runtime_begin ring ts phase =
+    if Option.is_some (pause_of_phase phase) then
+      Hashtbl.replace last (ring, phase) (ns ts)
+  in
+  let since key ts =
+    Option.map (fun t0 -> float_of_int (ns ts - t0) *. 1e-9) (Hashtbl.find_opt last key)
+  in
+  let runtime_end ring ts phase =
+    match pause_of_phase phase with
+    | Some kind ->
+        Option.iter (record_pause kind) (since (ring, phase) ts);
+        Hashtbl.remove last (ring, phase)
+    | None ->
+        (* every domain closes each cycle, so one ring times them all *)
+        if phase = EV_MAJOR_GC_CYCLE_DOMAINS && ring = 0 then begin
+          Option.iter record_cycle (since (ring, phase) ts);
+          Hashtbl.replace last (ring, phase) (ns ts)
+        end
+  in
+  let lost_events _ring n =
+    match Atomic.get current with
+    | Some s -> ignore (Atomic.fetch_and_add s.lost n)
+    | None -> ()
+  in
+  Runtime_events.Callbacks.create ~runtime_begin ~runtime_end ~lost_events ()
+
+(* Read every ring to its head; the caller holds [c.poll_lock]. *)
+let poll_locked c =
+  while Runtime_events.read_poll c.cursor c.callbacks None > 0 do () done
+
+let poll c =
+  Mutex.lock c.poll_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock c.poll_lock) (fun () -> poll_locked c)
+
+(* A phase exit never waits on another domain's poll: that poll reads
+   this domain's ring too. *)
+let try_poll c =
+  if Mutex.try_lock c.poll_lock then
+    Fun.protect ~finally:(fun () -> Mutex.unlock c.poll_lock) (fun () -> poll_locked c)
+
+(* Runtime_events.start aborts the process when it cannot create
+   <pid>.events, which the runtime writes in OCAML_RUNTIME_EVENTS_DIR
+   (read once, at start-up) or else in the working directory. So the
+   first session proves that directory takes a file before starting. *)
+let check_ring_dir () =
+  let dir =
+    Option.value (Sys.getenv_opt "OCAML_RUNTIME_EVENTS_DIR")
+      ~default:Filename.current_dir_name
+  in
+  match Filename.temp_file ~temp_dir:dir "qnet_prof" ".check" with
+  | path ->
+      (try Sys.remove path with Sys_error _ -> ());
+      Ok ()
+  | exception Sys_error msg ->
+      Error (Printf.sprintf "cannot create the Runtime_events ring file in %s (%s)" dir msg)
+
+(* The consumer, made by the first session and kept for the life of
+   the process, or why it could not be made. Forced under
+   [lifecycle]. *)
+let consumer =
+  lazy
+    (match check_ring_dir () with
+    | Error _ as e -> e
+    | Ok () ->
+        Runtime_events.start ();
+        let last = Hashtbl.create 16 in
+        Ok
+          {
+            cursor = Runtime_events.create_cursor None;
+            callbacks = make_callbacks last;
+            poll_lock = Mutex.create ();
+            last;
+          })
+
+(* Start or resume the rings, then drain what they hold: a session
+   counts no event from before it started. The caller holds
+   [lifecycle]. *)
+let open_events () =
+  let resume = Lazy.is_val consumer in
+  let events = Lazy.force consumer in
+  (match events with
+  | Ok c ->
+      if resume then Runtime_events.resume ();
+      Mutex.lock c.poll_lock;
+      poll_locked c;
+      Hashtbl.clear c.last;
+      Mutex.unlock c.poll_lock
+  | Error _ -> ());
+  events
+
+(* ------------------------------------------------------------------ *)
+(* Phase attribution                                                   *)
 (* ------------------------------------------------------------------ *)
 
 type frame = {
@@ -131,9 +301,12 @@ type frame = {
 let stack_key : frame list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
+(* Gc.minor_words is exact; the minor count in Gc.counters only
+   advances at a minor collection, so it misses whatever the minor
+   heap holds. *)
 let allocated_words () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let bytes_per_word = float_of_int (Sys.word_size / 8)
 
@@ -177,241 +350,52 @@ let with_phase name f =
           add_site_locked s ~path ~bytes ~samples:1 ~self_seconds:self_s;
           add_domain_locked s ~leaf:(folded_frame name) ~bytes
             ~self_seconds:self_s;
-          Mutex.unlock s.lock)
+          Mutex.unlock s.lock;
+          match s.events with Ok c -> try_poll c | Error _ -> ())
         f
-
-let current_path () =
-  match !(Domain.DLS.get stack_key) with
-  | [] -> "(unattributed)"
-  | frames -> String.concat ";" (List.rev_map (fun fr -> folded_frame fr.name) frames)
-
-(* ------------------------------------------------------------------ *)
-(* Pause histograms                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Default-registry mirrors: scrape-visible, cumulative across
-   sessions (histogram series must stay monotone for Prometheus).
-   Lazily created, so a run that never profiles exports no
-   qnet_prof_* series at all. *)
-let m_minor =
-  lazy
-    (Metrics.Histogram.create ~buckets:pause_buckets
-       ~help:"Probe-detected minor GC pauses while profiling"
-       "qnet_prof_minor_pause_seconds")
-
-let m_major =
-  lazy
-    (Metrics.Histogram.create ~buckets:pause_buckets
-       ~help:"Probe-detected major GC pauses while profiling"
-       "qnet_prof_major_pause_seconds")
-
-let m_compact =
-  lazy
-    (Metrics.Histogram.create ~buckets:pause_buckets
-       ~help:"Probe-detected compaction pauses while profiling"
-       "qnet_prof_compaction_pause_seconds")
-
-let m_cycle =
-  lazy
-    (Metrics.Histogram.create ~buckets:pause_buckets
-       ~help:"Intervals between end-of-major-cycle GC alarms while profiling"
-       "qnet_prof_major_cycle_seconds")
-
-let session_histogram s = function
-  | Minor -> s.p_minor
-  | Major -> s.p_major
-  | Compaction -> s.p_compact
-
-let mirror_histogram = function
-  | Minor -> Lazy.force m_minor
-  | Major -> Lazy.force m_major
-  | Compaction -> Lazy.force m_compact
-
-let record_pause kind seconds =
-  match Atomic.get current with
-  | None -> ()
-  | Some s ->
-      if Float.is_finite seconds then begin
-        let v = Float.max 0.0 seconds in
-        Metrics.Histogram.observe (session_histogram s kind) v;
-        Metrics.Histogram.observe (mirror_histogram kind) v;
-        Atomic.incr s.pauses
-      end
-
-(* Per-domain probe state: gap EWMA is the domain's "collection-free
-   stride time" baseline; a probe gap that coincides with a GC counter
-   advance charges the excess over that baseline to the collector.
-   [tag] pins the state to one session — stale state from a previous
-   session would otherwise charge the whole inter-session gap (store
-   builds, unprofiled phases) to the first collection it sees. *)
-type probe = {
-  mutable tag : int;  (* qnet-lint: racy-ok C001 Domain.DLS probe state: one record per domain, only its owner domain reads/writes *)
-  mutable last : float;  (* qnet-lint: racy-ok C001 Domain.DLS probe state (see tag) *)
-  mutable ewma : float;  (* qnet-lint: racy-ok C001 Domain.DLS probe state (see tag) *)
-  mutable minor_n : int;  (* qnet-lint: racy-ok C001 Domain.DLS probe state (see tag) *)
-  mutable major_n : int;  (* qnet-lint: racy-ok C001 Domain.DLS probe state (see tag) *)
-  mutable compact_n : int;  (* qnet-lint: racy-ok C001 Domain.DLS probe state (see tag) *)
-}
-
-let probe_key : probe Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        tag = -1;
-        last = 0.0;
-        ewma = 0.0;
-        minor_n = 0;
-        major_n = 0;
-        compact_n = 0;
-      })
-
-let pause_probe () =
-  match Atomic.get current with
-  | None -> ()
-  | Some s ->
-      let now = Clock.now_raw () in
-      let st = Gc.quick_stat () in
-      let p = Domain.DLS.get probe_key in
-      if p.tag = s.id then begin
-        Atomic.incr s.probes;
-        let gap = now -. p.last in
-        if gap >= 0.0 then begin
-          let d_minor = st.Gc.minor_collections - p.minor_n in
-          let d_major = st.Gc.major_collections - p.major_n in
-          let d_compact = st.Gc.compactions - p.compact_n in
-          if d_minor = 0 && d_major = 0 && d_compact = 0 then
-            p.ewma <-
-              (if p.ewma > 0.0 then (0.875 *. p.ewma) +. (0.125 *. gap) else gap)
-          else if p.ewma > 0.0 then begin
-            (* only charge pauses once a collection-free baseline
-               exists — before that, "excess" would just be the gap *)
-            let excess = gap -. p.ewma in
-            if excess > 0.0 then
-              record_pause
-                (if d_compact > 0 then Compaction
-                 else if d_major > 0 then Major
-                 else Minor)
-                excess
-          end
-        end
-      end
-      else begin
-        p.tag <- s.id;
-        p.ewma <- 0.0
-      end;
-      p.last <- now;
-      p.minor_n <- st.Gc.minor_collections;
-      p.major_n <- st.Gc.major_collections;
-      p.compact_n <- st.Gc.compactions
-
-(* The end-of-major-cycle alarm: lock-free on purpose — an alarm runs
-   at an allocation safepoint and must not contend for the session
-   lock the same domain might hold mid-phase-exit. *)
-let is_current s =
-  match Atomic.get current with Some s' -> s' == s | None -> false
-
-let on_major_cycle s () =
-  if is_current s then begin
-    let now = Clock.now_raw () in
-    let prev = Atomic.exchange s.last_cycle now in
-    if prev > 0.0 && now > prev then begin
-      Metrics.Histogram.observe s.p_cycle (now -. prev);
-      Metrics.Histogram.observe (Lazy.force m_cycle) (now -. prev)
-    end
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Memprof (engages on runtimes where Gc.Memprof.start works)          *)
-(* ------------------------------------------------------------------ *)
-
-let memprof_leaf callstack =
-  let raw = Printexc.raw_backtrace_to_string callstack in
-  let line =
-    match String.index_opt raw '\n' with
-    | Some i -> String.sub raw 0 i
-    | None -> raw
-  in
-  let line = if String.length line > 120 then String.sub line 0 120 else line in
-  if line = "" then "(no-backtrace)" else folded_frame line
-
-let memprof_sample s (al : Gc.Memprof.allocation) =
-  Atomic.incr s.callbacks;
-  let words =
-    float_of_int al.Gc.Memprof.n_samples /. s.config.sampling_rate
-  in
-  let path = current_path () ^ ";" ^ memprof_leaf al.Gc.Memprof.callstack in
-  (* try_lock, not lock: a sample can fire at any allocation point,
-     including inside our own critical sections; dropping it beats
-     deadlocking, and the drop is counted. *)
-  if Mutex.try_lock s.lock then begin
-    add_site_locked s ~path ~bytes:(words *. bytes_per_word)
-      ~samples:al.Gc.Memprof.n_samples ~self_seconds:0.0;
-    Mutex.unlock s.lock
-  end
-  else Atomic.incr s.dropped;
-  None
-
-let try_memprof s =
-  match
-    Gc.Memprof.start ~sampling_rate:s.config.sampling_rate ~callstack_size:16
-      {
-        Gc.Memprof.null_tracker with
-        Gc.Memprof.alloc_minor = (fun al -> memprof_sample s al);
-        alloc_major = (fun al -> memprof_sample s al);
-      }
-  with
-  | () -> true
-  | exception Failure _ -> false  (* "not implemented in multicore" on 5.0/5.1 *)
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let start ?(config = default_config) () =
-  if
-    (not (Float.is_finite config.sampling_rate))
-    || config.sampling_rate <= 0.0
-    || config.sampling_rate > 1.0
-  then invalid_arg "Prof.start: sampling_rate must be in (0, 1]";
-  if config.max_sites < 1 then invalid_arg "Prof.start: max_sites must be >= 1";
+let start () =
   Mutex.lock lifecycle;
   Fun.protect ~finally:(fun () -> Mutex.unlock lifecycle) @@ fun () ->
-  match Atomic.get current with
-  | Some s -> s.active
-  | None ->
-      let reg = Metrics.create_registry () in
-      let hist name =
-        Metrics.Histogram.create ~registry:reg ~buckets:pause_buckets name
-      in
-      let s =
-        {
-          id = Atomic.fetch_and_add next_id 1;
-          config;
-          active = Counters;
-          started_at = Clock.now ();
-          started_elapsed = Clock.elapsed ();
-          gc0 = Gc.quick_stat ();
-          sites = Hashtbl.create 128;
-          by_domain = Hashtbl.create 16;
-          lock = Mutex.create ();
-          p_minor = hist "qnet_prof_minor_pause_seconds";
-          p_major = hist "qnet_prof_major_pause_seconds";
-          p_compact = hist "qnet_prof_compaction_pause_seconds";
-          p_cycle = hist "qnet_prof_major_cycle_seconds";
-          alarm = None;
-          stopped_after = None;
-          probes = Atomic.make 0;
-          callbacks = Atomic.make 0;
-          pauses = Atomic.make 0;
-          dropped = Atomic.make 0;
-          last_cycle = Atomic.make 0.0;
-        }
-      in
-      let s = if try_memprof s then { s with active = Memprof } else s in
-      Atomic.set latest (Some s);
-      Atomic.set current (Some s);  (* qnet-lint: racy-ok C005 start/stop serialize on the lifecycle mutex; [current] is Atomic only for the lock-free readers *)
-      (* alarm after [current] is set: the callback gates on it *)
-      s.alarm <- Some (Gc.create_alarm (on_major_cycle s));
-      s.active
+  if Atomic.get current = None then begin
+    let reg = Metrics.create_registry () in
+    let hist name =
+      Metrics.Histogram.create ~registry:reg ~buckets:pause_buckets name
+    in
+    let p_minor = hist "qnet_prof_minor_pause_seconds"
+    and p_major = hist "qnet_prof_major_pause_seconds"
+    and p_compact = hist "qnet_prof_compaction_pause_seconds"
+    and p_cycle = hist "qnet_prof_major_cycle_seconds" in
+    let sites = Hashtbl.create 128 and by_domain = Hashtbl.create 16 in
+    (* nothing allocates between the drain and [gc0], so the session's
+       pauses and collection counts start together *)
+    let events = open_events () in
+    let gc0 = Gc.quick_stat () in
+    let s =
+      {
+        started_at = Clock.now ();
+        started_elapsed = Clock.elapsed ();
+        gc0;
+        sites;
+        by_domain;
+        lock = Mutex.create ();
+        p_minor;
+        p_major;
+        p_compact;
+        p_cycle;
+        events;
+        stopped = None;
+        pauses = Atomic.make 0;
+        lost = Atomic.make 0;
+      }
+    in
+    Atomic.set latest (Some s);
+    Atomic.set current (Some s)  (* qnet-lint: racy-ok C005 start/stop serialize on the lifecycle mutex; [current] is Atomic only for the lock-free readers *)
+  end
 
 let stop () =
   Mutex.lock lifecycle;
@@ -419,13 +403,18 @@ let stop () =
   match Atomic.get current with
   | None -> ()
   | Some s ->
-      if s.active = Memprof then Gc.Memprof.stop ();
-      (match s.alarm with
-      | Some a ->
-          Gc.delete_alarm a;
-          s.alarm <- None
-      | None -> ());
-      s.stopped_after <- Some (Clock.elapsed () -. s.started_elapsed);
+      (* Drain, pause, then read the counters with nothing allocated
+         in between: the pauses and the collection counts cover the
+         same window. The second drain reads what the first one's
+         own allocation set off before the pause. *)
+      (match s.events with
+      | Ok c ->
+          poll c;
+          Runtime_events.pause ()
+      | Error _ -> ());
+      let gc1 = Gc.quick_stat () in
+      (match s.events with Ok c -> poll c | Error _ -> ());
+      s.stopped <- Some (Clock.elapsed () -. s.started_elapsed, gc1);
       Atomic.set current None  (* qnet-lint: racy-ok C005 start/stop serialize on the lifecycle mutex (see start) *)
 
 (* ------------------------------------------------------------------ *)
@@ -494,15 +483,20 @@ let phase_split () =
       |> List.sort (fun (na, a) (nb, b) ->
              match compare b a with 0 -> compare na nb | c -> c)
 
+(* GC counters at the end of the session's window: now while it runs,
+   frozen at stop. *)
+let gc_now s = match s.stopped with Some (_, st) -> st | None -> Gc.quick_stat ()
+
+let session_bytes s st =
+  let words st =
+    st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words
+  in
+  Float.max 0.0 ((words st -. words s.gc0) *. bytes_per_word)
+
 let allocated_bytes () =
   match Atomic.get latest with
   | None -> 0.0
-  | Some s ->
-      let st = Gc.quick_stat () in
-      let words st =
-        st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words
-      in
-      Float.max 0.0 ((words st -. words s.gc0) *. bytes_per_word)
+  | Some s -> session_bytes s (gc_now s)
 
 type pause_stats = { count : int; p50_s : float; p99_s : float }
 
@@ -532,23 +526,24 @@ let major_cycle_summary () =
 
 type stats = {
   is_running : bool;
-  active_backend : backend option;
   site_rows : int;
-  probes : int;
-  memprof_callbacks : int;
   pauses_recorded : int;
+  lost_events : int;
+  runtime_events_started : bool;
 }
 
 let stats () =
+  let runtime_events_started =
+    Lazy.is_val consumer && Result.is_ok (Lazy.force consumer)
+  in
   match Atomic.get latest with
   | None ->
       {
         is_running = false;
-        active_backend = None;
         site_rows = 0;
-        probes = 0;
-        memprof_callbacks = 0;
         pauses_recorded = 0;
+        lost_events = 0;
+        runtime_events_started;
       }
   | Some s ->
       Mutex.lock s.lock;
@@ -556,11 +551,10 @@ let stats () =
       Mutex.unlock s.lock;
       {
         is_running = is_current s;
-        active_backend = Some s.active;
         site_rows = rows;
-        probes = Atomic.get s.probes;
-        memprof_callbacks = Atomic.get s.callbacks;
         pauses_recorded = Atomic.get s.pauses;
+        lost_events = Atomic.get s.lost;
+        runtime_events_started;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -667,7 +661,7 @@ let g_stime = gauge "stime_seconds" "System CPU time at the last profile snapsho
 
 let publish_gauges s st rusage =
   let d_int f = float_of_int (f st - f s.gc0) in
-  Metrics.Gauge.set (Lazy.force g_alloc) (allocated_bytes ());
+  Metrics.Gauge.set (Lazy.force g_alloc) (session_bytes s st);
   Metrics.Gauge.set (Lazy.force g_minor_coll)
     (d_int (fun g -> g.Gc.minor_collections));
   Metrics.Gauge.set (Lazy.force g_major_coll)
@@ -691,21 +685,21 @@ let pause_json name st =
 
 let snapshot_json () =
   match Atomic.get latest with
-  | None -> "{\"running\":false,\"backend\":null}"
+  | None -> "{\"running\":false}"
   | Some s ->
-      let st = Gc.quick_stat () in
+      (match s.events with Ok c when is_current s -> poll c | _ -> ());
+      let st = gc_now s in
       let rusage = Rusage.sample () in
       publish_gauges s st rusage;
-      let is_running = is_current s in
       let duration =
-        match s.stopped_after with
-        | Some d -> d
+        match s.stopped with
+        | Some (d, _) -> d
         | None -> Clock.elapsed () -. s.started_elapsed
       in
       let rows = sites () in
       let total_bytes = List.fold_left (fun a r -> a +. r.bytes) 0.0 rows in
       let top =
-        List.filteri (fun i _ -> i < s.config.max_sites) rows
+        List.filteri (fun i _ -> i < max_sites) rows
         |> List.map (fun r ->
                Printf.sprintf
                  "{\"stack\":\"%s\",\"bytes\":%s,\"samples\":%d,\"self_seconds\":%s}"
@@ -714,16 +708,17 @@ let snapshot_json () =
         |> String.concat ","
       in
       let pauses =
-        match pause_summary () with
-        | [ (Minor, mi); (Major, ma); (Compaction, co) ] ->
-            String.concat ","
-              [
-                pause_json "minor" mi;
-                pause_json "major" ma;
-                pause_json "compaction" co;
-                pause_json "major_cycle" (major_cycle_summary ());
-              ]
-        | _ -> assert false
+        String.concat ","
+          (List.map
+             (fun (kind, st) ->
+               pause_json
+                 (match kind with
+                 | Minor -> "minor"
+                 | Major -> "major"
+                 | Compaction -> "compaction")
+                 st)
+             (pause_summary ())
+          @ [ pause_json "major_cycle" (major_cycle_summary ()) ])
       in
       let domains =
         Mutex.lock s.lock;
@@ -743,23 +738,24 @@ let snapshot_json () =
       in
       let gd f = f st - f s.gc0 in
       Printf.sprintf
-        "{\"running\":%b,\"backend\":\"%s\",\"sampling_rate\":%s,\"started_at\":%s,\"duration_s\":%s,\
-         \"alloc\":{\"total_bytes\":%s,\"sites\":%d,\"memprof_callbacks\":%d,\"dropped_samples\":%d,\"top\":[%s]},\
+        "{\"running\":%b,\"started_at\":%s,\"duration_s\":%s,\
+         \"alloc\":{\"total_bytes\":%s,\"sites\":%d,\"top\":[%s]},\
          \"gc\":{\"allocated_bytes\":%s,\"minor_collections\":%d,\"major_collections\":%d,\"compactions\":%d,\"heap_bytes\":%s},\
-         \"pauses\":{%s},\
+         \"pauses\":{\"available\":%b,\"reason\":%s,\"lost_events\":%d,%s},\
          \"rusage\":%s,\
-         \"probes\":%d,\"domains\":[%s]}"
-        is_running
-        (match s.active with Counters -> "counters" | Memprof -> "memprof")
-        (num s.config.sampling_rate) (num s.started_at) (num duration)
-        (num total_bytes) (List.length rows)
-        (Atomic.get s.callbacks) (Atomic.get s.dropped) top
-        (num (allocated_bytes ()))
+         \"domains\":[%s]}"
+        (is_current s) (num s.started_at) (num duration)
+        (num total_bytes) (List.length rows) top
+        (num (session_bytes s st))
         (gd (fun g -> g.Gc.minor_collections))
         (gd (fun g -> g.Gc.major_collections))
         (gd (fun g -> g.Gc.compactions))
         (num (float_of_int st.Gc.heap_words *. bytes_per_word))
-        pauses
+        (Result.is_ok s.events)
+        (match s.events with
+        | Ok _ -> "null"
+        | Error why -> "\"" ^ Jsonx.escape why ^ "\"")
+        (Atomic.get s.lost) pauses
         (match rusage with
         | None -> "null"
         | Some r ->
@@ -767,4 +763,4 @@ let snapshot_json () =
               "{\"utime_s\":%s,\"stime_s\":%s,\"rss_bytes\":%s,\"max_rss_bytes\":%s}"
               (num r.Rusage.utime_s) (num r.Rusage.stime_s)
               (num r.Rusage.rss_bytes) (num r.Rusage.max_rss_bytes))
-        (Atomic.get s.probes) domains
+        domains

@@ -1,71 +1,57 @@
-(** Statistical allocation and GC-pause profiler — the "where do the
-    bytes and the pauses go" layer under the hot-path roadmap work.
+(** Allocation and GC-pause profiler — the "where do the bytes and the
+    pauses go" layer under the hot-path roadmap work.
 
-    {b Backends.} [start] first tries the runtime's statistical
-    allocation sampler ([Gc.Memprof], sampling each allocated word
-    with probability [sampling_rate] and bucketing samples by
-    backtrace under the current phase stack). OCaml 5.0/5.1 ships the
-    Memprof interface but its [start] raises ([Failure "... not
-    implemented in multicore"]); the profiler then degrades to the
-    [Counters] backend: exact per-phase allocation deltas read from
-    [Gc.counters] at {!with_phase} boundaries. Either way the site
-    table folds into flamegraph folded-stack lines ({!to_folded}, the
-    same [stack count] format as [Span.to_folded], valued in bytes),
-    so [qnet_trace_tool flamegraph-diff] can diff before/after runs.
+    {b Bytes.} {!with_phase} brackets read {!allocated_words} and the
+    clock at entry and exit, and charge each phase its {e self} cost
+    (its total minus its nested phases) on the current domain's phase
+    stack. The site table folds into flamegraph folded-stack lines
+    ({!to_folded}, the same [stack count] format as [Span.to_folded],
+    valued in bytes), so [qnet_trace_tool flamegraph-diff] can diff
+    before/after runs.
 
-    {b Pauses.} OCaml exposes no direct pause timestamps, so pauses
-    are observed two ways: a [Gc.create_alarm] hook records
-    end-of-major-cycle intervals, and {!pause_probe} — called at a
-    stride from instrumented hot loops — detects collection-coincident
-    stalls: when the gap since the previous probe on this domain
-    exceeds its EWMA baseline {e and} the domain's minor/major/
-    compaction counters advanced, the excess is recorded as a pause of
-    that kind. Histograms sit on the telemetry SLO ladder (decades,
-    1µs–100s); {!record_pause} feeds them directly (tests, external
-    attributors).
+    {b Pauses.} The first session starts the runtime's event rings
+    ([Runtime_events], one ring per domain, in the file
+    [<pid>.events] under [$OCAML_RUNTIME_EVENTS_DIR] or the working
+    directory); later sessions resume them and {!stop} pauses them.
+    One cursor on this process pairs each ring's [runtime_begin] with
+    its [runtime_end]: [EV_MINOR] is a [Minor] pause, [EV_MAJOR_SLICE]
+    a [Major] one, [EV_EXPLICIT_GC_COMPACT] a [Compaction]. Every
+    domain reports its own share of a collection, so with [k] domains
+    running one minor collection is [k] minor pauses. The intervals
+    between the ends of major cycles on ring 0 fill the major-cycle
+    histogram. The rings are read at {!with_phase} exit (skipped when
+    another domain is reading them), at {!stop} and in
+    {!snapshot_json}; events the runtime overwrote before they were
+    read count as lost. If the ring directory cannot take a file the
+    runtime would abort the process, so the session runs without pause
+    data and the snapshot says why. Histograms sit on the telemetry
+    SLO ladder (decades, 1µs–100s).
 
     {b Cost contract.} Off (the default) the profiler adds one atomic
-    load per gated site — {!with_phase} is the thunk behind one load,
-    the sweep hot path takes zero Memprof callbacks and zero probes —
-    mirroring the [Metrics.enabled] fast-path pattern. No
-    [qnet_prof_*] series exist in the default registry until a
-    session runs. On (phase granularity, stride-sampled probes) the
-    cost is two clock reads, two [Gc.counters] reads and one table
-    update per phase, plus one [Gc.quick_stat] per probe stride. *)
+    load per gated site — {!with_phase} is the thunk behind one load —
+    never starts [Runtime_events] and creates no [qnet_prof_*] series
+    in the default registry. On, each phase costs two clock reads, two
+    allocation-counter reads, one table update and one ring poll. *)
 
-type backend =
-  | Counters
-      (** exact phase-scoped [Gc.counters] deltas (the fallback, and
-          the only backend on OCaml 5.0/5.1) *)
-  | Memprof  (** statistical [Gc.Memprof] sampling with backtraces *)
-
-type config = {
-  sampling_rate : float;
-      (** Memprof per-word sampling probability in (0, 1]; ignored by
-          the [Counters] backend (which is exact) *)
-  max_sites : int;  (** site-table rows kept in {!snapshot_json} *)
-}
-
-val default_config : config
-(** 1% sampling, 512 sites. *)
-
-val start : ?config:config -> unit -> backend
-(** Start a profiling session (clearing any stopped session's data)
-    and return the backend that actually engaged. If a session is
-    already running this is a no-op returning its backend. Raises
-    [Invalid_argument] on a sampling rate outside (0, 1] or a
-    non-positive [max_sites]. *)
+val start : unit -> unit
+(** Start a profiling session, clearing any stopped session's data.
+    A no-op if a session is already running. *)
 
 val stop : unit -> unit
-(** Stop sampling (Memprof detached, alarm deleted). Idempotent. The
+(** Stop the session: read the rings, pause them, and freeze the GC
+    counters and duration the snapshot reports. Idempotent. The
     session's data stays readable ({!snapshot_json}, {!to_folded})
     until the next [start]. *)
 
 val running : unit -> bool
-val backend : unit -> backend option
-(** Backend of the current {e or most recent} session. *)
 
 (** {1 Attribution} *)
+
+val allocated_words : unit -> float
+(** Words the calling domain has allocated so far: [Gc.minor_words ()]
+    plus the words allocated directly on the major heap. Exact at any
+    point, unlike the minor count of [Gc.counters], which on OCaml 5.1
+    only advances at a minor collection. Works without a session. *)
 
 val with_phase : string -> (unit -> 'a) -> 'a
 (** [with_phase name f] runs [f]; when a session is running, the
@@ -85,13 +71,9 @@ val record_site : stack:string list -> bytes:float -> unit
 type pause_kind = Minor | Major | Compaction
 
 val record_pause : pause_kind -> float -> unit
-(** Record one pause of [seconds] into the kind's histogram. No-op
-    when not running; negative values clamp to 0. *)
-
-val pause_probe : unit -> unit
-(** Hot-loop stall probe (see module doc). Call at a stride — the
-    Gibbs sweep calls it every timed stride event. No-op (one atomic
-    load) when not running. *)
+(** Record one pause of [seconds] into the kind's histogram; the ring
+    consumer records through it too. No-op when not running; negative
+    values clamp to 0. *)
 
 type pause_stats = { count : int; p50_s : float; p99_s : float }
 (** Quantiles are {!Metrics.Histogram.quantile} estimates ([nan] when
@@ -99,17 +81,18 @@ type pause_stats = { count : int; p50_s : float; p99_s : float }
 
 val pause_summary : unit -> (pause_kind * pause_stats) list
 (** Always three entries, [Minor; Major; Compaction] order, from the
-    current or most recent session (all-zero when none). *)
+    current or most recent session (all-zero when none), as of the
+    last ring read. *)
 
 val major_cycle_summary : unit -> pause_stats
-(** End-of-major-cycle interval stats from the alarm hook. *)
+(** Intervals between the ends of major GC cycles. *)
 
 (** {1 Export} *)
 
 val to_folded : unit -> (string * int) list
-(** The site table as folded-stack lines valued in (integer) sampled
-    bytes, deterministically sorted by stack; zero-byte sites are
-    dropped. Empty when no session has run. *)
+(** The site table as folded-stack lines valued in (integer) bytes,
+    deterministically sorted by stack; zero-byte sites are dropped.
+    Empty when no session has run. *)
 
 type phase_self = {
   path : string;  (** sanitized [;]-joined phase stack *)
@@ -126,26 +109,28 @@ val phase_split : unit -> (string * float) list
     [(leaf_phase, self_seconds)] sorted by self time descending. *)
 
 val allocated_bytes : unit -> float
-(** Process-wide bytes allocated since the session started
-    ([Gc.quick_stat] delta, all domains' minor words this domain can
-    see plus major), 0 when no session. *)
+(** Process-wide bytes allocated in the session ([Gc.quick_stat]
+    delta, up to its stop), 0 when no session. Another domain's minor
+    words only count once a minor collection has run. *)
 
 val snapshot_json : unit -> string
-(** One self-contained JSON object: session state and backend, the
-    site table (top [max_sites] by bytes), GC-counter deltas since
-    [start], pause and major-cycle histograms (count/p50/p99), an
-    rusage sample, and per-domain leaf-phase self-time rollups. Also
-    refreshes the [qnet_prof_*] gauges in the default metrics
-    registry. Served by [qnet_serve GET /profile.json] and written by
+(** One self-contained JSON object: session state, the site table
+    (top 512 rows by bytes), GC-counter deltas over the session,
+    pause and major-cycle histograms (count/p50/p99) with the lost
+    event count, or the reason pause data is unavailable, an rusage
+    sample, and per-domain leaf-phase self-time rollups. Reads the
+    rings first when the session runs. Also refreshes the
+    [qnet_prof_*] gauges in the default metrics registry. Served by
+    [qnet_serve GET /profile.json] and written by
     [qnet_infer --profile-out]. *)
 
 type stats = {
   is_running : bool;
-  active_backend : backend option;
   site_rows : int;
-  probes : int;  (** {!pause_probe} calls that sampled *)
-  memprof_callbacks : int;
   pauses_recorded : int;
+  lost_events : int;  (** ring events overwritten before they were read *)
+  runtime_events_started : bool;
+      (** a session of this process has started [Runtime_events] *)
 }
 
 val stats : unit -> stats

@@ -25,7 +25,6 @@ type config = {
   trace_sample_rate : float;
   trace_seed : int;
   profile_on_start : bool;
-  profile_alloc_rate : float;
 }
 
 let default_config =
@@ -44,7 +43,6 @@ let default_config =
     trace_sample_rate = 0.01;
     trace_seed = 1;
     profile_on_start = false;
-    profile_alloc_rate = 0.01;
   }
 
 type t = {
@@ -453,43 +451,18 @@ let handle_posterior t tenant =
 (* ------------------------------------------------------------------ *)
 
 let profile_status () =
-  let backend =
-    match Qnet_obs.Prof.backend () with
-    | None -> "null"
-    | Some Qnet_obs.Prof.Counters -> "\"counters\""
-    | Some Qnet_obs.Prof.Memprof -> "\"memprof\""
-  in
-  Printf.sprintf "{\"running\":%b,\"backend\":%s}\n"
-    (Qnet_obs.Prof.running ()) backend
+  Printf.sprintf "{\"running\":%b}\n" (Qnet_obs.Prof.running ())
 
+(* The profiler has no settings: a body is a client expecting one. *)
 let handle_profile_start t body =
-  let rate =
-    if String.trim body = "" then Ok t.cfg.profile_alloc_rate
-    else
-      match Jsonx.parse_object body with
-      | Error e -> Error ("bad JSON body: " ^ e)
-      | Ok fields -> (
-          match List.assoc_opt "sampling_rate" fields with
-          | Some (Jsonx.Num r) -> Ok r
-          | Some _ -> Error "sampling_rate must be a number"
-          | None -> Ok t.cfg.profile_alloc_rate)
-  in
-  match rate with
-  | Error msg ->
-      Server.response ~status:"400 Bad Request"
-        (Printf.sprintf "{\"error\":\"%s\"}\n" (Jsonx.escape msg))
-  | Ok rate -> (
-      match
-        Qnet_obs.Prof.start
-          ~config:{ Qnet_obs.Prof.default_config with sampling_rate = rate }
-          ()
-      with
-      | _backend ->
-          Atomic.set t.profiling true;
-          Server.response ~status:"200 OK" (profile_status ())
-      | exception Invalid_argument msg ->
-          Server.response ~status:"400 Bad Request"
-            (Printf.sprintf "{\"error\":\"%s\"}\n" (Jsonx.escape msg)))
+  if String.trim body <> "" then
+    Server.response ~status:"400 Bad Request"
+      "{\"error\":\"POST /profile/start takes no body\"}\n"
+  else begin
+    Qnet_obs.Prof.start ();
+    Atomic.set t.profiling true;
+    Server.response ~status:"200 OK" (profile_status ())
+  end
 
 let handle_profile_stop t =
   Qnet_obs.Prof.stop ();
@@ -713,22 +686,9 @@ let create cfg =
                 | Ok server ->
                     t.server <- Some server;
                     if cfg.profile_on_start then begin
-                      let backend =
-                        Qnet_obs.Prof.start
-                          ~config:
-                            {
-                              Qnet_obs.Prof.default_config with
-                              sampling_rate = cfg.profile_alloc_rate;
-                            }
-                          ()
-                      in
+                      Qnet_obs.Prof.start ();
                       Atomic.set t.profiling true;
-                      Log.info (fun f ->
-                          f "profiling from boot (%s backend, rate %g)"
-                            (match backend with
-                            | Qnet_obs.Prof.Counters -> "counters"
-                            | Qnet_obs.Prof.Memprof -> "memprof")
-                            cfg.profile_alloc_rate)
+                      Log.info (fun f -> f "profiling from boot")
                     end;
                     Metrics.Gauge.set (Lazy.force g_healthy)
                       (float_of_int (healthy_shards t));

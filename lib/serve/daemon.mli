@@ -40,9 +40,9 @@
       self-contained HTML panel that polls it.
     - [GET /profile.json] — the {!Qnet_obs.Prof} snapshot (allocation
       site table, GC pause histograms, rusage); [POST /profile/start]
-      (optional body [{"sampling_rate": r}]) and [POST /profile/stop]
-      profile a live shard without restart. A stopped session's
-      snapshot stays readable, so start → soak → stop → scrape works.
+      (no body) and [POST /profile/stop] profile a live shard without
+      restart. A stopped session's snapshot stays readable, so start →
+      soak → stop → scrape works.
 
     Tenants are routed to shards by a stable FNV-1a hash
     ({!Router.shard_of_tenant}), so a restarted daemon routes every
@@ -75,9 +75,6 @@ type config = {
       (** start a {!Qnet_obs.Prof} session as soon as the daemon is up
           (default false; a live daemon can always be profiled
           on-demand via [POST /profile/start]) *)
-  profile_alloc_rate : float;
-      (** Memprof sampling rate used when profiling starts — at boot
-          or by a [POST /profile/start] with no body (default 0.01) *)
 }
 
 val default_config : config

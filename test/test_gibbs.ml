@@ -387,7 +387,7 @@ let with_mode mode f =
       Metrics.set_enabled true;
       Fun.protect ~finally:(fun () -> Metrics.set_enabled false) f
   | `Profiled ->
-      ignore (Prof.start ());
+      Prof.start ();
       Fun.protect ~finally:Prof.stop f
 
 let check_digest fixture_name fixture ~shuffle expected =
@@ -540,8 +540,7 @@ let test_plain_sweep_allocation () =
   let rng = Rng.create ~seed:236 () in
   let latent = Array.length (Store.latent store) in
   let allocated () =
-    let minor, promoted, major = Gc.counters () in
-    (minor +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+    Prof.allocated_words () *. float_of_int (Sys.word_size / 8)
   in
   List.iter
     (fun shuffle ->

@@ -263,9 +263,7 @@ let test_golden_feedback () =
    the 10k-event three-tier store. It measured 362 B/event: the
    constraint arrays with their doubling, the solver's compressed rows
    and work arrays, and the walk's rows. A solver that builds lists or
-   tuples per constraint costs about 1,650 and fails it. Gc.minor_words
-   is exact, where the minor count in Gc.counters only advances at a
-   minor collection. *)
+   tuples per constraint costs about 1,650 and fails it. *)
 let test_feasible_allocation () =
   let ceiling = 400.0 in
   let store0, target =
@@ -274,12 +272,11 @@ let test_feasible_allocation () =
          (Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 ()))
   in
   let store = Store.copy store0 in
-  let _, p0, m0 = Gc.counters () in
-  let w0 = Gc.minor_words () in
+  let w0 = Qnet_obs.Prof.allocated_words () in
   (match Init.feasible ~target store with Ok () -> () | Error m -> Alcotest.fail m);
-  let w1 = Gc.minor_words () in
-  let _, p1, m1 = Gc.counters () in
-  let bytes = (w1 -. w0 +. (m1 -. p1) -. (m0 -. p0)) *. float_of_int (Sys.word_size / 8) in
+  let bytes =
+    (Qnet_obs.Prof.allocated_words () -. w0) *. float_of_int (Sys.word_size / 8)
+  in
   let per_event = bytes /. float_of_int (Store.num_events store) in
   if per_event > ceiling then
     Alcotest.failf "Init.feasible allocated %.0f B per event (ceiling %.0f)" per_event ceiling

@@ -264,15 +264,11 @@ let test_golden_structure () =
   Alcotest.(check string) "feedback" "612f95561bc1baea18d4a8c1c4ebba1e"
     (structure_digest feedback)
 
-(* Bytes [f] allocates. Gc.minor_words is exact; the minor count in
-   Gc.counters only advances at a minor collection. *)
+(* Bytes [f] allocates. *)
 let allocated_bytes f =
-  let _, p0, m0 = Gc.counters () in
-  let w0 = Gc.minor_words () in
+  let w0 = Qnet_obs.Prof.allocated_words () in
   f ();
-  let w1 = Gc.minor_words () in
-  let _, p1, m1 = Gc.counters () in
-  (w1 -. w0 +. (m1 -. p1) -. (m0 -. p0)) *. float_of_int (Sys.word_size / 8)
+  (Qnet_obs.Prof.allocated_words () -. w0) *. float_of_int (Sys.word_size / 8)
 
 (* The reductions run once per StEM iteration over every event, so
    they read the store's arrays in place: one fixed budget, the same
