@@ -365,6 +365,20 @@ let digest_feedback =
     (let store = feedback_store ~seed:131 ~tasks:200 ~frac:0.2 in
      (store, Params.create ~rates:[| 2.5; 7.0 |] ~arrival_queue:0))
 
+(* The same network at 26,316 tasks (100k events), as bench/main.exe's
+   100k size: a store large enough for the shuffled sweep's look-ahead,
+   which the 1k fixtures never reach. The simulated truth is a feasible
+   state, so it is swept as it is. *)
+let digest_three_tier_large =
+  lazy
+    (let net =
+       Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 ()
+     in
+     let trace = Net_helpers.simulate_n (Rng.create ~seed:1001 ()) net 26316 in
+     let mask = Obs.mask (Rng.create ~seed:1002 ()) (Obs.Task_fraction 0.05) trace in
+     let _, params = Lazy.force digest_three_tier in
+     (Store.of_trace ~observed:mask trace, params))
+
 let digest_of store rng =
   let b = Buffer.create (8 * (Store.num_events store + 4)) in
   for i = 0 to Store.num_events store - 1 do
@@ -416,6 +430,10 @@ let test_digest_feedback_in_order () =
 let test_digest_feedback_shuffled () =
   check_digest "feedback" digest_feedback ~shuffle:true
     "738f5e0fface1e8a9b6d3b4ea2d32e98"
+
+let test_digest_three_tier_large_shuffled () =
+  check_digest "three-tier 100k" digest_three_tier_large ~shuffle:true
+    "08c2144d168435fbb363aefacdba55b8"
 
 (* Single-event entry points and the coloured parallel sweep, which
    resample through the same kernel. *)
@@ -592,6 +610,8 @@ let () =
           Alcotest.test_case "three-tier shuffled" `Quick test_digest_three_tier_shuffled;
           Alcotest.test_case "feedback in order" `Quick test_digest_feedback_in_order;
           Alcotest.test_case "feedback shuffled" `Quick test_digest_feedback_shuffled;
+          Alcotest.test_case "three-tier 100k shuffled" `Quick
+            test_digest_three_tier_large_shuffled;
           Alcotest.test_case "single event + parallel" `Quick
             test_digest_single_event_and_parallel;
         ] );
