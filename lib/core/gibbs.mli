@@ -97,7 +97,14 @@ val sweep :
   ?shuffle:bool -> Qnet_prob.Rng.t -> Event_store.t -> Params.t -> unit
 (** One full Gibbs sweep: resample every unobserved event once, in
     index order, or in a fresh uniform random order when [shuffle]
-    (default [false]). *)
+    (default [false]). A shuffled sweep over a store of at least
+    {!lookahead_min_events} events prefetches the events it will visit
+    next; the draws, and so the chain, are the same as
+    {!resample_range}'s over the same order. *)
+
+val lookahead_min_events : int
+(** The store size, in events, from which {!sweep} [~shuffle:true]
+    prefetches ahead. *)
 
 val run :
   ?shuffle:bool ->

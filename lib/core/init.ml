@@ -25,6 +25,16 @@ let iter_constraints (v : Store.view) ~order ~lower ~eq =
     if j >= 0 && p >= 0 && pi.(j) >= 0 then order p pi.(j)
   done
 
+(* The number of constraints [iter_constraints] yields, an equality
+   counting as its two bounds. *)
+let count_constraints v =
+  let count = ref 0 in
+  iter_constraints v
+    ~order:(fun _ _ -> incr count)
+    ~lower:(fun _ -> incr count)
+    ~eq:(fun _ -> count := !count + 2);
+  !count
+
 let build_system ~slack (v : Store.view) =
   let m = Array.length v.Store.v_departure in
   (* Cap from observed data only: latent values must not leak. *)
@@ -32,7 +42,9 @@ let build_system ~slack (v : Store.view) =
   for i = 0 to m - 1 do
     if v.Store.v_observed.(i) then max_obs := Float.max !max_obs v.Store.v_departure.(i)
   done;
-  let sys = Dcs.create ~default_upper:((1.5 *. !max_obs) +. 10.0) m in
+  let sys =
+    Dcs.create ~default_upper:((1.5 *. !max_obs) +. 10.0) ~capacity:(count_constraints v) m
+  in
   (* the closure holds one boxed -slack for every call *)
   let before = -.slack in
   iter_constraints v
@@ -41,13 +53,7 @@ let build_system ~slack (v : Store.view) =
     ~eq:(fun i -> Dcs.add_eq sys i v.Store.v_departure.(i));
   sys
 
-let constraint_count store =
-  let count = ref 0 in
-  iter_constraints (Store.view store)
-    ~order:(fun _ _ -> incr count)
-    ~lower:(fun _ -> incr count)
-    ~eq:(fun _ -> count := !count + 2);
-  !count
+let constraint_count store = count_constraints (Store.view store)
 
 (* Through the view, so no value is boxed; a NaN goes through
    [Store.set_departure], which rejects it. *)

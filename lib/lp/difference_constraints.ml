@@ -13,9 +13,10 @@ type t = {
   mutable cc : float array;
 }
 
-let create ?(default_upper = 1e15) n =
+let create ?(default_upper = 1e15) ?(capacity = 0) n =
   if n < 0 then invalid_arg "Difference_constraints.create: negative size";
-  { n; default_upper; len = 0; ci = Array.make n 0; cj = Array.make n 0; cc = Array.make n 0.0 }
+  let c = Stdlib.max n capacity in
+  { n; default_upper; len = 0; ci = Array.make c 0; cj = Array.make c 0; cc = Array.make c 0.0 }
 
 let num_variables t = t.n
 

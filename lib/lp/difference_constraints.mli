@@ -14,10 +14,12 @@
 
 type t
 
-val create : ?default_upper:float -> int -> t
+val create : ?default_upper:float -> ?capacity:int -> int -> t
 (** [create n] makes an empty system over [n] variables. Variables
     with no effective upper bound are capped by [default_upper]
-    (default [1e15]) so solutions stay finite. *)
+    (default [1e15]) so solutions stay finite. Room for
+    [max n capacity] constraints is allocated up front; past that the
+    storage doubles as constraints are added. *)
 
 val num_variables : t -> int
 

@@ -298,6 +298,29 @@ let test_reductions_allocation () =
         ])
     [ 263; 2632 ]
 
+(* [shuffled_latent] draws exactly as [Rng.shuffle_in_place] on a fresh
+   copy of [latent]: the same permutation and the same generator state,
+   for sizes around and across its blocks of 16 draws, and again on the
+   reused buffer. *)
+let test_shuffled_latent_matches_rng () =
+  let net = Topologies.tandem ~arrival_rate:6.0 ~service_rates:[ 8.0; 7.0 ] in
+  let trace = Net_helpers.simulate_n (Rng.create ~seed:506 ()) net 3400 in
+  let m = Array.length trace.Trace.events in
+  List.iter
+    (fun n ->
+      let store = Store.of_trace ~observed:(Array.init m (fun i -> i >= n)) trace in
+      let rng = Rng.create ~seed:(507 + n) () in
+      let reference = Rng.copy rng in
+      for round = 1 to 2 do
+        let expected = Array.copy (Store.latent store) in
+        Rng.shuffle_in_place reference expected;
+        let name = Printf.sprintf "n = %d, round %d" n round in
+        Alcotest.(check (array int)) name expected (Store.shuffled_latent store rng);
+        if Rng.state rng <> Rng.state reference then
+          Alcotest.failf "%s: generator states differ" name
+      done)
+    [ 0; 1; 2; 15; 16; 17; 33; 10_000 ]
+
 let () =
   Alcotest.run "qnet_core_store"
     [
@@ -324,5 +347,7 @@ let () =
             test_large_simulated_store_consistency;
           Alcotest.test_case "golden structure" `Quick test_golden_structure;
           Alcotest.test_case "reductions allocate per queue" `Quick test_reductions_allocation;
+          Alcotest.test_case "shuffled latent ≡ Rng.shuffle_in_place" `Quick
+            test_shuffled_latent_matches_rng;
         ] );
     ]
