@@ -421,6 +421,97 @@ let test_lenient_survives_injected_faults () =
             (Float.is_finite s && s > 0.0))
         result.Stem.mean_service
 
+(* The same fixture's whole report, pinned: every error in order
+   (newest first, as [ingest_report] keeps them), the four counts, and
+   the bits of the surviving events. *)
+let golden_report_errors =
+  [
+    (None, Some 66, "missing-initial", "first event arrives at 8.48033, not 0");
+    (None, Some 29, "missing-initial", "first event arrives at 3.11181, not 0");
+    (None, Some 50, "broken-chain", "arrival 5.40722 disagrees with predecessor departure 5.33986; dropping the task's remaining events");
+    (None, Some 77, "broken-chain", "arrival 8.8438 disagrees with predecessor departure 8.82728; dropping the task's remaining events");
+    (None, Some 59, "missing-initial", "first event arrives at 6.56927, not 0");
+    (None, Some 47, "broken-chain", "arrival 4.82004 disagrees with predecessor departure 4.66227; dropping the task's remaining events");
+    (None, Some 19, "missing-initial", "first event arrives at 2.12789, not 0");
+    (None, Some 58, "missing-initial", "first event arrives at 6.38977, not 0");
+    (None, Some 37, "broken-chain", "arrival 4.06385 disagrees with predecessor departure 4.04997; dropping the task's remaining events");
+    (None, Some 57, "broken-chain", "arrival 6.32273 disagrees with predecessor departure 6.14516; dropping the task's remaining events");
+    (None, Some 74, "broken-chain", "arrival 8.41436 disagrees with predecessor departure 8.37398; dropping the task's remaining events");
+    (None, Some 0, "broken-chain", "arrival 0.194776 disagrees with predecessor departure 0.182362; dropping the task's remaining events");
+    (None, Some 12, "broken-chain", "arrival 2.3329 disagrees with predecessor departure 1.95379; dropping the task's remaining events");
+    (None, Some 24, "broken-chain", "arrival 2.70905 disagrees with predecessor departure 2.64911; dropping the task's remaining events");
+    (None, Some 42, "broken-chain", "arrival 4.55519 disagrees with predecessor departure 4.41012; dropping the task's remaining events");
+    (None, Some 71, "broken-chain", "arrival 8.03176 disagrees with predecessor departure 7.91105; dropping the task's remaining events");
+    (None, Some 27, "broken-chain", "arrival 4.04416 disagrees with predecessor departure 2.9496; dropping the task's remaining events");
+    (None, Some 20, "broken-chain", "arrival 2.25364 disagrees with predecessor departure 2.25116; dropping the task's remaining events");
+    (None, Some 67, "broken-chain", "arrival 7.73618 disagrees with predecessor departure 7.61608; dropping the task's remaining events");
+    (None, Some 65, "broken-chain", "arrival 7.51498 disagrees with predecessor departure 7.46875; dropping the task's remaining events");
+    (Some 207, Some 16, "duplicate-event", "exact duplicate record");
+    (Some 188, Some 47, "duplicate-event", "exact duplicate record");
+    (Some 174, Some 2, "duplicate-event", "exact duplicate record");
+    (Some 154, Some 45, "duplicate-event", "exact duplicate record");
+    (Some 66, Some 46, "duplicate-event", "exact duplicate record");
+    (Some 17, Some 49, "duplicate-event", "exact duplicate record");
+    (Some 216, Some 23, "nan-field", "NaN arrival or departure");
+    (Some 198, None, "malformed-line", "expected 5 comma-separated fields, got 2");
+    (Some 189, None, "malformed-line", "expected 5 comma-separated fields, got 2");
+    (Some 186, Some 76, "out-of-order", "departure 8.57443 before arrival 8.99386");
+    (Some 185, Some 42, "out-of-order", "departure 4.41012 before arrival 4.55519");
+    (Some 181, Some 19, "nan-field", "NaN arrival or departure");
+    (Some 176, Some 20, "out-of-order", "departure 2.25116 before arrival 2.25364");
+    (Some 173, None, "malformed-line", "expected 5 comma-separated fields, got 2");
+    (Some 152, Some 77, "nan-field", "NaN arrival or departure");
+    (Some 125, Some 75, "out-of-order", "departure 8.43935 before arrival 8.46777");
+    (Some 111, None, "malformed-line", "expected 5 comma-separated fields, got 1");
+    (Some 103, None, "malformed-line", "expected 5 comma-separated fields, got 3");
+    (Some 97, None, "malformed-line", "expected 5 comma-separated fields, got 4");
+    (Some 89, None, "malformed-line", "expected 5 comma-separated fields, got 2");
+    (Some 76, Some 72, "out-of-order", "departure 8.66443 before arrival 8.7635");
+    (Some 74, Some 57, "out-of-order", "departure 6.14516 before arrival 6.32273");
+    (Some 72, Some 1, "nan-field", "NaN arrival or departure");
+    (Some 62, None, "malformed-line", "expected 5 comma-separated fields, got 3");
+    (Some 58, Some 22, "nan-field", "NaN arrival or departure");
+    (Some 50, Some 60, "out-of-order", "departure 6.77804 before arrival 6.84417");
+    (Some 47, Some 68, "nan-field", "NaN arrival or departure");
+    (Some 46, Some 6, "out-of-order", "departure 0.934391 before arrival 1.00998");
+    (Some 29, None, "malformed-line", "expected 5 comma-separated fields, got 2");
+    (Some 26, Some 37, "nan-field", "NaN arrival or departure");
+    (Some 24, Some 67, "nan-field", "NaN arrival or departure");
+    (Some 6, Some 58, "nan-field", "NaN arrival or departure");
+    (Some 2, Some 24, "out-of-order", "departure 2.64911 before arrival 2.70905");
+  ]
+
+let test_lenient_golden_report () =
+  let trace = Net_helpers.simulate_n (Rng.create ~seed:21 ()) (tandem_net ()) 80 in
+  let corrupted, _ = Fault.inject (Rng.create ~seed:22 ()) (Trace.to_csv trace) in
+  match Trace.of_csv_lenient ~num_queues:3 corrupted with
+  | Error _ -> Alcotest.fail "lenient ingestion lost every event"
+  | Ok (t, r) ->
+      let render (line, task, label, detail) =
+        let opt = function Some k -> string_of_int k | None -> "-" in
+        Printf.sprintf "%s %s [%s] %s" (opt line) (opt task) label detail
+      in
+      Alcotest.(check (list string)) "errors"
+        (List.map render golden_report_errors)
+        (List.map
+           (fun e ->
+             render
+               ( e.Trace.line,
+                 e.Trace.task_id,
+                 Trace.corruption_label e.Trace.reason,
+                 e.Trace.detail ))
+           r.Trace.errors);
+      Alcotest.(check (list int)) "lines read, kept, dropped, tasks dropped" [ 250; 188; 61; 5 ]
+        [ r.Trace.lines_read; r.Trace.events_kept; r.Trace.events_dropped; r.Trace.tasks_dropped ];
+      let b = Buffer.create 4096 in
+      Array.iter
+        (fun e ->
+          Printf.bprintf b "%d,%d,%d,%Ld,%Ld;" e.Trace.task e.Trace.state e.Trace.queue
+            (Int64.bits_of_float e.Trace.arrival) (Int64.bits_of_float e.Trace.departure))
+        t.Trace.events;
+      Alcotest.(check (pair int string)) "kept events" (75, "7229143553594979ace84932503587ba")
+        (t.Trace.num_tasks, Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_lenient_clean_trace_no_errors () =
   let rng = Rng.create ~seed:24 () in
   let trace = Net_helpers.simulate_n rng (tandem_net ()) 40 in
@@ -648,6 +739,7 @@ let () =
         [
           Alcotest.test_case "survives injected faults" `Slow
             test_lenient_survives_injected_faults;
+          Alcotest.test_case "golden report" `Quick test_lenient_golden_report;
           Alcotest.test_case "clean trace clean report" `Quick
             test_lenient_clean_trace_no_errors;
         ] );

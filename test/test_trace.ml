@@ -1,6 +1,8 @@
 (* Tests for trace construction, statistics, and serialization. *)
 
 module Trace = Qnet_trace.Trace
+module Topologies = Qnet_des.Topologies
+module Rng = Qnet_prob.Rng
 
 let check_close ?(eps = 1e-9) name expected actual =
   if Float.abs (expected -. actual) > eps then
@@ -192,6 +194,111 @@ let test_lenient_no_final_newline () =
       Alcotest.(check int) "one quarantined" 1 report.Trace.events_dropped;
       Alcotest.(check int) "one error" 1 (List.length report.Trace.errors)
 
+(* Parser goldens: the bits of everything [of_csv] returns, on traces
+   written by [to_csv]. The feedback trace's task ids are renumbered to
+   descending values in the old event order, so its text lists tasks
+   out of (task, arrival) order and [create] must sort it. *)
+let trace_digest t =
+  let b = Buffer.create 4096 in
+  let add_int k = Buffer.add_string b (string_of_int k); Buffer.add_char b ',' in
+  let add_bits x = add_int (Int64.to_int (Int64.bits_of_float x)) in
+  add_int t.Trace.num_tasks;
+  Array.iter
+    (fun e ->
+      add_int e.Trace.task;
+      add_int e.Trace.state;
+      add_int e.Trace.queue;
+      add_bits e.Trace.arrival;
+      add_bits e.Trace.departure)
+    t.Trace.events;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_inputs () =
+  let simulate net seed tasks = Net_helpers.simulate_n (Rng.create ~seed ()) net tasks in
+  let tandem =
+    simulate (Topologies.tandem ~arrival_rate:10.0 ~service_rates:[ 15.0; 12.0 ]) 601 300
+  in
+  let three_tier =
+    simulate
+      (Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 ())
+      602 2632
+  in
+  let feedback =
+    let t =
+      simulate (Topologies.feedback ~arrival_rate:3.0 ~service_rate:6.0 ~loop_prob:0.4) 603 200
+    in
+    {
+      t with
+      Trace.events =
+        Array.map (fun e -> { e with Trace.task = 50 - (7 * e.Trace.task) }) t.Trace.events;
+    }
+  in
+  [ ("tandem", tandem); ("three-tier 1-2-4", three_tier); ("feedback, ids descending", feedback) ]
+
+let test_golden_parse () =
+  let expected =
+    [
+      ("tandem", "9ca62c5a2fd84830a3dd9957ff0cb7e7");
+      ("three-tier 1-2-4", "fc27c21475d2322eec5673846b0eacd3");
+      ("feedback, ids descending", "b2dfb2a1ee8141fad5760859cb10c376");
+    ]
+  in
+  List.iter
+    (fun (name, t) ->
+      match Trace.of_csv ~num_queues:t.Trace.num_queues (Trace.to_csv t) with
+      | Error m -> Alcotest.failf "%s: %s" name m
+      | Ok parsed -> Alcotest.(check string) name (List.assoc name expected) (trace_digest parsed))
+    (golden_inputs ())
+
+(* Every malformed input below is rejected with exactly this message:
+   the first line that does not parse, numbered from 1 with blank lines
+   counted, wins over any check [create] makes on the whole trace. *)
+let malformed_corpus =
+  let h = "task,state,queue,arrival,departure\n" in
+  let ok_tail = "0,1,1,1,2\n1,0,0,0,1.5\n1,1,1,1.5,3\n" in
+  let fields = "expected 5 comma-separated fields" in
+  [
+    (h ^ "1,2\n", "line 2: " ^ fields);
+    (h ^ "a,b,c,d,e\n", "line 2: malformed fields");
+    (h ^ "0,0,0,0\n" ^ ok_tail, "line 2: " ^ fields);
+    (h ^ "0,0,0,0,1,1\n" ^ ok_tail, "line 2: " ^ fields);
+    (h ^ "0,0,0,0,1,\n" ^ ok_tail, "line 2: " ^ fields);
+    (h ^ ",0,0,0,1\n" ^ ok_tail, "line 2: malformed fields");
+    (h ^ "0,0,0,,1\n" ^ ok_tail, "line 2: malformed fields");
+    (h ^ "0,0,0,0,1e\n" ^ ok_tail, "line 2: malformed fields");
+    (h ^ "0,0,0,0,1.5.\n" ^ ok_tail, "line 2: malformed fields");
+    (h ^ "12345678901234567890,0,0,0,1\n", "line 2: malformed fields");
+    (h ^ "4611686018427387904,0,0,0,1\n", "line 2: malformed fields");
+    (h ^ "0x,0,0,0,1\n", "line 2: malformed fields");
+    (h ^ "-,0,0,0,1\n", "line 2: malformed fields");
+    (h ^ "0, 0,0,0,1\n" ^ ok_tail, "line 2: malformed fields");
+    (h ^ "0,0,0,0 ,1\n" ^ ok_tail, "line 2: malformed fields");
+    (h ^ "0,0 ,0,0,1\n" ^ ok_tail, "line 2: malformed fields");
+    ("\n" ^ h ^ "0,0,0,0,1\n", "line 2: malformed fields");
+    ("  " ^ h ^ "0,0,0,0,1\n", "line 1: malformed fields");
+    (h ^ "0,0,0,0,nan\n", "Trace.create: NaN time");
+    (h ^ "0,0,0,0,1\n0,1,1,1,.5\n", "Trace.create: departure 0.5 before arrival 1 (task 0)");
+    (h ^ "0,0,5,0,1\n", "Trace.create: queue 5 out of range [0,2)");
+    ( h ^ "0,0,0,0,1\n0,1,1,1.25,2\n",
+      "Trace.create: task 0 broken chain: arrival 1.25 <> previous departure 1" );
+    (h ^ "0,0,0,0.5,1\n", "Trace.create: task 0 has no initial event at time 0");
+    (h ^ "0,0,0,-1,1\n", "Trace.create: negative arrival time");
+    (h ^ "0,0,9,0,1\n0,1,1,1,2\nx,0,0,0,1\n", "line 4: malformed fields");
+    ( String.concat "\r\n" [ "task,state,queue,arrival,departure"; "0,0,0,0,1"; "0,1,1,1"; "" ],
+      "line 3: " ^ fields );
+    (h ^ "0,0,0,0,1\n0,1,1,1,2\n1,0,0,0,1.5\n1,1,1,1.5,3x", "line 5: malformed fields");
+    ("\n   \n\t\n1,2\n", "line 4: " ^ fields);
+    (h ^ "0,0,0,0,1\n\012\n0,1,1,1,2,\n", "line 4: " ^ fields);
+  ]
+
+let test_golden_parse_errors () =
+  List.iter
+    (fun (csv, expected) ->
+      match Trace.of_csv ~num_queues:2 csv with
+      | Ok _ -> Alcotest.failf "accepted %S" csv
+      | Error m -> Alcotest.(check string) (Printf.sprintf "%S" csv) expected m)
+    malformed_corpus
+
 let () =
   Alcotest.run "qnet_trace"
     [
@@ -211,6 +318,11 @@ let () =
           Alcotest.test_case "csv file roundtrip" `Quick test_csv_file_roundtrip;
           Alcotest.test_case "load missing file" `Quick test_load_missing_file;
           Alcotest.test_case "summary printer" `Quick test_pp_summary_runs;
+        ] );
+      ( "parser goldens",
+        [
+          Alcotest.test_case "of_csv bits" `Quick test_golden_parse;
+          Alcotest.test_case "error strings" `Quick test_golden_parse_errors;
         ] );
       ( "lenient-edges",
         [
