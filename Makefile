@@ -52,6 +52,20 @@ demo:
 	  --iterations 40 --checkpoint-every 10 --checkpoint _demo/demo.ckpt
 	dune exec bin/qnet_infer.exe -- _demo/corrupted.csv -q 3 -f 0.3 --lenient \
 	  --iterations 40 --resume _demo/demo.ckpt
+	printf 'task,state,queue,arrival,departure\n' > _demo/header_only.csv
+	printf 'task,state,queue,arrival,departure\n0,0,0,0,1\n0,1,1,1,2\n1,0,1,0,1.5\n1,1,2,1.5,3\n' \
+	  > _demo/two_entries.csv
+	printf 'task,state,queue,arrival,departure\n0,0,0,0,1\n0,1,1,1,2\n0,2,0,2,3\n' > _demo/revisit.csv
+	for args in "_demo/header_only.csv" "_demo/two_entries.csv" "_demo/revisit.csv" \
+	    "_demo/trace.csv -f 1.5"; do \
+	  if dune exec bin/qnet_infer.exe -- $$args -q 3 > /dev/null 2> _demo/error.txt; then \
+	    echo "demo: FAIL (qnet_infer accepted $$args)"; exit 1; \
+	  else rc=$$?; fi; \
+	  [ $$rc -eq 1 ] && [ $$(wc -l < _demo/error.txt) -eq 1 ] \
+	    && grep -q '^qnet-infer: error: ' _demo/error.txt \
+	    || { echo "demo: FAIL ($$args: exit $$rc, stderr:)"; cat _demo/error.txt; exit 1; }; \
+	done
+	@echo "demo: unusable inputs exit 1 with one error line"
 
 # Kill-one-chain drill: four supervised chains, chain 1 stalled past
 # the watchdog deadline and chain 2 crashed mid-sweep. The supervisor

@@ -37,6 +37,7 @@
 open Bechamel
 open Toolkit
 module Rng = Qnet_prob.Rng
+module Trace = Qnet_trace.Trace
 module Topologies = Qnet_des.Topologies
 module Network = Qnet_des.Network
 module Webapp = Qnet_webapp.Webapp
@@ -61,8 +62,10 @@ let fig4_trace =
   let rng = Rng.create ~seed:1001 () in
   Network.simulate_poisson rng fig4_net ~num_tasks:300
 
-let fig4_mask =
-  Obs.mask (Rng.create ~seed:1002 ()) (Obs.Task_fraction 0.05) fig4_trace
+(* 5% of tasks observed, as on every store of the size sweep *)
+let mask_of trace = Obs.mask (Rng.create ~seed:1002 ()) (Obs.Task_fraction 0.05) trace
+
+let fig4_mask = mask_of fig4_trace
 
 let fig4_store =
   let store = Store.of_trace ~observed:fig4_mask fig4_trace in
@@ -214,16 +217,13 @@ let size_specs =
   ]
 
 let size_store spec =
-  if spec.tasks = 300 then (fig4_store, fig4_params)
+  if spec.tasks = 300 then (fig4_trace, fig4_store, fig4_params)
   else begin
     let trace =
       Network.simulate_poisson (Rng.create ~seed:1001 ()) fig4_net
         ~num_tasks:spec.tasks
     in
-    let mask =
-      Obs.mask (Rng.create ~seed:1002 ()) (Obs.Task_fraction 0.05) trace
-    in
-    (Store.of_trace ~observed:mask trace, fig4_params)
+    (trace, Store.of_trace ~observed:(mask_of trace) trace, fig4_params)
   end
 
 type size_result = {
@@ -235,6 +235,8 @@ type size_result = {
   shuffled_alloc_bytes_per_sweep : float;
   init_s : float;
   init_alloc_bytes_per_event : float;
+  parse_alloc_bytes_per_event : float;
+  store_alloc_bytes_per_event : float;
   pause_minor : Prof.pause_stats;
   pause_major : Prof.pause_stats;
   pauses_recorded : int;
@@ -275,8 +277,24 @@ let time_init spec store params =
   ( times.(spec.repeats / 2),
     snd runs.(0) /. float_of_int (Store.num_events store) )
 
+(* Bytes per trace event that set-up allocates: Trace.of_csv on the
+   trace's to_csv text, which is rendered outside the count, and then
+   Observation.mask plus Event_store.of_trace. Both counts are
+   deterministic. *)
+let setup_alloc trace =
+  let per_event f =
+    let a0 = Prof.allocated_words () in
+    ignore (Sys.opaque_identity (f ()));
+    (Prof.allocated_words () -. a0)
+    *. float_of_int (Sys.word_size / 8)
+    /. float_of_int (Array.length trace.Trace.events)
+  in
+  let csv = Trace.to_csv trace in
+  ( per_event (fun () -> Trace.of_csv ~num_queues:trace.Trace.num_queues csv),
+    per_event (fun () -> Store.of_trace ~observed:(mask_of trace) trace) )
+
 let run_size spec =
-  let store, params = size_store spec in
+  let trace, store, params = size_store spec in
   let events = Array.length (Store.unobserved_events store) in
   let rng = Rng.create ~seed:42 () in
   (* warmup: fault in code paths, warm the allocator *)
@@ -303,6 +321,7 @@ let run_size spec =
   (* Last, so that Init's store copies and constraint arrays are not
      on the major heap while the sweeps above are timed. *)
   let init_s, init_alloc_bytes_per_event = time_init spec store params in
+  let parse_alloc_bytes_per_event, store_alloc_bytes_per_event = setup_alloc trace in
   {
     spec;
     events;
@@ -312,6 +331,8 @@ let run_size spec =
     shuffled_alloc_bytes_per_sweep;
     init_s;
     init_alloc_bytes_per_event;
+    parse_alloc_bytes_per_event;
+    store_alloc_bytes_per_event;
     pause_minor = find Prof.Minor;
     pause_major = find Prof.Major;
     pauses_recorded = pstats.Prof.pauses_recorded;
@@ -331,10 +352,11 @@ let size_json r =
     |> String.concat ""
   in
   Printf.sprintf
-    "\"%s\":{\"tasks\":%d,\"store_events\":%d,\"repeats\":%d,\"gibbs_sweeps_per_s\":%.2f,\"alloc_bytes_per_sweep\":%.1f,\"shuffled_sweeps_per_s\":%.2f,\"shuffled_alloc_bytes_per_sweep\":%.1f,\"init_s\":%.6g,\"init_alloc_bytes_per_event\":%.1f,\"minor_pause_p50_s\":%s,\"minor_pause_p99_s\":%s,\"major_pause_p50_s\":%s,\"major_pause_p99_s\":%s,\"gc_pauses\":%d%s}"
+    "\"%s\":{\"tasks\":%d,\"store_events\":%d,\"repeats\":%d,\"gibbs_sweeps_per_s\":%.2f,\"alloc_bytes_per_sweep\":%.1f,\"shuffled_sweeps_per_s\":%.2f,\"shuffled_alloc_bytes_per_sweep\":%.1f,\"init_s\":%.6g,\"init_alloc_bytes_per_event\":%.1f,\"parse_alloc_bytes_per_event\":%.1f,\"store_alloc_bytes_per_event\":%.1f,\"minor_pause_p50_s\":%s,\"minor_pause_p99_s\":%s,\"major_pause_p50_s\":%s,\"major_pause_p99_s\":%s,\"gc_pauses\":%d%s}"
     r.spec.label r.spec.tasks r.events r.spec.repeats r.sweeps_per_s
     r.alloc_bytes_per_sweep r.shuffled_sweeps_per_s r.shuffled_alloc_bytes_per_sweep
-    r.init_s r.init_alloc_bytes_per_event
+    r.init_s r.init_alloc_bytes_per_event r.parse_alloc_bytes_per_event
+    r.store_alloc_bytes_per_event
     (jnum r.pause_minor.Prof.p50_s)
     (jnum r.pause_minor.Prof.p99_s) (jnum r.pause_major.Prof.p50_s)
     (jnum r.pause_major.Prof.p99_s) r.pauses_recorded phase_keys
@@ -390,10 +412,11 @@ let core_json ~sizes out =
   List.iter
     (fun r ->
       Printf.printf
-        "  %-4s %8d events: %10.2f sweeps/s in order (%.0f alloc B/sweep), %10.2f shuffled (%.0f B), init %.3f s (%.0f B/event), %d GC pause(s) [minor p99 %s, major p99 %s]\n"
+        "  %-4s %8d events: %10.2f sweeps/s in order (%.0f alloc B/sweep), %10.2f shuffled (%.0f B), init %.3f s (%.0f B/event), parse %.0f B/event, store %.0f B/event, %d GC pause(s) [minor p99 %s, major p99 %s]\n"
         r.spec.label r.events r.sweeps_per_s r.alloc_bytes_per_sweep
         r.shuffled_sweeps_per_s r.shuffled_alloc_bytes_per_sweep r.init_s
-        r.init_alloc_bytes_per_event r.pauses_recorded
+        r.init_alloc_bytes_per_event r.parse_alloc_bytes_per_event
+        r.store_alloc_bytes_per_event r.pauses_recorded
         (jnum r.pause_minor.Prof.p99_s)
         (jnum r.pause_major.Prof.p99_s))
     results;

@@ -70,6 +70,27 @@ let load_trace ~lenient ~num_queues input =
           (Printf.sprintf "cannot load %s: %s (try --lenient for dirty traces)" input m)
     | Ok trace -> Ok trace
 
+(* Load the trace, draw the mask and build the store. An input that
+   cannot carry inference (a fraction outside [0,1], a trace with no
+   events, tasks entering at different queues or revisiting the arrival
+   queue) ends here as an [Error], like every other failure. *)
+let load_store ~lenient ~num_queues ~fraction ~seed input =
+  let scheme = Obs.Task_fraction fraction in
+  match Obs.validate scheme with
+  | Error m -> Error (Printf.sprintf "bad -f %g: %s" fraction m)
+  | Ok () -> (
+      match load_trace ~lenient ~num_queues input with
+      | Error m -> Error m
+      | Ok trace -> (
+          let rng = Rng.create ~seed () in
+          let mask = Obs.mask rng scheme trace in
+          match Store.of_trace ~observed:mask trace with
+          | store -> Ok (trace, rng, mask, store)
+          | exception Invalid_argument m ->
+              Error
+                (Printf.sprintf "cannot infer from %s: %s%s" input m
+                   (if lenient then "" else " (try --lenient for dirty traces)"))))
+
 let print_estimates ~num_queues ~mean_service ~waiting ~intervals =
   match intervals with
   | None ->
@@ -263,12 +284,9 @@ let with_telemetry ~metrics_out ~trace_out ~diagnostics_out ~serve_metrics
 let infer input num_queues fraction iterations seed bayes lenient checkpoint_every
     checkpoint resume max_retries budget_seconds chains min_chains
     sweep_deadline_ms chain_faults =
-  match load_trace ~lenient ~num_queues input with
+  match load_store ~lenient ~num_queues ~fraction ~seed input with
   | Error m -> Error m
-  | Ok trace ->
-      let rng = Rng.create ~seed () in
-      let mask = Obs.mask rng (Obs.Task_fraction fraction) trace in
-      let store = Store.of_trace ~observed:mask trace in
+  | Ok (trace, rng, mask, store) ->
       chat "loaded %d events (%d tasks, %d queues); observing %.1f%% of tasks@."
         (Array.length trace.Trace.events)
         trace.Trace.num_tasks num_queues (100.0 *. fraction);

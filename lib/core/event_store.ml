@@ -95,7 +95,8 @@ let of_trace ?observed trace =
      departure, then index, so q0's simultaneous arrivals order by
      entry time). This order is the fixed "event counter" data. The
      comparator is a total order, so the result does not depend on the
-     order events are bucketed in. *)
+     order events are bucketed in, nor on the sort: a bucket already in
+     order, as most are, is left as it is. *)
   let num_queues = trace.Trace.num_queues in
   let by_queue =
     let count = Array.make num_queues 0 in
@@ -107,15 +108,16 @@ let of_trace ?observed trace =
       buckets.(q).(count.(q)) <- i;
       count.(q) <- count.(q) + 1
     done;
-    Array.iter
-      (Array.sort (fun i j ->
-           match compare arrival0.(i) arrival0.(j) with
-           | 0 -> (
-               match compare departure.(i) departure.(j) with
-               | 0 -> compare i j
-               | c -> c)
-           | c -> c))
-      buckets;
+    let cmp i j =
+      match compare arrival0.(i) arrival0.(j) with
+      | 0 -> (
+          match compare departure.(i) departure.(j) with
+          | 0 -> compare i j
+          | c -> c)
+      | c -> c
+    in
+    let rec in_order b k = k >= Array.length b || (cmp b.(k - 1) b.(k) < 0 && in_order b (k + 1)) in
+    Array.iter (fun b -> if not (in_order b 1) then Array.stable_sort cmp b) buckets;
     buckets
   in
   let rho = Array.make n (-1) in

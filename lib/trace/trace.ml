@@ -21,9 +21,17 @@ let compare_task_arrival a b =
       | c -> c)
   | c -> c
 
-let create ~num_queues events =
-  let events = Array.of_list events in
-  Array.sort compare_task_arrival events;
+(* [create] on an array it may reorder in place. [to_csv] and the
+   simulator write events in strictly increasing order, and a strictly
+   increasing array is the only order any sort can give it; a tie or an
+   inversion still goes through [Array.sort], which then sees exactly
+   the array it always saw, so ties keep their order. *)
+let of_array ~num_queues events =
+  let n = Array.length events in
+  let rec increasing i =
+    i >= n || (compare_task_arrival events.(i - 1) events.(i) < 0 && increasing (i + 1))
+  in
+  if not (increasing 1) then Array.sort compare_task_arrival events;
   Array.iter
     (fun e ->
       if e.queue < 0 || e.queue >= num_queues then
@@ -61,6 +69,8 @@ let create ~num_queues events =
     i := !j
   done;
   { num_queues; num_tasks = !num_tasks; events }
+
+let create ~num_queues events = of_array ~num_queues (Array.of_list events)
 
 let tasks t =
   let seen = Hashtbl.create 64 in
@@ -158,42 +168,138 @@ let to_csv t =
     t.events;
   Buffer.contents buf
 
+(* The CSV scanner both parsers share. One loop per line finds its end
+   and its commas; the fields are then read in place. A line is the text
+   between two newlines, as [String.split_on_char '\n'] cuts it, and its
+   ends are trimmed of the blanks [String.trim] removes. *)
+
+let is_blank = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+type line = {
+  mutable first : int;  (** first non-blank byte; [first = last] on a blank line *)
+  mutable last : int;  (** one past the last non-blank byte *)
+  mutable commas : int;
+  lo : int array;  (** with 4 commas, field [k] is the bytes [lo.(k)] to [hi.(k) - 1] *)
+  hi : int array;
+}
+
+let new_line () = { first = 0; last = 0; commas = 0; lo = Array.make 5 0; hi = Array.make 5 0 }
+
+(* Scans the line that starts at [pos] into [l] and returns its end: the
+   index of its newline, or the text's length. *)
+let scan_line text pos l =
+  let len = String.length text in
+  let stop = ref pos and commas = ref 0 in
+  while !stop < len && String.unsafe_get text !stop <> '\n' do
+    if String.unsafe_get text !stop = ',' then begin
+      if !commas < 4 then begin
+        l.hi.(!commas) <- !stop;
+        l.lo.(!commas + 1) <- !stop + 1
+      end;
+      incr commas
+    end;
+    incr stop
+  done;
+  let first = ref pos and last = ref !stop in
+  while !first < !last && is_blank (String.unsafe_get text !first) do incr first done;
+  while !last > !first && is_blank (String.unsafe_get text (!last - 1)) do decr last done;
+  l.first <- !first;
+  l.last <- !last;
+  l.commas <- !commas;
+  l.lo.(0) <- !first;
+  l.hi.(4) <- !last;
+  !stop
+
+(* Trims each of the 5 fields of a scanned line on its own. *)
+let trim_fields text l =
+  for k = 0 to 4 do
+    while l.lo.(k) < l.hi.(k) && is_blank (String.unsafe_get text l.lo.(k)) do
+      l.lo.(k) <- l.lo.(k) + 1
+    done;
+    while l.hi.(k) > l.lo.(k) && is_blank (String.unsafe_get text (l.hi.(k) - 1)) do
+      l.hi.(k) <- l.hi.(k) - 1
+    done
+  done
+
+(* Whether the bytes from [i] to [j - 1] begin with "task". *)
+let starts_with_task text i j =
+  j - i >= 4
+  && String.unsafe_get text i = 't'
+  && String.unsafe_get text (i + 1) = 'a'
+  && String.unsafe_get text (i + 2) = 's'
+  && String.unsafe_get text (i + 3) = 'k'
+
+(* An int field: an optional '-' and 1 to 18 digits are read in place,
+   where no overflow is possible. Anything else ('+', '_', a 0x, 0o, 0b
+   or 0u prefix, 19 digits or more, blanks, nothing) goes to
+   [int_of_string], so both accept the same fields with the same values.
+   Raises [Failure] on a field [int_of_string] rejects. *)
+let int_field text i j =
+  let d = if i < j && String.unsafe_get text i = '-' then i + 1 else i in
+  let k = ref d and acc = ref 0 in
+  if j - d >= 1 && j - d <= 18 then
+    while !k < j && String.unsafe_get text !k >= '0' && String.unsafe_get text !k <= '9' do
+      acc := (10 * !acc) + Char.code (String.unsafe_get text !k) - Char.code '0';
+      incr k
+    done;
+  if !k < j || j = d then int_of_string (String.sub text i (j - i))
+  else if d > i then - !acc
+  else !acc
+
+let float_field text i j = float_of_string (String.sub text i (j - i))
+
+(* The record on a line with 4 commas. Raises [Failure] on a field the
+   conversions reject. *)
+let read_event text l =
+  let lo = l.lo and hi = l.hi in
+  let task = int_field text lo.(0) hi.(0) in
+  let state = int_field text lo.(1) hi.(1) in
+  let queue = int_field text lo.(2) hi.(2) in
+  let arrival = float_field text lo.(3) hi.(3) in
+  let departure = float_field text lo.(4) hi.(4) in
+  { task; state; queue; arrival; departure }
+
+let count_newlines text =
+  let n = ref 0 in
+  for i = 0 to String.length text - 1 do
+    if String.unsafe_get text i = '\n' then incr n
+  done;
+  !n
+
+let placeholder = { task = 0; state = 0; queue = 0; arrival = 0.0; departure = 0.0 }
+
 let of_csv ~num_queues text =
-  let lines = String.split_on_char '\n' text in
-  let parse_line lineno line =
-    match String.split_on_char ',' (String.trim line) with
-    | [ task; state; queue; arrival; departure ] -> (
-        try
-          Ok
-            {
-              task = int_of_string task;
-              state = int_of_string state;
-              queue = int_of_string queue;
-              arrival = float_of_string arrival;
-              departure = float_of_string departure;
-            }
-        with Failure _ ->
+  (* at most one event per line *)
+  let events = Array.make (count_newlines text + 1) placeholder in
+  let count = ref 0 and error = ref None in
+  let l = new_line () in
+  let pos = ref 0 and lineno = ref 1 in
+  while Option.is_none !error && !pos <= String.length text do
+    let stop = scan_line text !pos l in
+    (* the header test reads the untrimmed line *)
+    if l.first = l.last || (!lineno = 1 && starts_with_task text !pos stop) then ()
+    else if l.commas <> 4 then
+      error := Some (Printf.sprintf "line %d: expected 5 comma-separated fields" !lineno)
+    else begin
+      match read_event text l with
+      | e ->
+          events.(!count) <- e;
+          incr count
+      | exception Failure _ ->
           (* int_of_string / float_of_string reject with Failure;
              anything else (OOM-class) must propagate *)
-          Error (Printf.sprintf "line %d: malformed fields" lineno))
-    | _ -> Error (Printf.sprintf "line %d: expected 5 comma-separated fields" lineno)
-  in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-        if String.trim line = "" then go (lineno + 1) acc rest
-        else if lineno = 1 && String.length line >= 4 && String.sub line 0 4 = "task" then
-          go (lineno + 1) acc rest
-        else begin
-          match parse_line lineno line with
-          | Ok e -> go (lineno + 1) (e :: acc) rest
-          | Error msg -> Error msg
-        end
-  in
-  match go 1 [] lines with
-  | Error msg -> Error msg
-  | Ok events -> (
-      try Ok (create ~num_queues events) with Invalid_argument msg -> Error msg)
+          error := Some (Printf.sprintf "line %d: malformed fields" !lineno)
+    end;
+    pos := stop + 1;
+    incr lineno
+  done;
+  match !error with
+  | Some msg -> Error msg
+  | None -> (
+      let events =
+        if !count = Array.length events then events else Array.sub events 0 !count
+      in
+      try Ok (of_array ~num_queues events) with Invalid_argument msg -> Error msg)
 
 (* ------------------------------------------------------------------ *)
 (* Lenient ingestion: real-world trace files arrive with truncated
@@ -269,58 +375,48 @@ let of_csv_lenient ~num_queues text =
   let record ?line ?task reason detail =
     errors := { line; task_id = task; reason; detail } :: !errors
   in
-  let lines = String.split_on_char '\n' text in
   let lines_read = ref 0 in
   let data_lines = ref 0 in
   (* Pass 1: per-line parsing and per-field sanity. *)
   let parsed = ref [] (* (line number, event), newest first *) in
-  let lineno = ref 0 in
-  List.iter
-    (fun raw ->
-      incr lineno;
-      let line = String.trim raw in
-      if line <> "" then begin
-        incr lines_read;
-        let is_header =
-          !lineno = 1 && String.length line >= 4 && String.sub line 0 4 = "task"
-        in
-        if not is_header then begin
-          incr data_lines;
-          match String.split_on_char ',' line with
-          | [ task; state; queue; arrival; departure ] -> (
-              match
-                ( int_of_string_opt (String.trim task),
-                  int_of_string_opt (String.trim state),
-                  int_of_string_opt (String.trim queue),
-                  float_of_string_opt (String.trim arrival),
-                  float_of_string_opt (String.trim departure) )
-              with
-              | Some task, Some state, Some queue, Some arrival, Some departure ->
-                  let e = { task; state; queue; arrival; departure } in
-                  if Float.is_nan arrival || Float.is_nan departure then
-                    record ~line:!lineno ~task:e.task Nan_field
-                      "NaN arrival or departure"
-                  else if queue < 0 || queue >= num_queues then
-                    record ~line:!lineno ~task:e.task Bad_queue
-                      (Printf.sprintf "queue %d outside [0,%d)" queue num_queues)
-                  else if arrival < 0.0 || departure < 0.0 then
-                    record ~line:!lineno ~task:e.task Negative_time
-                      (Printf.sprintf "negative time (arrival %g, departure %g)"
-                         arrival departure)
-                  else if departure < arrival -. chain_tolerance then
-                    record ~line:!lineno ~task:e.task Out_of_order
-                      (Printf.sprintf "departure %g before arrival %g" departure
-                         arrival)
-                  else parsed := (!lineno, e) :: !parsed
-              | _ ->
-                  record ~line:!lineno Malformed_line "unparseable numeric field")
-          | fields ->
-              record ~line:!lineno Malformed_line
-                (Printf.sprintf "expected 5 comma-separated fields, got %d"
-                   (List.length fields))
+  let l = new_line () in
+  let pos = ref 0 and lineno = ref 0 in
+  while !pos <= String.length text do
+    let stop = scan_line text !pos l in
+    incr lineno;
+    if l.first < l.last then begin
+      incr lines_read;
+      (* unlike [of_csv], the header test reads the trimmed line *)
+      let is_header = !lineno = 1 && starts_with_task text l.first l.last in
+      if not is_header then begin
+        incr data_lines;
+        if l.commas <> 4 then
+          record ~line:!lineno Malformed_line
+            (Printf.sprintf "expected 5 comma-separated fields, got %d" (l.commas + 1))
+        else begin
+          trim_fields text l;
+          match read_event text l with
+          | exception Failure _ ->
+              record ~line:!lineno Malformed_line "unparseable numeric field"
+          | { queue; arrival; departure; _ } as e ->
+              if Float.is_nan arrival || Float.is_nan departure then
+                record ~line:!lineno ~task:e.task Nan_field "NaN arrival or departure"
+              else if queue < 0 || queue >= num_queues then
+                record ~line:!lineno ~task:e.task Bad_queue
+                  (Printf.sprintf "queue %d outside [0,%d)" queue num_queues)
+              else if arrival < 0.0 || departure < 0.0 then
+                record ~line:!lineno ~task:e.task Negative_time
+                  (Printf.sprintf "negative time (arrival %g, departure %g)" arrival
+                     departure)
+              else if departure < arrival -. chain_tolerance then
+                record ~line:!lineno ~task:e.task Out_of_order
+                  (Printf.sprintf "departure %g before arrival %g" departure arrival)
+              else parsed := (!lineno, e) :: !parsed
         end
-      end)
-    lines;
+      end
+    end;
+    pos := stop + 1
+  done;
   let parsed = List.rev !parsed in
   (* Pass 2: drop exact duplicates (keep the first occurrence). *)
   let seen = Hashtbl.create 256 in

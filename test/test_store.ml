@@ -298,6 +298,25 @@ let test_reductions_allocation () =
         ])
     [ 263; 2632 ]
 
+(* The ceiling [make bench] gates as MAX_STORE_BPE, at 10k events: the
+   5% mask and the store build allocate 123-125 B per event, the store's
+   arrays and a merge sort of the buckets that arrive out of order;
+   heap-sorting every bucket cost 150 B. *)
+let test_setup_allocation () =
+  let net = Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 () in
+  let trace = Net_helpers.simulate_n (Rng.create ~seed:508 ()) net 2632 in
+  let b =
+    allocated_bytes (fun () ->
+        let mask =
+          Qnet_core.Observation.mask (Rng.create ~seed:509 ())
+            (Qnet_core.Observation.Task_fraction 0.05) trace
+        in
+        ignore (Sys.opaque_identity (Store.of_trace ~observed:mask trace)))
+  in
+  let per_event = b /. float_of_int (Array.length trace.Trace.events) in
+  if per_event > 137.0 then
+    Alcotest.failf "mask + of_trace allocated %.1f B per event (budget 137)" per_event
+
 (* [shuffled_latent] draws exactly as [Rng.shuffle_in_place] on a fresh
    copy of [latent]: the same permutation and the same generator state,
    for sizes around and across its blocks of 16 draws, and again on the
@@ -347,6 +366,7 @@ let () =
             test_large_simulated_store_consistency;
           Alcotest.test_case "golden structure" `Quick test_golden_structure;
           Alcotest.test_case "reductions allocate per queue" `Quick test_reductions_allocation;
+          Alcotest.test_case "set-up allocation" `Quick test_setup_allocation;
           Alcotest.test_case "shuffled latent ≡ Rng.shuffle_in_place" `Quick
             test_shuffled_latent_matches_rng;
         ] );

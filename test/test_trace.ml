@@ -198,7 +198,7 @@ let test_lenient_no_final_newline () =
    written by [to_csv]. The feedback trace's task ids are renumbered to
    descending values in the old event order, so its text lists tasks
    out of (task, arrival) order and [create] must sort it. *)
-let trace_digest t =
+let trace_bits t =
   let b = Buffer.create 4096 in
   let add_int k = Buffer.add_string b (string_of_int k); Buffer.add_char b ',' in
   let add_bits x = add_int (Int64.to_int (Int64.bits_of_float x)) in
@@ -211,7 +211,9 @@ let trace_digest t =
       add_bits e.Trace.arrival;
       add_bits e.Trace.departure)
     t.Trace.events;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+  Buffer.contents b
+
+let trace_digest t = Digest.to_hex (Digest.string (trace_bits t))
 
 let golden_inputs () =
   let simulate net seed tasks = Net_helpers.simulate_n (Rng.create ~seed ()) net tasks in
@@ -299,6 +301,218 @@ let test_golden_parse_errors () =
       | Error m -> Alcotest.(check string) (Printf.sprintf "%S" csv) expected m)
     malformed_corpus
 
+(* The ceiling [make bench] gates as MAX_PARSE_BPE, on the ~10k-event
+   golden trace: the one-pass parser allocates 156 B per event (the
+   record, two boxed floats and the two float fields' substrings), the
+   split-based one 488 B. *)
+let test_parse_allocation () =
+  let t = List.assoc "three-tier 1-2-4" (golden_inputs ()) in
+  let csv = Trace.to_csv t in
+  let w0 = Qnet_obs.Prof.allocated_words () in
+  ignore (Sys.opaque_identity (Trace.of_csv ~num_queues:t.Trace.num_queues csv));
+  let per_event =
+    (Qnet_obs.Prof.allocated_words () -. w0)
+    *. float_of_int (Sys.word_size / 8)
+    /. float_of_int (Array.length t.Trace.events)
+  in
+  if per_event > 172.0 then
+    Alcotest.failf "of_csv allocated %.1f B per event (budget 172)" per_event
+
+(* Differential test of the parser. The oracle is the split-based
+   [of_csv] the one-pass scanner replaced, kept verbatim. *)
+let oracle_of_csv ~num_queues text =
+  let lines = String.split_on_char '\n' text in
+  let parse_line lineno line =
+    match String.split_on_char ',' (String.trim line) with
+    | [ task; state; queue; arrival; departure ] -> (
+        try
+          Ok
+            {
+              Trace.task = int_of_string task;
+              state = int_of_string state;
+              queue = int_of_string queue;
+              arrival = float_of_string arrival;
+              departure = float_of_string departure;
+            }
+        with Failure _ -> Error (Printf.sprintf "line %d: malformed fields" lineno))
+    | _ -> Error (Printf.sprintf "line %d: expected 5 comma-separated fields" lineno)
+  in
+  let rec go lineno acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest ->
+        if String.trim line = "" then go (lineno + 1) acc rest
+        else if lineno = 1 && String.length line >= 4 && String.sub line 0 4 = "task" then
+          go (lineno + 1) acc rest
+        else begin
+          match parse_line lineno line with
+          | Ok e -> go (lineno + 1) (e :: acc) rest
+          | Error msg -> Error msg
+        end
+  in
+  match go 1 [] lines with
+  | Error msg -> Error msg
+  | Ok events -> (
+      try Ok (Trace.create ~num_queues events) with Invalid_argument msg -> Error msg)
+
+let pick rng a = a.(Rng.int rng (Array.length a))
+
+(* A double from anywhere: random bits (subnormals, NaNs and infinities
+   included), a power of ten, or a short decimal. *)
+let random_double rng =
+  match Rng.int rng 4 with
+  | 0 -> Int64.float_of_bits (Rng.bits64 rng)
+  | 1 -> Int64.float_of_bits (Int64.shift_right_logical (Rng.bits64 rng) 12)
+  | 2 -> 10.0 ** float_of_int (Rng.int rng 660 - 340)
+  | _ -> Float.round (Rng.float_unit rng *. 1e5) /. 1000.0
+
+let float_specials =
+  [| "nan"; "inf"; "-inf"; "infinity"; "1e400"; "-1e400"; "1e-400"; "1_000.5"; " 2.5"; ".5";
+     "5."; "1e"; "+1.5"; "4.9e-324"; "2.2250738585072011e-308"; "1.7976931348623157e308";
+     "1.7976931348623159e308"; "-0.0"; "0x1p-1074"; "1e22"; "1e23"; "0.1"; ""; "1.5x";
+     "--1"; "1e+"; "0x"; "_1"; "1__0"; "1,5"; "2.5 "; "\t3" |]
+
+(* The ways to write [x]: each keeps its value where float_of_string
+   reads it, except the specials. *)
+let float_text rng x =
+  match Rng.int rng 24 with
+  | 0 | 1 -> Printf.sprintf "%.3f" x
+  | 2 | 3 -> Printf.sprintf "%e" x
+  | 4 | 5 -> Printf.sprintf "%h" x
+  | 6 | 7 -> Printf.sprintf "%.16e" x
+  | 8 -> " " ^ Printf.sprintf "%.17g" x
+  | 9 -> pick rng float_specials
+  | _ -> Printf.sprintf "%.17g" x
+
+let int_specials =
+  [| "007"; "-0"; "+5"; "1_000"; "0x1F"; "0b101"; "0o17"; "0u5"; "123456789012345678";
+     "-123456789012345678"; "1234567890123456789"; "9999999999999999999";
+     "12345678901234567890"; string_of_int max_int; "4611686018427387904";
+     string_of_int min_int; "-4611686018427387905"; ""; "-"; "1.0"; " 5"; "5 "; "0x"; "1e3" |]
+
+let int_text rng k =
+  match Rng.int rng 30 with
+  | 0 -> "+" ^ string_of_int k
+  | 1 -> "00" ^ string_of_int k
+  | 2 -> if k >= 0 then Printf.sprintf "0x%x" k else string_of_int k
+  | 3 -> pick rng int_specials
+  | _ -> string_of_int k
+
+(* A CSV of 1 to 6 one- or two-event tasks, valid before its fields
+   are rewritten, in one of the line forms the scanner must cut as
+   [String.split_on_char] and [String.trim] do. *)
+let random_csv seed =
+  let rng = Rng.create ~seed () in
+  let lines = ref [] in
+  let emit task state queue arrival departure =
+    lines :=
+      String.concat ","
+        [ int_text rng task; int_text rng state; int_text rng queue; arrival; departure ]
+      :: !lines
+  in
+  for task = 0 to Rng.int rng 6 do
+    let d = if Rng.int rng 4 = 0 then random_double rng else Rng.float_unit rng *. 10.0 in
+    emit task 0 0 (float_text rng 0.0) (float_text rng d);
+    if Rng.bool rng then emit task 1 1 (float_text rng d) (float_text rng (d +. 1.0))
+  done;
+  let reshape line =
+    match Rng.int rng 40 with
+    | 0 -> String.sub line 0 (String.rindex line ',')
+    | 1 -> line ^ ",1"
+    | 2 -> line ^ ","
+    | 3 -> " \t" ^ line ^ " "
+    | 4 -> "\n" ^ line
+    | 5 -> "  \n\012\n" ^ line
+    | _ -> line
+  in
+  let body = List.rev_map reshape !lines in
+  let header = "task,state,queue,arrival,departure" in
+  let lines =
+    match Rng.int rng 10 with
+    | 0 | 1 -> body
+    | 2 -> "" :: header :: body
+    | 3 -> ("  " ^ header) :: body
+    | _ -> header :: body
+  in
+  let eol = if Rng.int rng 4 = 0 then "\r\n" else "\n" in
+  String.concat eol lines ^ if Rng.bool rng then eol else ""
+
+let result_bits = function Ok t -> Ok (trace_bits t) | Error m -> Error m
+
+let prop_parser_matches_oracle =
+  QCheck.Test.make ~name:"of_csv ≡ split-based oracle" ~count:3000 QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let csv = random_csv seed in
+      let expected = result_bits (oracle_of_csv ~num_queues:2 csv) in
+      let got = result_bits (Trace.of_csv ~num_queues:2 csv) in
+      if expected <> got then
+        QCheck.Test.fail_reportf "seed %d, input %S:@ oracle %s@ of_csv %s" seed csv
+          (match expected with Ok b -> b | Error m -> m)
+          (match got with Ok b -> b | Error m -> m);
+      true)
+
+(* [create] against [Array.sort] with the comparator it has always
+   used, on strictly increasing, tied and shuffled events. The ties
+   are zero-length visits, which pass validation, that differ only in
+   their state, so an order that moved one would show. *)
+let compare_task_arrival a b =
+  match compare a.Trace.task b.Trace.task with
+  | 0 -> (
+      match compare a.Trace.arrival b.Trace.arrival with
+      | 0 -> compare a.Trace.departure b.Trace.departure
+      | c -> c)
+  | c -> c
+
+let test_create_matches_sort () =
+  let simulated =
+    (List.assoc "three-tier 1-2-4" (golden_inputs ())).Trace.events |> Array.to_list
+  in
+  let tied =
+    List.concat_map
+      (fun e ->
+        if e.Trace.task mod 3 = 0 && e.Trace.state > 0 then
+          let z state = { e with Trace.state; arrival = e.Trace.departure } in
+          [ e; z 5; z 7; z 9 ]
+        else [ e ])
+      simulated
+  in
+  let shuffled l =
+    let a = Array.of_list l in
+    Rng.shuffle_in_place (Rng.create ~seed:604 ()) a;
+    Array.to_list a
+  in
+  List.iter
+    (fun (name, events) ->
+      let expected = Array.of_list events in
+      Array.sort compare_task_arrival expected;
+      let got = (Trace.create ~num_queues:8 events).Trace.events in
+      Alcotest.(check int) (name ^ ": length") (Array.length expected) (Array.length got);
+      Array.iteri
+        (fun i e -> if not (e == got.(i)) then Alcotest.failf "%s: event %d moved" name i)
+        expected)
+    [
+      ("strictly increasing", simulated);
+      ("with ties", tied);
+      ("shuffled", shuffled simulated);
+      ("shuffled with ties", shuffled tied);
+    ]
+
+(* Lenient mode trims every field and reads a header with leading
+   blanks as a header, where strict mode rejects both. *)
+let test_lenient_blanks_around_fields () =
+  let blanks =
+    "  task,state,queue,arrival,departure\n\
+     0 ,0,\t0, 0,1\n\
+     0,1 ,1,1 ,\t2\n\
+     \t1, 0,0,0 , 1.5\n\
+     1,1,1, 1.5,3 \n"
+  in
+  match (Trace.of_csv_lenient ~num_queues:2 blanks, Trace.of_csv ~num_queues:2 clean_csv) with
+  | Ok (t, report), Ok clean ->
+      Alcotest.(check int) "no errors" 0 (List.length report.Trace.errors);
+      Alcotest.(check int) "lines read" 5 report.Trace.lines_read;
+      Alcotest.(check string) "same events" (trace_bits clean) (trace_bits t)
+  | _ -> Alcotest.fail "blanks around fields must parse leniently"
+
 let () =
   Alcotest.run "qnet_trace"
     [
@@ -323,6 +537,9 @@ let () =
         [
           Alcotest.test_case "of_csv bits" `Quick test_golden_parse;
           Alcotest.test_case "error strings" `Quick test_golden_parse_errors;
+          QCheck_alcotest.to_alcotest prop_parser_matches_oracle;
+          Alcotest.test_case "create ≡ Array.sort" `Quick test_create_matches_sort;
+          Alcotest.test_case "parse allocation" `Quick test_parse_allocation;
         ] );
       ( "lenient-edges",
         [
@@ -330,5 +547,6 @@ let () =
           Alcotest.test_case "crlf line endings" `Quick test_lenient_crlf;
           Alcotest.test_case "final line without newline" `Quick
             test_lenient_no_final_newline;
+          Alcotest.test_case "blanks around fields" `Quick test_lenient_blanks_around_fields;
         ] );
     ]
