@@ -24,15 +24,17 @@
    (the order Stem and estimate_waiting use), measures exact allocated
    bytes/sweep on the plain hot path in both orders, times the
    targeted Init.feasible on a copy of the store and counts its bytes
-   per store event, and takes a short profiled pass (Qnet_obs.Prof)
+   per store event, counts the bytes per event that set-up allocates
+   (Trace.of_csv, then the mask and Event_store.of_trace), and takes a
+   short profiled pass (Qnet_obs.Prof)
    for GC pause p50/p99 and the phase self-time split; StEM
    iterations/s and piecewise draws/s are timed on the 1k fixture.
    Everything lands in PATH (default BENCH_core.json, schema 2, one
    size object per line). `make bench` compares that file against the
    committed baseline per size and fails on a >20% sweeps/s
    regression, on a plain sweep that allocates more than 1 byte per
-   resampled event, or on an Init.feasible over its byte budget per
-   event (scripts/bench_compare). *)
+   resampled event, or on an Init.feasible, a parse or a store build
+   over its byte budget per event (scripts/bench_compare). *)
 
 open Bechamel
 open Toolkit

@@ -116,7 +116,9 @@ let of_trace ?observed trace =
           | c -> c)
       | c -> c
     in
-    let rec in_order b k = k >= Array.length b || (cmp b.(k - 1) b.(k) < 0 && in_order b (k + 1)) in
+    let rec in_order b k =
+      k >= Array.length b || (cmp b.(k - 1) b.(k) < 0 && in_order b (k + 1))
+    in
     Array.iter (fun b -> if not (in_order b 1) then Array.stable_sort cmp b) buckets;
     buckets
   in

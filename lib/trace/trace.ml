@@ -179,7 +179,7 @@ type line = {
   mutable first : int;  (** first non-blank byte; [first = last] on a blank line *)
   mutable last : int;  (** one past the last non-blank byte *)
   mutable commas : int;
-  lo : int array;  (** with 4 commas, field [k] is the bytes [lo.(k)] to [hi.(k) - 1] *)
+  lo : int array;  (** with 4 commas, field [k] is bytes [lo.(k)] to [hi.(k) - 1] *)
   hi : int array;
 }
 
