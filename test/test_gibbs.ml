@@ -336,7 +336,6 @@ let test_fully_observed_sweep_noop () =
    fails here. Telemetry and profiling must not consume draws, so every
    mode of one order shares one digest. *)
 
-module Metrics = Qnet_obs.Metrics
 module Prof = Qnet_obs.Prof
 module Parallel_gibbs = Qnet_core.Parallel_gibbs
 
@@ -397,26 +396,11 @@ let chain_digest fixture ~shuffle ~sweeps =
   Gibbs.run ~shuffle ~sweeps rng store params;
   digest_of store rng
 
-let with_mode mode f =
-  match mode with
-  | `Plain -> f ()
-  | `Metrics ->
-      Metrics.set_enabled true;
-      Fun.protect ~finally:(fun () -> Metrics.set_enabled false) f
-  | `Profiled ->
-      Prof.start ();
-      Fun.protect ~finally:Prof.stop f
-
 let check_digest fixture_name fixture ~shuffle expected =
-  List.iter
-    (fun (mode_name, mode) ->
-      let got = with_mode mode (fun () -> chain_digest fixture ~shuffle ~sweeps:5) in
-      Alcotest.(check string)
-        (Printf.sprintf "%s, %s, %s" fixture_name
-           (if shuffle then "shuffled" else "in order")
-           mode_name)
-        expected got)
-    [ ("plain", `Plain); ("metrics", `Metrics); ("profiled", `Profiled) ]
+  Net_helpers.check_modes
+    (Printf.sprintf "%s, %s" fixture_name (if shuffle then "shuffled" else "in order"))
+    expected
+    (fun () -> chain_digest fixture ~shuffle ~sweeps:5)
 
 let test_digest_three_tier_in_order () =
   check_digest "three-tier" digest_three_tier ~shuffle:false

@@ -273,6 +273,84 @@ let test_resume_rejects_wrong_store () =
   Sys.remove ckpt
 
 (* ------------------------------------------------------------------ *)
+(* Goldens: the bits of whole seeded runs, committed before the drivers
+   shared one StEM step, in plain, metrics-enabled and profiled mode. *)
+
+let runtime_digest store rng (r : Runtime.result) =
+  Net_helpers.stem_digest ~history:r.Runtime.history ~llh:r.Runtime.log_likelihood_history
+    ~mean_service:r.Runtime.mean_service ~params_last:r.Runtime.params_last store rng
+
+let test_golden_clean_run () =
+  Net_helpers.check_modes "clean Runtime.run"
+    "708d5490106544fe0294b65ca535f8c1" (fun () ->
+      let _, _, store = fresh_store () in
+      let rng = Rng.create ~seed:99 () in
+      let r = Runtime.run ~config:(runtime_config ~iterations:24 ()) rng store in
+      Alcotest.(check bool) "completed" true (r.Runtime.status = Runtime.Completed);
+      runtime_digest store rng r)
+
+(* One poisoned latent at iteration 9: the health check at iteration 10
+   rolls the run back to the checkpoint at 5, re-jitters and goes on. *)
+let test_golden_rollback_run () =
+  Net_helpers.check_modes "Runtime.run with one rollback"
+    "retries=1 done=20 | 9: 2 violations: nan-latent(165), nonfinite-log-likelihood(nan) \
+     | 43ca0effb76121a2b10165e5ffb5a505" (fun () ->
+      let _, _, store = fresh_store () in
+      let rng = Rng.create ~seed:11 () in
+      let fired = ref false in
+      let chaos it store =
+        if it = 9 && not !fired then begin
+          fired := true;
+          poison_store store
+        end
+      in
+      let r =
+        Runtime.run
+          ~config:(runtime_config ~iterations:20 ~checkpoint_every:5 ~validate_every:5 ())
+          ~chaos rng store
+      in
+      let rep = r.Runtime.report in
+      String.concat " | "
+        (Printf.sprintf "retries=%d done=%d" rep.Runtime.retries rep.Runtime.iterations_done
+        :: List.map
+             (fun i -> Printf.sprintf "%d: %s" i.Runtime.at_iteration i.Runtime.cause)
+             rep.Runtime.incidents
+        @ [ runtime_digest store rng r ]))
+
+(* With no incident, the runtime's checkpoints and health checks
+   consume no draws: its run is Stem.run's, bit for bit. *)
+let test_runtime_equals_stem () =
+  let stem_config = { Stem.default_config with Stem.iterations = 40; burn_in = 20 } in
+  let store () =
+    let net =
+      Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 ()
+    in
+    let _, _, store =
+      Net_helpers.masked_store ~scheme:(Obs.Task_fraction 0.1) (Rng.create ~seed:77 ()) net
+        250
+    in
+    store
+  in
+  List.iter
+    (fun (mode_name, mode) ->
+      Net_helpers.with_mode mode (fun () ->
+          let store_s = store () and rng_s = Rng.create ~seed:78 () in
+          let s = Stem.run ~config:stem_config rng_s store_s in
+          let store_r = store () and rng_r = Rng.create ~seed:78 () in
+          let r =
+            Runtime.run
+              ~config:{ Runtime.default_config with Runtime.stem = stem_config; checkpoint_every = 8; validate_every = 6 }
+              rng_r store_r
+          in
+          Alcotest.(check int) (mode_name ^ ": no retries") 0 r.Runtime.report.Runtime.retries;
+          check_params (mode_name ^ ": averaged params") s.Stem.params r.Runtime.params;
+          Alcotest.(check string) (mode_name ^ ": run bits")
+            (Net_helpers.stem_digest ~history:s.Stem.history ~llh:s.Stem.log_likelihood_history
+               ~mean_service:s.Stem.mean_service ~params_last:s.Stem.params_last store_s rng_s)
+            (runtime_digest store_r rng_r r)))
+    Net_helpers.modes
+
+(* ------------------------------------------------------------------ *)
 (* Health checking *)
 
 let test_health_clean () =
@@ -721,6 +799,12 @@ let () =
           Alcotest.test_case "kill/resume bit-identical" `Slow
             test_kill_resume_bit_identical;
           Alcotest.test_case "wrong store rejected" `Quick test_resume_rejects_wrong_store;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "clean run" `Quick test_golden_clean_run;
+          Alcotest.test_case "one rollback" `Quick test_golden_rollback_run;
+          Alcotest.test_case "Runtime.run = Stem.run" `Quick test_runtime_equals_stem;
         ] );
       ( "health",
         [

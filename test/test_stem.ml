@@ -168,6 +168,64 @@ let test_mcem_config_validation () =
   | _ -> Alcotest.fail "inner burn-in >= sweeps rejected"
 
 (* ------------------------------------------------------------------ *)
+(* Goldens: the bits of whole seeded runs, committed before the drivers
+   shared one StEM step, in plain, metrics-enabled and profiled mode. *)
+
+module Fsm = Qnet_fsm.Fsm
+module Network = Qnet_des.Network
+module Distributions = Qnet_prob.Distributions
+
+let golden_config = { Stem.default_config with iterations = 30; burn_in = 10; warmup_sweeps = 5 }
+
+let run_digest ?route_fsm ~seed make_store =
+  let store = make_store () in
+  let rng = Rng.create ~seed () in
+  let r = Stem.run ~config:golden_config ?route_fsm rng store in
+  Net_helpers.stem_digest ~history:r.Stem.history ~llh:r.Stem.log_likelihood_history
+    ~mean_service:r.Stem.mean_service ~params_last:r.Stem.params_last store rng
+
+(* test_gibbs's 1-2-4 paper fixture at 300 tasks, 5% of tasks observed. *)
+let three_tier_store =
+  let trace =
+    lazy
+      (let net =
+         Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 ()
+       in
+       let trace = Net_helpers.simulate_n (Rng.create ~seed:1001 ()) net 300 in
+       (trace, Obs.mask (Rng.create ~seed:1002 ()) (Obs.Task_fraction 0.05) trace))
+  in
+  fun () ->
+    let trace, mask = Lazy.force trace in
+    Store.of_trace ~observed:mask trace
+
+(* test_extensions' balancer: state 1 sends a task to queue 1 with
+   probability 0.3 and to queue 2 otherwise. *)
+let balancer_fsm =
+  Fsm.create ~num_states:3 ~num_queues:3 ~initial:0 ~final:2
+    ~transitions:[ (0, [ (1, 1.0) ]); (1, [ (2, 1.0) ]) ]
+    ~emissions:[ (0, [ (0, 1.0) ]); (1, [ (1, 0.3); (2, 0.7) ]) ]
+
+let balancer_store () =
+  let net =
+    Network.create ~fsm:balancer_fsm
+      ~service:Distributions.[| Exponential 6.0; Exponential 8.0; Exponential 3.0 |]
+      ()
+  in
+  let trace = Net_helpers.simulate_n (Rng.create ~seed:1011 ()) net 150 in
+  let mask = Obs.mask (Rng.create ~seed:1012 ()) (Obs.Task_fraction 0.2) trace in
+  Store.of_trace ~observed:mask trace
+
+let test_golden_three_tier () =
+  Net_helpers.check_modes "Stem.run three-tier"
+    "221613a4d686e22ce40bd31107c503fa" (fun () ->
+      run_digest ~seed:2024 three_tier_store)
+
+let test_golden_balancer_routes () =
+  Net_helpers.check_modes "Stem.run ~route_fsm balancer"
+    "cd8e94ef549a5a0d028fa5b19a2cb06e" (fun () ->
+      run_digest ~route_fsm:balancer_fsm ~seed:2025 balancer_store)
+
+(* ------------------------------------------------------------------ *)
 (* Baseline estimators *)
 
 let test_baseline_mean_observed_service () =
@@ -299,6 +357,11 @@ let () =
           Alcotest.test_case "config validation" `Quick test_stem_config_validation;
           Alcotest.test_case "seed determinism" `Slow test_stem_deterministic_given_seed;
           Alcotest.test_case "waiting estimation" `Slow test_estimate_waiting_tandem;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "three-tier" `Quick test_golden_three_tier;
+          Alcotest.test_case "balancer routes" `Quick test_golden_balancer_routes;
         ] );
       ( "mcem",
         [

@@ -361,6 +361,91 @@ let test_zombie_abandoned () =
   (* give the zombie time to wake up and exit before the process does *)
   Unix.sleepf 0.4
 
+(* ------------------------------------------------------------------ *)
+(* Goldens: the bits of whole seeded runs, committed before the drivers
+   shared one StEM step, in plain, metrics-enabled and profiled mode.
+   No stall: when the watchdog sees one depends on wall time. *)
+(* ------------------------------------------------------------------ *)
+
+let supervisor_digest (r : Supervisor.result) =
+  let b = Buffer.create 4096 in
+  Net_helpers.add_params b r.Supervisor.params;
+  List.iter
+    (Array.iter (Net_helpers.add_float b))
+    [ r.Supervisor.mean_service; r.Supervisor.rhat; r.Supervisor.ess ];
+  Array.iter
+    (fun v -> Buffer.add_string b (Format.asprintf "%a\n" Supervisor.pp_verdict v))
+    r.Supervisor.verdicts;
+  Format.asprintf "%a %d %s" Supervisor.pp_ensemble_status r.Supervisor.status
+    r.Supervisor.healthy_chains
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let test_golden_fault_free () =
+  Net_helpers.check_modes "fault-free Supervisor.run"
+    "quorum 4 7e729f793f8a636ba52ad368e2226cb0" (fun () ->
+      supervisor_digest (Supervisor.run ~config:(sup_config ()) ~seed:7 make_store))
+
+(* A crash on chain 1 before its first checkpoint (re-warm from
+   scratch); a corrupted latent on chain 0 that the next sweep heals
+   (sample loss) and one on chain 2 at the end of its second round
+   (barrier health check, rollback to the checkpoint at 8). *)
+let test_golden_crash_corrupt () =
+  let faults =
+    [
+      { Fault.chain = 1; at_iteration = 5; kind = Fault.Chain_crash };
+      { Fault.chain = 0; at_iteration = 2; kind = Fault.Chain_corrupt_latent };
+      { Fault.chain = 2; at_iteration = 15; kind = Fault.Chain_corrupt_latent };
+    ]
+  in
+  Net_helpers.check_modes "Supervisor.run with crash and corrupt faults"
+    "quorum 4 175c03ef30de7c7d0853cf1a4b1fa0c3" (fun () ->
+      supervisor_digest (Supervisor.run ~config:(sup_config ()) ~faults ~seed:7 make_store))
+
+let serve_init = Params.create ~rates:[| 9.0; 14.0; 11.0 |] ~arrival_queue:0
+
+(* Shard.fit_tenant's call with the shard's defaults: 2 chains, quorum
+   1, 30 iterations in rounds of 7, one restart, warm-started. *)
+let test_golden_serve_full_refit () =
+  let config =
+    {
+      Supervisor.default_config with
+      Supervisor.chains = 2;
+      min_chains = 1;
+      stem = { Stem.default_config with Stem.iterations = 30; burn_in = 15 };
+      round_iterations = 7;
+      max_restarts = 1;
+    }
+  in
+  Net_helpers.check_modes "full refit"
+    "quorum 2 eea49001e714c231db9a855663f378de" (fun () ->
+      supervisor_digest (Supervisor.run ~config ~init:serve_init ~seed:104762 make_store))
+
+(* Shard.fit_tenant_incremental's call: Online_stem over 2 windows of
+   15 iterations, windows of at least 2 tasks, warm-started. *)
+let test_golden_serve_incremental_refit () =
+  Net_helpers.check_modes "incremental refit"
+    "2 windows 6317fdc23193038805d3fec01bd646ad" (fun () ->
+      let trace = Net_helpers.simulate_n (Rng.create ~seed:41 ()) (tandem_net ()) 120 in
+      let rng = Rng.create ~seed:104763 () in
+      let mask = Obs.mask rng (Obs.Task_fraction 0.5) trace in
+      let steps =
+        Qnet_core.Online_stem.run
+          ~config:{ Qnet_core.Online_stem.num_windows = 2; iterations = 15; min_tasks = 2 }
+          ~init:serve_init rng trace ~mask
+      in
+      let b = Buffer.create 1024 in
+      List.iter
+        (fun (st : Qnet_core.Online_stem.step) ->
+          let t0, t1 = st.Qnet_core.Online_stem.window in
+          List.iter (Net_helpers.add_float b) [ t0; t1 ];
+          Buffer.add_int64_le b (Int64.of_int st.Qnet_core.Online_stem.num_tasks);
+          Net_helpers.add_params b st.Qnet_core.Online_stem.params;
+          Array.iter (Net_helpers.add_float b) st.Qnet_core.Online_stem.mean_service)
+        steps;
+      Array.iter (Buffer.add_int64_le b) (Rng.state rng);
+      Printf.sprintf "%d windows %s" (List.length steps)
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+
 let test_config_validation () =
   let raises msg f =
     match f () with
@@ -442,5 +527,13 @@ let () =
           Alcotest.test_case "zombie abandoned" `Quick test_zombie_abandoned;
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "fault spec parsing" `Quick test_chain_fault_parsing;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "fault-free" `Quick test_golden_fault_free;
+          Alcotest.test_case "crash and corrupt" `Quick test_golden_crash_corrupt;
+          Alcotest.test_case "serve full refit" `Quick test_golden_serve_full_refit;
+          Alcotest.test_case "serve incremental refit" `Quick
+            test_golden_serve_incremental_refit;
         ] );
     ]
