@@ -37,6 +37,12 @@ let m_kernel kind =
 let m_kernel_kinds =
   [| lazy (m_kernel "point"); lazy (m_kernel "tail"); lazy (m_kernel "bounded") |]
 
+let register_metrics () =
+  ignore (Lazy.force m_sweep_seconds : Metrics.Histogram.t);
+  ignore (Lazy.force m_event_seconds : Metrics.Histogram.t);
+  ignore (Lazy.force m_events : Metrics.Counter.t);
+  Array.iter (fun m -> ignore (Lazy.force m : Metrics.Counter.t)) m_kernel_kinds
+
 (* ------------------------------------------------------------------ *)
 (* The reference: the conditional as data, compiled by Piecewise. The
    production kernel below must agree with [sample_compiled (compile
@@ -536,9 +542,8 @@ let sweep ?(shuffle = false) rng store params =
      per sweep. *)
   Prof.with_phase "gibbs.sweep" go
 
-let run ?shuffle ?(on_sweep = fun _ -> ()) ~sweeps rng store params =
+let run ?shuffle ~sweeps rng store params =
   if sweeps < 0 then invalid_arg "Gibbs.run: negative sweep count";
-  for s = 1 to sweeps do
-    sweep ?shuffle rng store params;
-    on_sweep s
+  for _ = 1 to sweeps do
+    sweep ?shuffle rng store params
   done

@@ -102,20 +102,20 @@ val sweep :
     next; the draws, and so the chain, are the same as
     {!resample_range}'s over the same order. *)
 
+val register_metrics : unit -> unit
+(** Create the sweep's metric families now. [Lazy.force] is not
+    domain-safe: code that sweeps on several domains with metrics
+    enabled calls this on its own domain first. *)
+
 val lookahead_min_events : int
 (** The store size, in events, from which {!sweep} [~shuffle:true]
     prefetches ahead. *)
 
 val run :
   ?shuffle:bool ->
-  ?on_sweep:(int -> unit) ->
   sweeps:int ->
   Qnet_prob.Rng.t ->
   Event_store.t ->
   Params.t ->
   unit
-(** [run ~sweeps rng store params] applies {!sweep} [sweeps] times.
-    [on_sweep] is called after each sweep with the 1-based sweep
-    number — the hook point used by the fault-tolerant runtime for
-    periodic validation and checkpointing. The hook must not consume
-    [rng] if reproducibility across checkpoint/resume matters. *)
+(** [run ~sweeps rng store params] applies {!sweep} [sweeps] times. *)

@@ -44,8 +44,7 @@ let entry_times trace =
     trace.Trace.events;
   tbl
 
-let run ?(config = default_config) ?init ?(on_window = fun _ -> ())
-    ?(on_warning = fun _ -> ()) rng trace ~mask =
+let run ?(config = default_config) ?init ?(on_warning = fun _ -> ()) rng trace ~mask =
   if config.num_windows < 1 then invalid_arg "Online_stem.run: need >= 1 window";
   if Array.length mask <> Array.length trace.Trace.events then
     invalid_arg "Online_stem.run: mask length mismatch";
@@ -183,22 +182,16 @@ let run ?(config = default_config) ?init ?(on_window = fun _ -> ())
           burn_in = config.iterations / 2;
         }
       in
-      let result =
-        match !previous with
-        | None -> Stem.run ~config:stem_config rng store
-        | Some p -> Stem.run ~config:stem_config ~init:p rng store
-      in
+      let result = Stem.run ~config:stem_config ?init:!previous rng store in
       previous := Some result.Stem.params;
-      let step =
+      steps :=
         {
           window = (t0, t1);
           num_tasks;
           params = result.Stem.params;
           mean_service = result.Stem.mean_service;
         }
-      in
-      on_window step;
-      steps := step :: !steps;
+        :: !steps;
       if Metrics.enabled () then begin
         Metrics.Histogram.observe (Lazy.force m_window_seconds)
           (Clock.now () -. t_start);

@@ -34,7 +34,6 @@ val default_config : config
 val run :
   ?config:config ->
   ?init:Params.t ->
-  ?on_window:(step -> unit) ->
   ?on_warning:(string -> unit) ->
   Qnet_prob.Rng.t ->
   Qnet_trace.Trace.t ->
@@ -47,10 +46,7 @@ val run :
     shard run short incremental refits against a previous posterior
     instead of re-estimating from scratch.
     [mask] is the observation mask over the full trace's canonical
-    event order (as produced by {!Observation.mask}). [on_window] is
-    called with each step as soon as its window is fitted, so a
-    long-running online analysis can persist partial trajectories
-    before the run completes.
+    event order (as produced by {!Observation.mask}).
 
     Windowing is tolerant of messy ingestion, reporting each
     degradation through [on_warning] (default: silently ignored)

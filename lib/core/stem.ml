@@ -31,6 +31,13 @@ let m_mstep_holds =
        ~help:"Per-queue M-step rate updates held back (too few imputed services)"
        "qnet_stem_mstep_holds_total")
 
+let register_metrics () =
+  Gibbs.register_metrics ();
+  ignore (Lazy.force m_iteration_seconds : Metrics.Histogram.t);
+  List.iter
+    (fun m -> ignore (Lazy.force m : Metrics.Counter.t))
+    [ m_iterations; m_mstep_updates; m_mstep_holds ]
+
 type config = {
   iterations : int;
   burn_in : int;
@@ -148,86 +155,129 @@ let mle_step ?prior store ~previous ~min_queue_events =
         prev
       end)
 
-let run_impl ~config ?init ?route_fsm ~diag_chain ~on_iteration rng store =
+type chain = {
+  id : int;
+  store : Store.t;
+  rng : Qnet_prob.Rng.t;
+  anchor : Params.t;
+  history : Params.t array;
+  llh : float array;
+  mutable params : Params.t;
+  mutable iteration : int;
+}
+
+let reinit config c = Init.feasible ~strategy:config.init_strategy ~target:c.anchor c.store
+
+let start ?(id = 0) ?init config rng store =
+  let anchor = match init with Some p -> p | None -> initial_guess store in
+  let c =
+    {
+      id;
+      store;
+      rng;
+      anchor;
+      history = Array.make config.iterations anchor;
+      llh = Array.make config.iterations nan;
+      params = anchor;
+      iteration = 0;
+    }
+  in
+  (c, reinit config c)
+
+let warmup ?(before_sweep = fun _ -> true) config c =
+  Span.with_span "stem.warmup" (fun () ->
+      Prof.with_phase "stem.warmup" (fun () ->
+          let k = ref 1 in
+          while !k <= config.warmup_sweeps && before_sweep !k do
+            Gibbs.sweep ~shuffle:config.shuffle c.rng c.store c.params;
+            incr k
+          done))
+
+let step ?route_fsm ?(check = fun _ -> Ok ()) ?on_sample config c =
+  Prof.with_phase "stem.iteration" @@ fun () ->
+  let instrumented = Metrics.enabled () in
+  let t0 = if instrumented then Clock.now () else 0.0 in
+  (* Stochastic E-step: one sweep under the current parameters, plus
+     a routing sweep when paths are uncertain. *)
+  Gibbs.sweep ~shuffle:config.shuffle c.rng c.store c.params;
+  (match route_fsm with
+  | Some fsm -> ignore (Path_move.sweep c.rng c.store c.params fsm)
+  | None -> ());
+  (* M-step (MAP when prior_strength > 0). *)
+  let prior =
+    if config.prior_strength > 0.0 then Some (config.prior_strength, c.anchor) else None
+  in
+  let p =
+    Prof.with_phase "stem.mstep" (fun () ->
+        mle_step ?prior c.store ~previous:c.params ~min_queue_events:config.min_queue_events)
+  in
+  match check p with
+  | Error _ as rejected -> rejected
+  | Ok () ->
+      let it = c.iteration in
+      c.params <- p;
+      c.history.(it) <- p;
+      c.llh.(it) <- Prof.with_phase "stem.loglik" (fun () -> Store.log_likelihood c.store p);
+      c.iteration <- it + 1;
+      if instrumented || Option.is_some on_sample then begin
+        (* The realized (imputed) per-queue means of this iterate — the
+           stochastic quantity convergence diagnostics track, not the
+           smoothed parameter estimate. *)
+        let realized = Store.mean_service_by_queue c.store in
+        Option.iter (fun f -> f realized) on_sample;
+        if instrumented then begin
+          Metrics.Histogram.observe (Lazy.force m_iteration_seconds) (Clock.now () -. t0);
+          Metrics.Counter.inc (Lazy.force m_iterations);
+          Diagnostics.set_arrival_queue Diagnostics.default (Store.arrival_queue c.store);
+          Diagnostics.observe_iteration Diagnostics.default ~chain:c.id
+            ~waiting:(Store.mean_waiting_by_queue c.store)
+            realized
+        end
+      end;
+      Ok ()
+
+let average config c =
+  let n = c.iteration and nq = Store.num_queues c.store in
+  let mean_service =
+    if n = 0 then Array.init nq (Params.mean_service c.params)
+    else begin
+      let burn = if n > config.burn_in then config.burn_in else 0 in
+      let kept = n - burn in
+      let acc = Array.make nq 0.0 in
+      for i = burn to n - 1 do
+        for q = 0 to nq - 1 do
+          acc.(q) <- acc.(q) +. (Params.mean_service c.history.(i) q /. float_of_int kept)
+        done
+      done;
+      acc
+    end
+  in
+  {
+    params =
+      Params.create
+        ~rates:(Array.map (fun s -> 1.0 /. s) mean_service)
+        ~arrival_queue:(Store.arrival_queue c.store);
+    params_last = c.params;
+    history = Array.sub c.history 0 n;
+    mean_service;
+    log_likelihood_history = Array.sub c.llh 0 n;
+  }
+
+let run ?(config = default_config) ?init ?route_fsm rng store =
+  Span.with_span "stem.run" @@ fun () ->
   if config.iterations < 1 then invalid_arg "Stem.run: need at least one iteration";
   if config.burn_in < 0 || config.burn_in >= config.iterations then
     invalid_arg "Stem.run: burn_in must be in [0, iterations)";
-  let params0 = match init with Some p -> p | None -> initial_guess store in
-  (match Init.feasible ~strategy:config.init_strategy ~target:params0 store with
+  let c, init_outcome = start ?init config rng store in
+  (match init_outcome with
   | Ok () -> ()
   | Error msg -> failwith ("Stem.run: initialization failed: " ^ msg));
-  Span.with_span "stem.warmup" (fun () ->
-      Prof.with_phase "stem.warmup" (fun () ->
-          Gibbs.run ~shuffle:config.shuffle ~sweeps:config.warmup_sweeps rng
-            store params0));
-  let history = Array.make config.iterations params0 in
-  let llh = Array.make config.iterations nan in
-  let params = ref params0 in
-  let instrumented = Metrics.enabled () in
-  if instrumented then
-    Diagnostics.set_arrival_queue Diagnostics.default (Store.arrival_queue store);
-  for it = 0 to config.iterations - 1 do
-    let t0 = if instrumented then Clock.now () else 0.0 in
-    Prof.with_phase "stem.iteration" (fun () ->
-    (* Stochastic E-step: one sweep under the current parameters, plus
-       a routing sweep when paths are uncertain. *)
-    Gibbs.sweep ~shuffle:config.shuffle rng store !params;
-    (match route_fsm with
-    | Some fsm -> ignore (Path_move.sweep rng store !params fsm)
-    | None -> ());
-    (* M-step (MAP when prior_strength > 0). *)
-    let prior =
-      if config.prior_strength > 0.0 then Some (config.prior_strength, params0)
-      else None
-    in
-    params :=
-      Prof.with_phase "stem.mstep" (fun () ->
-          mle_step ?prior store ~previous:!params
-            ~min_queue_events:config.min_queue_events);
-    history.(it) <- !params;
-    llh.(it) <-
-      Prof.with_phase "stem.loglik" (fun () ->
-          Store.log_likelihood store !params));
-    if instrumented then begin
-      Metrics.Histogram.observe (Lazy.force m_iteration_seconds) (Clock.now () -. t0);
-      Metrics.Counter.inc (Lazy.force m_iterations);
-      (* Convergence diagnostics track the realized (imputed) per-queue
-         means of this iterate — the same stochastic quantity the
-         supervisor samples — not the smoothed parameter estimate. *)
-      Diagnostics.observe_iteration Diagnostics.default ~chain:diag_chain
-        ~waiting:(Store.mean_waiting_by_queue store)
-        (Store.mean_service_by_queue store);
-      Diagnostics.gc_tick Diagnostics.default
-    end;
-    on_iteration it !params
+  warmup config c;
+  for _ = 1 to config.iterations do
+    ignore (step ?route_fsm config c : (unit, string) Stdlib.result);
+    if Metrics.enabled () then Diagnostics.gc_tick Diagnostics.default
   done;
-  (* Average post-burn-in iterates in mean-service space. *)
-  let nq = Store.num_queues store in
-  let kept = config.iterations - config.burn_in in
-  let mean_service = Array.make nq 0.0 in
-  for it = config.burn_in to config.iterations - 1 do
-    for q = 0 to nq - 1 do
-      mean_service.(q) <-
-        mean_service.(q) +. (Params.mean_service history.(it) q /. float_of_int kept)
-    done
-  done;
-  let averaged =
-    Params.create
-      ~rates:(Array.map (fun s -> 1.0 /. s) mean_service)
-      ~arrival_queue:(Store.arrival_queue store)
-  in
-  {
-    params = averaged;
-    params_last = !params;
-    history;
-    mean_service;
-    log_likelihood_history = llh;
-  }
-
-let run ?(config = default_config) ?init ?route_fsm ?(diag_chain = 0)
-    ?(on_iteration = fun _ _ -> ()) rng store =
-  Span.with_span "stem.run" (fun () ->
-      run_impl ~config ?init ?route_fsm ~diag_chain ~on_iteration rng store)
+  average config c
 
 let estimate_waiting ?(sweeps = 100) ?(burn_in = 50) rng store params =
   if burn_in < 0 || burn_in >= sweeps then
@@ -247,25 +297,3 @@ let estimate_waiting ?(sweeps = 100) ?(burn_in = 50) rng store params =
         end
       done;
       acc)
-
-let run_chains ?(config = default_config) ?(chains = 4) ~seed make_store =
-  if chains < 2 then invalid_arg "Stem.run_chains: need at least two chains";
-  let results =
-    Array.init chains (fun c ->
-        let rng = Qnet_prob.Rng.create ~seed:(seed + (c * 7919)) () in
-        run ~config ~diag_chain:c rng (make_store ()))
-  in
-  let nq = Params.num_queues results.(0).params in
-  let kept = config.iterations - config.burn_in in
-  let rhat =
-    Array.init nq (fun q ->
-        let traces =
-          Array.map
-            (fun r ->
-              Array.init kept (fun i ->
-                  Params.mean_service r.history.(config.burn_in + i) q))
-            results
-        in
-        Qnet_prob.Statistics.gelman_rubin traces)
-  in
-  (results, rhat)

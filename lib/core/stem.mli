@@ -63,27 +63,94 @@ val run :
   ?config:config ->
   ?init:Params.t ->
   ?route_fsm:Qnet_fsm.Fsm.t ->
-  ?diag_chain:int ->
-  ?on_iteration:(int -> Params.t -> unit) ->
   Qnet_prob.Rng.t ->
   Event_store.t ->
   result
-(** [run rng store] initializes the latent state ({!Init.feasible}),
-    warms up, and runs StEM. [init] overrides {!initial_guess}.
-    When metrics are enabled, every iteration feeds the realized
-    per-queue means into {!Qnet_obs.Diagnostics.default} under chain
-    id [diag_chain] (default 0 — set it when running several chains in
-    one process so their traces stay separate).
+(** [run rng store] is {!start}, {!warmup}, [config.iterations] times
+    {!step}, then {!average}. [init] overrides {!initial_guess}.
     When [route_fsm] is given, the routing of unobserved events is
     treated as latent too: every E-step additionally runs one
     Metropolis–Hastings routing sweep ({!Path_move.sweep}) under that
     FSM — the paper's "outer Metropolis-Hastings step" for unknown
     paths. The store is left at the final imputed state. Raises
-    [Failure] if initialization fails (inconsistent observations).
-    [on_iteration] is called after each M-step with the 0-based
-    iteration index and the fresh iterate — a progress/monitoring
-    hook (the fault-tolerant runtime in [Qnet_runtime] drives its own
-    loop to be able to roll back, but external monitors use this). *)
+    [Failure] if initialization fails (inconsistent observations). *)
+
+(** {1 One chain, one step}
+
+    {!run}, the checkpointing [Qnet_runtime.Runtime] and the
+    multi-chain [Qnet_runtime.Supervisor] drive the same chain state
+    through the same step; they differ only in what they do around
+    it. *)
+
+type chain = {
+  id : int;  (** the chain's id in {!Qnet_obs.Diagnostics} *)
+  store : Event_store.t;  (** the latent state, imputed in place *)
+  rng : Qnet_prob.Rng.t;
+  anchor : Params.t;
+      (** the starting parameters: the target of initialization and
+          re-initialization, and the anchor of the MAP prior *)
+  history : Params.t array;
+      (** one slot per configured iteration; the iterates are
+          [history.(0 .. iteration - 1)] *)
+  llh : float array;  (** complete-data log-likelihood per iterate, as [history] *)
+  mutable params : Params.t;  (** the current iterate *)
+  mutable iteration : int;  (** iterations committed *)
+}
+(** The state of one StEM chain — what a [Qnet_runtime.Checkpoint]
+    captures. A chain belongs to one domain at a time. *)
+
+val start :
+  ?id:int ->
+  ?init:Params.t ->
+  config ->
+  Qnet_prob.Rng.t ->
+  Event_store.t ->
+  chain * (unit, string) Stdlib.result
+(** [start config rng store] is a chain at iteration 0 (default [id]
+    0) anchored at [init], or at {!initial_guess} of the store, with
+    the latent state initialized by {!reinit}. The result is
+    {!Init.feasible}'s: on [Error] the chain exists but its latent
+    state is not feasible. *)
+
+val reinit : config -> chain -> (unit, string) Stdlib.result
+(** {!Init.feasible} towards the anchor with [config.init_strategy]:
+    the start of a chain and every rollback. Draws nothing. *)
+
+val warmup : ?before_sweep:(int -> bool) -> config -> chain -> unit
+(** Up to [config.warmup_sweeps] Gibbs sweeps under the current
+    parameters, inside the [stem.warmup] span and profiling phase.
+    [before_sweep k] runs before the [k]-th sweep (1-based); [false]
+    ends the warm-up there. *)
+
+val step :
+  ?route_fsm:Qnet_fsm.Fsm.t ->
+  ?check:(Params.t -> (unit, string) Stdlib.result) ->
+  ?on_sample:(float array -> unit) ->
+  config ->
+  chain ->
+  (unit, string) Stdlib.result
+(** One StEM iteration inside the [stem.iteration] profiling phase: a
+    Gibbs sweep, a routing sweep when [route_fsm] is given, the M-step
+    ([stem.mstep]; MAP around the anchor when
+    [config.prior_strength > 0]), then [check] on the new iterate. [Ok]
+    commits it: [params], [history], [llh] ([stem.loglik]) and
+    [iteration] advance, [on_sample] gets the imputed state's mean
+    service per queue, and with metrics on the [qnet_stem_iteration*]
+    metrics and {!Qnet_obs.Diagnostics.default} (chain [id]) are fed;
+    those means are computed only then, and once. [Error] (never, with
+    the default [check]) commits nothing and leaves the store at the
+    rejected iteration's state. The hooks must not draw from the
+    chain's generator. *)
+
+val register_metrics : unit -> unit
+(** Create the step's metric families now, the sweep's included — see
+    {!Gibbs.register_metrics}. *)
+
+val average : config -> chain -> result
+(** The result of the committed iterations: the average of the
+    iterates after [config.burn_in] in mean-service space — over all
+    of them when no more than [burn_in] were committed, and the
+    current parameters when none was. *)
 
 val estimate_waiting :
   ?sweeps:int ->
@@ -96,22 +163,3 @@ val estimate_waiting :
     (the paper's final step): run the Gibbs sampler for [sweeps]
     (default 100) sweeps, discard [burn_in] (default 50), and average
     each queue's mean waiting time across retained sweeps. *)
-
-val run_chains :
-  ?config:config ->
-  ?chains:int ->
-  seed:int ->
-  (unit -> Event_store.t) ->
-  result array * float array
-(** [run_chains ~seed make_store] runs [chains] (default 4)
-    independent StEM chains — fresh stores from [make_store], distinct
-    seeds derived from [seed] — and returns the per-chain results
-    together with the Gelman–Rubin R̂ of each queue's mean-service
-    trajectory (post-burn-in). Values near 1 certify that the reported
-    estimates do not depend on the Monte Carlo path; the experiment
-    harness treats R̂ > 1.2 as a red flag. Caveat: statistics that are
-    almost deterministic within a chain — notably the arrival rate,
-    whose sufficient statistic telescopes to the (anchored) horizon —
-    have vanishing within-chain variance and can show inflated R̂
-    while agreeing across chains to a fraction of a percent; compare
-    the actual estimates in that case. *)

@@ -100,12 +100,8 @@ let create ?(registry = Metrics.default) ?(window = 512) ?(publish_every = 10)
 
 let default = create ()
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let reset t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.chains <- [];
       t.num_queues <- -1;
       t.arrival <- -1;
@@ -124,9 +120,9 @@ let reset t =
       g.compactions <- 0;
       g.heap_words <- 0)
 
-let set_arrival_queue t q = locked t (fun () -> t.arrival <- q)
-let set_ensemble_status t s = locked t (fun () -> t.ensemble_status <- s)
-let set_sink t s = locked t (fun () -> t.sink <- s)
+let set_arrival_queue t q = Mutex.protect t.lock (fun () -> t.arrival <- q)
+let set_ensemble_status t s = Mutex.protect t.lock (fun () -> t.ensemble_status <- s)
+let set_sink t s = Mutex.protect t.lock (fun () -> t.sink <- s)
 
 (* Requires the lock. Tracks can exist before their dimensions are
    known (a supervisor verdict can land before the first sample). *)
@@ -148,7 +144,7 @@ let track_locked t ~chain =
       c
 
 let set_chain_status t ~chain status =
-  locked t (fun () -> (track_locked t ~chain).status <- status)
+  Mutex.protect t.lock (fun () -> (track_locked t ~chain).status <- status)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot types                                                      *)
@@ -523,9 +519,9 @@ let publish_locked (t : t) =
   | Some emit -> ( try emit (to_json s) with _ -> () (* qnet-lint: allow E001 sink failures must not kill the sampler *)));
   s
 
-let publish t = locked t (fun () -> ignore (publish_locked t))
-let snapshot t = locked t (fun () -> snapshot_locked t)
-let snapshot_json t = locked t (fun () -> to_json (snapshot_locked t))
+let publish t = Mutex.protect t.lock (fun () -> ignore (publish_locked t))
+let snapshot t = Mutex.protect t.lock (fun () -> snapshot_locked t)
+let snapshot_json t = Mutex.protect t.lock (fun () -> to_json (snapshot_locked t))
 
 (* ------------------------------------------------------------------ *)
 (* Feeding                                                             *)
@@ -545,7 +541,7 @@ let ensure_dims_locked (t : t) (c : chain_track) n =
   end
 
 let observe_iteration (t : t) ~chain ?waiting mean_service =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let c = track_locked t ~chain in
       ensure_dims_locked t c (Array.length mean_service);
       let now = Clock.now () in
@@ -572,7 +568,7 @@ let observe_iteration (t : t) ~chain ?waiting mean_service =
       if t.observations mod t.publish_every = 0 then ignore (publish_locked t))
 
 let gc_tick (t : t) =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let st = Gc.quick_stat () in
       let g = t.gc in
       (match t.gc_base with

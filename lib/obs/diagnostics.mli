@@ -11,12 +11,13 @@
     that localizes the bottleneck — the paper's output, computed on
     the paper's own inference machinery while it runs.
 
-    {b Feeding.} The samplers push one observation per StEM iteration
-    through the existing hook points ([Stem.run]'s loop, the
-    supervisor's chain rounds), gated on {!Metrics.enabled} so the
-    instrumentation-off cost stays one atomic load. Observations are
-    iteration-granular (not event-granular): a mutex-guarded hub is
-    cheap at that rate and safe under the supervisor's chain domains.
+    {b Feeding.} Every StEM run ([Stem.run], the checkpointing
+    runtime, the supervisor's chains) pushes one observation per
+    committed iteration through the one StEM step ([Stem.step]), gated
+    on {!Metrics.enabled} so the instrumentation-off cost stays one
+    atomic load. Observations are iteration-granular (not
+    event-granular): a mutex-guarded hub is cheap at that rate and safe
+    under the supervisor's chain domains.
 
     {b Publishing.} Every [publish_every] observations the hub
     refreshes [qnet_diag_*] gauges in the registry and, if a sink is
@@ -75,7 +76,7 @@ val gc_tick : t -> unit
 val set_arrival_queue : t -> int -> unit
 (** Mark the virtual arrival queue so the convergence verdict and the
     bottleneck ranking skip it (its R̂ is structurally inflated — see
-    the {!Qnet_core.Stem.run_chains} caveat). *)
+    the caveat on [Qnet_runtime.Supervisor]'s [rhat]). *)
 
 val set_chain_status : t -> chain:int -> string -> unit
 (** Record a chain's latest supervisor verdict ("healthy",

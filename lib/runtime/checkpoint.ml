@@ -32,6 +32,22 @@ type t = {
   llh : float array;
 }
 
+let capture (c : Qnet_core.Stem.chain) =
+  {
+    iteration = c.iteration;
+    rng_state = Qnet_prob.Rng.state c.rng;
+    params = c.params;
+    anchor = c.anchor;
+    snapshot = Store.snapshot c.store;
+    history = Array.sub c.history 0 c.iteration;
+    llh = Array.sub c.llh 0 c.iteration;
+  }
+
+let rollback ck (c : Qnet_core.Stem.chain) =
+  Store.restore c.store ck.snapshot;
+  c.params <- ck.params;
+  c.iteration <- ck.iteration
+
 let magic = "QNETCKPT"
 let version = 1
 

@@ -24,6 +24,16 @@ type t = {
   llh : float array;  (** log-likelihood per completed iteration *)
 }
 
+val capture : Qnet_core.Stem.chain -> t
+(** The chain's whole state, copied. *)
+
+val rollback : t -> Qnet_core.Stem.chain -> unit
+(** [rollback ck chain] puts the chain back at [ck]: latent state,
+    current parameters and iteration count. It leaves the RNG where it
+    is, so a retry explores a fresh sampling path, and leaves the
+    iterates before [ck.iteration], which cannot have changed since
+    [ck] was captured from this chain. *)
+
 val version : int
 (** Current codec version (readers reject other versions). *)
 

@@ -3,20 +3,15 @@ module Store = Qnet_core.Event_store
 module Params = Qnet_core.Params
 module Stem = Qnet_core.Stem
 module Gibbs = Qnet_core.Gibbs
-module Init = Qnet_core.Init
 module Metrics = Qnet_obs.Metrics
 module Span = Qnet_obs.Span
+module Diagnostics = Qnet_obs.Diagnostics
 
 let m_incidents =
   lazy
     (Metrics.Counter.create
        ~help:"Validation failures and exceptions recovered by rollback-and-retry"
        "qnet_runtime_incidents_total")
-
-let m_iterations =
-  lazy
-    (Metrics.Counter.create ~help:"Checkpointed-runtime iterations committed"
-       "qnet_runtime_iterations_total")
 
 type config = {
   stem : Stem.config;
@@ -93,14 +88,13 @@ let run ?(config = default_config) ?init ?resume ?chaos rng store =
     invalid_arg "Runtime.run: checkpoint_every must be >= 0";
   if config.max_retries < 0 then invalid_arg "Runtime.run: max_retries must be >= 0";
   let t0 = now () in
-  let nq = Store.num_queues store in
   let iterations = c.Stem.iterations in
-  let anchor, start_it, history, llh =
+  let chain =
     match resume with
     | Some ck ->
         if Array.length ck.Checkpoint.snapshot.Store.s_departure <> Store.num_events store
         then invalid_arg "Runtime.run: checkpoint event count does not match store";
-        if Params.num_queues ck.Checkpoint.params <> nq then
+        if Params.num_queues ck.Checkpoint.params <> Store.num_queues store then
           invalid_arg "Runtime.run: checkpoint queue count does not match store";
         if ck.Checkpoint.iteration > iterations then
           invalid_arg "Runtime.run: checkpoint is beyond the configured iteration count";
@@ -110,26 +104,23 @@ let run ?(config = default_config) ?init ?resume ?chaos rng store =
         let llh = Array.make iterations nan in
         Array.blit ck.Checkpoint.history 0 history 0 ck.Checkpoint.iteration;
         Array.blit ck.Checkpoint.llh 0 llh 0 ck.Checkpoint.iteration;
-        (ck.Checkpoint.anchor, ck.Checkpoint.iteration, history, llh)
+        {
+          Stem.id = 0;
+          store;
+          rng;
+          anchor = ck.Checkpoint.anchor;
+          history;
+          llh;
+          params = ck.Checkpoint.params;
+          iteration = ck.Checkpoint.iteration;
+        }
     | None ->
-        let params0 = match init with Some p -> p | None -> Stem.initial_guess store in
-        (match Init.feasible ~strategy:c.Stem.init_strategy ~target:params0 store with
+        let chain, init_outcome = Stem.start ?init c rng store in
+        (match init_outcome with
         | Ok () -> ()
         | Error msg -> failwith ("Runtime.run: initialization failed: " ^ msg));
-        Gibbs.run ~shuffle:c.Stem.shuffle ~sweeps:c.Stem.warmup_sweeps rng store params0;
-        (params0, 0, Array.make iterations params0, Array.make iterations nan)
-  in
-  let params = ref (match resume with Some ck -> ck.Checkpoint.params | None -> anchor) in
-  let make_ck it =
-    {
-      Checkpoint.iteration = it;
-      rng_state = Rng.state rng;
-      params = !params;
-      anchor;
-      snapshot = Store.snapshot store;
-      history = Array.sub history 0 it;
-      llh = Array.sub llh 0 it;
-    }
+        Stem.warmup c chain;
+        chain
   in
   let checkpoints_written = ref 0 in
   let persist ck =
@@ -141,53 +132,36 @@ let run ?(config = default_config) ?init ?resume ?chaos rng store =
   in
   (* The rollback point. Even with checkpointing disabled we keep the
      initial state so the first recovery has somewhere to go. *)
-  let last_good = ref (make_ck start_it) in
+  let last_good = ref (Checkpoint.capture chain) in
   let incidents = ref [] in
   let retries = ref 0 in
   let validate_every = ref config.validate_every in
-  let it = ref start_it in
   let stop = ref None in
-  let prior =
-    if c.Stem.prior_strength > 0.0 then Some (c.Stem.prior_strength, anchor) else None
+  let check p =
+    (match chaos with Some f -> f chain.Stem.iteration store | None -> ());
+    let next = chain.Stem.iteration + 1 in
+    let at_validation = next mod !validate_every = 0 || next = iterations in
+    let at_checkpoint = config.checkpoint_every > 0 && next mod config.checkpoint_every = 0 in
+    (* Always validate what is about to become a rollback point: a
+       poisoned "last good" state would make recovery a no-op. *)
+    if at_validation || at_checkpoint then
+      match Health.check store p with [] -> Ok () | vs -> Error (Health.describe vs)
+    else Ok ()
   in
-  while !stop = None && !it < iterations do
-    let outcome =
-      try
-        Gibbs.sweep ~shuffle:c.Stem.shuffle rng store !params;
-        let p =
-          Stem.mle_step ?prior store ~previous:!params
-            ~min_queue_events:c.Stem.min_queue_events
-        in
-        (match chaos with Some f -> f !it store | None -> ());
-        let next = !it + 1 in
-        let at_validation = next mod !validate_every = 0 || next = iterations in
-        let at_checkpoint =
-          config.checkpoint_every > 0 && next mod config.checkpoint_every = 0
-        in
-        (* Always validate what is about to become a rollback point: a
-           poisoned "last good" state would make recovery a no-op. *)
-        if at_validation || at_checkpoint then begin
-          match Health.check store p with
-          | [] -> Ok p
-          | vs -> Error (Health.describe vs)
-        end
-        else Ok p
-      with exn -> Error ("exception: " ^ Printexc.to_string exn)
-    in
-    (match outcome with
-    | Ok p ->
-        params := p;
-        history.(!it) <- p;
-        llh.(!it) <- Store.log_likelihood store p;
-        incr it;
-        if Metrics.enabled () then Metrics.Counter.inc (Lazy.force m_iterations);
-        if config.checkpoint_every > 0 && !it mod config.checkpoint_every = 0 then begin
-          let ck = make_ck !it in
+  while !stop = None && chain.Stem.iteration < iterations do
+    (match
+       try Stem.step ~check c chain
+       with exn -> Error ("exception: " ^ Printexc.to_string exn)
+     with
+    | Ok () ->
+        if config.checkpoint_every > 0 && chain.Stem.iteration mod config.checkpoint_every = 0
+        then begin
+          let ck = Checkpoint.capture chain in
           last_good := ck;
           persist ck
         end
     | Error cause ->
-        incidents := { at_iteration = !it; cause } :: !incidents;
+        incidents := { at_iteration = chain.Stem.iteration; cause } :: !incidents;
         if Metrics.enabled () then Metrics.Counter.inc (Lazy.force m_incidents);
         if !retries >= config.max_retries then
           stop :=
@@ -197,62 +171,40 @@ let run ?(config = default_config) ?init ?resume ?chaos rng store =
                     config.max_retries cause))
         else begin
           incr retries;
-          (* Roll back to the last state that passed validation... *)
-          let ck = !last_good in
-          Store.restore store ck.Checkpoint.snapshot;
-          params := ck.Checkpoint.params;
-          it := ck.Checkpoint.iteration;
-          (* ...re-jitter the latents (Init restores feasibility even
-             if the rollback state was somehow damaged in memory), and
+          (* Roll back to the last state that passed validation,
+             re-jitter the latents (Init restores feasibility even if
+             the rollback state was somehow damaged in memory), and
              take one fresh sweep: the RNG has advanced past the state
              that led into the fault, so the retry follows a different
              sampling path instead of replaying the crash. *)
-          (match Init.feasible ~strategy:c.Stem.init_strategy ~target:anchor store with
-          | Ok () -> ()
-          | Error msg ->
-              stop := Some (Aborted ("re-initialization failed: " ^ msg)));
-          if !stop = None then begin
-            Gibbs.sweep ~shuffle:c.Stem.shuffle rng store !params;
-            (* Exponential backoff on the validation cadence: repeated
-               transient violations should not thrash rollback. *)
-            validate_every := Stdlib.min (2 * !validate_every) iterations
-          end
+          Checkpoint.rollback !last_good chain;
+          match Stem.reinit c chain with
+          | Error msg -> stop := Some (Aborted ("re-initialization failed: " ^ msg))
+          | Ok () ->
+              Gibbs.sweep ~shuffle:c.Stem.shuffle rng store chain.Stem.params;
+              (* Exponential backoff on the validation cadence: repeated
+                 transient violations should not thrash rollback. *)
+              validate_every := Stdlib.min (2 * !validate_every) iterations
         end);
+    if Metrics.enabled () then Diagnostics.gc_tick Diagnostics.default;
     match config.max_seconds with
-    | Some budget when !stop = None && !it < iterations && now () -. t0 >= budget ->
+    | Some budget
+      when !stop = None && chain.Stem.iteration < iterations && now () -. t0 >= budget ->
         stop := Some Budget_exhausted
     | _ -> ()
   done;
-  let done_ = !it in
+  let done_ = chain.Stem.iteration in
   (* Persist the final state when it is not already on disk, so a
      budget-exhausted or completed run can be extended later. *)
   if config.checkpoint_every > 0 && done_ > 0 && done_ mod config.checkpoint_every <> 0
-  then persist (make_ck done_);
-  let mean_service =
-    if done_ = 0 then Array.init nq (fun q -> Params.mean_service !params q)
-    else begin
-      let burn = if done_ > c.Stem.burn_in then c.Stem.burn_in else 0 in
-      let kept = done_ - burn in
-      let acc = Array.make nq 0.0 in
-      for i = burn to done_ - 1 do
-        for q = 0 to nq - 1 do
-          acc.(q) <- acc.(q) +. (Params.mean_service history.(i) q /. float_of_int kept)
-        done
-      done;
-      acc
-    end
-  in
-  let averaged =
-    Params.create
-      ~rates:(Array.map (fun s -> 1.0 /. s) mean_service)
-      ~arrival_queue:(Store.arrival_queue store)
-  in
+  then persist (Checkpoint.capture chain);
+  let r = Stem.average c chain in
   {
-    params = averaged;
-    params_last = !params;
-    history = Array.sub history 0 done_;
-    mean_service;
-    log_likelihood_history = Array.sub llh 0 done_;
+    params = r.Stem.params;
+    params_last = r.Stem.params_last;
+    history = r.Stem.history;
+    mean_service = r.Stem.mean_service;
+    log_likelihood_history = r.Stem.log_likelihood_history;
     status = (match !stop with Some s -> s | None -> Completed);
     report =
       {

@@ -2,8 +2,8 @@
 
     The paper's deployment story — localizing performance problems from
     ~1% samples of production traces — implies long sampling runs over
-    dirty data. This module wraps the Gibbs/StEM loop of
-    {!Qnet_core.Stem} in a production harness:
+    dirty data. This module drives {!Qnet_core.Stem}'s chain and step
+    in a production harness:
 
     - {b checkpointing}: every [checkpoint_every] iterations the full
       sampler state (latents, parameters, iterate history, RNG) is
@@ -79,9 +79,12 @@ val run :
   Qnet_prob.Rng.t ->
   Qnet_core.Event_store.t ->
   result
-(** [run rng store] mirrors {!Qnet_core.Stem.run} (initialization,
-    warmup, E/M iterations, post-burn-in averaging) under the harness
-    above. With [resume] the initialization phase is skipped entirely:
+(** [run rng store] is {!Qnet_core.Stem.run} under the harness above:
+    the same {!Qnet_core.Stem.start}, {!Qnet_core.Stem.warmup},
+    {!Qnet_core.Stem.step} (whose [check] runs [chaos] and the health
+    checks) and {!Qnet_core.Stem.average}, so with no incident the
+    result is [Stem.run]'s bit for bit, telemetry included. With
+    [resume] the initialization phase is skipped entirely:
     the store, parameters, history, and RNG are restored from the
     checkpoint and iteration [ck.iteration] continues as if the
     process had never died. Raises [Invalid_argument] if the

@@ -1,8 +1,6 @@
 module Store = Qnet_core.Event_store
 module Params = Qnet_core.Params
 module Stem = Qnet_core.Stem
-module Gibbs = Qnet_core.Gibbs
-module Init = Qnet_core.Init
 module Rng = Qnet_prob.Rng
 module Statistics = Qnet_prob.Statistics
 module Welford = Statistics.Welford
@@ -69,8 +67,11 @@ let m_checkpoint_seconds =
 (* Force every lazy family at run entry so a scrape (or the final
    snapshot) exports them all at 0 even when nothing bad happened —
    an absent quarantine counter is indistinguishable from a broken
-   exporter, a present zero is evidence of health. *)
+   exporter, a present zero is evidence of health. The step's own
+   families are forced here too, on this domain: chain domains forcing
+   one lazy at once would crash a chain with [CamlinternalLazy.Undefined]. *)
 let register_metrics () =
+  Stem.register_metrics ();
   List.iter
     (fun m -> ignore (Lazy.force m : Metrics.Counter.t))
     [
@@ -189,32 +190,25 @@ type armed_fault = { spec : Fault.chain_fault; mutable fired : bool }  (* qnet-l
 type round_outcome = Round_ok | Round_crashed of string
 
 type chain_state = {
-  id : int;
-  store : Store.t;
-  rng : Rng.t;
-  anchor : Params.t;
-  history : Params.t array;  (* iterates; the valid prefix is [0, it) *)
-  llh : float array;
+  chain : Stem.chain;  (* handed to the round domain like the fields below *)
   samples : float array array;
       (* realized mean service per queue per iteration — kept alongside
-         [history] so the Welford accumulators can be rebuilt over the
-         surviving prefix after a rollback, preserving NaN-skip
+         the chain's history so the Welford accumulators can be rebuilt
+         over the surviving prefix after a rollback, preserving NaN-skip
          accounting over exactly the samples that still count *)
   hb : Watchdog.Heartbeat.t;
   age_gauge : Metrics.Gauge.t;
   cancel : bool Atomic.t;
   faults : armed_fault array;
-  mutable params : Params.t;  (* qnet-lint: racy-ok C003 round-barrier hand-off: the spawned round domain owns st until join; supervisor touches it only between rounds *)
-  mutable it : int;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable restarts : int;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable incidents : (int * string) list;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable status : chain_status;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable last_good : Checkpoint.t option;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable outcome : round_outcome;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable stall_flagged : bool;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable abandoned : bool;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable warmed : bool;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
-  mutable welford : Welford.t array;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see params) *)
+  mutable restarts : int;  (* qnet-lint: racy-ok C001 round-barrier hand-off: the spawned round domain owns st until join; supervisor touches it only between rounds *)
+  mutable incidents : (int * string) list;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see restarts) *)
+  mutable status : chain_status;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see restarts) *)
+  mutable last_good : Checkpoint.t option;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see restarts) *)
+  mutable outcome : round_outcome;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see restarts) *)
+  mutable stall_flagged : bool;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see restarts) *)
+  mutable abandoned : bool;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see restarts) *)
+  mutable warmed : bool;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see restarts) *)
+  mutable welford : Welford.t array;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see restarts) *)
 }
 
 (* Same clamped time source as Runtime.now: watchdog deadlines and
@@ -226,130 +220,100 @@ let fresh_welford nq = Array.init nq (fun _ -> Welford.create ())
 let init_chain cfg ~seed ~init make_store faults id =
   let store = make_store () in
   let rng = Rng.create ~seed:(seed + (id * 7919)) () in
-  let anchor =
-    match init with Some p -> p | None -> Stem.initial_guess store
-  in
+  let chain, init_outcome = Stem.start ~id ?init cfg.stem rng store in
   let nq = Store.num_queues store in
-  let iterations = cfg.stem.Stem.iterations in
-  let st =
-    {
-      id;
-      store;
-      rng;
-      anchor;
-      history = Array.make iterations anchor;
-      llh = Array.make iterations Float.nan;
-      samples = Array.init iterations (fun _ -> Array.make nq Float.nan);
-      hb = Watchdog.Heartbeat.create ();
-      age_gauge = m_heartbeat_age id;
-      cancel = Atomic.make false;
-      faults =
-        List.filter (fun f -> f.Fault.chain = id) faults
-        |> List.map (fun spec -> { spec; fired = false })
-        |> Array.of_list;
-      params = anchor;
-      it = 0;
-      restarts = 0;
-      incidents = [];
-      status = Healthy;
-      last_good = None;
-      outcome = Round_ok;
-      stall_flagged = false;
-      abandoned = false;
-      warmed = false;
-      welford = fresh_welford nq;
-    }
-  in
-  (match
-     Init.feasible ~strategy:cfg.stem.Stem.init_strategy ~target:anchor store
-   with
-  | Ok () -> ()
-  | Error msg -> st.status <- Dead ("initialization failed: " ^ msg));
-  st
+  {
+    chain;
+    samples = Array.init cfg.stem.Stem.iterations (fun _ -> Array.make nq Float.nan);
+    hb = Watchdog.Heartbeat.create ();
+    age_gauge = m_heartbeat_age id;
+    cancel = Atomic.make false;
+    faults =
+      List.filter (fun f -> f.Fault.chain = id) faults
+      |> List.map (fun spec -> { spec; fired = false })
+      |> Array.of_list;
+    restarts = 0;
+    incidents = [];
+    status =
+      (match init_outcome with
+      | Ok () -> Healthy
+      | Error msg -> Dead ("initialization failed: " ^ msg));
+    last_good = None;
+    outcome = Round_ok;
+    stall_flagged = false;
+    abandoned = false;
+    warmed = false;
+    welford = fresh_welford nq;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The chain worker — runs on its own domain, one round at a time.     *)
 (* ------------------------------------------------------------------ *)
 
 let fire_pre_step_faults st =
+  let it = st.chain.Stem.iteration in
   Array.iter
     (fun af ->
-      if (not af.fired) && af.spec.Fault.at_iteration = st.it then
+      if (not af.fired) && af.spec.Fault.at_iteration = it then
         match af.spec.Fault.kind with
         | Fault.Chain_stall d ->
             af.fired <- true;
             Unix.sleepf d
         | Fault.Chain_crash ->
             af.fired <- true;
-            raise (Fault.Injected_crash { chain = st.id; iteration = st.it })
+            raise (Fault.Injected_crash { chain = st.chain.Stem.id; iteration = it })
         | Fault.Chain_corrupt_latent -> ())
     st.faults
 
-let fire_post_step_faults st =
+(* Latent corruption lands after the M-step: the damage shows in this
+   iteration's recorded sample (Welford skips the NaN) and, if it
+   survives the next sweep, in the barrier health check. *)
+let fire_post_step_faults st _ =
   Array.iter
     (fun af ->
-      if (not af.fired) && af.spec.Fault.at_iteration = st.it then
+      if (not af.fired) && af.spec.Fault.at_iteration = st.chain.Stem.iteration then
         match af.spec.Fault.kind with
         | Fault.Chain_corrupt_latent ->
             af.fired <- true;
-            ignore (Fault.corrupt_one_latent st.store)
+            ignore (Fault.corrupt_one_latent st.chain.Stem.store)
         | Fault.Chain_stall _ | Fault.Chain_crash -> ())
-    st.faults
+    st.faults;
+  Ok ()
+
+let record_sample st realized =
+  Array.blit realized 0 st.samples.(st.chain.Stem.iteration - 1) 0 (Array.length realized);
+  Array.iteri (fun q v -> Welford.add st.welford.(q) v) realized;
+  if Metrics.enabled () then begin
+    let ok = ref 0 and bad = ref 0 in
+    Array.iter (fun v -> if Float.is_finite v then incr ok else incr bad) realized;
+    if !ok > 0 then Metrics.Counter.inc ~by:(float_of_int !ok) (Lazy.force m_samples_ok);
+    if !bad > 0 then Metrics.Counter.inc ~by:(float_of_int !bad) (Lazy.force m_samples_bad)
+  end
 
 let run_round cfg st ~stop_at =
+  let chain = st.chain in
   Span.with_span "chain.round"
     ~attrs:
-      [ ("chain", string_of_int st.id); ("stop_at", string_of_int stop_at) ]
+      [ ("chain", string_of_int chain.Stem.id); ("stop_at", string_of_int stop_at) ]
   @@ fun () ->
   let c = cfg.stem in
   (try
      if not st.warmed then begin
-       for k = 1 to c.Stem.warmup_sweeps do
-         if not (Atomic.get st.cancel) then begin
-           Watchdog.Heartbeat.beat st.hb ~now:(now ())
-             ~sweep:(k - c.Stem.warmup_sweeps - 1);
-           Gibbs.sweep ~shuffle:c.Stem.shuffle st.rng st.store st.params
-         end
-       done;
+       Stem.warmup c chain ~before_sweep:(fun k ->
+           (not (Atomic.get st.cancel))
+           && begin
+                Watchdog.Heartbeat.beat st.hb ~now:(now ())
+                  ~sweep:(k - c.Stem.warmup_sweeps - 1);
+                true
+              end);
        st.warmed <- true
      end;
-     let prior =
-       if c.Stem.prior_strength > 0.0 then
-         Some (c.Stem.prior_strength, st.anchor)
-       else None
-     in
-     while st.it < stop_at && not (Atomic.get st.cancel) do
-       Watchdog.Heartbeat.beat st.hb ~now:(now ()) ~sweep:st.it;
+     while chain.Stem.iteration < stop_at && not (Atomic.get st.cancel) do
+       Watchdog.Heartbeat.beat st.hb ~now:(now ()) ~sweep:chain.Stem.iteration;
        fire_pre_step_faults st;
-       Gibbs.sweep ~shuffle:c.Stem.shuffle st.rng st.store st.params;
-       let p =
-         Stem.mle_step ?prior st.store ~previous:st.params
-           ~min_queue_events:c.Stem.min_queue_events
-       in
-       (* Latent corruption lands after the M-step: the damage shows in
-          this iteration's recorded sample (Welford skips the NaN) and,
-          if it survives the next sweep, in the barrier health check. *)
-       fire_post_step_faults st;
-       st.params <- p;
-       st.history.(st.it) <- p;
-       st.llh.(st.it) <- Store.log_likelihood st.store p;
-       let realized = Store.mean_service_by_queue st.store in
-       Array.blit realized 0 st.samples.(st.it) 0 (Array.length realized);
-       Array.iteri (fun q v -> Welford.add st.welford.(q) v) realized;
-       if Metrics.enabled () then begin
-         let ok = ref 0 and bad = ref 0 in
-         Array.iter
-           (fun v -> if Float.is_finite v then incr ok else incr bad)
-           realized;
-         if !ok > 0 then
-           Metrics.Counter.inc ~by:(float_of_int !ok) (Lazy.force m_samples_ok);
-         if !bad > 0 then
-           Metrics.Counter.inc ~by:(float_of_int !bad) (Lazy.force m_samples_bad);
-         Diagnostics.observe_iteration Diagnostics.default ~chain:st.id
-           ~waiting:(Store.mean_waiting_by_queue st.store)
-           realized
-       end;
-       st.it <- st.it + 1
+       ignore
+         (Stem.step ~check:(fire_post_step_faults st) ~on_sample:(record_sample st) c chain
+           : (unit, string) Stdlib.result)
      done
    with exn -> st.outcome <- Round_crashed (Printexc.to_string exn));
   Watchdog.Heartbeat.mark_done st.hb
@@ -361,17 +325,7 @@ let run_round cfg st ~stop_at =
 let capture st =
   let instrumented = Metrics.enabled () in
   let t0 = if instrumented then Clock.now () else 0.0 in
-  let ck =
-    {
-      Checkpoint.iteration = st.it;
-      rng_state = Rng.state st.rng;
-      params = st.params;
-      anchor = st.anchor;
-      snapshot = Store.snapshot st.store;
-      history = Array.sub st.history 0 st.it;
-      llh = Array.sub st.llh 0 st.it;
-    }
-  in
+  let ck = Checkpoint.capture st.chain in
   if instrumented then begin
     Metrics.Histogram.observe (Lazy.force m_checkpoint_seconds) (Clock.now () -. t0);
     Metrics.Counter.inc (Lazy.force m_checkpoints)
@@ -381,7 +335,7 @@ let capture st =
 let rebuild_accumulators st =
   let nq = Array.length st.welford in
   st.welford <- fresh_welford nq;
-  for i = 0 to st.it - 1 do
+  for i = 0 to st.chain.Stem.iteration - 1 do
     for q = 0 to nq - 1 do
       Welford.add st.welford.(q) st.samples.(i).(q)
     done
@@ -394,10 +348,11 @@ let rebuild_accumulators st =
    one that just died. [fatal] failures (crash/stall) exhaust into
    [Dead]; recoverable ones (health/divergence) into [Quarantined]. *)
 let recover cfg st ~fatal ~cause =
+  let chain = st.chain in
   if st.restarts >= cfg.max_restarts then begin
     st.status <- (if fatal then Dead cause else Quarantined cause);
     Log.warn (fun m ->
-        m "chain %d %s after %d restarts: %s" st.id
+        m "chain %d %s after %d restarts: %s" chain.Stem.id
           (if fatal then "dead" else "quarantined")
           st.restarts cause);
     if Metrics.enabled () then
@@ -407,23 +362,17 @@ let recover cfg st ~fatal ~cause =
   else begin
     st.restarts <- st.restarts + 1;
     Log.info (fun m ->
-        m "chain %d restart %d/%d (%s): rolling back to iteration %d" st.id
+        m "chain %d restart %d/%d (%s): rolling back to iteration %d" chain.Stem.id
           st.restarts cfg.max_restarts cause
           (match st.last_good with Some ck -> ck.Checkpoint.iteration | None -> 0));
     if Metrics.enabled () then Metrics.Counter.inc (Lazy.force m_restarts);
     (match st.last_good with
-    | Some ck ->
-        Store.restore st.store ck.Checkpoint.snapshot;
-        st.params <- ck.Checkpoint.params;
-        st.it <- ck.Checkpoint.iteration
+    | Some ck -> Checkpoint.rollback ck chain
     | None ->
-        st.params <- st.anchor;
-        st.it <- 0;
+        chain.Stem.params <- chain.Stem.anchor;
+        chain.Stem.iteration <- 0;
         st.warmed <- false);
-    (match
-       Init.feasible ~strategy:cfg.stem.Stem.init_strategy ~target:st.anchor
-         st.store
-     with
+    (match Stem.reinit cfg.stem chain with
     | Ok () -> ()
     | Error msg -> st.status <- Dead ("restart re-initialization failed: " ^ msg));
     rebuild_accumulators st
@@ -433,24 +382,25 @@ let barrier_check cfg st =
   match st.outcome with
   | Round_crashed cause ->
       let cause = "crash: " ^ cause in
-      st.incidents <- (st.it, cause) :: st.incidents;
+      st.incidents <- (st.chain.Stem.iteration, cause) :: st.incidents;
       recover cfg st ~fatal:true ~cause
   | Round_ok ->
       if st.stall_flagged then recover cfg st ~fatal:true ~cause:"stall"
         (* incident already logged when the watchdog flagged it *)
       else begin
-        match Health.check st.store st.params with
+        match Health.check st.chain.Stem.store st.chain.Stem.params with
         | [] -> st.last_good <- Some (capture st)
         | vs ->
             let cause = "health: " ^ Health.describe vs in
-            st.incidents <- (st.it, cause) :: st.incidents;
+            st.incidents <- (st.chain.Stem.iteration, cause) :: st.incidents;
             recover cfg st ~fatal:false ~cause
       end
 
 (* Cross-chain divergence monitor. Gated on the split-R̂ of the pooled
    post-burn-in mean-service iterates over {e service} queues only —
    the arrival queue's trace is nearly deterministic within a chain
-   (see the Stem.run_chains caveat) and would trip the gate spuriously.
+   (see the [rhat] doc in supervisor.mli) and would trip the gate
+   spuriously.
    When the gate trips, the chain with the largest KS distance against
    the pooled rest is quarantined — at most one per barrier, so a
    single bad chain cannot drag the healthy majority out with it.
@@ -463,19 +413,21 @@ let divergence_pass cfg chains =
   if List.length healthy >= 3 then begin
     let burn = cfg.stem.Stem.burn_in in
     let window =
-      List.fold_left (fun acc st -> Stdlib.min acc (st.it - burn)) max_int
-        healthy
+      List.fold_left
+        (fun acc st -> Stdlib.min acc (st.chain.Stem.iteration - burn))
+        max_int healthy
     in
     if window >= 8 then begin
-      let first = List.hd healthy in
-      let nq = Params.num_queues first.anchor in
-      let aq = first.anchor.Params.arrival_queue in
+      let anchor = (List.hd healthy).chain.Stem.anchor in
+      let nq = Params.num_queues anchor in
+      let aq = anchor.Params.arrival_queue in
       let service_queues =
         List.filter (fun q -> q <> aq) (List.init nq Fun.id)
       in
       let trace st q =
+        let it = st.chain.Stem.iteration in
         Array.init window (fun k ->
-            Params.mean_service st.history.(st.it - window + k) q)
+            Params.mean_service st.chain.Stem.history.(it - window + k) q)
       in
       let rhat_max =
         List.fold_left
@@ -515,7 +467,7 @@ let divergence_pass cfg chains =
                 "divergence: split-Rhat %.3f > %.2f, KS %.3f vs pooled rest"
                 rhat_max cfg.rhat_threshold s
             in
-            st.incidents <- (st.it, cause) :: st.incidents;
+            st.incidents <- (st.chain.Stem.iteration, cause) :: st.incidents;
             recover cfg st ~fatal:false ~cause
         | _ -> ()
       end
@@ -559,7 +511,7 @@ let watch cfg runnable =
               st.stall_flagged <- true;
               Log.warn (fun m ->
                   m "chain %d stalled: no heartbeat for %.3fs (deadline %.3gs)"
-                    st.id age cfg.sweep_deadline);
+                    st.chain.Stem.id age cfg.sweep_deadline);
               if instrumented then Metrics.Counter.inc (Lazy.force m_stalls);
               let _, sweep = Watchdog.Heartbeat.last st.hb in
               st.incidents <-
@@ -570,18 +522,18 @@ let watch cfg runnable =
                     age cfg.sweep_deadline )
                 :: st.incidents;
               Atomic.set st.cancel true;
-              Hashtbl.replace first_stalled st.id t
+              Hashtbl.replace first_stalled st.chain.Stem.id t
             end
             else begin
               let since =
                 t
-                -. (try Hashtbl.find first_stalled st.id
+                -. (try Hashtbl.find first_stalled st.chain.Stem.id
                     with Not_found -> t)
               in
               if since > cfg.stall_grace then begin
                 Log.err (fun m ->
                     m "chain %d unresponsive %.3fs past cancellation; abandoning"
-                      st.id since);
+                      st.chain.Stem.id since);
                 abandoned := st :: !abandoned
               end
             end
@@ -608,12 +560,13 @@ let verdict_of st =
     Array.fold_left Welford.merge (Welford.create ()) st.welford
   in
   {
-    chain = st.id;
+    chain = st.chain.Stem.id;
     status = st.status;
     iterations_done =
-      (* an abandoned chain's [it] races with its zombie domain; the
-         heartbeat's sweep index is the last trustworthy reading *)
-      (if st.abandoned then snd (Watchdog.Heartbeat.last st.hb) else st.it);
+      (* an abandoned chain's iteration races with its zombie domain;
+         the heartbeat's sweep index is the last trustworthy reading *)
+      (if st.abandoned then snd (Watchdog.Heartbeat.last st.hb)
+       else st.chain.Stem.iteration);
     restarts = st.restarts;
     heartbeats = Watchdog.Heartbeat.beats st.hb;
     violations = Health.of_accumulator merged;
@@ -635,17 +588,20 @@ let finalize cfg chains t0 =
      gets a number (clearly marked [Failed]). *)
   let contributors =
     if healthy <> [] then healthy
-    else List.filter (fun st -> (not st.abandoned) && st.it > burn) all
+    else
+      List.filter
+        (fun st -> (not st.abandoned) && st.chain.Stem.iteration > burn)
+        all
   in
-  let anchor0 = chains.(0).anchor in
+  let anchor0 = chains.(0).chain.Stem.anchor in
   let nq = Params.num_queues anchor0 in
   let aq = anchor0.Params.arrival_queue in
   let post_burn st q =
-    Array.init (st.it - burn) (fun k ->
-        Params.mean_service st.history.(burn + k) q)
+    Array.init (st.chain.Stem.iteration - burn) (fun k ->
+        Params.mean_service st.chain.Stem.history.(burn + k) q)
   in
   let params, mean_service =
-    match List.filter (fun st -> st.it > burn) contributors with
+    match List.filter (fun st -> st.chain.Stem.iteration > burn) contributors with
     | [] -> (anchor0, Array.init nq (Params.mean_service anchor0))
     | cs ->
         let ms =
@@ -665,11 +621,11 @@ let finalize cfg chains t0 =
         in
         (p, ms)
   in
-  let diag_chains =
-    List.filter (fun st -> st.it - burn >= 4) healthy
+  let long_enough =
+    List.filter (fun st -> st.chain.Stem.iteration - burn >= 4) healthy
   in
   let rhat, ess =
-    match diag_chains with
+    match long_enough with
     | [] -> (Array.make nq Float.nan, Array.make nq Float.nan)
     | cs ->
         let per_queue f =
@@ -730,7 +686,7 @@ let chain_status_string = function
 let export_diag_statuses chains =
   Array.iter
     (fun st ->
-      Diagnostics.set_chain_status Diagnostics.default ~chain:st.id
+      Diagnostics.set_chain_status Diagnostics.default ~chain:st.chain.Stem.id
         (chain_status_string st.status))
     chains
 
@@ -749,16 +705,14 @@ let run ?(config = default_config) ?init ?(faults = []) ~seed make_store =
   let chains =
     Array.init config.chains (init_chain config ~seed ~init make_store faults)
   in
-  if Metrics.enabled () then
-    Diagnostics.set_arrival_queue Diagnostics.default
-      chains.(0).anchor.Params.arrival_queue;
   let iterations = config.stem.Stem.iterations in
   let continue_ = ref true in
   let round = ref 0 in
   while !continue_ do
     let runnable =
       Array.to_list chains
-      |> List.filter (fun st -> st.status = Healthy && st.it < iterations)
+      |> List.filter (fun st ->
+             st.status = Healthy && st.chain.Stem.iteration < iterations)
     in
     if runnable = [] then continue_ := false
     else begin
@@ -778,7 +732,7 @@ let run ?(config = default_config) ?init ?(faults = []) ~seed make_store =
         List.map
           (fun st ->
             let stop_at =
-              Stdlib.min iterations (st.it + config.round_iterations)
+              Stdlib.min iterations (st.chain.Stem.iteration + config.round_iterations)
             in
             (st, Domain.spawn (fun () -> run_round config st ~stop_at)))
           runnable

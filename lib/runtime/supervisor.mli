@@ -1,6 +1,7 @@
 (** Supervised multi-chain stochastic-EM inference.
 
-    {!run} executes N independent StEM chains on OCaml 5 domains and
+    {!run} executes N independent StEM chains ({!Qnet_core.Stem.chain},
+    advanced by {!Qnet_core.Stem.step}) on OCaml 5 domains and
     babysits them from the main domain: every chain beats a
     {!Watchdog.Heartbeat} once per sweep, a watchdog enforces a
     per-sweep deadline, a cross-chain monitor computes split-R̂ /
@@ -22,8 +23,8 @@
     fixed seed and no faults makes identical decisions every time, and
     unfaulted chains are bit-for-bit reproducible even when sibling
     chains are being killed and restarted around them — each chain
-    owns a private store and a private RNG stream derived from
-    [seed + 7919·chain] (the {!Qnet_core.Stem.run_chains} convention).
+    owns a private store and a private RNG stream seeded
+    [seed + 7919·chain].
 
     {b Stalls.} An OCaml domain cannot be preempted. A stalled chain
     is cancelled cooperatively (a flag it checks at each iteration
@@ -98,10 +99,15 @@ type result = {
   mean_service : float array;  (** pooled [1/μ̂_q] per queue *)
   rhat : float array;
       (** per-queue split-R̂ across healthy chains ([nan] when fewer
-          than one usable chain). The arrival queue's entry inherits
-          the {!Qnet_core.Stem.run_chains} caveat: its within-chain
-          variance is nearly zero, so its R̂ is inflated and not used
-          for divergence decisions. *)
+          than one usable chain). Values near 1 certify that the
+          estimates do not depend on the Monte Carlo path. Caveat:
+          a statistic that is almost deterministic within a chain —
+          notably the arrival rate, whose sufficient statistic
+          telescopes to the (anchored) horizon — has vanishing
+          within-chain variance, so the arrival queue's R̂ is inflated
+          while the chains agree on the rate to a fraction of a
+          percent. It is not used for divergence decisions; compare
+          the estimates themselves instead. *)
   ess : float array;
       (** pooled effective sample size per queue ([nan] when unusable) *)
   healthy_chains : int;

@@ -209,41 +209,6 @@ let test_estimate_waiting_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "burn_in >= sweeps rejected"
 
-let test_run_chains_rhat_near_one () =
-  let net = Topologies.tandem ~arrival_rate:10.0 ~service_rates:[ 15.0 ] in
-  let rng = Rng.create ~seed:912 () in
-  let trace = Net_helpers.simulate_n rng net 300 in
-  let mask = Obs.mask rng (Obs.Task_fraction 0.2) trace in
-  let make_store () = Store.of_trace ~observed:mask trace in
-  let config = { Stem.default_config with Stem.iterations = 80; burn_in = 40 } in
-  let results, rhat = Stem.run_chains ~config ~chains:3 ~seed:913 make_store in
-  Alcotest.(check int) "three chains" 3 (Array.length results);
-  (* skip q0: the arrival-rate trajectory is nearly deterministic
-     within a chain (see the run_chains doc), inflating R-hat *)
-  Array.iteri
-    (fun q r ->
-      if q > 0 then
-        Alcotest.(check bool)
-          (Printf.sprintf "queue %d rhat %.3f" q r)
-          true (r < 1.3))
-    rhat;
-  (* the chains must nonetheless agree on the arrival rate itself *)
-  let lambdas = Array.map (fun r -> Params.mean_service r.Stem.params 0) results in
-  let spread = Array.fold_left Float.max neg_infinity lambdas
-               -. Array.fold_left Float.min infinity lambdas in
-  Alcotest.(check bool)
-    (Printf.sprintf "lambda spread %.5f" spread)
-    true
-    (spread < 0.01)
-
-let test_run_chains_validation () =
-  let net = Topologies.tandem ~arrival_rate:10.0 ~service_rates:[ 15.0 ] in
-  let rng = Rng.create ~seed:914 () in
-  let trace = Net_helpers.simulate_n rng net 30 in
-  match Stem.run_chains ~chains:1 ~seed:1 (fun () -> Store.of_trace trace) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "single chain rejected"
-
 (* ------------------------------------------------------------------ *)
 (* Webapp corners *)
 
@@ -359,8 +324,6 @@ let () =
           Alcotest.test_case "prior 0 = plain MLE" `Quick
             test_stem_prior_strength_zero_is_plain_mle;
           Alcotest.test_case "waiting validation" `Quick test_estimate_waiting_validation;
-          Alcotest.test_case "multi-chain R-hat" `Slow test_run_chains_rhat_near_one;
-          Alcotest.test_case "chains validation" `Quick test_run_chains_validation;
         ] );
       ( "webapp",
         [

@@ -273,8 +273,9 @@ let test_resume_rejects_wrong_store () =
   Sys.remove ckpt
 
 (* ------------------------------------------------------------------ *)
-(* Goldens: the bits of whole seeded runs, committed before the drivers
-   shared one StEM step, in plain, metrics-enabled and profiled mode. *)
+(* Goldens: the bits of whole seeded runs, committed before Stem.run,
+   Runtime and Supervisor shared one StEM step, in plain,
+   metrics-enabled and profiled mode. *)
 
 let runtime_digest store rng (r : Runtime.result) =
   Net_helpers.stem_digest ~history:r.Runtime.history ~llh:r.Runtime.log_likelihood_history
@@ -349,6 +350,22 @@ let test_runtime_equals_stem () =
                ~mean_service:s.Stem.mean_service ~params_last:s.Stem.params_last store_s rng_s)
             (runtime_digest store_r rng_r r)))
     Net_helpers.modes
+
+(* With metrics on, the runtime feeds each committed iterate to the
+   diagnostics hub, as Stem.run does. *)
+let test_runtime_feeds_diagnostics () =
+  let module D = Qnet_obs.Diagnostics in
+  Net_helpers.with_mode `Metrics (fun () ->
+      let _, _, store = fresh_store () in
+      let r =
+        Runtime.run ~config:(runtime_config ~iterations:24 ()) (Rng.create ~seed:99 ()) store
+      in
+      let s = D.snapshot D.default in
+      Alcotest.(check int) "iterations observed" r.Runtime.report.Runtime.iterations_done
+        s.D.iterations_total;
+      Alcotest.(check (list (pair int int))) "one chain, every iteration" [ (0, 24) ]
+        (Array.to_list (Array.map (fun c -> (c.D.chain, c.D.iterations)) s.D.chains));
+      Alcotest.(check int) "queues" 3 (Array.length s.D.queues))
 
 (* ------------------------------------------------------------------ *)
 (* Health checking *)
@@ -806,6 +823,8 @@ let () =
           Alcotest.test_case "one rollback" `Quick test_golden_rollback_run;
           Alcotest.test_case "Runtime.run = Stem.run" `Quick test_runtime_equals_stem;
         ] );
+      ( "telemetry",
+        [ Alcotest.test_case "feeds Diagnostics" `Quick test_runtime_feeds_diagnostics ] );
       ( "health",
         [
           Alcotest.test_case "clean store" `Quick test_health_clean;

@@ -1,5 +1,5 @@
-(* Tests for stochastic EM, Monte Carlo EM, estimators, diagnostics,
-   and localization. *)
+(* Tests for stochastic EM, Monte Carlo EM, estimators and
+   localization. *)
 
 module Stem = Qnet_core.Stem
 module Mcem = Qnet_core.Mcem
@@ -7,7 +7,6 @@ module Store = Qnet_core.Event_store
 module Params = Qnet_core.Params
 module Obs = Qnet_core.Observation
 module Estimators = Qnet_core.Estimators
-module Diagnostics = Qnet_core.Diagnostics
 module Localization = Qnet_core.Localization
 module Topologies = Qnet_des.Topologies
 module Rng = Qnet_prob.Rng
@@ -168,8 +167,9 @@ let test_mcem_config_validation () =
   | _ -> Alcotest.fail "inner burn-in >= sweeps rejected"
 
 (* ------------------------------------------------------------------ *)
-(* Goldens: the bits of whole seeded runs, committed before the drivers
-   shared one StEM step, in plain, metrics-enabled and profiled mode. *)
+(* Goldens: the bits of whole seeded runs, committed before Stem.run,
+   Runtime and Supervisor shared one StEM step, in plain,
+   metrics-enabled and profiled mode. *)
 
 module Fsm = Qnet_fsm.Fsm
 module Network = Qnet_des.Network
@@ -256,39 +256,7 @@ let test_baseline_counts () =
   Alcotest.(check int) "q1 counts = observed tasks" (List.length observed) counts.(1)
 
 (* ------------------------------------------------------------------ *)
-(* Diagnostics and localization *)
-
-let test_diagnostics_chain_report () =
-  let rng = Rng.create ~seed:322 () in
-  let xs = Array.init 500 (fun _ -> Rng.float_unit rng) in
-  let r = Diagnostics.analyze_chain xs in
-  Alcotest.(check bool) "ess positive" true (r.Diagnostics.ess > 100.0);
-  Alcotest.(check bool) "mean near 0.5" true (Float.abs (r.Diagnostics.mean -. 0.5) < 0.1);
-  let s = Format.asprintf "%a" Diagnostics.pp_chain r in
-  Alcotest.(check bool) "printer works" true (String.length s > 0)
-
-let test_diagnostics_service_history () =
-  let ps =
-    Array.init 5 (fun i ->
-        Params.create ~rates:[| 1.0; float_of_int (i + 1) |] ~arrival_queue:0)
-  in
-  let h = Diagnostics.service_history ps 1 in
-  check_close "first" 1.0 h.(0);
-  check_close "last" 0.2 h.(4)
-
-let test_stem_settled () =
-  let stable =
-    Array.init 100 (fun _ -> Params.create ~rates:[| 1.0; 2.0 |] ~arrival_queue:0)
-  in
-  Alcotest.(check bool) "constant history settled" true (Diagnostics.stem_settled stable);
-  let diverging =
-    Array.init 100 (fun i ->
-        Params.create ~rates:[| 1.0; exp (0.1 *. float_of_int i) |] ~arrival_queue:0)
-  in
-  Alcotest.(check bool) "diverging history not settled" false
-    (Diagnostics.stem_settled diverging);
-  Alcotest.(check bool) "short history not settled" false
-    (Diagnostics.stem_settled (Array.sub stable 0 10))
+(* Localization *)
 
 let test_localization_load_bottleneck () =
   let reports =
@@ -376,12 +344,6 @@ let () =
           Alcotest.test_case "response >= service" `Quick
             test_baseline_response_exceeds_service;
           Alcotest.test_case "counts" `Quick test_baseline_counts;
-        ] );
-      ( "diagnostics",
-        [
-          Alcotest.test_case "chain report" `Quick test_diagnostics_chain_report;
-          Alcotest.test_case "service history" `Quick test_diagnostics_service_history;
-          Alcotest.test_case "stem settled" `Quick test_stem_settled;
         ] );
       ( "localization",
         [

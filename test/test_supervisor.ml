@@ -264,7 +264,7 @@ let test_supervised_acceptance () =
       Alcotest.(check int) "chain completed" 160 v.Supervisor.iterations_done)
     r.Supervisor.verdicts;
   (* pooled service-rate iterates mix across surviving chains; the
-     arrival queue (q0) is excluded per the Stem.run_chains caveat *)
+     arrival queue (q0) is excluded per the caveat in [rhat]'s doc *)
   Alcotest.(check bool) "split-Rhat certifies q1" true (r.Supervisor.rhat.(1) < 1.1);
   Alcotest.(check bool) "split-Rhat certifies q2" true (r.Supervisor.rhat.(2) < 1.1);
   Alcotest.(check bool) "pooled ESS positive" true
@@ -362,8 +362,9 @@ let test_zombie_abandoned () =
   Unix.sleepf 0.4
 
 (* ------------------------------------------------------------------ *)
-(* Goldens: the bits of whole seeded runs, committed before the drivers
-   shared one StEM step, in plain, metrics-enabled and profiled mode.
+(* Goldens: the bits of whole seeded runs, committed before Stem.run,
+   Runtime and Supervisor shared one StEM step, in plain,
+   metrics-enabled and profiled mode.
    No stall: when the watchdog sees one depends on wall time. *)
 (* ------------------------------------------------------------------ *)
 
@@ -385,8 +386,8 @@ let test_golden_fault_free () =
     "quorum 4 7e729f793f8a636ba52ad368e2226cb0" (fun () ->
       supervisor_digest (Supervisor.run ~config:(sup_config ()) ~seed:7 make_store))
 
-(* A crash on chain 1 before its first checkpoint (re-warm from
-   scratch); a corrupted latent on chain 0 that the next sweep heals
+(* A crash on chain 1 before its first checkpoint (re-warm from the
+   start); a corrupted latent on chain 0 that the next sweep heals
    (sample loss) and one on chain 2 at the end of its second round
    (barrier health check, rollback to the checkpoint at 8). *)
 let test_golden_crash_corrupt () =
@@ -445,6 +446,23 @@ let test_golden_serve_incremental_refit () =
       Array.iter (Buffer.add_int64_le b) (Rng.state rng);
       Printf.sprintf "%d windows %s" (List.length steps)
         (Digest.to_hex (Digest.string (Buffer.contents b))))
+
+(* The chains run the StEM step, so a profile of a supervised run
+   shows its phases, not only the sweeps. *)
+let test_profile_has_step_phases () =
+  let module Prof = Qnet_obs.Prof in
+  Net_helpers.with_mode `Profiled (fun () ->
+      ignore
+        (Supervisor.run ~config:(sup_config ~chains:2 ~min_chains:1 ()) ~seed:7 make_store
+          : Supervisor.result));
+  let paths = List.map (fun s -> s.Prof.path) (Prof.sites ()) in
+  List.iter
+    (fun phase ->
+      Alcotest.(check bool)
+        (Printf.sprintf "a phase path contains %s" phase)
+        true
+        (List.exists (fun p -> contains p phase) paths))
+    [ "stem.warmup"; "stem.iteration;stem.mstep"; "stem.iteration;gibbs.sweep" ]
 
 let test_config_validation () =
   let raises msg f =
@@ -527,6 +545,7 @@ let () =
           Alcotest.test_case "zombie abandoned" `Quick test_zombie_abandoned;
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "fault spec parsing" `Quick test_chain_fault_parsing;
+          Alcotest.test_case "profile shows the step" `Quick test_profile_has_step_phases;
         ] );
       ( "golden",
         [
