@@ -16,8 +16,9 @@ let masked_store ?(scheme = Qnet_core.Observation.Task_fraction 0.1) rng net n =
   let store = Qnet_core.Event_store.of_trace ~observed:mask trace in
   (trace, mask, store)
 
-(* Run [f] plain, with metrics enabled, or inside a profiling session.
-   Telemetry and profiling must not consume draws, so a seeded chain's
+(* Run [f] plain, with metrics enabled, inside a profiling session, or
+   traced: span tracing and a profiling session together. Telemetry,
+   tracing and profiling must not consume draws, so a seeded chain's
    bits are the same in every mode. The metrics mode starts from an
    empty diagnostics hub: the hub fixes its queue count on the first
    iterate it sees. *)
@@ -31,8 +32,17 @@ let with_mode mode f =
   | `Profiled ->
       Qnet_obs.Prof.start ();
       Fun.protect ~finally:Qnet_obs.Prof.stop f
+  | `Traced ->
+      Qnet_obs.Span.enable ();
+      Qnet_obs.Prof.start ();
+      Fun.protect
+        ~finally:(fun () ->
+          Qnet_obs.Prof.stop ();
+          Qnet_obs.Span.disable ())
+        f
 
-let modes = [ ("plain", `Plain); ("metrics", `Metrics); ("profiled", `Profiled) ]
+let modes =
+  [ ("plain", `Plain); ("metrics", `Metrics); ("profiled", `Profiled); ("traced", `Traced) ]
 
 (* [check_modes name expected f] runs [f] in every mode and checks each
    result string against [expected]. *)
