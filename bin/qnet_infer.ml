@@ -53,6 +53,7 @@ let say fmt =
   else Format.printf fmt
 
 let load_trace ~lenient ~num_queues input =
+  Span.with_span "trace.load" @@ fun () ->
   if lenient then begin
     match Trace.load_lenient ~num_queues input with
     | Error m -> Error (Printf.sprintf "cannot load %s: %s" input m)
@@ -394,6 +395,7 @@ let infer input num_queues fraction iterations seed bayes lenient checkpoint_eve
       (match outcome with
       | Error m -> Error m
       | Ok (mean_service, waiting, intervals) ->
+          Span.with_span "infer.report" @@ fun () ->
           print_estimates ~num_queues ~mean_service ~waiting ~intervals;
           let reports =
             Localization.analyze

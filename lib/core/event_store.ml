@@ -1,4 +1,5 @@
 module Trace = Qnet_trace.Trace
+module Span = Qnet_obs.Span
 
 type t = {
   num_queues : int;
@@ -41,6 +42,7 @@ let latent_of observed =
   latent
 
 let of_trace ?observed trace =
+  Span.with_span "event_store.of_trace" @@ fun () ->
   let events = trace.Trace.events in
   let n = Array.length events in
   if n = 0 then invalid_arg "Event_store.of_trace: empty trace";

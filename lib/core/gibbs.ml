@@ -3,7 +3,7 @@ module Piecewise = Qnet_prob.Piecewise
 module Store = Event_store
 module Metrics = Qnet_obs.Metrics
 module Clock = Qnet_obs.Clock
-module Prof = Qnet_obs.Prof
+module Span = Qnet_obs.Span
 
 (* Telemetry handles, created on first use. Hot-path sites are gated
    on [Metrics.enabled] — one atomic load when instrumentation is off. *)
@@ -538,9 +538,9 @@ let sweep ?(shuffle = false) rng store params =
       Metrics.Counter.inc ~by:(float_of_int n) (Lazy.force m_events)
     end
   in
-  (* Plain path: zero clock reads from this module, two atomic loads
-     per sweep. *)
-  Prof.with_phase "gibbs.sweep" go
+  (* Plain path: zero clock reads, three atomic loads per sweep (the
+     metrics switch and the phase's two). *)
+  Span.with_span "gibbs.sweep" go
 
 let run ?shuffle ~sweeps rng store params =
   if sweeps < 0 then invalid_arg "Gibbs.run: negative sweep count";

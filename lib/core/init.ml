@@ -1,6 +1,7 @@
 module Store = Event_store
 module Dcs = Qnet_lp.Difference_constraints
 module Simplex = Qnet_lp.Simplex
+module Span = Qnet_obs.Span
 
 type strategy = Earliest | Latest | Centered | Targeted
 
@@ -149,6 +150,7 @@ let targeted_solution ~slack (v : Store.view) (target : Params.t) latest =
   solution
 
 let feasible ?strategy ?(slack = 1e-9) ?target store =
+  Span.with_span "init.feasible" @@ fun () ->
   let strategy =
     match (strategy, target) with
     | Some s, _ -> s

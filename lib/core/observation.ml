@@ -1,5 +1,6 @@
 module Rng = Qnet_prob.Rng
 module Trace = Qnet_trace.Trace
+module Span = Qnet_obs.Span
 
 type scheme =
   | All
@@ -33,6 +34,7 @@ let find_task trace starts id =
   scan 0
 
 let mask rng scheme trace =
+  Span.with_span "observation.mask" @@ fun () ->
   (match validate scheme with
   | Ok () -> ()
   | Error m -> invalid_arg ("Observation.mask: " ^ m));

@@ -3,7 +3,6 @@ module Metrics = Qnet_obs.Metrics
 module Span = Qnet_obs.Span
 module Clock = Qnet_obs.Clock
 module Diagnostics = Qnet_obs.Diagnostics
-module Prof = Qnet_obs.Prof
 
 let m_iteration_seconds =
   lazy
@@ -186,15 +185,14 @@ let start ?(id = 0) ?init config rng store =
 
 let warmup ?(before_sweep = fun _ -> true) config c =
   Span.with_span "stem.warmup" (fun () ->
-      Prof.with_phase "stem.warmup" (fun () ->
-          let k = ref 1 in
-          while !k <= config.warmup_sweeps && before_sweep !k do
-            Gibbs.sweep ~shuffle:config.shuffle c.rng c.store c.params;
-            incr k
-          done))
+      let k = ref 1 in
+      while !k <= config.warmup_sweeps && before_sweep !k do
+        Gibbs.sweep ~shuffle:config.shuffle c.rng c.store c.params;
+        incr k
+      done)
 
 let step ?route_fsm ?(check = fun _ -> Ok ()) ?on_sample config c =
-  Prof.with_phase "stem.iteration" @@ fun () ->
+  Span.with_span "stem.iteration" @@ fun () ->
   let instrumented = Metrics.enabled () in
   let t0 = if instrumented then Clock.now () else 0.0 in
   (* Stochastic E-step: one sweep under the current parameters, plus
@@ -208,7 +206,7 @@ let step ?route_fsm ?(check = fun _ -> Ok ()) ?on_sample config c =
     if config.prior_strength > 0.0 then Some (config.prior_strength, c.anchor) else None
   in
   let p =
-    Prof.with_phase "stem.mstep" (fun () ->
+    Span.with_span "stem.mstep" (fun () ->
         mle_step ?prior c.store ~previous:c.params ~min_queue_events:config.min_queue_events)
   in
   match check p with
@@ -217,7 +215,7 @@ let step ?route_fsm ?(check = fun _ -> Ok ()) ?on_sample config c =
       let it = c.iteration in
       c.params <- p;
       c.history.(it) <- p;
-      c.llh.(it) <- Prof.with_phase "stem.loglik" (fun () -> Store.log_likelihood c.store p);
+      c.llh.(it) <- Span.with_span "stem.loglik" (fun () -> Store.log_likelihood c.store p);
       c.iteration <- it + 1;
       if instrumented || Option.is_some on_sample then begin
         (* The realized (imputed) per-queue means of this iterate — the
@@ -282,18 +280,17 @@ let run ?(config = default_config) ?init ?route_fsm rng store =
 let estimate_waiting ?(sweeps = 100) ?(burn_in = 50) rng store params =
   if burn_in < 0 || burn_in >= sweeps then
     invalid_arg "Stem.estimate_waiting: burn_in must be in [0, sweeps)";
-  Span.with_span "stem.estimate_waiting" (fun () ->
-      Prof.with_phase "stem.estimate_waiting" @@ fun () ->
-      let nq = Store.num_queues store in
-      let acc = Array.make nq 0.0 in
-      let kept = sweeps - burn_in in
-      for sweep = 0 to sweeps - 1 do
-        Gibbs.sweep ~shuffle:true rng store params;
-        if sweep >= burn_in then begin
-          let w = Store.mean_waiting_by_queue store in
-          for q = 0 to nq - 1 do
-            acc.(q) <- acc.(q) +. (w.(q) /. float_of_int kept)
-          done
-        end
-      done;
-      acc)
+  Span.with_span "stem.estimate_waiting" @@ fun () ->
+  let nq = Store.num_queues store in
+  let acc = Array.make nq 0.0 in
+  let kept = sweeps - burn_in in
+  for sweep = 0 to sweeps - 1 do
+    Gibbs.sweep ~shuffle:true rng store params;
+    if sweep >= burn_in then begin
+      let w = Store.mean_waiting_by_queue store in
+      for q = 0 to nq - 1 do
+        acc.(q) <- acc.(q) +. (w.(q) /. float_of_int kept)
+      done
+    end
+  done;
+  acc

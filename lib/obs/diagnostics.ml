@@ -569,14 +569,16 @@ let observe_iteration (t : t) ~chain ?waiting mean_service =
 
 let gc_tick (t : t) =
   Mutex.protect t.lock (fun () ->
-      let st = Gc.quick_stat () in
+      (* On OCaml 5.1 quick_stat's minor words advance only at a minor
+         collection; Gc.minor_words is exact for the calling domain. *)
+      let st = { (Gc.quick_stat ()) with Gc.minor_words = Gc.minor_words () } in
       let g = t.gc in
       (match t.gc_base with
       | None -> ()
       | Some base ->
-          (* Deltas clamp at zero: quick_stat's minor counters are
-             domain-local, and ticks may come from different domains
-             over a supervised run. *)
+          (* Deltas clamp at zero: the minor counters are domain-local,
+             and ticks may come from different domains over a
+             supervised run. *)
           let dpos x y = Float.max 0.0 (x -. y) in
           let ipos x y = Stdlib.max 0 (x - y) in
           g.minor_words <- g.minor_words +. dpos st.minor_words base.minor_words;

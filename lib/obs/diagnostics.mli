@@ -26,7 +26,9 @@
     behind the metrics server's [/diagnostics.json] and [/dashboard].
 
     {b GC profiling.} {!gc_tick} folds [Gc.quick_stat] deltas into
-    [qnet_gc_*] families. [quick_stat] does not walk the heap, so a
+    [qnet_gc_*] families, with minor words read exactly from
+    [Gc.minor_words] ([quick_stat]'s only advance at a minor
+    collection). [quick_stat] does not walk the heap, so a
     per-iteration tick is safe; deltas are clamped non-negative
     because minor counters are domain-local and the tick may be called
     from more than one domain over a run. *)

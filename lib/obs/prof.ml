@@ -58,15 +58,18 @@ let current : session option Atomic.t = Atomic.make None
 let latest : session option Atomic.t = Atomic.make None
 let lifecycle = Mutex.create ()
 
-let running () = Atomic.get current <> None
+let running () = match Atomic.get current with None -> false | Some _ -> true
 
 let is_current s =
   match Atomic.get current with Some s' -> s' == s | None -> false
 
 (* ------------------------------------------------------------------ *)
-(* Frame sanitization (same rules as Span.to_folded)                   *)
+(* Frame sanitization                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* A frame name becomes one ';'-separated component of a folded stack
+   line, so the separator characters themselves must not appear in it;
+   the trailing " <count>" is space-separated, so spaces go too. *)
 let folded_frame name =
   if name = "" then "(anonymous)"
   else
@@ -83,43 +86,20 @@ let folded_frame name =
 (* Site table                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let add_site_locked s ~path ~bytes ~samples ~self_seconds =
+(* One more sample of [bytes] and [self_seconds] on [key]'s row of
+   [rows] (the site table or the per-domain rollup). *)
+let add_locked rows key ~bytes ~self_seconds =
   let cell =
-    match Hashtbl.find_opt s.sites path with
+    match Hashtbl.find_opt rows key with
     | Some c -> c
     | None ->
         let c = { bytes = 0.0; samples = 0; self_seconds = 0.0 } in
-        Hashtbl.replace s.sites path c;
-        c
-  in
-  cell.bytes <- cell.bytes +. bytes;
-  cell.samples <- cell.samples + samples;
-  cell.self_seconds <- cell.self_seconds +. self_seconds
-
-let add_domain_locked s ~leaf ~bytes ~self_seconds =
-  let key = ((Domain.self () :> int), leaf) in
-  let cell =
-    match Hashtbl.find_opt s.by_domain key with
-    | Some c -> c
-    | None ->
-        let c = { bytes = 0.0; samples = 0; self_seconds = 0.0 } in
-        Hashtbl.replace s.by_domain key c;
+        Hashtbl.replace rows key c;
         c
   in
   cell.bytes <- cell.bytes +. bytes;
   cell.samples <- cell.samples + 1;
   cell.self_seconds <- cell.self_seconds +. self_seconds
-
-let record_site ~stack ~bytes =
-  match Atomic.get current with
-  | None -> ()
-  | Some s ->
-      if Float.is_finite bytes && bytes >= 0.0 && stack <> [] then begin
-        let path = String.concat ";" (List.map folded_frame stack) in
-        Mutex.lock s.lock;
-        add_site_locked s ~path ~bytes ~samples:1 ~self_seconds:0.0;
-        Mutex.unlock s.lock
-      end
 
 (* ------------------------------------------------------------------ *)
 (* Pause histograms                                                    *)
@@ -290,17 +270,6 @@ let open_events () =
 (* Phase attribution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type frame = {
-  name : string;
-  t0 : float;
-  a0 : float;  (* words allocated by this domain at entry *)
-  mutable child_seconds : float;  (* qnet-lint: racy-ok C001 Domain.DLS frame: the stack ref is per-domain state, only its owner domain pushes/pops/updates *)
-  mutable child_words : float;  (* qnet-lint: racy-ok C001 Domain.DLS frame (see child_seconds) *)
-}
-
-let stack_key : frame list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
 (* Gc.minor_words is exact; the minor count in Gc.counters only
    advances at a minor collection, so it misses whatever the minor
    heap holds. *)
@@ -310,49 +279,21 @@ let allocated_words () =
 
 let bytes_per_word = float_of_int (Sys.word_size / 8)
 
-let with_phase name f =
+let rec leaf = function [ f ] -> f | _ :: rest -> leaf rest | [] -> ""
+
+let record_site ~stack ~bytes ~self_seconds =
   match Atomic.get current with
-  | None -> f ()
+  | None -> ()
   | Some s ->
-      let stack = Domain.DLS.get stack_key in
-      let frame =
-        {
-          name;
-          t0 = Clock.now_raw ();
-          a0 = allocated_words ();
-          child_seconds = 0.0;
-          child_words = 0.0;
-        }
-      in
-      stack := frame :: !stack;
-      Fun.protect
-        ~finally:(fun () ->
-          let t1 = Clock.now_raw () in
-          let a1 = allocated_words () in
-          (match !stack with
-          | fr :: rest when fr == frame -> stack := rest
-          | other -> stack := List.filter (fun fr -> fr != frame) other);
-          let total_s = Float.max 0.0 (t1 -. frame.t0) in
-          let total_w = Float.max 0.0 (a1 -. frame.a0) in
-          let self_s = Float.max 0.0 (total_s -. frame.child_seconds) in
-          let self_w = Float.max 0.0 (total_w -. frame.child_words) in
-          (match !stack with
-          | parent :: _ ->
-              parent.child_seconds <- parent.child_seconds +. total_s;
-              parent.child_words <- parent.child_words +. total_w
-          | [] -> ());
-          let path =
-            String.concat ";"
-              (List.rev_map (fun fr -> folded_frame fr.name) (frame :: !stack))
-          in
-          let bytes = self_w *. bytes_per_word in
-          Mutex.lock s.lock;
-          add_site_locked s ~path ~bytes ~samples:1 ~self_seconds:self_s;
-          add_domain_locked s ~leaf:(folded_frame name) ~bytes
-            ~self_seconds:self_s;
-          Mutex.unlock s.lock;
-          match s.events with Ok c -> try_poll c | Error _ -> ())
-        f
+      if Float.is_finite bytes && bytes >= 0.0 && stack <> [] then begin
+        let frames = List.map folded_frame stack in
+        let self_seconds = Float.max 0.0 self_seconds in
+        Mutex.lock s.lock;
+        add_locked s.sites (String.concat ";" frames) ~bytes ~self_seconds;
+        add_locked s.by_domain ((Domain.self () :> int), leaf frames) ~bytes ~self_seconds;
+        Mutex.unlock s.lock;
+        match s.events with Ok c -> try_poll c | Error _ -> ()
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)

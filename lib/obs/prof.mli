@@ -1,10 +1,15 @@
 (** Allocation and GC-pause profiler — the "where do the bytes and the
     pauses go" layer under the hot-path roadmap work.
 
-    {b Bytes.} {!with_phase} brackets read {!allocated_words} and the
-    clock at entry and exit, and charge each phase its {e self} cost
-    (its total minus its nested phases) on the current domain's phase
-    stack. The site table folds into flamegraph folded-stack lines
+    {b Bytes.} The phases are [Span.with_span]'s, on its one
+    per-domain frame stack. While a session runs, each phase charges
+    its {e self} cost (its total minus its nested phases), counted with
+    {!allocated_words} and the clock, to its path through
+    {!record_site}, so a traced run's span tree and the site table hold
+    the same paths. A phase is charged what its domain allocated while
+    it was open: on a systhread, other threads' allocation too, and two
+    threads' overlapping phases interleave on the shared stack (see
+    [Span]). The site table folds into flamegraph folded-stack lines
     ({!to_folded}, the same [stack count] format as [Span.to_folded],
     valued in bytes), so [qnet_trace_tool flamegraph-diff] can diff
     before/after runs.
@@ -19,7 +24,7 @@
     domain reports its own share of a collection, so with [k] domains
     running one minor collection is [k] minor pauses. The intervals
     between the ends of major cycles on ring 0 fill the major-cycle
-    histogram. The rings are read at {!with_phase} exit (skipped when
+    histogram. The rings are read at each phase's close (skipped when
     another domain is reading them), at {!stop} and in
     {!snapshot_json}; events the runtime overwrote before they were
     read count as lost. If the ring directory cannot take a file the
@@ -28,10 +33,12 @@
     SLO ladder (decades, 1µs–100s).
 
     {b Cost contract.} Off (the default) the profiler adds one atomic
-    load per gated site — {!with_phase} is the thunk behind one load —
-    never starts [Runtime_events] and creates no [qnet_prof_*] series
-    in the default registry. On, each phase costs two clock reads, two
-    allocation-counter reads, one table update and one ring poll. *)
+    load per gated site — with tracing off too, a phase is its thunk
+    behind two atomic loads, with no clock read, no allocation and no
+    [Domain.DLS] access — never starts [Runtime_events] and creates no
+    [qnet_prof_*] series in the default registry. On, each phase costs
+    two clock reads, two allocation-counter reads, one table update
+    and one ring poll. *)
 
 val start : unit -> unit
 (** Start a profiling session, clearing any stopped session's data.
@@ -53,18 +60,18 @@ val allocated_words : unit -> float
     point, unlike the minor count of [Gc.counters], which on OCaml 5.1
     only advances at a minor collection. Works without a session. *)
 
-val with_phase : string -> (unit -> 'a) -> 'a
-(** [with_phase name f] runs [f]; when a session is running, the
-    allocation and wall-time {e self} cost (minus nested phases) is
-    attributed to the current domain's phase stack ending in [name].
-    Phases nest per domain like spans; a profiler-off call is [f ()]
-    behind one atomic load. Exception-safe. *)
+val record_site : stack:string list -> bytes:float -> self_seconds:float -> unit
+(** Credit [bytes] and [self_seconds] to an explicit stack (root
+    first) and to its leaf on the calling domain, then read the rings.
+    A closing phase charges its self cost this way; tests inject sites
+    with it. Frames go through {!folded_frame}. No-op when not running;
+    non-finite or negative [bytes] ignored. *)
 
-val record_site : stack:string list -> bytes:float -> unit
-(** Credit [bytes] to an explicit stack (root first) — deterministic
-    test injection and external attributors. Frames are sanitized the
-    way {!Qnet_obs.Span.to_folded} sanitizes span names. No-op when
-    not running; non-finite or negative [bytes] ignored. *)
+val folded_frame : string -> string
+(** [name] as one [;]-separated component of a folded stack line:
+    [;] becomes [:], whitespace [_], other control characters [?], and
+    the empty name [(anonymous)]. The site table's paths and
+    [Span.to_folded]'s stacks both use it. *)
 
 (** {1 Pauses} *)
 
@@ -110,8 +117,12 @@ val phase_split : unit -> (string * float) list
 
 val allocated_bytes : unit -> float
 (** Process-wide bytes allocated in the session ([Gc.quick_stat]
-    delta, up to its stop), 0 when no session. Another domain's minor
-    words only count once a minor collection has run. *)
+    delta, up to its stop), 0 when no session. It lags: on OCaml 5.1
+    [quick_stat]'s minor words advance only at a minor collection, so
+    whatever the minor heaps hold at either edge of the session is
+    missed, and it can read below the site table's total, which the
+    phases count exactly with {!allocated_words}. Closing that gap
+    needs a forced collection at both edges. *)
 
 val snapshot_json : unit -> string
 (** One self-contained JSON object: session state, the site table

@@ -1,3 +1,14 @@
+(* One open phase. [id] is its span's id, 0 when tracing was off as it
+   opened. Its nested phases add their totals to the child sums, so
+   its profile row holds only its self cost. Only the domain whose
+   stack holds the frame touches it. *)
+type frame = {
+  id : int;
+  name : string;
+  mutable child_seconds : float;  (* qnet-lint: racy-ok C001 Domain.DLS frame: only the domain whose stack holds it updates it *)
+  mutable child_words : float;  (* qnet-lint: racy-ok C001 Domain.DLS frame (see child_seconds) *)
+}
+
 type span = {
   id : int;
   parent : int option;
@@ -14,22 +25,17 @@ type tracer = {
   mutable dropped : int;
   drops_by_domain : (int, int) Hashtbl.t; (* domain id -> overwrites *)
   lock : Mutex.t;
+  dropped_total : Metrics.Counter.t;
 }
-
-(* Help string kept in sync with Serve_metrics.families so whichever
-   side registers first wins with the same text. *)
-let dropped_total =
-  lazy
-    (Metrics.Counter.create
-       ~help:"Spans overwritten in the ring buffer before being drained"
-       "qnet_trace_dropped_total")
 
 let state : tracer option Atomic.t = Atomic.make None
 let next_id = Atomic.make 0
 
-(* Current span chain of the calling domain; a fresh domain starts
-   with an empty stack, so its first span is a root. *)
-let stack_key : int list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+(* The open phases of the calling domain, innermost first; a fresh
+   domain starts with an empty stack, so its first phase is a root. *)
+let stack_key : frame list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+
+let bytes_per_word = float_of_int (Sys.word_size / 8)
 
 let enable ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Span.enable: capacity must be >= 1";
@@ -42,6 +48,13 @@ let enable ?(capacity = 65536) () =
          dropped = 0;
          drops_by_domain = Hashtbl.create 8;
          lock = Mutex.create ();
+         (* Created here, before any domain can record. The help string
+            is kept in sync with Serve_metrics.families so whichever
+            side registers first wins with the same text. *)
+         dropped_total =
+           Metrics.Counter.create
+             ~help:"Spans overwritten in the ring buffer before being drained"
+             "qnet_trace_dropped_total";
        })
 
 let disable () = Atomic.set state None
@@ -63,25 +76,44 @@ let record tr s =
   Mutex.unlock tr.lock;
   (* metrics counter bumped outside the ring lock; its shard belongs
      to this domain, so no extra synchronization is needed *)
-  if overwrote then Metrics.Counter.inc (Lazy.force dropped_total)
+  if overwrote then Metrics.Counter.inc tr.dropped_total
 
+(* Each end reads the clock, the stack and, when profiling, the
+   allocation counter once. The phase's parent, in the span tree and
+   in the profile, is whatever enclosed it as it opened. *)
 let with_span ?(attrs = []) name f =
-  match Atomic.get state with
-  | None -> f ()
-  | Some tr ->
-      let id = 1 + Atomic.fetch_and_add next_id 1 in
+  let tracer = Atomic.get state and profiling = Prof.running () in
+  match tracer with
+  | None when not profiling -> f ()
+  | _ ->
+      let words () = if profiling then Prof.allocated_words () else 0.0 in
       let stack = Domain.DLS.get stack_key in
-      let parent = match !stack with [] -> None | p :: _ -> Some p in
-      stack := id :: !stack;
-      let t0 = Clock.elapsed () in
-      Fun.protect
-        ~finally:(fun () ->
-          let t1 = Clock.elapsed () in
+      let enclosing = !stack in
+      let id = if Option.is_some tracer then 1 + Atomic.fetch_and_add next_id 1 else 0 in
+      let frame = { id; name; child_seconds = 0.0; child_words = 0.0 } in
+      stack := frame :: enclosing;
+      let t0 = Clock.elapsed () and a0 = words () in
+      Fun.protect f ~finally:(fun () ->
+          let seconds = Float.max 0.0 (Clock.elapsed () -. t0) in
+          let words = Float.max 0.0 (words () -. a0) in
           (match !stack with
-          | x :: rest when x = id -> stack := rest
-          | other -> stack := List.filter (fun x -> x <> id) other);
-          record tr { id; parent; name; start = t0; duration = t1 -. t0; attrs })
-        f
+          | top :: rest when top == frame -> stack := rest
+          | other -> stack := List.filter (fun fr -> fr != frame) other);
+          (match enclosing with
+          | parent :: _ ->
+              parent.child_seconds <- parent.child_seconds +. seconds;
+              parent.child_words <- parent.child_words +. words
+          | [] -> ());
+          Option.iter
+            (fun tr ->
+              let parent = match enclosing with p :: _ when p.id > 0 -> Some p.id | _ -> None in
+              record tr { id; parent; name; start = t0; duration = seconds; attrs })
+            tracer;
+          if profiling then
+            Prof.record_site
+              ~stack:(List.rev_map (fun (fr : frame) -> fr.name) (frame :: enclosing))
+              ~bytes:(Float.max 0.0 (words -. frame.child_words) *. bytes_per_word)
+              ~self_seconds:(Float.max 0.0 (seconds -. frame.child_seconds)))
 
 let drain () =
   match Atomic.get state with
@@ -243,43 +275,32 @@ let read_jsonl path =
 (* Folded stacks (flamegraph input)                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A frame name becomes one ';'-separated component of a folded stack
-   line, so the separator characters themselves must not appear in it;
-   the trailing " <count>" is space-separated, so spaces go too. *)
-let folded_frame name =
-  if name = "" then "(anonymous)"
-  else
-    String.map
-      (fun c ->
-        match c with
-        | ';' -> ':'
-        | ' ' | '\t' | '\n' | '\r' -> '_'
-        | c when Char.code c < 0x20 -> '?'
-        | c -> c)
-      name
+(* Each span's self time: its duration minus the time spent in its
+   direct children. *)
+let self_time spans =
+  let child_time = Hashtbl.create 256 in
+  List.iter
+    (fun s ->
+      Option.iter
+        (fun p ->
+          Hashtbl.replace child_time p
+            (s.duration +. Option.value (Hashtbl.find_opt child_time p) ~default:0.0))
+        s.parent)
+    spans;
+  fun s ->
+    Float.max 0.0 (s.duration -. Option.value (Hashtbl.find_opt child_time s.id) ~default:0.0)
 
 let to_folded spans =
   let by_id = Hashtbl.create 256 in
   List.iter (fun s -> Hashtbl.replace by_id s.id s) spans;
-  (* time spent in direct children, per parent id — self time is what
-     a flamegraph attributes to the leaf frame *)
-  let child_time = Hashtbl.create 256 in
-  List.iter
-    (fun s ->
-      match s.parent with
-      | None -> ()
-      | Some p ->
-          if Hashtbl.mem by_id p then
-            Hashtbl.replace child_time p
-              (s.duration
-              +. (try Hashtbl.find child_time p with Not_found -> 0.0)))
-    spans;
+  (* self time is what a flamegraph attributes to the leaf frame *)
+  let self = self_time spans in
   (* ancestry path, root first; a missing parent (overwritten in the
      ring before being drained) truncates the stack there rather than
      dropping the span, and a depth cap guards against parent cycles
      in corrupted logs *)
   let rec path depth s =
-    let frame = folded_frame s.name in
+    let frame = Prof.folded_frame s.name in
     if depth > 64 then [ frame ]
     else
       match s.parent with
@@ -292,12 +313,7 @@ let to_folded spans =
   let acc = Hashtbl.create 256 in
   List.iter
     (fun s ->
-      let self =
-        Float.max 0.0
-          (s.duration
-          -. (try Hashtbl.find child_time s.id with Not_found -> 0.0))
-      in
-      let us = int_of_float (Float.round (1e6 *. self)) in
+      let us = int_of_float (Float.round (1e6 *. self s)) in
       if us > 0 then begin
         let stack = String.concat ";" (path 0 s) in
         Hashtbl.replace acc stack
@@ -340,27 +356,13 @@ module Summary = struct
             neg_infinity spans
         in
         let wall = Float.max 0.0 (t_max -. t_min) in
-        (* time spent in direct children, per parent id *)
-        let child_time = Hashtbl.create 256 in
-        List.iter
-          (fun s ->
-            match s.parent with
-            | None -> ()
-            | Some p ->
-                Hashtbl.replace child_time p
-                  (s.duration
-                  +. (try Hashtbl.find child_time p with Not_found -> 0.0)))
-          spans;
+        let self_of = self_time spans in
         let by_name = Hashtbl.create 64 in
         let root_total = ref 0.0 in
         List.iter
           (fun s ->
             if s.parent = None then root_total := !root_total +. s.duration;
-            let self =
-              Float.max 0.0
-                (s.duration
-                -. (try Hashtbl.find child_time s.id with Not_found -> 0.0))
-            in
+            let self = self_of s in
             let count, total, self0, mx =
               try Hashtbl.find by_name s.name with Not_found -> (0, 0.0, 0.0, 0.0)
             in

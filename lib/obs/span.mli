@@ -3,13 +3,28 @@
     instrument the inference runtime the way we'd want the measured
     services instrumented.
 
-    Tracing is off by default: {!with_span} then costs one atomic load
-    and a direct call of the thunk. When enabled, a finished span is
-    pushed into a fixed-capacity ring buffer (oldest spans overwritten,
-    overwrites counted in {!dropped}), so a run that never drains the
-    tracer still has bounded memory. Parent links are tracked through a
-    per-domain span stack: spans nested on the same domain get parent
-    ids; a span opened on a freshly spawned domain is a root. *)
+    {!with_span} is the one scoped phase primitive: tracing and the
+    allocation profiler ({!Prof}) share its phases and its one
+    per-domain frame stack. When tracing is enabled, a finished phase
+    is pushed as a span into a fixed-capacity ring buffer (oldest spans
+    overwritten, overwrites counted in {!dropped}), so a run that never
+    drains the tracer still has bounded memory. When a profiling
+    session runs, the same frame charges the phase's self time and
+    self bytes to its path ({!Prof.record_site}). So one run's span
+    tree and profile hold the same paths. Phases nested on one domain
+    get parent links; a phase opened on a freshly spawned domain is a
+    root.
+
+    Off (both switches, the default), a phase costs two atomic loads
+    and then [f ()]: no clock read, no allocation beyond the caller's
+    thunk, no [Domain.DLS] access. {!enable} and [Prof.start] are the
+    only switches.
+
+    Systhreads of one domain share its stack, so two threads'
+    overlapping phases interleave: one opened while another thread's
+    phase is open becomes its child. The serve shard workers are such
+    threads. A profiled phase on a systhread is charged everything its
+    domain allocated while it was open. *)
 
 type span = {
   id : int;  (** unique within the process, dense from 1 *)
@@ -22,17 +37,20 @@ type span = {
 
 val enable : ?capacity:int -> unit -> unit
 (** Start tracing into a ring of [capacity] spans (default 65536).
-    Clears any previously buffered spans. *)
+    Clears any previously buffered spans. Registers
+    [qnet_trace_dropped_total] in {!Metrics.default} before any domain
+    can record. *)
 
 val disable : unit -> unit
 
 val enabled : unit -> bool
 
 val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** [with_span name f] runs [f], recording a span covering it. The
-    span is recorded (and the parent stack unwound) even when [f]
-    raises. When tracing is disabled this is [f ()] plus one atomic
-    load. *)
+(** [with_span name f] runs [f] as the phase [name]: a span covering
+    it when tracing is on, its self cost charged to its path when a
+    profiling session runs. The phase is recorded (and the stack
+    unwound) even when [f] raises. With both off this is [f ()] behind
+    two atomic loads. *)
 
 val emit :
   ?attrs:(string * string) list -> start:float -> duration:float -> string -> unit

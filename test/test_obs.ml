@@ -509,6 +509,20 @@ let test_diag_gc_tick () =
   if s.Diagnostics.gc.Diagnostics.heap_words <= 0 then
     Alcotest.fail "heap words not sampled"
 
+(* Minor words are exact for the calling domain: what the minor heap
+   still holds at the second tick counts, with no collection between
+   the ticks. *)
+let test_diag_gc_tick_minor_heap () =
+  let hub = Diagnostics.create ~registry:(Metrics.create_registry ()) () in
+  Gc.minor ();
+  Diagnostics.gc_tick hub;
+  (* 5,000 cons cells: 15,000 words, far below the minor heap *)
+  ignore (Sys.opaque_identity (List.init 5_000 Fun.id));
+  Diagnostics.gc_tick hub;
+  let words = (Diagnostics.snapshot hub).Diagnostics.gc.Diagnostics.minor_words in
+  if words < 15_000.0 then
+    Alcotest.failf "%.0f minor words after allocating 15,000" words
+
 let test_diag_register_golden () =
   let reg = Metrics.create_registry () in
   Diagnostics.register_metrics ~registry:reg ();
@@ -797,14 +811,71 @@ let with_prof f =
   Prof.start ();
   Fun.protect ~finally:(fun () -> Prof.stop ()) f
 
+(* Chain domains can overflow the ring together, so the drop counter
+   must exist before any of them records: two domains forcing one lazy
+   at once raise CamlinternalLazy.Undefined. This case runs before any
+   other overflows the ring in this process. *)
+let test_span_drop_counter_registered () =
+  Span.enable ~capacity:1 ();
+  Fun.protect ~finally:Span.disable @@ fun () ->
+  check_contains "registered by enable"
+    (Metrics.to_prometheus Metrics.default)
+    "qnet_trace_dropped_total"
+
+(* Tracing and profiling share one phase primitive, so a run traced
+   and profiled at once draws one tree: the ancestry path of every
+   span is a profile site, and every site is a span's path. *)
+let test_trace_and_profile_one_tree () =
+  let net =
+    Qnet_des.Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4)
+      ~service_rate:5.0 ()
+  in
+  let rng = Qnet_prob.Rng.create ~seed:31 () in
+  let _, _, store = Net_helpers.masked_store rng net 200 in
+  let config =
+    { Qnet_core.Stem.default_config with Qnet_core.Stem.iterations = 6; burn_in = 3 }
+  in
+  Span.enable ();
+  let spans =
+    Fun.protect ~finally:Span.disable (fun () ->
+        with_prof (fun () -> ignore (Qnet_core.Stem.run ~config rng store));
+        Span.drain ())
+  in
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun s -> Hashtbl.replace by_id s.Span.id s) spans;
+  let rec path s =
+    match Option.bind s.Span.parent (Hashtbl.find_opt by_id) with
+    | Some p -> path p ^ ";" ^ s.Span.name
+    | None -> s.Span.name
+  in
+  let span_paths = List.sort_uniq compare (List.map path spans) in
+  let site_paths =
+    List.sort_uniq compare (List.map (fun r -> r.Prof.path) (Prof.sites ()))
+  in
+  Alcotest.(check (list string)) "span paths are the profile's sites" span_paths
+    site_paths;
+  Alcotest.(check (list string))
+    "the tree"
+    [
+      "stem.run";
+      "stem.run;init.feasible";
+      "stem.run;stem.iteration";
+      "stem.run;stem.iteration;gibbs.sweep";
+      "stem.run;stem.iteration;stem.loglik";
+      "stem.run;stem.iteration;stem.mstep";
+      "stem.run;stem.warmup";
+      "stem.run;stem.warmup;gibbs.sweep";
+    ]
+    span_paths
+
 let test_prof_off_by_default () =
   Prof.stop ();
   let before = Prof.stats () in
   Alcotest.(check bool) "not running" false before.Prof.is_running;
   (* Every gated entry point must be a pure pass-through when off. *)
-  let r = Prof.with_phase "off.phase" (fun () -> 41 + 1) in
-  Alcotest.(check int) "with_phase passes the value through" 42 r;
-  Prof.record_site ~stack:[ "ghost" ] ~bytes:1024.0;
+  let r = Span.with_span "off.phase" (fun () -> 41 + 1) in
+  Alcotest.(check int) "with_span passes the value through" 42 r;
+  Prof.record_site ~stack:[ "ghost" ] ~bytes:1024.0 ~self_seconds:0.0;
   Prof.record_pause Prof.Minor 0.5;
   let after = Prof.stats () in
   Alcotest.(check int) "no pauses recorded" before.Prof.pauses_recorded
@@ -821,8 +892,8 @@ let test_prof_phase_accounting () =
   with_prof (fun () ->
       Alcotest.(check bool) "running" true (Prof.running ());
       let keep =
-        Prof.with_phase "outer" (fun () ->
-            Prof.with_phase "inner" (fun () -> Array.make 100_000 0.0))
+        Span.with_span "outer" (fun () ->
+            Span.with_span "inner" (fun () -> Array.make 100_000 0.0))
       in
       Alcotest.(check int) "computation intact" 100_000 (Array.length keep);
       (* the 100k-float array (~800KB) must land on the inner phase,
@@ -847,7 +918,7 @@ let test_prof_phase_bytes_exact () =
       Gc.minor ();
       let minors0 = (Gc.quick_stat ()).Gc.minor_collections in
       let kept =
-        Prof.with_phase "small" (fun () ->
+        Span.with_span "small" (fun () ->
             List.init blocks (fun i -> [| float_of_int i |]))
       in
       Alcotest.(check int) "no collection inside the phase" minors0
@@ -862,12 +933,12 @@ let test_prof_phase_bytes_exact () =
 
 let test_prof_folded_golden () =
   with_prof (fun () ->
-      Prof.record_site ~stack:[ "a b"; "x;y"; "" ] ~bytes:1024.0;
-      Prof.record_site ~stack:[ "root" ] ~bytes:2048.0;
-      Prof.record_site ~stack:[ "a b"; "x;y"; "" ] ~bytes:1024.0;
-      Prof.record_site ~stack:[ "zero" ] ~bytes:0.0;
-      Prof.record_site ~stack:[ "bad" ] ~bytes:Float.nan;
-      Prof.record_site ~stack:[ "neg" ] ~bytes:(-5.0);
+      Prof.record_site ~stack:[ "a b"; "x;y"; "" ] ~bytes:1024.0 ~self_seconds:0.0;
+      Prof.record_site ~stack:[ "root" ] ~bytes:2048.0 ~self_seconds:0.0;
+      Prof.record_site ~stack:[ "a b"; "x;y"; "" ] ~bytes:1024.0 ~self_seconds:0.0;
+      Prof.record_site ~stack:[ "zero" ] ~bytes:0.0 ~self_seconds:0.0;
+      Prof.record_site ~stack:[ "bad" ] ~bytes:Float.nan ~self_seconds:0.0;
+      Prof.record_site ~stack:[ "neg" ] ~bytes:(-5.0) ~self_seconds:0.0;
       (* sanitized (spaces -> _, ';' -> ':', "" -> (anonymous)),
          identical stacks merged, zero/non-finite/negative dropped,
          deterministically sorted by stack *)
@@ -965,7 +1036,7 @@ let test_prof_snapshot_json () =
   (* Jsonx.parse_object only descends two levels, so the snapshot is
      checked by substring, the same way the verify scripts consume it. *)
   with_prof (fun () ->
-      ignore (Prof.with_phase "snap.phase" (fun () -> Array.make 50_000 0.0));
+      ignore (Span.with_span "snap.phase" (fun () -> Array.make 50_000 0.0));
       Prof.record_pause Prof.Minor 0.002;
       let live = Prof.snapshot_json () in
       check_contains "running" live "\"running\":true";
@@ -984,7 +1055,7 @@ let test_prof_snapshot_json () =
   Alcotest.(check bool) "folded survives stop" true (Prof.to_folded () <> [])
 
 let test_prof_restart_clears () =
-  with_prof (fun () -> Prof.record_site ~stack:[ "old" ] ~bytes:512.0);
+  with_prof (fun () -> Prof.record_site ~stack:[ "old" ] ~bytes:512.0 ~self_seconds:0.0);
   Alcotest.(check bool) "data readable after stop" true
     (List.mem_assoc "old" (Prof.to_folded ()));
   with_prof (fun () ->
@@ -993,7 +1064,7 @@ let test_prof_restart_clears () =
 
 let test_prof_start_while_running () =
   with_prof (fun () ->
-      Prof.record_site ~stack:[ "kept" ] ~bytes:512.0;
+      Prof.record_site ~stack:[ "kept" ] ~bytes:512.0 ~self_seconds:0.0;
       Prof.start ();
       Alcotest.(check bool) "still running" true (Prof.running ());
       Alcotest.(check bool) "the session's data survives" true
@@ -1050,6 +1121,8 @@ let () =
         ] );
       ( "spans",
         [
+          Alcotest.test_case "enable registers the drop counter" `Quick
+            test_span_drop_counter_registered;
           Alcotest.test_case "nesting and parent ids" `Quick test_span_nesting;
           Alcotest.test_case "recorded on exception" `Quick test_span_exception_safe;
           Alcotest.test_case "ring overflow drops oldest" `Quick
@@ -1087,6 +1160,8 @@ let () =
             test_diag_publish_gauges;
           Alcotest.test_case "gc_tick folds allocation deltas" `Quick
             test_diag_gc_tick;
+          Alcotest.test_case "gc_tick counts the minor heap" `Quick
+            test_diag_gc_tick_minor_heap;
           Alcotest.test_case "register_metrics matches golden present-zeros scrape"
             `Quick test_diag_register_golden;
         ] );
@@ -1113,6 +1188,8 @@ let () =
           Alcotest.test_case "spawned domain's ring is read" `Quick
             test_prof_pauses_other_domain;
           Alcotest.test_case "rusage sample" `Quick test_prof_rusage;
+          Alcotest.test_case "a traced, profiled run draws one tree" `Quick
+            test_trace_and_profile_one_tree;
         ] );
       ( "metrics-server",
         [
