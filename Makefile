@@ -200,17 +200,22 @@ verify-fleet: build
 verify-prof: build
 	scripts/verify_prof
 
-# Core-throughput regression gate: time the hot paths directly and
-# compare against the committed BENCH_core.json baseline; fails on a
-# >20% regression. Refresh the baseline with:
+# Core-throughput regression gate: time the hot paths directly, each
+# next to a host reference in the same process, and compare the
+# speed relative to that reference against the committed
+# BENCH_core.json baseline; fails on a drop past the measured noise
+# (scripts/bench_compare) or an allocation budget. Refresh the
+# baseline with:
 #   dune exec bench/main.exe -- --core-json BENCH_core.json
 bench: build
 	dune exec bench/main.exe -- --core-json _bench_core_current.json
 	scripts/bench_compare BENCH_core.json _bench_core_current.json
 
-# Telemetry overhead gate: re-measure the sweep rates and fail when
-# the metrics_enabled overhead exceeds the 5% budget (an absolute
-# budget, not a baseline diff). Refresh the committed numbers with:
+# Telemetry overhead gate: time sweeps with metrics, with tracing and
+# with profiling, each against a disabled run next to it, and fail
+# when a median overhead exceeds its budget (absolute budgets, not
+# baseline diffs; scripts/bench_compare). Refresh the committed
+# numbers with:
 #   dune exec bench/obs_overhead.exe
 bench-obs:
 	dune exec bench/obs_overhead.exe -- _bench_obs_current.json

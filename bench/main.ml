@@ -21,7 +21,9 @@
    [--sizes 1k,10k,100k,1m]` skips Bechamel and the experiments and
    instead runs the ROADMAP size sweep: per store size it times Gibbs
    sweeps/s directly (median of repeats) in index order and shuffled
-   (the order Stem and estimate_waiting use), measures exact allocated
+   (the order Stem and estimate_waiting use), each repeat next to a
+   host reference, and reports the median ratio of the two (sweeps per
+   reference), measures exact allocated
    bytes/sweep on the plain hot path in both orders, times the
    targeted Init.feasible on a copy of the store and counts its bytes
    per store event, counts the bytes per event that set-up allocates
@@ -31,8 +33,9 @@
    iterations/s and piecewise draws/s are timed on the 1k fixture.
    Everything lands in PATH (default BENCH_core.json, schema 2, one
    size object per line). `make bench` compares that file against the
-   committed baseline per size and fails on a >20% sweeps/s
-   regression, on a plain sweep that allocates more than 1 byte per
+   committed baseline per size and fails when a speed relative to the
+   host reference drops past the measured noise, on a plain sweep that
+   allocates more than 1 byte per
    resampled event, or on an Init.feasible, a parse or a store build
    over its byte budget per event (scripts/bench_compare). *)
 
@@ -182,17 +185,69 @@ let tests =
    work-per-second, median over repeats so one noisy repeat (GC,
    scheduler) cannot fake a regression either way. *)
 
-let median_rate ~repeats ~work ~per_repeat =
-  let rates =
-    Array.init repeats (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to per_repeat do
-          work ()
-        done;
-        float_of_int per_repeat /. (Unix.gettimeofday () -. t0))
+(* The host reference for a store: a frozen, sweep-shaped read of the
+   store's own arrays, in the order a sweep visits them. Per event it
+   reads the event's departure and those of its task and queue
+   neighbours, as the kernel does, and takes a log and an exp. It calls
+   no qnet code, so no change to the sampler moves it, while it shares
+   the sweep's data and access pattern, and so its cache and memory
+   behaviour on this host. The result runs [passes] passes over
+   [order]. *)
+let reference store order =
+  let v = Store.view store in
+  let d = v.Store.v_departure and pi = v.Store.v_pi and rho = v.Store.v_rho in
+  let pi_inv = v.Store.v_pi_inv and rho_inv = v.Store.v_rho_inv in
+  let at a i = if i >= 0 then a.(i) else 0.0 in
+  fun passes ->
+    let acc = ref 0.0 in
+    for _ = 1 to passes do
+      Array.iter
+        (fun f ->
+          let x = d.(f) -. at d pi.(f) and y = d.(f) -. at d rho.(f) in
+          let z = at d pi_inv.(f) +. at d rho_inv.(f) in
+          acc := !acc +. Float.log (1.0 +. Float.abs x) +. Float.exp (-.Float.abs (y +. z)))
+        order
+    done;
+    ignore (Sys.opaque_identity !acc)
+
+(* Median work/s over [repeats] repeats of [per_repeat] calls, and
+   the median per-repeat ratio of the time of one [reference] pass to
+   the time of one call. Each repeat times the reference right next to
+   its work, first or second by turns, and for as many passes as last
+   about as long as the work, so that both sides of the pair see the
+   same host: the ratio is the host-relative number the gate reads,
+   where the rate swings with the host. *)
+let median_rate ~repeats ~work ~per_repeat ~reference =
+  let time f =
+    let t0 = Unix.gettimeofday () in
+    f ();
+    Unix.gettimeofday () -. t0
   in
-  Array.sort compare rates;
-  rates.(repeats / 2)
+  let run () =
+    for _ = 1 to per_repeat do
+      work ()
+    done
+  in
+  let t_pass = time (fun () -> reference 1) in
+  let passes = Int.max 1 (Float.to_int (Float.round (time run /. t_pass))) in
+  let pairs =
+    Array.init repeats (fun r ->
+        let t_ref, t_work =
+          if r mod 2 = 0 then
+            let t_ref = time (fun () -> reference passes) in
+            (t_ref, time run)
+          else
+            let t_work = time run in
+            (time (fun () -> reference passes), t_work)
+        in
+        ( float_of_int per_repeat /. t_work,
+          t_ref /. float_of_int passes /. (t_work /. float_of_int per_repeat) ))
+  in
+  let median a =
+    Array.sort compare a;
+    a.(repeats / 2)
+  in
+  (median (Array.map fst pairs), median (Array.map snd pairs))
 
 (* The ROADMAP size sweep: the same three-tier topology at 1k / 10k /
    100k / 1M unobserved events (events ~= 3.8 x tasks at 5%
@@ -232,8 +287,10 @@ type size_result = {
   spec : size_spec;
   events : int;
   sweeps_per_s : float;
+  sweeps_per_ref : float;
   alloc_bytes_per_sweep : float;
   shuffled_sweeps_per_s : float;
+  shuffled_sweeps_per_ref : float;
   shuffled_alloc_bytes_per_sweep : float;
   init_s : float;
   init_alloc_bytes_per_event : float;
@@ -245,17 +302,27 @@ type size_result = {
   phase_self : (string * float) list;
 }
 
-(* Median sweeps/s over the spec's repeats, and the bytes each sweep
-   allocated on the plain (unprofiled, unmetered) path, counted by
-   Prof.allocated_words over the measured sweeps. *)
+(* Median sweeps/s over the spec's repeats, the median ratio to a
+   pass of the store's reference in the same order (sweeps per
+   reference), and the bytes each sweep allocated on the plain
+   (unprofiled, unmetered) path, counted by Prof.allocated_words over
+   as many sweeps again, untimed, so that the timing's own allocation
+   is not counted. *)
 let time_sweeps spec ~shuffle rng store params =
-  let a0 = Prof.allocated_words () in
-  let sweeps_per_s =
+  let order = if shuffle then Store.shuffled_latent store (Rng.create ~seed:7 ()) else Store.latent store in
+  let reference = reference store order in
+  let sweeps_per_s, sweeps_per_ref =
     median_rate ~repeats:spec.repeats ~per_repeat:spec.sweeps_per_repeat
       ~work:(fun () -> Gibbs.sweep ~shuffle rng store params)
+      ~reference
   in
   let total_sweeps = spec.repeats * spec.sweeps_per_repeat in
+  let a0 = Prof.allocated_words () in
+  for _ = 1 to total_sweeps do
+    Gibbs.sweep ~shuffle rng store params
+  done;
   ( sweeps_per_s,
+    sweeps_per_ref,
     (Prof.allocated_words () -. a0)
     *. float_of_int (Sys.word_size / 8)
     /. float_of_int total_sweeps )
@@ -303,10 +370,10 @@ let run_size spec =
   for _ = 1 to Stdlib.min 3 spec.sweeps_per_repeat + 1 do
     Gibbs.sweep ~shuffle:false rng store params
   done;
-  let sweeps_per_s, alloc_bytes_per_sweep =
+  let sweeps_per_s, sweeps_per_ref, alloc_bytes_per_sweep =
     time_sweeps spec ~shuffle:false rng store params
   in
-  let shuffled_sweeps_per_s, shuffled_alloc_bytes_per_sweep =
+  let shuffled_sweeps_per_s, shuffled_sweeps_per_ref, shuffled_alloc_bytes_per_sweep =
     time_sweeps spec ~shuffle:true rng store params
   in
   (* Profiled pass: GC pauses (every collection in the pass, read from
@@ -328,8 +395,10 @@ let run_size spec =
     spec;
     events;
     sweeps_per_s;
+    sweeps_per_ref;
     alloc_bytes_per_sweep;
     shuffled_sweeps_per_s;
+    shuffled_sweeps_per_ref;
     shuffled_alloc_bytes_per_sweep;
     init_s;
     init_alloc_bytes_per_event;
@@ -354,10 +423,10 @@ let size_json r =
     |> String.concat ""
   in
   Printf.sprintf
-    "\"%s\":{\"tasks\":%d,\"store_events\":%d,\"repeats\":%d,\"gibbs_sweeps_per_s\":%.2f,\"alloc_bytes_per_sweep\":%.1f,\"shuffled_sweeps_per_s\":%.2f,\"shuffled_alloc_bytes_per_sweep\":%.1f,\"init_s\":%.6g,\"init_alloc_bytes_per_event\":%.1f,\"parse_alloc_bytes_per_event\":%.1f,\"store_alloc_bytes_per_event\":%.1f,\"minor_pause_p50_s\":%s,\"minor_pause_p99_s\":%s,\"major_pause_p50_s\":%s,\"major_pause_p99_s\":%s,\"gc_pauses\":%d%s}"
-    r.spec.label r.spec.tasks r.events r.spec.repeats r.sweeps_per_s
-    r.alloc_bytes_per_sweep r.shuffled_sweeps_per_s r.shuffled_alloc_bytes_per_sweep
-    r.init_s r.init_alloc_bytes_per_event r.parse_alloc_bytes_per_event
+    "\"%s\":{\"tasks\":%d,\"store_events\":%d,\"repeats\":%d,\"gibbs_sweeps_per_s\":%.2f,\"gibbs_sweeps_per_ref\":%.4f,\"alloc_bytes_per_sweep\":%.1f,\"shuffled_sweeps_per_s\":%.2f,\"shuffled_sweeps_per_ref\":%.4f,\"shuffled_alloc_bytes_per_sweep\":%.1f,\"init_s\":%.6g,\"init_alloc_bytes_per_event\":%.1f,\"parse_alloc_bytes_per_event\":%.1f,\"store_alloc_bytes_per_event\":%.1f,\"minor_pause_p50_s\":%s,\"minor_pause_p99_s\":%s,\"major_pause_p50_s\":%s,\"major_pause_p99_s\":%s,\"gc_pauses\":%d%s}"
+    r.spec.label r.spec.tasks r.events r.spec.repeats r.sweeps_per_s r.sweeps_per_ref
+    r.alloc_bytes_per_sweep r.shuffled_sweeps_per_s r.shuffled_sweeps_per_ref
+    r.shuffled_alloc_bytes_per_sweep r.init_s r.init_alloc_bytes_per_event r.parse_alloc_bytes_per_event
     r.store_alloc_bytes_per_event
     (jnum r.pause_minor.Prof.p50_s)
     (jnum r.pause_minor.Prof.p99_s) (jnum r.pause_major.Prof.p50_s)
@@ -373,25 +442,30 @@ let core_json ~sizes out =
   if specs = [] then failwith "--sizes matched no size (known: 1k 10k 100k 1m)";
   let repeats = 7 in
   let rng = Rng.create ~seed:42 () in
+  let fig4_reference = reference fig4_store (Store.latent fig4_store) in
   (* warmup: fault in code paths, warm the allocator *)
   for _ = 1 to 20 do
     Gibbs.sweep ~shuffle:false rng fig4_store fig4_params
   done;
-  let stem_iterations =
-    median_rate ~repeats ~per_repeat:40 ~work:(fun () ->
+  let stem_iterations, stem_iterations_per_ref =
+    median_rate ~repeats ~per_repeat:40
+      ~work:(fun () ->
         Gibbs.sweep ~shuffle:false rng fig4_store fig4_params;
         ignore
           (Stem.mle_step fig4_store ~previous:fig4_params ~min_queue_events:1))
+      ~reference:fig4_reference
   in
-  let piecewise_draws =
-    median_rate ~repeats ~per_repeat:60_000 ~work:(fun () ->
+  let piecewise_draws, piecewise_draws_per_ref =
+    median_rate ~repeats ~per_repeat:60_000
+      ~work:(fun () ->
         ignore (Gibbs.sample_event rng fig4_store fig4_params kernel_event))
+      ~reference:fig4_reference
   in
   let results = List.map run_size specs in
-  let legacy_sweeps =
+  let legacy =
     match List.find_opt (fun r -> r.spec.label = "1k") results with
-    | Some r -> r.sweeps_per_s
-    | None -> (List.hd results).sweeps_per_s
+    | Some r -> r
+    | None -> List.hd results
   in
   (* One size object per line: scripts/bench_compare (POSIX sh + awk)
      slices per-size keys by grepping the "LABEL":{...} line. *)
@@ -405,8 +479,9 @@ let core_json ~sizes out =
     results;
   Buffer.add_string buf
     (Printf.sprintf
-       "},\n\"gibbs_sweeps_per_s\":%.2f,\"stem_iterations_per_s\":%.2f,\"piecewise_draws_per_s\":%.2f}\n"
-       legacy_sweeps stem_iterations piecewise_draws);
+       "},\n\"gibbs_sweeps_per_s\":%.2f,\"stem_iterations_per_s\":%.2f,\"piecewise_draws_per_s\":%.2f,\"gibbs_sweeps_per_ref\":%.4f,\"stem_iterations_per_ref\":%.4f,\"piecewise_draws_per_ref\":%.4f}\n"
+       legacy.sweeps_per_s stem_iterations piecewise_draws legacy.sweeps_per_ref
+       stem_iterations_per_ref piecewise_draws_per_ref);
   let oc = open_out out in
   output_string oc (Buffer.contents buf);
   close_out oc;
@@ -414,16 +489,18 @@ let core_json ~sizes out =
   List.iter
     (fun r ->
       Printf.printf
-        "  %-4s %8d events: %10.2f sweeps/s in order (%.0f alloc B/sweep), %10.2f shuffled (%.0f B), init %.3f s (%.0f B/event), parse %.0f B/event, store %.0f B/event, %d GC pause(s) [minor p99 %s, major p99 %s]\n"
-        r.spec.label r.events r.sweeps_per_s r.alloc_bytes_per_sweep
-        r.shuffled_sweeps_per_s r.shuffled_alloc_bytes_per_sweep r.init_s
+        "  %-4s %8d events: %10.2f sweeps/s in order (%.3f per reference, %.0f alloc B/sweep), %10.2f shuffled (%.3f, %.0f B), init %.3f s (%.0f B/event), parse %.0f B/event, store %.0f B/event, %d GC pause(s) [minor p99 %s, major p99 %s]\n"
+        r.spec.label r.events r.sweeps_per_s r.sweeps_per_ref r.alloc_bytes_per_sweep
+        r.shuffled_sweeps_per_s r.shuffled_sweeps_per_ref r.shuffled_alloc_bytes_per_sweep r.init_s
         r.init_alloc_bytes_per_event r.parse_alloc_bytes_per_event
         r.store_alloc_bytes_per_event r.pauses_recorded
         (jnum r.pause_minor.Prof.p99_s)
         (jnum r.pause_major.Prof.p99_s))
     results;
-  Printf.printf "  stem iterations     %10.1f /s\n" stem_iterations;
-  Printf.printf "  piecewise draws     %10.1f /s\n" piecewise_draws;
+  Printf.printf "  stem iterations     %10.1f /s (%.3f per reference)\n" stem_iterations
+    stem_iterations_per_ref;
+  Printf.printf "  piecewise draws     %10.1f /s (%.3f per reference)\n" piecewise_draws
+    piecewise_draws_per_ref;
   Printf.printf "-> %s\n" out
 
 let benchmark () =

@@ -1,10 +1,18 @@
 (* Telemetry overhead benchmark: Gibbs sweep throughput with the
    instrumentation (a) compiled in but disabled — the default for
-   every run that passes no telemetry flag, contractually within 5% of
-   the uninstrumented seed because the disabled path is the seed path
-   behind one atomic load — (b) with the metrics registry enabled,
-   (c) with metrics and span tracing enabled, and (d) with the
-   allocation/GC-pause profiler (Qnet_obs.Prof) running alone.
+   every run that passes no telemetry flag — (b) with the metrics
+   registry enabled, (c) with metrics and span tracing enabled, and
+   (d) with the allocation/GC-pause profiler (Qnet_obs.Prof) running
+   alone.
+
+   Each mode's overhead is a paired ratio: every repeat times the mode
+   right next to a disabled run, first or second by turns, and the
+   overhead is one minus the median of those ratios. A slow spell on a
+   shared host slows both sides of a pair, so it cancels, where the
+   absolute rates swing by more than the overheads being measured. A
+   disabled-vs-disabled control pair, timed the same way, measures
+   what is left: its per-pair spread is written out as the noise
+   floor.
 
    The warm-up sweeps, run before any profiler session exists, double
    as the profiler's off-by-default guard: the bench asserts that a
@@ -45,7 +53,7 @@ let fixture () =
   | Error m -> failwith m);
   (store, params)
 
-(* Sweeps/s of one repeat. *)
+(* Sweeps/s of one timed run. *)
 let sweep_rate rng ~sweeps store params =
   let t0 = Unix.gettimeofday () in
   for _ = 1 to sweeps do
@@ -77,35 +85,57 @@ let with_mode mode f =
       Prof.start ();
       Fun.protect ~finally:Prof.stop f
 
-let modes = [| Disabled; Metrics_on; Metrics_and_tracing; Profiling |]
+(* The paired modes, each against a disabled run; the first is the
+   control. *)
+let modes =
+  [|
+    ("control", Disabled);
+    ("metrics_enabled", Metrics_on);
+    ("metrics_and_tracing", Metrics_and_tracing);
+    ("profiling_enabled", Profiling);
+  |]
 
-(* Median sweep rate per mode. The modes take turns within every
-   repeat, in an order that rotates, so a slow spell on a shared host
-   lands on all of them alike instead of on whichever mode it happened
-   to coincide with; the median then drops it. *)
-let rates_by_mode ~repeats ~sweeps store params =
+(* Per mode, the per-repeat ratios of its rate to its paired disabled
+   run's, sorted; and every disabled rate. The modes take turns within
+   each repeat, in an order that rotates. *)
+let paired_ratios ~repeats ~sweeps store params =
   let rng = Rng.create ~seed:42 () in
   let nm = Array.length modes in
-  let rates = Array.make_matrix nm repeats 0.0 in
+  let ratios = Array.make_matrix nm repeats 0.0 in
+  let disabled = Array.make (nm * repeats) 0.0 in
+  let rate mode = with_mode mode (fun () -> sweep_rate rng ~sweeps store params) in
   for r = 0 to repeats - 1 do
     for j = 0 to nm - 1 do
       let m = (r + j) mod nm in
-      rates.(m).(r) <- with_mode modes.(m) (fun () -> sweep_rate rng ~sweeps store params)
+      let mode = snd modes.(m) in
+      let base, x =
+        if (r + m) mod 2 = 0 then
+          let base = rate Disabled in
+          (base, rate mode)
+        else
+          let x = rate mode in
+          (rate Disabled, x)
+      in
+      disabled.((r * nm) + m) <- base;
+      ratios.(m).(r) <- x /. base
     done
   done;
-  Array.map
-    (fun a ->
-      Array.sort compare a;
-      a.(repeats / 2))
-    rates
+  Array.iter (Array.sort compare) ratios;
+  Array.sort compare disabled;
+  (ratios, disabled)
+
+let quantile sorted q = sorted.(int_of_float (q *. float_of_int (Array.length sorted - 1)))
+
+(* Overhead in percent: what the mode costs against disabled. *)
+let overhead_pct ratio = 100.0 *. (1.0 -. ratio)
 
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_obs.json" in
   let store, params = fixture () in
   let events = Array.length (Store.unobserved_events store) in
-  (* ~30 ms per repeat at 1140 events: long enough that one scheduler
-     hiccup is a small share of a repeat *)
-  let repeats = 9 and sweeps = 150 in
+  (* ~40 ms per timed run at 1140 events: long enough that one
+     scheduler hiccup is a small share of it *)
+  let repeats = 31 and sweeps = 150 in
   Metrics.set_enabled false;
   Span.disable ();
   (* warmup: fault in code paths, warm the allocator *)
@@ -114,28 +144,39 @@ let () =
      sweeps above must not have started the runtime's event rings. *)
   if (Prof.stats ()).Prof.runtime_events_started then
     failwith "obs_overhead: Runtime_events started while the profiler was off";
-  let rates = rates_by_mode ~repeats ~sweeps store params in
-  let disabled = rates.(0) and metrics_on = rates.(1) in
-  let tracing_on = rates.(2) and profiling_on = rates.(3) in
-
-  let pct base x = 100.0 *. (base -. x) /. base in
+  let ratios, disabled = paired_ratios ~repeats ~sweeps store params in
+  let median = Array.map (fun r -> quantile r 0.5) ratios in
+  let control = ratios.(0) in
+  (* the control's interquartile spread, in overhead percent *)
+  let noise_floor = overhead_pct (quantile control 0.25) -. overhead_pct (quantile control 0.75) in
+  let fields f =
+    String.concat ","
+      (Array.to_list (Array.mapi (fun m (name, _) -> Printf.sprintf "\"%s\":%s" name (f m)) modes))
+  in
   let json =
     Printf.sprintf
-      "{\"benchmark\":\"obs_overhead\",\"store_events\":%d,\"sweeps_per_repeat\":%d,\"repeats\":%d,\"sweep_rate_per_s\":{\"telemetry_disabled\":%.2f,\"metrics_enabled\":%.2f,\"metrics_and_tracing\":%.2f,\"profiling_enabled\":%.2f},\"overhead_pct_vs_disabled\":{\"metrics_enabled\":%.2f,\"metrics_and_tracing\":%.2f,\"profiling_enabled\":%.2f},\"budget\":{\"disabled_vs_seed_pct_max\":5.0,\"note\":\"the disabled path is the seed code behind one atomic load per sweep/event site; a never-started profiler never starts Runtime_events (asserted)\"}}\n"
-      events sweeps repeats disabled metrics_on tracing_on profiling_on
-      (pct disabled metrics_on) (pct disabled tracing_on)
-      (pct disabled profiling_on)
+      "{\"benchmark\":\"obs_overhead\",\"store_events\":%d,\"sweeps_per_run\":%d,\"repeats\":%d,\"disabled_sweeps_per_s\":{\"p25\":%.2f,\"median\":%.2f,\"p75\":%.2f},\"paired_ratio_median\":{%s},\"overhead_pct_vs_disabled\":{%s},\"noise_floor_pct\":%.2f,\"note\":\"each mode's rate over its paired disabled run, median over repeats; the noise floor is the control pair's interquartile spread; a never-started profiler never starts Runtime_events (asserted)\"}\n"
+      events sweeps repeats (quantile disabled 0.25) (quantile disabled 0.5)
+      (quantile disabled 0.75)
+      (fields (fun m -> Printf.sprintf "%.4f" median.(m)))
+      (fields (fun m -> Printf.sprintf "%.2f" (overhead_pct median.(m))))
+      noise_floor
   in
   let oc = open_out out in
   output_string oc json;
   close_out oc;
-  Printf.printf "gibbs sweep throughput (%d unobserved events, median of %d):\n"
+  Printf.printf
+    "gibbs sweep overhead vs a paired disabled run (%d unobserved events, median of %d pairs):\n"
     events repeats;
-  Printf.printf "  telemetry disabled   %8.1f sweeps/s\n" disabled;
-  Printf.printf "  metrics enabled      %8.1f sweeps/s  (%+.1f%% vs disabled)\n"
-    metrics_on (-.pct disabled metrics_on);
-  Printf.printf "  metrics + tracing    %8.1f sweeps/s  (%+.1f%% vs disabled)\n"
-    tracing_on (-.pct disabled tracing_on);
-  Printf.printf "  profiling (alone)    %8.1f sweeps/s  (%+.1f%% vs disabled)\n"
-    profiling_on (-.pct disabled profiling_on);
+  Printf.printf "  disabled             %8.1f sweeps/s (median of %d runs)\n"
+    (quantile disabled 0.5) (Array.length disabled);
+  Array.iteri
+    (fun m (name, _) ->
+      Printf.printf "  %-20s %+6.2f%%  (pairs' quartiles %+.2f%% .. %+.2f%%)\n" name
+        (overhead_pct median.(m))
+        (overhead_pct (quantile ratios.(m) 0.75))
+        (overhead_pct (quantile ratios.(m) 0.25)))
+    modes;
+  Printf.printf "  noise floor          %6.2f%% (control pairs' interquartile spread)\n"
+    noise_floor;
   Printf.printf "-> %s\n" out
