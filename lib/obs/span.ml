@@ -86,16 +86,16 @@ let with_span ?(attrs = []) name f =
   match tracer with
   | None when not profiling -> f ()
   | _ ->
-      let words () = if profiling then Prof.allocated_words () else 0.0 in
+      let allocated () = if profiling then Prof.allocated_words () else 0.0 in
       let stack = Domain.DLS.get stack_key in
       let enclosing = !stack in
       let id = if Option.is_some tracer then 1 + Atomic.fetch_and_add next_id 1 else 0 in
       let frame = { id; name; child_seconds = 0.0; child_words = 0.0 } in
       stack := frame :: enclosing;
-      let t0 = Clock.elapsed () and a0 = words () in
+      let t0 = Clock.elapsed () and a0 = allocated () in
       Fun.protect f ~finally:(fun () ->
           let seconds = Float.max 0.0 (Clock.elapsed () -. t0) in
-          let words = Float.max 0.0 (words () -. a0) in
+          let words = Float.max 0.0 (allocated () -. a0) in
           (match !stack with
           | top :: rest when top == frame -> stack := rest
           | other -> stack := List.filter (fun fr -> fr != frame) other);
