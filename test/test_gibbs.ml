@@ -306,6 +306,61 @@ let test_gibbs_invariance_under_truth () =
   check_close ~eps:0.008 "q1 imputed mean" (1.0 /. 15.0) acc.(1);
   check_close ~eps:0.008 "q2 imputed mean" (1.0 /. 12.0) acc.(2)
 
+(* Whole-chain stationarity, started at the truth (after Geweke,
+   "Getting it right", JASA 2004). A simulated trace is one draw of the
+   latent departures from the posterior a sweep targets: the true
+   rates, the observed departures, and the paths and per-queue arrival
+   orders the sweep holds fixed. A sweep that leaves that posterior
+   invariant maps the truth to another draw from it, so statistics of
+   the state after k sweeps from the truth share one distribution with
+   the same statistics of the truth. Each comparison takes the swept
+   state of the even replicates and the truth of the odd ones, so the
+   two samples are independent and a two-sample KS test applies. The
+   per-conditional tests above cover one move; this covers the order
+   in which a sweep composes them. *)
+let stationarity_stats store =
+  Array.append (Store.mean_service_by_queue store) (Store.mean_waiting_by_queue store)
+
+(* Per statistic, shuffle false then true. A statistic passes at KS
+   distance <= 2.1 sqrt(2/n): a level of about 2.5e-4 per test, 1% over
+   the 40 tests of this group. *)
+let check_stationary ~net ~tasks ~seed =
+  let params = Params.of_network net in
+  let replicates = 4000 and sweeps = 10 in
+  List.iter
+    (fun shuffle ->
+      let rng = Rng.create ~seed () in
+      let truth = Array.make replicates [||] and swept = Array.make replicates [||] in
+      for r = 0 to replicates - 1 do
+        let _, _, store =
+          Net_helpers.masked_store ~scheme:(Obs.Task_fraction 0.25) rng net tasks
+        in
+        truth.(r) <- stationarity_stats store;
+        Gibbs.run ~shuffle ~sweeps rng store params;
+        swept.(r) <- stationarity_stats store
+      done;
+      let half = replicates / 2 in
+      let critical = 2.1 *. sqrt (2.0 /. float_of_int half) in
+      Array.iteri
+        (fun s _ ->
+          let a = Array.init half (fun i -> swept.(2 * i).(s)) in
+          let b = Array.init half (fun i -> truth.((2 * i) + 1).(s)) in
+          let d = Stats.ks_two_sample a b in
+          if d > critical then
+            Alcotest.failf "%s, statistic %d: KS %.4f > %.4f after %d sweeps"
+              (if shuffle then "shuffled" else "in order")
+              s d critical sweeps)
+        truth.(0))
+    [ false; true ]
+
+let test_stationary_three_tier () =
+  check_stationary ~tasks:10 ~seed:140
+    ~net:(Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 ())
+
+let test_stationary_feedback () =
+  check_stationary ~tasks:10 ~seed:141
+    ~net:(Topologies.feedback ~arrival_rate:3.0 ~service_rate:6.0 ~loop_prob:0.4)
+
 let test_run_sweeps_count () =
   let store = tandem_store ~seed:119 ~tasks:20 ~frac:0.5 in
   let params = true_params_tandem () in
@@ -632,6 +687,11 @@ let () =
             test_gibbs_invariance_under_truth;
           Alcotest.test_case "run sweep counts" `Quick test_run_sweeps_count;
           Alcotest.test_case "fully observed noop" `Quick test_fully_observed_sweep_noop;
+        ] );
+      ( "stationarity",
+        [
+          Alcotest.test_case "1-2-4 from truth, both orders" `Quick test_stationary_three_tier;
+          Alcotest.test_case "feedback from truth, both orders" `Quick test_stationary_feedback;
         ] );
       ( "chain digest",
         [
