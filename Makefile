@@ -1,7 +1,7 @@
 # Convenience targets; everything below is plain dune + the built
 # binaries, so `dune build` / `dune runtest` directly work too.
 
-.PHONY: all build test lint lint-deep verify-lint verify verify-supervised verify-obs verify-diagnostics verify-serve verify-overload verify-fleet verify-prof demo supervised-demo bench bench-obs clean
+.PHONY: all build test lint lint-deep verify-lint verify verify-supervised verify-obs verify-diagnostics verify-serve verify-overload verify-fleet verify-prof demo supervised-demo bench bench-obs bench-ess clean
 
 all: build
 
@@ -220,6 +220,13 @@ bench: build
 bench-obs:
 	dune exec bench/obs_overhead.exe -- _bench_obs_current.json
 	scripts/bench_compare --obs _bench_obs_current.json
+
+# Effective samples per second of the Gibbs sweep in index order and
+# shuffled, at 10k and 100k events over 5 seeds (bench/ess.ml). Prints
+# a table and gates nothing; the 1m row is
+#   dune exec bench/ess.exe -- --sizes 1m
+bench-ess: build
+	dune exec bench/ess.exe
 
 clean:
 	dune clean
