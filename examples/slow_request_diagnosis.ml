@@ -35,7 +35,7 @@ let () =
   let store = Store.of_trace ~observed:mask trace in
   let result = Stem.run rng store in
   (* refresh the imputation under the fitted parameters *)
-  Qnet_core.Gibbs.run ~shuffle:true ~sweeps:50 rng store result.Stem.params;
+  Qnet_core.Gibbs.run ~sweeps:50 rng store result.Stem.params;
 
   (* per task: imputed end-to-end response and per-queue waiting *)
   let nq = Store.num_queues store in

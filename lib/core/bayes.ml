@@ -40,7 +40,7 @@ let run ?(config = default_config) ?init rng store =
   let waiting_samples = Array.make nq [] in
   for sweep = 1 to config.sweeps do
     (* latent times given rates *)
-    Gibbs.sweep ~shuffle:true rng store !params;
+    Gibbs.sweep rng store !params;
     (* rates given latent times: conjugate Gamma conditionals *)
     let stats = Store.service_sufficient_stats store in
     params :=

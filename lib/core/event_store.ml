@@ -211,40 +211,11 @@ let events_at_queue t q =
 let unobserved_events t = Array.copy t.latent
 let latent t = t.latent
 
-external prefetch_slot : int array -> int -> unit = "qnet_prefetch_slot" [@@noalloc]
-
-(* [Rng.shuffle_in_place]'s Fisher-Yates, draw for draw, on an int
-   array, so a swap is two plain stores with no write barrier. The
-   bounds do not depend on the array, so each block of [draw_ahead]
-   is drawn first, with the slots it will swap prefetched, and then
-   swapped in order. *)
-let draw_ahead = 16
-
-let shuffle_ints rng (a : int array) =
-  let js = Array.make draw_ahead 0 in
-  let top = ref (Array.length a - 1) in
-  while !top >= 1 do
-    let m = Int.min draw_ahead !top in
-    for b = 0 to m - 1 do
-      let j = Qnet_prob.Rng.int rng (!top - b + 1) in
-      js.(b) <- j;
-      prefetch_slot a j
-    done;
-    for b = 0 to m - 1 do
-      let i = !top - b and j = js.(b) in
-      let tmp = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- tmp
-    done;
-    top := !top - m
-  done
-
 let shuffled_latent t rng =
   Array.blit t.latent 0 t.order 0 (Array.length t.latent);
-  shuffle_ints rng t.order;
+  Qnet_prob.Rng.shuffle_in_place rng t.order;
   t.order
 
-(* prefetch_stubs.c reads these fields by position *)
 type view = {
   v_departure : float array;
   v_observed : bool array;

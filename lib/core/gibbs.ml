@@ -451,32 +451,10 @@ let kernel sc (v : Store.view) rates rng f =
    128 it is about 1%. *)
 let timing_stride = 128
 
-(* Look-ahead of shuffled sweeps over large stores (DESIGN.md section
-   2, "Memory"). While event [order.(k)] is resampled, the lines that
-   [order.(k + lookahead_far)] reads in every view array are
-   prefetched, and so are the neighbour lines of
-   [order.(k + lookahead_near)], reached through pointers that the far
-   prefetch brought in. The stubs (prefetch_stubs.c) read the view
-   record's fields by position and write nothing, so the chain is the
-   same with or without them. *)
-external prefetch_event : Store.view -> int -> unit = "qnet_prefetch_event" [@@noalloc]
-
-external prefetch_neighbours : Store.view -> int -> unit = "qnet_prefetch_neighbours"
-[@@noalloc]
-
-let lookahead_far = 8
-let lookahead_near = 4
-
-(* Below this many store events the view arrays (about 64 B per
-   event) fit in a 2 MB L2, and the prefetches only add work. On a
-   2-core VM, shuffled sweeps with them broke even at 10k events, were
-   mixed at 20k and faster from 32k. *)
-let lookahead_min_events = 32_768
-
 (* The one sweep loop, behind every entry point: resample
    [order.(lo)] .. [order.(hi - 1)] in turn, writing each draw back
    under [Event_store.set_departure]'s checks. *)
-let visit ~metrics ~lookahead rng store params order lo hi =
+let visit ~metrics rng store params order lo hi =
   let sc = Array.make scratch_len 0.0 in
   let v = Store.view store in
   let rates = params.Params.rates in
@@ -484,10 +462,6 @@ let visit ~metrics ~lookahead rng store params order lo hi =
   let per_event = if metrics then Some (Lazy.force m_event_seconds) else None in
   let kinds = Array.make (Array.length m_kernel_kinds) 0 in
   for k = lo to hi - 1 do
-    if lookahead then begin
-      if k + lookahead_far < hi then prefetch_event v order.(k + lookahead_far);
-      if k + lookahead_near < hi then prefetch_neighbours v order.(k + lookahead_near)
-    end;
     let f = order.(k) in
     let timed = metrics && (k - lo) land (timing_stride - 1) = 0 in
     let te = if timed then Clock.now_raw () else 0.0 in
@@ -521,7 +495,7 @@ let sample_event rng store params f =
   sc.(s_draw)
 
 let resample_range rng store params events lo hi =
-  visit ~metrics:(Metrics.enabled ()) ~lookahead:false rng store params events lo hi
+  visit ~metrics:(Metrics.enabled ()) rng store params events lo hi
 
 let resample_event rng store params f = resample_range rng store params [| f |] 0 1
 
@@ -529,10 +503,9 @@ let sweep ?(shuffle = false) rng store params =
   let order = if shuffle then Store.shuffled_latent store rng else Store.latent store in
   let n = Array.length order in
   let metrics = Metrics.enabled () in
-  let lookahead = shuffle && Store.num_events store >= lookahead_min_events in
   let go () =
     let t0 = if metrics then Clock.now () else 0.0 in
-    visit ~metrics ~lookahead rng store params order 0 n;
+    visit ~metrics rng store params order 0 n;
     if metrics then begin
       Metrics.Histogram.observe (Lazy.force m_sweep_seconds) (Clock.now () -. t0);
       Metrics.Counter.inc ~by:(float_of_int n) (Lazy.force m_events)

@@ -96,20 +96,20 @@ val resample_range :
 val sweep :
   ?shuffle:bool -> Qnet_prob.Rng.t -> Event_store.t -> Params.t -> unit
 (** One full Gibbs sweep: resample every unobserved event once, in
-    index order, or in a fresh uniform random order when [shuffle]
-    (default [false]). A shuffled sweep over a store of at least
-    {!lookahead_min_events} events prefetches the events it will visit
-    next; the draws, and so the chain, are the same as
-    {!resample_range}'s over the same order. *)
+    index order, or in a fresh uniform random order
+    ({!Event_store.shuffled_latent}) when [shuffle] (default [false]).
+    Every sampler in this library sweeps in index order (DESIGN.md
+    section 2): that order reads the store's arrays as a stream, and it
+    drew at least as many effective samples per second as the random
+    scan at every size measured. [shuffle] stays because the
+    benchmark's batch driver passes it and the tests pin the random
+    scan's chain; the draws are {!resample_range}'s over the same
+    order. *)
 
 val register_metrics : unit -> unit
 (** Create the sweep's metric families now. [Lazy.force] is not
     domain-safe: code that sweeps on several domains with metrics
     enabled calls this on its own domain first. *)
-
-val lookahead_min_events : int
-(** The store size, in events, from which {!sweep} [~shuffle:true]
-    prefetches ahead. *)
 
 val run :
   ?shuffle:bool ->
@@ -118,4 +118,5 @@ val run :
   Event_store.t ->
   Params.t ->
   unit
-(** [run ~sweeps rng store params] applies {!sweep} [sweeps] times. *)
+(** [run ~sweeps rng store params] applies {!sweep} [sweeps] times,
+    in [shuffle]'s order (default index order). *)

@@ -58,7 +58,7 @@ let posterior ?(sweeps = 60) ?(burn_in = 20) rng store params ~window =
   let serv = Array.make nq 0.0 in
   let util = Array.make nq 0.0 in
   for sweep = 1 to sweeps do
-    Gibbs.sweep ~shuffle:true rng store params;
+    Gibbs.sweep rng store params;
     if sweep > burn_in then begin
       let snap = snapshot store ~window in
       Array.iter

@@ -41,7 +41,7 @@ let run ?(config = default_config) ?init rng store =
     let sums = Array.make nq 0.0 in
     let kept = config.sweeps_per_iteration - config.inner_burn_in in
     for sweep = 0 to config.sweeps_per_iteration - 1 do
-      Gibbs.sweep ~shuffle:true rng store !params;
+      Gibbs.sweep rng store !params;
       if sweep >= config.inner_burn_in then begin
         let stats = Store.service_sufficient_stats store in
         for q = 0 to nq - 1 do

@@ -53,7 +53,7 @@ let default_config =
     burn_in = 100;
     warmup_sweeps = 10;
     init_strategy = Init.Targeted;
-    shuffle = true;
+    shuffle = false;
     min_queue_events = 1;
     prior_strength = 0.05;
   }
@@ -285,7 +285,7 @@ let estimate_waiting ?(sweeps = 100) ?(burn_in = 50) rng store params =
   let acc = Array.make nq 0.0 in
   let kept = sweeps - burn_in in
   for sweep = 0 to sweeps - 1 do
-    Gibbs.sweep ~shuffle:true rng store params;
+    Gibbs.sweep rng store params;
     if sweep >= burn_in then begin
       let w = Store.mean_waiting_by_queue store in
       for q = 0 to nq - 1 do

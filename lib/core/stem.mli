@@ -17,7 +17,12 @@ type config = {
           M-step, letting the latent state decorrelate from the
           initializer (default 10) *)
   init_strategy : Init.strategy;  (** default [Targeted] *)
-  shuffle : bool;  (** randomize sweep order each iteration (default true) *)
+  shuffle : bool;
+      (** sweep in a fresh random order rather than index order
+          (default [false]). Every StEM driver, [estimate_waiting],
+          [Bayes], [Mcem] and [Interval_report] sweep in index order
+          (DESIGN.md section 2); the field stays because the
+          benchmark's batch driver reads it. *)
   min_queue_events : int;
       (** M-step guard: queues with fewer imputed events than this
           keep their previous rate (default 1) *)
@@ -161,5 +166,5 @@ val estimate_waiting :
   float array
 (** Posterior-mean waiting time per queue under fixed parameters
     (the paper's final step): run the Gibbs sampler for [sweeps]
-    (default 100) sweeps, discard [burn_in] (default 50), and average
+    (default 100) index-order sweeps, discard [burn_in] (default 50), and average
     each queue's mean waiting time across retained sweeps. *)

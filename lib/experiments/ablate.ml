@@ -40,7 +40,7 @@ let run_init_ablation ?(seed = 4) ?(num_tasks = 400) ?(fraction = 0.05)
     let rng = Rng.create ~seed:(seed + 1) () in
     let llhs =
       Array.init 200 (fun _ ->
-          Gibbs.sweep ~shuffle:true rng store truth;
+          Gibbs.sweep rng store truth;
           Store.log_likelihood store truth)
     in
     let tail = Array.sub llhs 100 100 in
@@ -66,7 +66,7 @@ let run_init_ablation ?(seed = 4) ?(num_tasks = 400) ?(fraction = 0.05)
       let llh = ref initial_llh in
       (try
          for sweep = 1 to max_sweeps do
-           Gibbs.sweep ~shuffle:true rng store truth;
+           Gibbs.sweep rng store truth;
            llh := Store.log_likelihood store truth;
            if !llh >= lo_band && !llh <= hi_band then begin
              reached := sweep;

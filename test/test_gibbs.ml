@@ -420,9 +420,9 @@ let digest_feedback =
      (store, Params.create ~rates:[| 2.5; 7.0 |] ~arrival_queue:0))
 
 (* The same network at 26,316 tasks (100k events), as bench/main.exe's
-   100k size: a store large enough for the shuffled sweep's look-ahead,
-   which the 1k fixtures never reach. The simulated truth is a feasible
-   state, so it is swept as it is. *)
+   100k size: a store far beyond the caches, which the 1k fixtures never
+   leave. The simulated truth is a feasible state, so it is swept as it
+   is. *)
 let digest_three_tier_large =
   lazy
     (let net =
@@ -431,8 +431,6 @@ let digest_three_tier_large =
      let trace = Net_helpers.simulate_n (Rng.create ~seed:1001 ()) net 26316 in
      let mask = Obs.mask (Rng.create ~seed:1002 ()) (Obs.Task_fraction 0.05) trace in
      let store = Store.of_trace ~observed:mask trace in
-     if Store.num_events store < Gibbs.lookahead_min_events then
-       Alcotest.fail "the large fixture no longer reaches the look-ahead";
      let _, params = Lazy.force digest_three_tier in
      (store, params))
 
@@ -477,47 +475,38 @@ let test_digest_three_tier_large_shuffled () =
   check_digest "three-tier 100k" digest_three_tier_large ~shuffle:true
     "08c2144d168435fbb363aefacdba55b8"
 
-(* The look-ahead only prefetches: a shuffled sweep over a large store
-   draws the same chain as [resample_range], which never looks ahead,
-   over the same order from a copied generator. *)
-let test_lookahead_matches_plain_loop () =
-  let store0, params = Lazy.force digest_three_tier_large in
-  let a = Store.copy store0 and b = Store.copy store0 in
-  let ra = Rng.create ~seed:2026 () in
-  let rb = Rng.copy ra in
-  for s = 1 to 2 do
-    Gibbs.sweep ~shuffle:true ra a params;
-    let order = Store.shuffled_latent b rb in
-    Gibbs.resample_range rb b params order 0 (Array.length order);
-    Alcotest.(check string) (Printf.sprintf "sweep %d" s) (digest_of b rb) (digest_of a ra)
-  done
-
-(* Restored snapshots are not validated, and the look-ahead reads the
-   ρ chains ahead of the kernel. Chains that point out of range, or at
-   wild negative indices, must still end in the kernel's bounds check,
-   and the process must go on sweeping once a good state is back. *)
-let test_lookahead_survives_corrupt_chains () =
-  let store0, params = Lazy.force digest_three_tier_large in
-  let store = Store.copy store0 in
-  let good = Store.snapshot store in
-  let bad = Store.snapshot store in
-  let n = Store.num_events store in
-  for i = 0 to n - 1 do
-    match i mod 7 with
-    | 0 -> bad.Store.s_rho.(i) <- max_int - i
-    | 1 -> bad.Store.s_rho_inv.(i) <- n + i
-    | 2 -> bad.Store.s_rho.(i) <- min_int + i
-    | 3 -> bad.Store.s_rho_inv.(i) <- -1 - (i * 4096)
-    | _ -> ()
-  done;
-  Store.restore store bad;
-  let rng = Rng.create ~seed:2027 () in
-  (match Gibbs.sweep ~shuffle:true rng store params with
-  | exception Invalid_argument _ -> ()
-  | () -> Alcotest.fail "a sweep over out-of-range chains completed");
-  Store.restore store good;
-  Gibbs.sweep ~shuffle:true rng store params;
-  match Store.validate store with Ok () -> () | Error m -> Alcotest.fail m
+(* Restored snapshots are not validated. A sweep over ρ chains that
+   point out of range, or at wild negative indices, must end in the
+   kernel's bounds check in either order, and sweeping must work again
+   once a good state is back. *)
+let test_sweep_survives_corrupt_chains () =
+  let store0, params = Lazy.force digest_three_tier in
+  List.iter
+    (fun shuffle ->
+      let store = Store.copy store0 in
+      let good = Store.snapshot store in
+      let bad = Store.snapshot store in
+      let n = Store.num_events store in
+      for i = 0 to n - 1 do
+        match i mod 7 with
+        | 0 -> bad.Store.s_rho.(i) <- max_int - i
+        | 1 -> bad.Store.s_rho_inv.(i) <- n + i
+        | 2 -> bad.Store.s_rho.(i) <- min_int + i
+        | 3 -> bad.Store.s_rho_inv.(i) <- -1 - (i * 4096)
+        | _ -> ()
+      done;
+      Store.restore store bad;
+      let order = if shuffle then "shuffled" else "in order" in
+      let rng = Rng.create ~seed:2027 () in
+      (match Gibbs.sweep ~shuffle rng store params with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s: a sweep over out-of-range chains completed" order);
+      Store.restore store good;
+      Gibbs.sweep ~shuffle rng store params;
+      match Store.validate store with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "%s: %s" order m)
+    [ false; true ]
 
 (* Single-event entry points and the coloured parallel sweep, which
    resample through the same kernel. *)
@@ -701,9 +690,8 @@ let () =
           Alcotest.test_case "feedback shuffled" `Quick test_digest_feedback_shuffled;
           Alcotest.test_case "three-tier 100k shuffled" `Quick
             test_digest_three_tier_large_shuffled;
-          Alcotest.test_case "look-ahead ≡ plain loop" `Quick test_lookahead_matches_plain_loop;
-          Alcotest.test_case "look-ahead on corrupt chains" `Quick
-            test_lookahead_survives_corrupt_chains;
+          Alcotest.test_case "corrupt chains, both orders" `Quick
+            test_sweep_survives_corrupt_chains;
           Alcotest.test_case "single event + parallel" `Quick
             test_digest_single_event_and_parallel;
         ] );

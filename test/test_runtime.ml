@@ -283,7 +283,7 @@ let runtime_digest store rng (r : Runtime.result) =
 
 let test_golden_clean_run () =
   Net_helpers.check_modes "clean Runtime.run"
-    "708d5490106544fe0294b65ca535f8c1" (fun () ->
+    "322d9708c68b320dd97f1d4e5c322f87" (fun () ->
       let _, _, store = fresh_store () in
       let rng = Rng.create ~seed:99 () in
       let r = Runtime.run ~config:(runtime_config ~iterations:24 ()) rng store in
@@ -295,7 +295,7 @@ let test_golden_clean_run () =
 let test_golden_rollback_run () =
   Net_helpers.check_modes "Runtime.run with one rollback"
     "retries=1 done=20 | 9: 2 violations: nan-latent(165), nonfinite-log-likelihood(nan) \
-     | 43ca0effb76121a2b10165e5ffb5a505" (fun () ->
+     | 2313f2fe9eb6645d507301452e0285d0" (fun () ->
       let _, _, store = fresh_store () in
       let rng = Rng.create ~seed:11 () in
       let fired = ref false in

@@ -217,12 +217,12 @@ let balancer_store () =
 
 let test_golden_three_tier () =
   Net_helpers.check_modes "Stem.run three-tier"
-    "221613a4d686e22ce40bd31107c503fa" (fun () ->
+    "ee970a46cf24f1a19f9c0c7d2a914d83" (fun () ->
       run_digest ~seed:2024 three_tier_store)
 
 let test_golden_balancer_routes () =
   Net_helpers.check_modes "Stem.run ~route_fsm balancer"
-    "cd8e94ef549a5a0d028fa5b19a2cb06e" (fun () ->
+    "2402d15dacfdc16ad19a2ac01ab92178" (fun () ->
       run_digest ~route_fsm:balancer_fsm ~seed:2025 balancer_store)
 
 (* ------------------------------------------------------------------ *)

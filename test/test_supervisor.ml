@@ -383,7 +383,7 @@ let supervisor_digest (r : Supervisor.result) =
 
 let test_golden_fault_free () =
   Net_helpers.check_modes "fault-free Supervisor.run"
-    "quorum 4 7e729f793f8a636ba52ad368e2226cb0" (fun () ->
+    "quorum 4 941743530ae845127cfc0558bddc747f" (fun () ->
       supervisor_digest (Supervisor.run ~config:(sup_config ()) ~seed:7 make_store))
 
 (* A crash on chain 1 before its first checkpoint (re-warm from the
@@ -399,7 +399,7 @@ let test_golden_crash_corrupt () =
     ]
   in
   Net_helpers.check_modes "Supervisor.run with crash and corrupt faults"
-    "quorum 4 175c03ef30de7c7d0853cf1a4b1fa0c3" (fun () ->
+    "quorum 4 e45eb3987338a907eae0c47c62ab8bac" (fun () ->
       supervisor_digest (Supervisor.run ~config:(sup_config ()) ~faults ~seed:7 make_store))
 
 let serve_init = Params.create ~rates:[| 9.0; 14.0; 11.0 |] ~arrival_queue:0
@@ -418,14 +418,14 @@ let test_golden_serve_full_refit () =
     }
   in
   Net_helpers.check_modes "full refit"
-    "quorum 2 eea49001e714c231db9a855663f378de" (fun () ->
+    "quorum 2 cf213259f334bb67932b635ff9b4442b" (fun () ->
       supervisor_digest (Supervisor.run ~config ~init:serve_init ~seed:104762 make_store))
 
 (* Shard.fit_tenant_incremental's call: Online_stem over 2 windows of
    15 iterations, windows of at least 2 tasks, warm-started. *)
 let test_golden_serve_incremental_refit () =
   Net_helpers.check_modes "incremental refit"
-    "2 windows 6317fdc23193038805d3fec01bd646ad" (fun () ->
+    "2 windows 4163a05afb87249850ccff5f3dfa1e56" (fun () ->
       let trace = Net_helpers.simulate_n (Rng.create ~seed:41 ()) (tandem_net ()) 120 in
       let rng = Rng.create ~seed:104763 () in
       let mask = Obs.mask rng (Obs.Task_fraction 0.5) trace in
