@@ -25,7 +25,9 @@ type t = {
   latent : int array;
       (* ascending unobserved indices; [observed] never changes after
          [of_trace], so this is computed once *)
-  order : int array; (* shuffle buffer for [shuffled_latent], one per copy *)
+  mutable order : int array;
+      (* [shuffled_latent]'s buffer, one per copy, allocated on its first
+         call: only the random scan reads it *)
 }
 
 let latent_of observed =
@@ -154,7 +156,7 @@ let of_trace ?observed trace =
     task_ids;
     generation = 0;
     latent;
-    order = Array.copy latent;
+    order = [||];
   }
 
 let num_events t = Array.length t.departure
@@ -212,7 +214,9 @@ let unobserved_events t = Array.copy t.latent
 let latent t = t.latent
 
 let shuffled_latent t rng =
-  Array.blit t.latent 0 t.order 0 (Array.length t.latent);
+  let n = Array.length t.latent in
+  if Array.length t.order <> n then t.order <- Array.make n 0;
+  Array.blit t.latent 0 t.order 0 n;
   Qnet_prob.Rng.shuffle_in_place rng t.order;
   t.order
 
@@ -264,7 +268,7 @@ let copy t =
     rho = Array.copy t.rho;
     rho_inv = Array.copy t.rho_inv;
     heads = Array.copy t.heads;
-    order = Array.copy t.order;
+    order = [||];
   }
 
 type snapshot = {

@@ -103,8 +103,12 @@ val latent : t -> int array
 val shuffled_latent : t -> Qnet_prob.Rng.t -> int array
 (** A uniform shuffle of {!latent}, drawn exactly as
     [Rng.shuffle_in_place] on a fresh copy would be, into a buffer this
-    store owns and reuses (each {!copy} has its own). Valid until the
-    next call on this store; read it, never write it. *)
+    store owns and reuses (each {!copy} has its own). The buffer is
+    allocated on the first call, so a store that is only swept in index
+    order never holds it. Valid until the next call on this store; read
+    it, never write it. Every sampler here sweeps in index order; this
+    stays for [Gibbs.sweep ~shuffle:true], {!General_gibbs} and the
+    bench. *)
 
 (** {1 In-place view for the Gibbs kernel} *)
 
