@@ -312,8 +312,13 @@ let start () =
     and p_compact = hist "qnet_prof_compaction_pause_seconds"
     and p_cycle = hist "qnet_prof_major_cycle_seconds" in
     let sites = Hashtbl.create 128 and by_domain = Hashtbl.create 16 in
-    (* nothing allocates between the drain and [gc0], so the session's
-       pauses and collection counts start together *)
+    (* Gc.quick_stat counts minor words only at a minor collection, so
+       one is forced before the first read: what the minor heaps hold
+       now is counted before the session, not in it. Its pause falls
+       before the drain, outside the session too. Nothing allocates
+       between the drain and [gc0], so the session's pauses and
+       collection counts start together. *)
+    Gc.minor ();
     let events = open_events () in
     let gc0 = Gc.quick_stat () in
     let s =
@@ -344,10 +349,13 @@ let stop () =
   match Atomic.get current with
   | None -> ()
   | Some s ->
-      (* Drain, pause, then read the counters with nothing allocated
-         in between: the pauses and the collection counts cover the
-         same window. The second drain reads what the first one's
-         own allocation set off before the pause. *)
+      (* A forced minor collection first, so that the last read counts
+         what the minor heaps hold; its pause is the session's last.
+         Then drain, pause, and read the counters with nothing
+         allocated in between: the pauses and the collection counts
+         cover the same window. The second drain reads what the first
+         one's own allocation set off before the pause. *)
+      Gc.minor ();
       (match s.events with
       | Ok c ->
           poll c;

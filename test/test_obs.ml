@@ -931,6 +931,24 @@ let test_prof_phase_bytes_exact () =
         true (small.Prof.bytes >= floor);
       ignore (Sys.opaque_identity kept))
 
+(* The session's GC delta holds at least what its phases allocated,
+   even when no collection falls inside it: start and stop each force a
+   minor collection before they read the counters. *)
+let test_prof_gc_bytes_cover_sites () =
+  Gc.minor ();
+  with_prof (fun () ->
+      (* a cons cell and a one-float array per block: 164 KB, far below
+         the minor heap *)
+      let kept =
+        Span.with_span "small" (fun () -> List.init 4096 (fun i -> [| float_of_int i |]))
+      in
+      ignore (Sys.opaque_identity kept));
+  let sites = List.fold_left (fun acc r -> acc +. r.Prof.bytes) 0.0 (Prof.sites ()) in
+  Alcotest.(check bool) "the phase allocated" true (sites > 0.0);
+  let gc = Prof.allocated_bytes () in
+  if gc < sites then
+    Alcotest.failf "gc.allocated_bytes %.0f is below the site table's %.0f" gc sites
+
 let test_prof_folded_golden () =
   with_prof (fun () ->
       Prof.record_site ~stack:[ "a b"; "x;y"; "" ] ~bytes:1024.0 ~self_seconds:0.0;
@@ -1173,6 +1191,8 @@ let () =
             test_prof_phase_accounting;
           Alcotest.test_case "phase bytes below the minor heap" `Quick
             test_prof_phase_bytes_exact;
+          Alcotest.test_case "session bytes cover the site table" `Quick
+            test_prof_gc_bytes_cover_sites;
           Alcotest.test_case "folded export golden" `Quick
             test_prof_folded_golden;
           Alcotest.test_case "pause ladder edges and clamps" `Quick
