@@ -20,8 +20,8 @@
    Regression mode: `dune exec bench/main.exe -- --core-json [PATH]
    [--sizes 1k,10k,100k,1m]` skips Bechamel and the experiments and
    instead runs the ROADMAP size sweep: per store size it times Gibbs
-   sweeps/s directly (median of repeats) in index order and shuffled
-   (the order Stem and estimate_waiting use), each repeat next to a
+   sweeps/s directly (median of repeats) in index order (the order
+   every sampler uses) and shuffled, each repeat next to a
    host reference, and reports the median ratio of the two (sweeps per
    reference), measures exact allocated
    bytes/sweep on the plain hot path in both orders, times the
@@ -33,8 +33,9 @@
    iterations/s and piecewise draws/s are timed on the 1k fixture.
    Everything lands in PATH (default BENCH_core.json, schema 2, one
    size object per line). `make bench` compares that file against the
-   committed baseline per size and fails when a speed relative to the
-   host reference drops past the measured noise, on a plain sweep that
+   committed baseline per size and fails when an in-order speed
+   relative to the host reference drops past the measured noise (the
+   shuffled sweep's is info), on a plain sweep that
    allocates more than 1 byte per
    resampled event, or on an Init.feasible, a parse or a store build
    over its byte budget per event (scripts/bench_compare). *)
