@@ -85,28 +85,34 @@ let chain spec ~shuffle ~seed start =
 let order_name shuffle = if shuffle then "shuffled" else "in order"
 
 let run_size spec ~seeds =
-  let runs = Hashtbl.create 2 in
-  for seed = 1 to seeds do
-    let start = start_store spec seed in
-    let orders = if seed mod 2 = 1 then [ false; true ] else [ true; false ] in
-    List.iter
-      (fun shuffle ->
-        let r = chain spec ~shuffle ~seed start in
-        Printf.printf "# %s seed %d %-8s %.4f s/sweep, ESS median %.1f min %.1f\n%!"
-          spec.label seed (order_name shuffle) r.seconds_per_sweep r.median_ess r.min_ess;
-        Hashtbl.replace runs shuffle (r :: Option.value ~default:[] (Hashtbl.find_opt runs shuffle)))
-      orders
-  done;
-  List.map (fun shuffle -> (shuffle, Array.of_list (Hashtbl.find runs shuffle))) [ false; true ]
+  let pairs =
+    Array.init seeds (fun i ->
+        let seed = i + 1 in
+        let start = start_store spec seed in
+        let run shuffle =
+          let r = chain spec ~shuffle ~seed start in
+          Printf.printf "# %s seed %d %-8s %.4f s/sweep, ESS median %.1f min %.1f\n%!"
+            spec.label seed (order_name shuffle) r.seconds_per_sweep r.median_ess r.min_ess;
+          r
+        in
+        if seed mod 2 = 1 then
+          let in_order = run false in
+          (in_order, run true)
+        else
+          let shuffled = run true in
+          (run false, shuffled))
+  in
+  [ (false, Array.map fst pairs); (true, Array.map snd pairs) ]
 
-let print_rows spec ~seeds rows =
+let print_rows spec rows =
   List.iteri
     (fun i (shuffle, runs) ->
       let per_s ess r = ess r /. (float_of_int spec.kept *. r.seconds_per_sweep) in
       let col f = median (Array.map f runs) in
       let s = Array.map (fun r -> r.seconds_per_sweep) runs in
       Printf.printf "| %s | %s | %.4f–%.4f | %.1f | %.1f | %.3g | %.3g |\n"
-        (if i = 0 then Printf.sprintf "%s, %d, %d" spec.label spec.kept seeds else "")
+        (if i = 0 then Printf.sprintf "%s, %d, %d" spec.label spec.kept (Array.length runs)
+         else "")
         (order_name shuffle)
         (Array.fold_left Float.min infinity s)
         (Array.fold_left Float.max neg_infinity s)
@@ -130,12 +136,10 @@ let () =
   if chosen = [] then failwith "--sizes matched no size (known: 10k 100k 1m)";
   let results =
     List.map
-      (fun spec ->
-        let seeds = if !seeds > 0 then !seeds else spec.seeds in
-        (spec, seeds, run_size spec ~seeds))
+      (fun spec -> (spec, run_size spec ~seeds:(if !seeds > 0 then !seeds else spec.seeds)))
       chosen
   in
   print_string
     "| size, kept sweeps, seeds | order | s/sweep | median ESS | min ESS | median ESS/s | min ESS/s |\n\
      |---|---|---:|---:|---:|---:|---:|\n";
-  List.iter (fun (spec, seeds, rows) -> print_rows spec ~seeds rows) results
+  List.iter (fun (spec, rows) -> print_rows spec rows) results

@@ -166,5 +166,6 @@ val estimate_waiting :
   float array
 (** Posterior-mean waiting time per queue under fixed parameters
     (the paper's final step): run the Gibbs sampler for [sweeps]
-    (default 100) index-order sweeps, discard [burn_in] (default 50), and average
-    each queue's mean waiting time across retained sweeps. *)
+    (default 100) sweeps in index order, discard [burn_in] (default
+    50), and average each queue's mean waiting time across retained
+    sweeps. *)

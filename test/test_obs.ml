@@ -935,6 +935,7 @@ let test_prof_phase_bytes_exact () =
    even when no collection falls inside it: start and stop each force a
    minor collection before they read the counters. *)
 let test_prof_gc_bytes_cover_sites () =
+  (* an empty minor heap, so that no collection falls inside the session *)
   Gc.minor ();
   with_prof (fun () ->
       (* a cons cell and a one-float array per block: 164 KB, far below
