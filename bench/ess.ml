@@ -14,8 +14,9 @@
    runs first alternates by seed.
 
    Run with: dune exec bench/ess.exe -- [--sizes 10k,100k,1m] [--seeds N]
-   The default is 10k and 100k at 5 seeds, a few minutes; 1m at its 3
-   seeds takes about 15. It prints and gates nothing. *)
+   The default is 10k and 100k at 5 seeds, about 5 minutes on a 2-core
+   VM; 1m at its 3 seeds takes about 11 more. It prints and gates
+   nothing. *)
 
 module Rng = Qnet_prob.Rng
 module Stats = Qnet_prob.Statistics
