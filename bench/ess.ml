@@ -13,10 +13,10 @@
    rest. Both orders of a seed start from one state, and the order that
    runs first alternates by seed.
 
-   Run with: dune exec bench/ess.exe -- [--sizes 10k,100k,1m] [--seeds N]
-   The default is 10k and 100k at 5 seeds, about 5 minutes on a 2-core
-   VM; 1m at its 3 seeds takes about 11 more. It prints and gates
-   nothing. *)
+   Run with: dune exec bench/ess.exe -- [--sizes 10k,100k,1m]
+   The default is 10k and 100k at 5 seeds each, about 5 minutes on a
+   2-core VM; 1m runs 3 seeds and takes about 11 more. It prints and
+   gates nothing. *)
 
 module Rng = Qnet_prob.Rng
 module Stats = Qnet_prob.Statistics
@@ -49,12 +49,6 @@ let start_store spec seed =
 
 type run = { seconds_per_sweep : float; median_ess : float; min_ess : float }
 
-let median xs =
-  let a = Array.copy xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
-
 let chain spec ~shuffle ~seed start =
   let store = Store.copy start in
   let rng = Rng.create ~seed:(seed + 2000) () in
@@ -79,15 +73,15 @@ let chain spec ~shuffle ~seed start =
   let ess = Array.map Stats.effective_sample_size series in
   {
     seconds_per_sweep = !seconds /. float_of_int spec.kept;
-    median_ess = median ess;
+    median_ess = Stats.median ess;
     min_ess = Array.fold_left Float.min infinity ess;
   }
 
 let order_name shuffle = if shuffle then "shuffled" else "in order"
 
-let run_size spec ~seeds =
+let run_size spec =
   let pairs =
-    Array.init seeds (fun i ->
+    Array.init spec.seeds (fun i ->
         let seed = i + 1 in
         let start = start_store spec seed in
         let run shuffle =
@@ -109,7 +103,7 @@ let print_rows spec rows =
   List.iteri
     (fun i (shuffle, runs) ->
       let per_s ess r = ess r /. (float_of_int spec.kept *. r.seconds_per_sweep) in
-      let col f = median (Array.map f runs) in
+      let col f = Stats.median (Array.map f runs) in
       let s = Array.map (fun r -> r.seconds_per_sweep) runs in
       Printf.printf "| %s | %s | %.4f–%.4f | %.1f | %.1f | %.3g | %.3g |\n"
         (if i = 0 then Printf.sprintf "%s, %d, %d" spec.label spec.kept (Array.length runs)
@@ -124,22 +118,15 @@ let print_rows spec rows =
     rows
 
 let () =
-  let sizes = ref "10k,100k" and seeds = ref 0 in
+  let sizes = ref "10k,100k" in
   Arg.parse
-    [
-      ("--sizes", Arg.Set_string sizes, "LIST comma-separated sizes (10k, 100k, 1m)");
-      ("--seeds", Arg.Set_int seeds, "N seeds per size (default: 5 at 10k and 100k, 3 at 1m)");
-    ]
+    [ ("--sizes", Arg.Set_string sizes, "LIST comma-separated sizes (10k, 100k, 1m)") ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "ess.exe [--sizes 10k,100k,1m] [--seeds N]";
+    "ess.exe [--sizes 10k,100k,1m]";
   let wanted = String.split_on_char ',' !sizes in
   let chosen = List.filter (fun s -> List.mem s.label wanted) specs in
   if chosen = [] then failwith "--sizes matched no size (known: 10k 100k 1m)";
-  let results =
-    List.map
-      (fun spec -> (spec, run_size spec ~seeds:(if !seeds > 0 then !seeds else spec.seeds)))
-      chosen
-  in
+  let results = List.map (fun spec -> (spec, run_size spec)) chosen in
   print_string
     "| size, kept sweeps, seeds | order | s/sweep | median ESS | min ESS | median ESS/s | min ESS/s |\n\
      |---|---|---:|---:|---:|---:|---:|\n";
