@@ -186,6 +186,52 @@ let test_init_with_nothing_observed () =
   | Error m -> Alcotest.fail m
 
 (* ------------------------------------------------------------------ *)
+(* Errors: observations no assignment can satisfy. Init.feasible must
+   return [Error] under every strategy and leave every departure's bits
+   as they were. *)
+
+let all_strategies =
+  [
+    ("earliest", Init.Earliest);
+    ("latest", Init.Latest);
+    ("centered", Init.Centered);
+    ("targeted", Init.Targeted);
+  ]
+
+let departure_bits store =
+  Array.init (Store.num_events store) (fun i -> Int64.bits_of_float (Store.departure store i))
+
+let check_refused name store =
+  let target = Params.create ~rates:(Array.make (Store.num_queues store) 5.0) ~arrival_queue:0 in
+  List.iter
+    (fun (strategy_name, strategy) ->
+      let before = departure_bits store in
+      (match Init.feasible ~strategy ~target store with
+      | Ok () -> Alcotest.failf "%s %s: accepted" name strategy_name
+      | Error _ -> ());
+      if departure_bits store <> before then
+        Alcotest.failf "%s %s: the store changed" name strategy_name)
+    all_strategies
+
+(* One task through queues 0 -> 1 -> 2 whose observed departures at 0
+   and 2 lie 1e-10 apart: the latent departure between them has no
+   room, since each dependency needs a 1e-9 separation. *)
+let test_no_room () =
+  let d0 = 1.0 in
+  let d2 = d0 +. 1e-10 in
+  let d1 = d0 +. 5e-11 in
+  let trace =
+    Qnet_trace.Trace.create ~num_queues:3
+      [
+        { Qnet_trace.Trace.task = 0; state = 0; queue = 0; arrival = 0.0; departure = d0 };
+        { task = 0; state = 1; queue = 1; arrival = d0; departure = d1 };
+        { task = 0; state = 2; queue = 2; arrival = d1; departure = d2 };
+      ]
+  in
+  let store = Store.of_trace ~observed:[| true; false; true |] trace in
+  check_refused "no room" store
+
+(* ------------------------------------------------------------------ *)
 (* Golden initializations: the departures' bits after Init.feasible
    under every strategy, on seeded tandem, three-tier (1-2-4) and
    feedback stores, plus each store's constraint count. The solver
@@ -300,6 +346,7 @@ let () =
           Alcotest.test_case "feedback topology" `Quick test_feedback_topology_init;
           Alcotest.test_case "nothing observed" `Quick test_init_with_nothing_observed;
         ] );
+      ("errors", [ Alcotest.test_case "no room between observations" `Quick test_no_room ]);
       ( "golden",
         [
           Alcotest.test_case "tandem" `Quick test_golden_tandem;
