@@ -56,8 +56,14 @@ demo:
 	printf 'task,state,queue,arrival,departure\n0,0,0,0,1\n0,1,1,1,2\n1,0,1,0,1.5\n1,1,2,1.5,3\n' \
 	  > _demo/two_entries.csv
 	printf 'task,state,queue,arrival,departure\n0,0,0,0,1\n0,1,1,1,2\n0,2,0,2,3\n' > _demo/revisit.csv
+	# At queue 1 task 1 arrives after task 0 but departs before it: no
+	# start is feasible. That is found past set-up, after the "loaded"
+	# progress line, so these runs are --quiet.
+	printf 'task,state,queue,arrival,departure\n0,0,0,0,1\n0,1,1,1,4\n0,2,2,4,5\n1,0,0,0,2\n1,1,1,2,3\n1,2,2,3,6\n' \
+	  > _demo/fifo_break.csv
 	for args in "_demo/header_only.csv" "_demo/two_entries.csv" "_demo/revisit.csv" \
-	    "_demo/trace.csv -f 1.5"; do \
+	    "_demo/trace.csv -f 1.5" "_demo/fifo_break.csv -f 1 --quiet" \
+	    "_demo/fifo_break.csv -f 0.5 --quiet"; do \
 	  if dune exec bin/qnet_infer.exe -- $$args -q 3 > /dev/null 2> _demo/error.txt; then \
 	    echo "demo: FAIL (qnet_infer accepted $$args)"; exit 1; \
 	  else rc=$$?; fi; \

@@ -9,7 +9,7 @@
      fig5/*      the Figure 5 kernels on a (reduced) webapp store;
      kernel/*    the Figure 3 conditional itself (density build,
                  exact sampling);
-     substrate/* simulator, initializers, LP, Jackson analysis.
+     substrate/* simulator, targeted initializer, Jackson analysis.
 
    Part 2: the experiment harness at --quick scale, printing the same
    rows/series the paper's tables and figures report (full-scale runs:
@@ -102,14 +102,6 @@ let kernel_event =
   let unobserved = Store.unobserved_events fig4_store in
   unobserved.(Array.length unobserved / 2)
 
-let tiny_store_fixture =
-  let rng = Rng.create ~seed:1005 () in
-  let net = Topologies.tandem ~arrival_rate:6.0 ~service_rates:[ 8.0; 7.0 ] in
-  let trace = Network.simulate_poisson rng net ~num_tasks:10 in
-  let mask = Obs.mask rng (Obs.Task_fraction 0.2) trace in
-  ( Store.of_trace ~observed:mask trace,
-    Params.create ~rates:[| 6.0; 8.0; 7.0 |] ~arrival_queue:0 )
-
 let observed_tasks_fixture = Obs.observed_tasks fig4_trace fig4_mask
 
 (* ------------------------------------------------------------------ *)
@@ -164,13 +156,9 @@ let tests =
           Test.make ~name:"simulate-300-tasks"
             (Staged.stage (fun () ->
                  ignore (Network.simulate_poisson bench_rng fig4_net ~num_tasks:300)));
-          Test.make ~name:"init-difference-constraints"
+          Test.make ~name:"init-targeted"
             (Staged.stage (fun () ->
                  ignore (Init.feasible ~target:fig4_params fig4_store)));
-          Test.make ~name:"init-lp-30-events"
-            (Staged.stage (fun () ->
-                 let store, params = tiny_store_fixture in
-                 ignore (Init.lp store params)));
           Test.make ~name:"jackson-analysis"
             (Staged.stage (fun () ->
                  ignore (Jackson.analyze ~arrival_rate:10.0 fig4_net)));

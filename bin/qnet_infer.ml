@@ -92,6 +92,12 @@ let load_store ~lenient ~num_queues ~fraction ~seed input =
                 (Printf.sprintf "cannot infer from %s: %s%s" input m
                    (if lenient then "" else " (try --lenient for dirty traces)"))))
 
+(* [Stem.run], [Runtime.run] and [Bayes.run] fail with [Failure] when
+   [Init.feasible] finds no feasible start: observations that break
+   FIFO order or leave a latent departure no room. That is an unusable
+   input too, so it ends here as an [Error]. *)
+let initialized run = match run () with r -> Ok r | exception Failure m -> Error m
+
 let print_estimates ~num_queues ~mean_service ~waiting ~intervals =
   match intervals with
   | None ->
@@ -319,11 +325,12 @@ let infer input num_queues fraction iterations seed bayes lenient checkpoint_eve
           let config =
             { Bayes.default_config with Bayes.sweeps = 2 * iterations; burn_in = iterations }
           in
-          let result = Bayes.run ~config rng store in
-          Ok
-            ( result.Bayes.mean_service,
-              result.Bayes.mean_waiting,
-              Some result.Bayes.service_interval )
+          Result.map
+            (fun result ->
+              ( result.Bayes.mean_service,
+                result.Bayes.mean_waiting,
+                Some result.Bayes.service_interval ))
+            (initialized (fun () -> Bayes.run ~config rng store))
         end
         else if chains > 1 then begin
           if use_runtime then
@@ -368,7 +375,7 @@ let infer input num_queues fraction iterations seed bayes lenient checkpoint_eve
           let result =
             match resume with
             | Some path -> Runtime.resume_file ~config ~path rng store
-            | None -> Ok (Runtime.run ~config rng store)
+            | None -> initialized (fun () -> Runtime.run ~config rng store)
           in
           match result with
           | Error m -> Error m
@@ -387,9 +394,11 @@ let infer input num_queues fraction iterations seed bayes lenient checkpoint_eve
           let config =
             { Stem.default_config with Stem.iterations; burn_in = iterations / 2 }
           in
-          let result = Stem.run ~config rng store in
-          let waiting = Stem.estimate_waiting rng store result.Stem.params in
-          Ok (result.Stem.mean_service, waiting, None)
+          Result.map
+            (fun (result : Stem.result) ->
+              let waiting = Stem.estimate_waiting rng store result.Stem.params in
+              (result.Stem.mean_service, waiting, None))
+            (initialized (fun () -> Stem.run ~config rng store))
         end
       in
       (match outcome with

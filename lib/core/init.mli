@@ -6,58 +6,46 @@
     observed and unobserved arrivals, so an arrival is constrained
     both through its queue and through its task).
 
-    Two methods are provided:
-
-    - {!feasible}: all timing constraints, with arrival orders fixed,
-      form a difference-constraint system over the departure vector;
-      Bellman–Ford yields the componentwise-earliest and -latest
-      solutions, and their midpoint (feasible by convexity) is a
-      well-centred start. This is fast — O(edges) in practice — and is
-      the default everywhere.
-
-    - {!lp}: the paper's initializer — minimize [Σ_e |s_e − 1/μ_{q_e}|]
-      subject to the same constraints, as a linear program (the [max]
-      in the service definition is relaxed to a free service-start
-      variable, which preserves feasibility of the optimum). Cubic-ish
-      in trace size with the dense simplex solver, so it is only
-      practical for small traces; used in tests and the initialization
-      ablation. *)
+    With arrival orders fixed, every timing constraint says that one
+    departure follows another by at least [1e-9]: services are
+    non-negative, and tasks arrive at each queue in its order. These
+    dependencies form a DAG whose edges point forward in time, so two
+    exact passes over it in Kahn's order solve the system: a backward
+    pass gives each latent departure its latest feasible value (capped
+    at 1.5 × the last observed departure + 10), and a forward pass its
+    earliest. Neither depends on the order in which edges are visited.
+    The constraints are infeasible exactly when some latent earliest
+    exceeds its latest. *)
 
 type strategy =
   | Earliest  (** everything as early as the constraints allow *)
-  | Latest  (** as late as allowed (bounded by a cap over the horizon) *)
+  | Latest  (** as late as allowed (bounded by the cap over the horizon) *)
   | Centered  (** midpoint of the two, feasible by convexity *)
   | Targeted
-      (** greedy LP surrogate: walk the dependency DAG assigning each
-          latent departure [service start + target mean service],
-          clamped into the latest-feasible envelope. This mimics the
-          paper's LP objective at Bellman–Ford cost and, crucially,
-          does not strand unanchored trailing events far from the data
-          (which {!Centered} does, and single-site Gibbs then takes
-          very long to repair). Requires [target] parameters. *)
+      (** greedy surrogate for the paper's L1 LP (minimize
+          [Σ_e |s_e − 1/μ_{q_e}|]): walk the dependency DAG assigning
+          each latent departure [service start + target mean service],
+          clamped into the latest-feasible envelope. Unlike
+          {!Centered}, it does not strand unanchored trailing events
+          far from the data, which single-site Gibbs then takes very
+          long to repair. Requires [target] parameters. *)
 
-val feasible :
-  ?strategy:strategy ->
-  ?slack:float ->
-  ?target:Params.t ->
-  Event_store.t ->
-  (unit, string) result
+val feasible : ?strategy:strategy -> ?target:Params.t -> Event_store.t -> (unit, string) result
 (** [feasible store] overwrites every unobserved departure with a
-    feasible assignment. [slack] (default 1e-9) is the strict-order
-    separation enforced between chained times. The default strategy is
-    [Targeted] when [target] is given, [Centered] otherwise; passing
+    feasible assignment, separating every dependent pair of times by at
+    least [1e-9], and then checks the store with
+    {!Event_store.validate}. The default strategy is [Targeted] when
+    [target] is given, [Centered] otherwise; passing
     [~strategy:Targeted] without [target] raises [Invalid_argument].
-    Returns [Error] if the observations are mutually inconsistent
-    (impossible for masks produced from a valid trace). *)
 
-val lp :
-  ?slack:float -> Event_store.t -> Params.t -> (float, string) result
-(** [lp store params] runs the paper's L1 linear program with target
-    mean services [1/μ_q] from [params], writes the optimal departures
-    into the store, and returns the optimal objective
-    [Σ_e |s_e − 1/μ_{q_e}|] (with [s_e] the LP's relaxed service).
-    Intended for stores with at most a few hundred events. *)
+    Returns [Error], and leaves the store untouched, exactly when no
+    feasible assignment exists: the observations leave some latent
+    departure no room, they break FIFO order among themselves, or the
+    dependencies form a cycle, which only a trace that breaks FIFO
+    order produces. Masks drawn from a valid trace never fail. *)
 
 val constraint_count : Event_store.t -> int
 (** Number of difference constraints the trace induces (for
-    reporting). *)
+    reporting): one per dependency not between two observed
+    departures, one lower bound per latent event entering the network,
+    and two bounds per observed departure. *)

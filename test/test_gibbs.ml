@@ -394,7 +394,7 @@ module Prof = Qnet_obs.Prof
 module Parallel_gibbs = Qnet_core.Parallel_gibbs
 
 (* The 1-2-4 paper fixture at 300 tasks (about 1.1k latent events),
-   initialised by the difference-constraint solver, swept under rates
+   initialised by Init.feasible's targeted start, swept under rates
    that differ per queue so every piece shape occurs. *)
 let digest_three_tier =
   lazy

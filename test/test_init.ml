@@ -1,5 +1,5 @@
-(* Tests for feasible initialization (difference constraints, greedy
-   targeted walk, and the paper's LP). *)
+(* Tests for feasible initialization: the exact passes over the
+   dependency DAG, the greedy targeted walk, and their errors. *)
 
 module Init = Qnet_core.Init
 module Store = Qnet_core.Event_store
@@ -115,48 +115,6 @@ let test_constraint_count_positive () =
   let n = Init.constraint_count store in
   Alcotest.(check bool) (Printf.sprintf "constraints %d" n) true (n > 50)
 
-let test_lp_init_small () =
-  let _, _, store = masked ~seed:208 ~tasks:8 ~frac:0.25 () in
-  scramble store;
-  let target = Params.create ~rates:[| 6.0; 8.0; 7.0 |] ~arrival_queue:0 in
-  match Init.lp store target with
-  | Ok objective -> (
-      Alcotest.(check bool) "objective non-negative" true (objective >= -1e-9);
-      match Store.validate store with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "LP produced invalid state: %s" m)
-  | Error m -> Alcotest.failf "LP failed: %s" m
-
-let test_lp_objective_beats_greedy () =
-  (* the LP minimizes sum |s_relaxed - target|; the greedy targeted walk
-     is one feasible point of that LP (with the relaxed start set to
-     the true max), so the LP optimum must be no worse than the
-     greedy's recomputed objective *)
-  let objective store target =
-    let acc = ref 0.0 in
-    for i = 0 to Store.num_events store - 1 do
-      acc := !acc
-        +. Float.abs (Store.service store i -. Params.mean_service target (Store.queue store i))
-    done;
-    !acc
-  in
-  let target = Params.create ~rates:[| 6.0; 8.0; 7.0 |] ~arrival_queue:0 in
-  let _, _, s_lp = masked ~seed:209 ~tasks:8 ~frac:0.25 () in
-  let _, _, s_greedy = masked ~seed:209 ~tasks:8 ~frac:0.25 () in
-  scramble s_lp;
-  scramble s_greedy;
-  let o_lp =
-    match Init.lp s_lp target with Ok v -> v | Error m -> Alcotest.fail m
-  in
-  (match Init.feasible ~strategy:Init.Targeted ~target s_greedy with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
-  let o_greedy = objective s_greedy target in
-  Alcotest.(check bool)
-    (Printf.sprintf "LP %.4f <= greedy %.4f + eps" o_lp o_greedy)
-    true
-    (o_lp <= o_greedy +. 1e-6)
-
 let test_feedback_topology_init () =
   let rng = Rng.create ~seed:210 () in
   let net = Topologies.feedback ~arrival_rate:2.0 ~service_rate:5.0 ~loop_prob:0.5 in
@@ -201,14 +159,16 @@ let all_strategies =
 let departure_bits store =
   Array.init (Store.num_events store) (fun i -> Int64.bits_of_float (Store.departure store i))
 
-let check_refused name store =
+(* Every strategy must refuse [store] with [message] and leave it as it
+   was. *)
+let check_refused name store message =
   let target = Params.create ~rates:(Array.make (Store.num_queues store) 5.0) ~arrival_queue:0 in
   List.iter
     (fun (strategy_name, strategy) ->
       let before = departure_bits store in
       (match Init.feasible ~strategy ~target store with
       | Ok () -> Alcotest.failf "%s %s: accepted" name strategy_name
-      | Error _ -> ());
+      | Error m -> Alcotest.(check string) (name ^ " " ^ strategy_name) message m);
       if departure_bits store <> before then
         Alcotest.failf "%s %s: the store changed" name strategy_name)
     all_strategies
@@ -230,15 +190,150 @@ let test_no_room () =
   in
   let store = Store.of_trace ~observed:[| true; false; true |] trace in
   check_refused "no room" store
+    "no feasible start: event 1 at queue 1 must depart at or after 1.0000000010000001 and by \
+     0.99999999910000004"
+
+let of_csv ~num_queues csv =
+  match Qnet_trace.Trace.of_csv ~num_queues csv with
+  | Ok trace -> trace
+  | Error m -> Alcotest.fail m
+
+(* Two tasks through queues 0 -> 1 -> 2. At queue 1 task 1 arrives
+   after task 0 but departs before it, so queue 2 sees them in the
+   other order: the dependencies have a cycle, and no mask (all 64 are
+   tried) can satisfy them. *)
+let test_fifo_cycle () =
+  let trace =
+    of_csv ~num_queues:3
+      "task,state,queue,arrival,departure\n\
+       0,0,0,0,1\n0,1,1,1,4\n0,2,2,4,5\n1,0,0,0,2\n1,1,1,2,3\n1,2,2,3,6\n"
+  in
+  for bits = 0 to 63 do
+    let observed = Array.init 6 (fun i -> bits land (1 lsl i) <> 0) in
+    check_refused
+      (Printf.sprintf "fifo cycle, mask %d" bits)
+      (Store.of_trace ~observed trace)
+      "event 1 at queue 1 is on a dependency cycle: the trace breaks FIFO order"
+  done
+
+(* One service queue where task 1 arrives after task 0 but departs
+   before it. Both departures there are observed, so the passes skip
+   their constraint; the latent entries get a start, and
+   Event_store.validate then refuses the state, which must be undone. *)
+let test_observed_fifo_break () =
+  let trace =
+    of_csv ~num_queues:2
+      "task,state,queue,arrival,departure\n0,0,0,0,1\n0,1,1,1,5\n1,0,0,0,2\n1,1,1,2,3\n"
+  in
+  let store = Store.of_trace ~observed:[| false; true; false; true |] trace in
+  check_refused "observed FIFO break" store
+    "initialization produced invalid state: event 3: negative service -2"
+
+(* ------------------------------------------------------------------ *)
+(* An exact oracle for the passes: a naive fixed-point relaxation. It
+   lists every dependency edge from the store's accessors, and
+   tightens each one with exact comparisons, in index order, until a
+   whole round changes nothing. On a DAG that is the unique solution of
+   the passes' recurrences, so Earliest and Latest must equal it bit for
+   bit. *)
+
+let dependency_edges store =
+  let edges = ref [] in
+  for i = 0 to Store.num_events store - 1 do
+    let p = Store.pi store i and r = Store.rho store i and j = Store.rho_inv store i in
+    if p >= 0 then edges := (p, i) :: !edges;
+    if r >= 0 then edges := (r, i) :: !edges;
+    if j >= 0 && p >= 0 && Store.pi store j >= 0 then edges := (p, Store.pi store j) :: !edges
+  done;
+  List.rev !edges
+
+let relax store =
+  let slack = 1e-9 in
+  let m = Store.num_events store in
+  let observed = Store.observed store in
+  let d = Store.departure store in
+  let cap =
+    1.5 *. Array.fold_left Float.max 0.0 (Array.init m (fun i -> if observed i then d i else 0.0))
+    +. 10.0
+  in
+  let earliest =
+    Array.init m (fun i ->
+        if observed i then d i else if Store.pi store i < 0 then slack else neg_infinity)
+  in
+  let latest = Array.init m (fun i -> if observed i then d i else cap) in
+  let edges = dependency_edges store in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    List.iter
+      (fun (u, w) ->
+        if (not (observed w)) && earliest.(u) +. slack > earliest.(w) then begin
+          earliest.(w) <- earliest.(u) +. slack;
+          changed := true
+        end;
+        if (not (observed u)) && latest.(w) -. slack < latest.(u) then begin
+          latest.(u) <- latest.(w) -. slack;
+          changed := true
+        end)
+      edges
+  done;
+  (earliest, latest)
+
+let oracle_networks =
+  [|
+    ("tandem", Topologies.tandem ~arrival_rate:6.0 ~service_rates:[ 8.0; 7.0 ]);
+    ( "three-tier",
+      Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 () );
+    ("feedback", Topologies.feedback ~arrival_rate:3.0 ~service_rate:6.0 ~loop_prob:0.4);
+  |]
+
+let oracle_fractions = [| 0.0; 0.05; 0.3; 1.0 |]
+
+let qcheck_passes_match_relaxation =
+  QCheck.Test.make ~name:"passes equal a fixed-point relaxation" ~count:200
+    QCheck.(
+      quad (int_bound 2) (int_range 5 60) (int_bound 3) (int_bound 1_000_000))
+    (fun (n, tasks, f, seed) ->
+      let name, net = oracle_networks.(n) in
+      let trace = Net_helpers.simulate_n (Rng.create ~seed ()) net tasks in
+      let mask =
+        Obs.mask (Rng.create ~seed:(seed + 1) ()) (Obs.Task_fraction oracle_fractions.(f)) trace
+      in
+      let store0 = Store.of_trace ~observed:mask trace in
+      let target = Params.of_network net in
+      let earliest, latest = relax store0 in
+      let run strategy =
+        let store = Store.copy store0 in
+        match Init.feasible ~strategy ~target store with
+        | Ok () -> store
+        | Error m -> QCheck.Test.fail_reportf "%s, %d tasks: %s" name tasks m
+      in
+      let e = run Init.Earliest and l = run Init.Latest in
+      let c = run Init.Centered and t = run Init.Targeted in
+      let bits x = Int64.bits_of_float x in
+      for i = 0 to Store.num_events store0 - 1 do
+        if not (Store.observed store0 i) then begin
+          let fail what =
+            QCheck.Test.fail_reportf "%s, %d tasks, event %d: %s (earliest %.17g, latest %.17g)"
+              name tasks i what earliest.(i) latest.(i)
+          in
+          if bits (Store.departure e i) <> bits earliest.(i) then fail "Earliest";
+          if bits (Store.departure l i) <> bits latest.(i) then fail "Latest";
+          if bits (Store.departure c i) <> bits (0.5 *. (earliest.(i) +. latest.(i))) then
+            fail "Centered is not the midpoint";
+          let x = Store.departure t i in
+          if x < earliest.(i) || x > latest.(i) then fail (Printf.sprintf "Targeted %.17g" x)
+        end
+      done;
+      Result.is_ok (Store.validate t))
 
 (* ------------------------------------------------------------------ *)
 (* Golden initializations: the departures' bits after Init.feasible
    under every strategy, on seeded tandem, three-tier (1-2-4) and
-   feedback stores, plus each store's constraint count. The solver
-   relaxes an edge only on an improvement of more than 1e-12, so its
-   result depends on the order in which it visits edges: a change to
-   that order, to the constraint set or to the targeted walk that moves
-   a single bit fails here. *)
+   feedback stores, plus each store's constraint count. The digests
+   were taken from the Bellman-Ford solver the exact passes replaced,
+   and the passes reproduce them: a change to the constraint set, the
+   passes or the targeted walk that moves a single bit fails here. *)
 
 let golden_store net ~seed ~tasks ~frac =
   lazy
@@ -306,13 +401,13 @@ let test_golden_feedback () =
     ]
 
 (* Allocation ceiling of the targeted initializer per store event, on
-   the 10k-event three-tier store. It measured 261 B/event: the
-   constraint arrays, sized by a count taken first, the solver's
-   compressed rows and work arrays, and the walk's rows. Constraint
-   arrays that grow by doubling cost about 362, and a solver that
-   builds lists or tuples per constraint about 1,650; both fail it. *)
+   the 10k-event three-tier store. It measured 17.1 B/event: Kahn's
+   order and the latest solution, which the walk overwrites, 8 B each,
+   and one byte of pending-predecessor counts. Running the earliest
+   pass too costs 25, and the difference-constraint system solved by
+   Bellman-Ford that the passes replaced cost 261; both fail it. *)
 let test_feasible_allocation () =
-  let ceiling = 290.0 in
+  let ceiling = 19.0 in
   let store0, target =
     Lazy.force
       (golden_store ~seed:307 ~tasks:2632 ~frac:0.05
@@ -329,6 +424,7 @@ let test_feasible_allocation () =
     Alcotest.failf "Init.feasible allocated %.0f B per event (ceiling %.0f)" per_event ceiling
 
 let () =
+  let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "qnet_init"
     [
       ( "init",
@@ -341,12 +437,16 @@ let () =
           Alcotest.test_case "targeted tail anchored" `Quick
             test_targeted_does_not_strand_tail;
           Alcotest.test_case "constraint count" `Quick test_constraint_count_positive;
-          Alcotest.test_case "LP init small" `Quick test_lp_init_small;
-          Alcotest.test_case "LP beats greedy" `Quick test_lp_objective_beats_greedy;
           Alcotest.test_case "feedback topology" `Quick test_feedback_topology_init;
           Alcotest.test_case "nothing observed" `Quick test_init_with_nothing_observed;
         ] );
-      ("errors", [ Alcotest.test_case "no room between observations" `Quick test_no_room ]);
+      ( "errors",
+        [
+          Alcotest.test_case "no room between observations" `Quick test_no_room;
+          Alcotest.test_case "FIFO cycle under every mask" `Quick test_fifo_cycle;
+          Alcotest.test_case "observed FIFO break undone" `Quick test_observed_fifo_break;
+        ] );
+      ("oracle", [ qc qcheck_passes_match_relaxation ]);
       ( "golden",
         [
           Alcotest.test_case "tandem" `Quick test_golden_tandem;
