@@ -163,10 +163,13 @@ let departures_digest store =
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+let uniform_target store =
+  Params.create ~rates:(Array.make (Store.num_queues store) 5.0) ~arrival_queue:0
+
 (* Every strategy must refuse [store] with [message] and leave it as it
    was. *)
 let check_refused name store message =
-  let target = Params.create ~rates:(Array.make (Store.num_queues store) 5.0) ~arrival_queue:0 in
+  let target = uniform_target store in
   List.iter
     (fun (strategy_name, strategy) ->
       let before = departures_digest store in
@@ -232,6 +235,183 @@ let test_observed_fifo_break () =
   let store = Store.of_trace ~observed:[| false; true; false; true |] trace in
   check_refused "observed FIFO break" store
     "initialization produced invalid state: event 3: negative service -2"
+
+(* ------------------------------------------------------------------ *)
+(* Difference constraints, case by case: small stores whose every
+   expected value is worked out by hand from the passes' recurrences.
+   A latent departure lies at least [eps] after each predecessor (its
+   task's previous departure, its queue predecessor's departure, and
+   the departure that brought the task queued before it to its next
+   queue) and after time 0, and at least [eps] before each successor
+   and at most the cap, 1.5 × the last observed departure + 10. *)
+
+let eps = 1e-9
+
+let check_bits name expected got =
+  if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float got)) then
+    Alcotest.failf "%s: expected %.17g, got %.17g" name expected got
+
+let store_of_rows ~num_queues ?observed rows =
+  Store.of_trace ?observed (of_csv ~num_queues ("task,state,queue,arrival,departure\n" ^ rows))
+
+(* The departures [Init.feasible ~strategy] gives a copy of [store]. It
+   fails the test unless the start passes [Event_store.validate]. *)
+let solve strategy store =
+  let store = Store.copy store in
+  match Init.feasible ~strategy ~target:(uniform_target store) store with
+  | Ok () -> Array.init (Store.num_events store) (Store.departure store)
+  | Error m -> Alcotest.fail m
+
+(* Every departure observed: the only constraints are the bounds that
+   fix them, and every strategy leaves each bit as it was. *)
+let test_dc_empty_system () =
+  let store = store_of_rows ~num_queues:2 "0,0,0,0,1\n0,1,1,1,2\n1,0,0,0,1.5\n1,1,1,1.5,3\n" in
+  Alcotest.(check int) "two bounds per event" 8 (Init.constraint_count store);
+  List.iter
+    (fun (name, strategy) ->
+      Array.iteri
+        (fun i x -> check_bits (Printf.sprintf "%s, event %d" name i) (Store.departure store i) x)
+        (solve strategy store))
+    all_strategies
+
+(* One task through queues 0 -> 1 -> 2 -> 3 with only its entry, at
+   0.5, observed: Earliest steps [eps] forward from it, Latest [eps]
+   back from the cap, 1.5 × 0.5 + 10. *)
+let test_dc_chain () =
+  let store =
+    store_of_rows ~num_queues:4 ~observed:[| true; false; false; false |]
+      "0,0,0,0,0.5\n0,1,1,0.5,1\n0,2,2,1,1.5\n0,3,3,1.5,2\n"
+  in
+  let e = solve Init.Earliest store and l = solve Init.Latest store in
+  check_bits "earliest 1" (0.5 +. eps) e.(1);
+  check_bits "earliest 2" (0.5 +. eps +. eps) e.(2);
+  check_bits "earliest 3" (0.5 +. eps +. eps +. eps) e.(3);
+  check_bits "latest 3" 10.75 l.(3);
+  check_bits "latest 2" (10.75 -. eps) l.(2);
+  check_bits "latest 1" (10.75 -. eps -. eps) l.(1)
+
+(* The cap comes from observed departures only: the latent departure
+   after an observed 4 ends at 1.5 × 4 + 10 under Latest, whatever the
+   trace (50) or the store (1e9) holds for it. *)
+let test_dc_latest_vs_earliest () =
+  let store = store_of_rows ~num_queues:2 ~observed:[| true; false |] "0,0,0,0,4\n0,1,1,4,50\n" in
+  Store.set_departure store 1 1e9;
+  let e = solve Init.Earliest store and l = solve Init.Latest store in
+  check_bits "earliest" (4.0 +. eps) e.(1);
+  check_bits "latest hits the cap" 16.0 l.(1);
+  Alcotest.(check bool) "earliest <= latest" true (e.(1) <= l.(1))
+
+(* Entry and exit observed, at 1 and 2, with two latent departures
+   between: Centered is the midpoint of Earliest and Latest, event by
+   event, and keeps every gap of at least [eps]. *)
+let test_dc_centered_feasible () =
+  let store =
+    store_of_rows ~num_queues:4 ~observed:[| true; false; false; true |]
+      "0,0,0,0,1\n0,1,1,1,1.2\n0,2,2,1.2,1.5\n0,3,3,1.5,2\n"
+  in
+  let e = solve Init.Earliest store and l = solve Init.Latest store in
+  let c = solve Init.Centered store in
+  check_bits "earliest 2" (1.0 +. eps +. eps) e.(2);
+  check_bits "latest 1" (2.0 -. eps -. eps) l.(1);
+  for i = 1 to 2 do
+    check_bits (Printf.sprintf "centered %d" i) (0.5 *. (e.(i) +. l.(i))) c.(i)
+  done;
+  for i = 1 to 3 do
+    if c.(i) -. c.(i - 1) < eps then
+      Alcotest.failf "centered gap %d: %.17g after %.17g" i c.(i) c.(i - 1)
+  done
+
+(* Tasks 1 and 2 break FIFO order at queue 1 and meet again at queue 2
+   in the other order, so events 4 and 7 (their departures from queue
+   1) each must follow the other. Task 0 enters last and queues behind
+   the cycle, so Kahn's order leaves its events over too, event 1 the
+   lowest-numbered of them; the error must name an event on the cycle
+   instead. *)
+let test_dc_negative_cycle () =
+  let rows =
+    "0,0,0,0,7\n0,1,1,7,8\n0,2,2,8,9\n\
+     1,0,0,0,1\n1,1,1,1,4\n1,2,2,4,5\n\
+     2,0,0,0,2\n2,1,1,2,3\n2,2,2,3,6\n"
+  in
+  List.iter
+    (fun (name, observed) ->
+      check_refused name
+        (store_of_rows ~num_queues:3 ~observed:(Array.make 9 observed) rows)
+        "event 4 at queue 1 is on a dependency cycle: the trace breaks FIFO order")
+    [ ("cycle, all latent", false); ("cycle, all observed", true) ]
+
+(* Task 1 queues behind task 0 at queue 1 but leaves the network after
+   its next departure, observed at 4, while task 0's departure from
+   queue 1 is observed at 5. The latent departure of task 1 from queue
+   1 (event 3) must follow 5 and precede 4. *)
+let test_dc_contradictory_bounds () =
+  let store =
+    store_of_rows ~num_queues:3 ~observed:[| false; true; false; false; true |]
+      "0,0,0,0,1\n0,1,1,1,5\n1,0,0,0,2\n1,1,1,2,3\n1,2,2,3,4\n"
+  in
+  check_refused "crossed bounds" store
+    (Printf.sprintf
+       "no feasible start: event 3 at queue 1 must depart at or after %.17g and by %.17g"
+       (5.0 +. eps) (4.0 -. eps))
+
+(* Tasks 0 and 1 reach queue 3 from queues 1 and 2, task 0 first. Task
+   1's latent departure from queue 2 (event 4) is its arrival at queue
+   3, so it must follow task 0's observed departure from queue 1 (3),
+   a later bound than its own arrival at queue 2 (2); its next
+   departure (6) bounds it above. *)
+let test_dc_bound_interaction () =
+  let store =
+    store_of_rows ~num_queues:4 ~observed:[| true; true; true; true; false; true |]
+      "0,0,0,0,1\n0,1,1,1,3\n0,2,3,3,5\n1,0,0,0,2\n1,1,2,2,4\n1,2,3,4,6\n"
+  in
+  check_bits "earliest: the arrival order binds" (3.0 +. eps) (solve Init.Earliest store).(4);
+  check_bits "latest: the task's next departure binds" (6.0 -. eps) (solve Init.Latest store).(4)
+
+(* Exact min and max do not depend on the order the passes visit
+   edges in. Here two bounds on each latent departure differ by 5e-13,
+   below the 1e-12 tolerance under which the solver the passes
+   replaced kept whichever bound it visited first; the tighter one
+   must win. Task 0's departure from queue 1 (event 1) must precede
+   both its own next departure (5) and task 1's arrival at queue 3
+   (event 4, 5 - 5e-13); task 1's departure from queue 3 (event 5) must
+   follow both its arrival there and task 0's departure (event 2). *)
+let test_dc_visiting_order () =
+  let store =
+    store_of_rows ~num_queues:4 ~observed:[| true; false; true; true; true; false |]
+      "0,0,0,0,1\n0,1,1,1,3\n0,2,3,3,5\n\
+       1,0,0,0,2\n1,1,2,2,4.9999999999995\n1,2,3,4.9999999999995,6\n"
+  in
+  let near = Store.departure store 4 in
+  Alcotest.(check bool) "a near-tie" true (near < 5.0 && 5.0 -. near < 1e-12);
+  check_bits "latest: the arrival order binds" (near -. eps) (solve Init.Latest store).(1);
+  check_bits "earliest: the queue predecessor binds" (5.0 +. eps) (solve Init.Earliest store).(5)
+
+(* A 20,000-event chain: 10,000 tasks through one service queue with
+   only the first entry observed, at 0.001. Each latent departure lies
+   [eps] after the one before it along the queue, so the last lies
+   10,000 [eps] after the first. *)
+let test_dc_long_chain () =
+  let n = 10_000 in
+  let events =
+    List.concat
+      (List.init n (fun k ->
+           let entry = 0.001 *. float_of_int (k + 1) in
+           [
+             { Qnet_trace.Trace.task = k; state = 0; queue = 0; arrival = 0.0; departure = entry };
+             { task = k; state = 1; queue = 1; arrival = entry; departure = entry +. 0.0005 };
+           ]))
+  in
+  let store =
+    Store.of_trace
+      ~observed:(Array.init (2 * n) (fun i -> i = 0))
+      (Qnet_trace.Trace.create ~num_queues:2 events)
+  in
+  let started = Sys.time () in
+  let e = solve Init.Earliest store and l = solve Init.Latest store in
+  let elapsed = Sys.time () -. started in
+  check_close ~eps:1e-12 "earliest chain end" (0.001 +. (float_of_int n *. eps)) e.((2 * n) - 1);
+  check_bits "latest chain end at the cap" ((1.5 *. 0.001) +. 10.0) l.((2 * n) - 1);
+  if elapsed > 5.0 then Alcotest.failf "chain solve too slow: %.1fs" elapsed
 
 (* ------------------------------------------------------------------ *)
 (* An exact oracle for the passes: a naive fixed-point relaxation. It
@@ -442,6 +622,18 @@ let () =
           Alcotest.test_case "no room between observations" `Quick test_no_room;
           Alcotest.test_case "FIFO cycle under every mask" `Quick test_fifo_cycle;
           Alcotest.test_case "observed FIFO break undone" `Quick test_observed_fifo_break;
+        ] );
+      ( "difference-constraints",
+        [
+          Alcotest.test_case "empty system" `Quick test_dc_empty_system;
+          Alcotest.test_case "chain" `Quick test_dc_chain;
+          Alcotest.test_case "latest vs earliest" `Quick test_dc_latest_vs_earliest;
+          Alcotest.test_case "centered feasible" `Quick test_dc_centered_feasible;
+          Alcotest.test_case "negative cycle" `Quick test_dc_negative_cycle;
+          Alcotest.test_case "contradictory bounds" `Quick test_dc_contradictory_bounds;
+          Alcotest.test_case "bound interaction" `Quick test_dc_bound_interaction;
+          Alcotest.test_case "visiting order" `Quick test_dc_visiting_order;
+          Alcotest.test_case "20k-var chain fast" `Quick test_dc_long_chain;
         ] );
       ("oracle", [ qc qcheck_passes_match_relaxation ]);
       ( "golden",
