@@ -341,6 +341,52 @@ let test_general_invariance_exponential_case () =
   check_close ~eps:0.01 "q1" (1.0 /. 15.0) acc.(1);
   check_close ~eps:0.01 "q2" (1.0 /. 12.0) acc.(2)
 
+(* Whole-chain stationarity of the slice kernel, started at the truth
+   (after Geweke, "Getting it right", JASA 2004), as test_gibbs's
+   [stationarity] group checks the exact kernel. The network is A5's
+   tandem, whose second station serves lognormally, and the model is
+   the true one. A simulated trace is one draw of the latent departures
+   from the posterior a sweep targets, so a sweep that leaves that
+   posterior invariant keeps per-queue mean service and mean waiting
+   distributed as the truth's. The swept states of the even replicates
+   are compared with the truth of the odd ones, so the two samples are
+   independent, by a two-sample KS test at distance <= 2.1 sqrt(2/n). *)
+let test_general_stationary () =
+  let net =
+    Network.with_service
+      (Topologies.tandem ~arrival_rate:6.0 ~service_rates:[ 10.0; 10.0 ])
+      2 (D.Lognormal (-2.4, 0.9))
+  in
+  let model = Service_model.of_network net in
+  let stats store =
+    Array.append (Store.mean_service_by_queue store) (Store.mean_waiting_by_queue store)
+  in
+  let replicates = 4000 and sweeps = 10 in
+  List.iter
+    (fun shuffle ->
+      let rng = Rng.create ~seed:720 () in
+      let truth = Array.make replicates [||] and swept = Array.make replicates [||] in
+      for r = 0 to replicates - 1 do
+        let _, _, store =
+          Net_helpers.masked_store ~scheme:(Obs.Task_fraction 0.25) rng net 10
+        in
+        truth.(r) <- stats store;
+        General_gibbs.run ~shuffle ~sweeps rng store model;
+        swept.(r) <- stats store
+      done;
+      let half = replicates / 2 in
+      let critical = 2.1 *. sqrt (2.0 /. float_of_int half) in
+      for s = 0 to Array.length truth.(0) - 1 do
+        let a = Array.init half (fun i -> swept.(2 * i).(s)) in
+        let b = Array.init half (fun i -> truth.((2 * i) + 1).(s)) in
+        let d = Stats.ks_two_sample a b in
+        if d > critical then
+          Alcotest.failf "%s, statistic %d: KS %.4f > %.4f after %d sweeps"
+            (if shuffle then "shuffled" else "in order")
+            s d critical sweeps
+      done)
+    [ false; true ]
+
 (* ------------------------------------------------------------------ *)
 (* general StEM *)
 
@@ -460,6 +506,10 @@ let () =
             test_general_sweep_preserves_feasibility;
           Alcotest.test_case "invariance (exponential case)" `Slow
             test_general_invariance_exponential_case;
+        ] );
+      ( "stationarity",
+        [
+          Alcotest.test_case "lognormal tandem from truth" `Quick test_general_stationary;
         ] );
       ( "general-stem",
         [
