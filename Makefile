@@ -63,7 +63,8 @@ demo:
 	  > _demo/fifo_break.csv
 	for args in "_demo/header_only.csv" "_demo/two_entries.csv" "_demo/revisit.csv" \
 	    "_demo/trace.csv -f 1.5" "_demo/fifo_break.csv -f 1 --quiet" \
-	    "_demo/fifo_break.csv -f 0.5 --quiet"; do \
+	    "_demo/fifo_break.csv -f 0.5 --quiet" \
+	    "_demo/fifo_break.csv -f 1 --chains 2 --min-chains 1 --quiet"; do \
 	  if dune exec bin/qnet_infer.exe -- $$args -q 3 > /dev/null 2> _demo/error.txt; then \
 	    echo "demo: FAIL (qnet_infer accepted $$args)"; exit 1; \
 	  else rc=$$?; fi; \
@@ -72,6 +73,19 @@ demo:
 	    || { echo "demo: FAIL ($$args: exit $$rc, stderr:)"; cat _demo/error.txt; exit 1; }; \
 	done
 	@echo "demo: unusable inputs exit 1 with one error line"
+	# Unquieted, the supervised run reports its dead chains but no pooled
+	# estimate, and its error line names the first chain's cause.
+	if dune exec bin/qnet_infer.exe -- _demo/fifo_break.csv -q 3 -f 1 --chains 2 \
+	    --min-chains 1 > _demo/failed.txt 2> _demo/error.txt; then \
+	  echo "demo: FAIL (a supervised run on _demo/fifo_break.csv succeeded)"; exit 1; \
+	else rc=$$?; fi; \
+	[ $$rc -eq 1 ] && grep -q '^status: failed' _demo/failed.txt \
+	  && ! grep -q 'pooled' _demo/failed.txt \
+	  && [ $$(grep -c '^qnet-infer: error: ' _demo/error.txt) -eq 1 ] \
+	  && grep -q '^qnet-infer: error: .*chain 0 dead: .*dependency cycle' _demo/error.txt \
+	  || { echo "demo: FAIL (failed supervised run: exit $$rc, stdout and stderr:)"; \
+	       cat _demo/failed.txt _demo/error.txt; exit 1; }
+	@echo "demo: a failed supervised run names its cause and pools nothing"
 
 # Kill-one-chain drill: four supervised chains, chain 1 stalled past
 # the watchdog deadline and chain 2 crashed mid-sweep. The supervisor

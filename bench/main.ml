@@ -55,7 +55,6 @@ module Init = Qnet_core.Init
 module Stem = Qnet_core.Stem
 module Estimators = Qnet_core.Estimators
 module Jackson = Qnet_analytic.Jackson
-module Parallel_gibbs = Qnet_core.Parallel_gibbs
 module Prof = Qnet_obs.Prof
 module E = Qnet_experiments
 
@@ -134,10 +133,6 @@ let tests =
           Test.make ~name:"gibbs-sweep-webapp-3200ev"
             (Staged.stage (fun () ->
                  Gibbs.sweep ~shuffle:false bench_rng fig5_store fig5_params));
-          Test.make ~name:"parallel-sweep-webapp"
-            (let plan = Parallel_gibbs.plan fig5_store in
-             Staged.stage (fun () ->
-                 Parallel_gibbs.sweep bench_rng plan fig5_store fig5_params));
           Test.make ~name:"initial-guess-webapp"
             (Staged.stage (fun () -> ignore (Stem.initial_guess fig5_store)));
         ];

@@ -121,6 +121,15 @@ let rec parse_chain_faults = function
       | Error m -> Error (Printf.sprintf "bad --chain-fault %S: %s" s m)
       | Ok f -> Result.map (fun fs -> f :: fs) (parse_chain_faults rest))
 
+(* The cause a failed supervised run reports: the first dead chain's,
+   or the first chain's when every chain was quarantined. *)
+let first_failure verdicts =
+  let dead (v : Supervisor.chain_verdict) =
+    match v.status with Supervisor.Dead _ -> true | _ -> false
+  in
+  let v = Option.value (Array.find_opt dead verdicts) ~default:verdicts.(0) in
+  Format.asprintf "chain %d %a" v.chain Supervisor.pp_chain_status v.status
+
 let parse_log_level = function
   | "quiet" | "none" -> Ok None
   | "error" -> Ok (Some Logs.Error)
@@ -362,7 +371,9 @@ let infer input num_queues fraction iterations seed bayes lenient checkpoint_eve
                 | r ->
                     say "%a@." Supervisor.pp_result r;
                     if r.Supervisor.status = Supervisor.Failed then
-                      Error "supervised run failed: no healthy chains"
+                      Error
+                        ("supervised run failed: no healthy chains; "
+                        ^ first_failure r.Supervisor.verdicts)
                     else begin
                       let waiting =
                         Stem.estimate_waiting rng store r.Supervisor.params

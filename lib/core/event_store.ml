@@ -18,10 +18,6 @@ type t = {
       (* task k's events are task_start.(k) .. task_start.(k + 1) - 1 *)
   arrival_queue : int;
   task_ids : int array; (* dense task index -> original task id *)
-  mutable generation : int;
-      (* bumped whenever the queue/ρ-chain structure changes, so
-         structure-dependent caches (Parallel_gibbs plans) can detect
-         staleness instead of silently corrupting the chain *)
   latent : int array;
       (* ascending unobserved indices; [observed] never changes after
          [of_trace], so this is computed once *)
@@ -154,7 +150,6 @@ let of_trace ?observed trace =
     task_start;
     arrival_queue;
     task_ids;
-    generation = 0;
     latent;
     order = [||];
   }
@@ -242,7 +237,6 @@ let view t =
   }
 
 let arrival_queue t = t.arrival_queue
-let generation t = t.generation
 
 let to_trace t =
   let events = ref [] in
@@ -297,19 +291,11 @@ let restore t s =
     || Array.length s.s_rho_inv <> n
     || Array.length s.s_heads <> t.num_queues
   then invalid_arg "Event_store.restore: snapshot dimension mismatch";
-  (* Restoring departures alone never invalidates a structural cache,
-     but overwriting the chain pointers might: bump the generation only
-     when the restored structure actually differs. *)
-  let structure_changed =
-    t.queue <> s.s_queue || t.rho <> s.s_rho || t.rho_inv <> s.s_rho_inv
-    || t.heads <> s.s_heads
-  in
   Array.blit s.s_departure 0 t.departure 0 n;
   Array.blit s.s_queue 0 t.queue 0 n;
   Array.blit s.s_rho 0 t.rho 0 n;
   Array.blit s.s_rho_inv 0 t.rho_inv 0 n;
-  Array.blit s.s_heads 0 t.heads 0 t.num_queues;
-  if structure_changed then t.generation <- t.generation + 1
+  Array.blit s.s_heads 0 t.heads 0 t.num_queues
 
 (* Re-home event [i] to [queue], unlinking it from its current rho
    chain and inserting it into the target chain at the position given
@@ -344,8 +330,7 @@ let move_event t i ~queue:q' =
     t.rho_inv.(i) <- succ;
     if pred >= 0 then t.rho_inv.(pred) <- i else t.heads.(q') <- i;
     if succ >= 0 then t.rho.(succ) <- i;
-    t.queue.(i) <- q';
-    t.generation <- t.generation + 1
+    t.queue.(i) <- q'
   end
 
 let validate t =

@@ -107,8 +107,8 @@ val shuffled_latent : t -> Qnet_prob.Rng.t -> int array
     allocated on the first call, so a store that is only swept in index
     order never holds it. Valid until the next call on this store; read
     it, never write it. Every sampler here sweeps in index order; this
-    stays for [Gibbs.sweep ~shuffle:true], {!General_gibbs} and the
-    bench. *)
+    stays for [Gibbs.sweep ~shuffle:true] and the bench's shuffled
+    timings. *)
 
 (** {1 In-place view for the Gibbs kernel} *)
 
@@ -133,16 +133,6 @@ val view : t -> view
 
 val arrival_queue : t -> int
 (** The queue of the initial events (q0). *)
-
-val generation : t -> int
-(** Structure-generation counter: starts at 0 and increments every
-    time the queue assignment or within-queue ρ chains change —
-    {!move_event}, and {!restore} when the restored snapshot carries a
-    different structure. Departure-only updates ({!set_departure},
-    Gibbs sweeps, departure-only restores) never change it. Caches
-    keyed on the event topology (e.g. a {!Parallel_gibbs} plan) record
-    the generation at build time and compare it to detect staleness
-    instead of silently operating on a rearranged store. *)
 
 (** {1 Whole-state operations} *)
 

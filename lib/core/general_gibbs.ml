@@ -105,8 +105,8 @@ let resample_event rng store model f =
         (* else: pathological corner (measure zero) — keep the state *)
       end
 
-let sweep ?(shuffle = false) rng store model =
-  let order = if shuffle then Store.shuffled_latent store rng else Store.latent store in
+let sweep rng store model =
+  let order = Store.latent store in
   if not (Metrics.enabled ()) then
     Array.iter (fun f -> resample_event rng store model f) order
   else begin
@@ -116,8 +116,8 @@ let sweep ?(shuffle = false) rng store model =
     Metrics.Counter.inc ~by:(float_of_int (Array.length order)) (Lazy.force m_events)
   end
 
-let run ?shuffle ~sweeps rng store model =
+let run ~sweeps rng store model =
   if sweeps < 0 then invalid_arg "General_gibbs.run: negative sweep count";
   for _ = 1 to sweeps do
-    sweep ?shuffle rng store model
+    sweep rng store model
   done

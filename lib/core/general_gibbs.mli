@@ -30,13 +30,12 @@ val resample_event :
   Qnet_prob.Rng.t -> Event_store.t -> Service_model.t -> int -> unit
 (** One slice transition on one event's departure. *)
 
-val sweep :
-  ?shuffle:bool -> Qnet_prob.Rng.t -> Event_store.t -> Service_model.t -> unit
+val sweep : Qnet_prob.Rng.t -> Event_store.t -> Service_model.t -> unit
+(** One slice transition on every unobserved event, in index order
+    ({!Event_store.latent}) like every sampler here: on A5's tandem the
+    random scan drew no more effective samples per sweep, and each of
+    its sweeps cost more (DESIGN.md section 2, "Sweep order"). *)
 
 val run :
-  ?shuffle:bool ->
-  sweeps:int ->
-  Qnet_prob.Rng.t ->
-  Event_store.t ->
-  Service_model.t ->
-  unit
+  sweeps:int -> Qnet_prob.Rng.t -> Event_store.t -> Service_model.t -> unit
+(** [run ~sweeps rng store model] applies {!sweep} [sweeps] times. *)

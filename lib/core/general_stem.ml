@@ -14,12 +14,11 @@ type config = {
   iterations : int;
   burn_in : int;
   warmup_sweeps : int;
-  shuffle : bool;
   min_queue_events : int;
 }
 
 let default_config =
-  { iterations = 200; burn_in = 100; warmup_sweeps = 10; shuffle = true; min_queue_events = 3 }
+  { iterations = 200; burn_in = 100; warmup_sweeps = 10; min_queue_events = 3 }
 
 type result = {
   model : Service_model.t;
@@ -88,12 +87,11 @@ let run ?(config = default_config) ?init ~families rng store =
   (match Init.feasible ~target:(Service_model.to_params_approx model0) store with
   | Ok () -> ()
   | Error msg -> failwith ("General_stem.run: initialization failed: " ^ msg));
-  General_gibbs.run ~shuffle:config.shuffle ~sweeps:config.warmup_sweeps rng store
-    model0;
+  General_gibbs.run ~sweeps:config.warmup_sweeps rng store model0;
   let model = ref model0 in
   let history = Array.make_matrix config.iterations nq nan in
   for it = 0 to config.iterations - 1 do
-    General_gibbs.sweep ~shuffle:config.shuffle rng store !model;
+    General_gibbs.sweep rng store !model;
     model :=
       m_step ~families ~min_queue_events:config.min_queue_events ~previous:!model
         store;

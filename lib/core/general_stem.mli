@@ -19,7 +19,6 @@ type config = {
   iterations : int;  (** default 200 *)
   burn_in : int;  (** default 100 *)
   warmup_sweeps : int;  (** default 10 *)
-  shuffle : bool;
   min_queue_events : int;
       (** queues with fewer imputed samples keep their previous fit *)
 }

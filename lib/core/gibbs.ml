@@ -451,19 +451,20 @@ let kernel sc (v : Store.view) rates rng f =
    128 it is about 1%. *)
 let timing_stride = 128
 
-(* The one sweep loop, behind every entry point: resample
-   [order.(lo)] .. [order.(hi - 1)] in turn, writing each draw back
-   under [Event_store.set_departure]'s checks. *)
-let visit ~metrics rng store params order lo hi =
+(* The one sweep loop, behind every entry point: resample the events of
+   [order] in turn, writing each draw back under
+   [Event_store.set_departure]'s checks. *)
+let visit ~metrics rng store params order =
   let sc = Array.make scratch_len 0.0 in
   let v = Store.view store in
   let rates = params.Params.rates in
   let departure = v.Store.v_departure in
   let per_event = if metrics then Some (Lazy.force m_event_seconds) else None in
   let kinds = Array.make (Array.length m_kernel_kinds) 0 in
-  for k = lo to hi - 1 do
+  let n = Array.length order in
+  for k = 0 to n - 1 do
     let f = order.(k) in
-    let timed = metrics && (k - lo) land (timing_stride - 1) = 0 in
+    let timed = metrics && k land (timing_stride - 1) = 0 in
     let te = if timed then Clock.now_raw () else 0.0 in
     let kind = kernel sc v rates rng f in
     kinds.(kind) <- kinds.(kind) + 1;
@@ -473,7 +474,7 @@ let visit ~metrics rng store params order lo hi =
     (* [timed] implies [metrics] implies the handle exists *)
     if timed then
       Metrics.Histogram.observe_n (Option.get per_event)
-        ~n:(Int.min timing_stride (hi - k))
+        ~n:(Int.min timing_stride (n - k))
         (Float.max 0.0 (Clock.now_raw () -. te))
   done;
   if metrics then
@@ -494,10 +495,8 @@ let sample_event rng store params f =
   if Metrics.enabled () then Metrics.Counter.inc (Lazy.force m_kernel_kinds.(kind));
   sc.(s_draw)
 
-let resample_range rng store params events lo hi =
-  visit ~metrics:(Metrics.enabled ()) rng store params events lo hi
-
-let resample_event rng store params f = resample_range rng store params [| f |] 0 1
+let resample_event rng store params f =
+  visit ~metrics:(Metrics.enabled ()) rng store params [| f |]
 
 let sweep ?(shuffle = false) rng store params =
   let order = if shuffle then Store.shuffled_latent store rng else Store.latent store in
@@ -505,7 +504,7 @@ let sweep ?(shuffle = false) rng store params =
   let metrics = Metrics.enabled () in
   let go () =
     let t0 = if metrics then Clock.now () else 0.0 in
-    visit ~metrics rng store params order 0 n;
+    visit ~metrics rng store params order;
     if metrics then begin
       Metrics.Histogram.observe (Lazy.force m_sweep_seconds) (Clock.now () -. t0);
       Metrics.Counter.inc ~by:(float_of_int n) (Lazy.force m_events)

@@ -27,10 +27,10 @@
     Two implementations exist. The {e reference} builds the conditional
     as data ({!local_density}, {!compile}) and samples it with
     {!Qnet_prob.Piecewise} ({!sample_compiled}). The {e production
-    kernel}, behind {!sample_event}, {!resample_event},
-    {!resample_range} and {!sweep}, performs the same floating-point
-    operations in the same order and the same RNG draws without
-    allocating; tests hold the two equal bit for bit. *)
+    kernel}, behind {!sample_event}, {!resample_event} and {!sweep},
+    performs the same floating-point operations in the same order and
+    the same RNG draws without allocating; tests hold the two equal bit
+    for bit. *)
 
 (** {1 Reference} *)
 
@@ -84,14 +84,7 @@ val sample_event : Qnet_prob.Rng.t -> Event_store.t -> Params.t -> int -> float
 
 val resample_event : Qnet_prob.Rng.t -> Event_store.t -> Params.t -> int -> unit
 (** {!sample_event} and write back under [Event_store.set_departure]'s
-    checks. *)
-
-val resample_range :
-  Qnet_prob.Rng.t -> Event_store.t -> Params.t -> int array -> int -> int -> unit
-(** [resample_range rng store params events lo hi] resamples
-    [events.(lo)] to [events.(hi - 1)] in turn, through the same loop
-    as {!sweep}: one scratch per call, nothing allocated per event.
-    {!Parallel_gibbs} runs one call per domain slice. *)
+    checks, through {!sweep}'s loop. *)
 
 val sweep :
   ?shuffle:bool -> Qnet_prob.Rng.t -> Event_store.t -> Params.t -> unit
@@ -103,13 +96,14 @@ val sweep :
     drew at least as many effective samples per second as the random
     scan at every size measured. [shuffle] stays because the
     benchmark's batch driver passes it and the tests pin the random
-    scan's chain; the draws are {!resample_range}'s over the same
-    order. *)
+    scan's chain. One scratch per sweep, nothing allocated per
+    event. *)
 
 val register_metrics : unit -> unit
 (** Create the sweep's metric families now. [Lazy.force] is not
-    domain-safe: code that sweeps on several domains with metrics
-    enabled calls this on its own domain first. *)
+    domain-safe, so a caller that runs chains on several domains with
+    metrics enabled calls this on its own domain before it spawns them:
+    {!Stem.register_metrics} does, for [Qnet_runtime.Supervisor]. *)
 
 val run :
   ?shuffle:bool ->

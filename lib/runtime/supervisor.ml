@@ -163,12 +163,15 @@ let pp_result ppf r =
     r.status r.healthy_chains
     (Array.length r.verdicts);
   Array.iter (fun v -> Format.fprintf ppf "@\n  %a" pp_verdict v) r.verdicts;
-  Format.fprintf ppf "@\n  pooled mean service:";
-  Array.iteri (fun q ms -> Format.fprintf ppf " q%d=%.4f" q ms) r.mean_service;
-  Format.fprintf ppf "@\n  split-Rhat:";
-  Array.iteri (fun q v -> Format.fprintf ppf " q%d=%.3f" q v) r.rhat;
-  Format.fprintf ppf "@\n  pooled ESS:";
-  Array.iteri (fun q v -> Format.fprintf ppf " q%d=%.1f" q v) r.ess;
+  (match r.status with
+  | Quorum | Degraded ->
+      Format.fprintf ppf "@\n  pooled mean service:";
+      Array.iteri (fun q ms -> Format.fprintf ppf " q%d=%.4f" q ms) r.mean_service;
+      Format.fprintf ppf "@\n  split-Rhat:";
+      Array.iteri (fun q v -> Format.fprintf ppf " q%d=%.3f" q v) r.rhat;
+      Format.fprintf ppf "@\n  pooled ESS:";
+      Array.iteri (fun q v -> Format.fprintf ppf " q%d=%.1f" q v) r.ess
+  | Failed -> (* a salvage, not an estimate *) ());
   Format.fprintf ppf "@\n  wall: %.2fs" r.wall_seconds
 
 let ks_outlier_scores chains =

@@ -122,7 +122,9 @@ val pp_verdict : Format.formatter -> chain_verdict -> unit
 
 val pp_result : Format.formatter -> result -> unit
 (** Multi-line report: ensemble status line, one verdict line per
-    chain, pooled diagnostics. *)
+    chain, the pooled estimate and diagnostics, wall time. A [Failed]
+    run prints no pooled lines: its [mean_service] is a salvage, not an
+    estimate. *)
 
 val ks_outlier_scores : float array array -> float array
 (** [ks_outlier_scores chains] scores each chain's draws by their

@@ -109,6 +109,64 @@ let test_move_event_preserves_services_elsewhere () =
   let after = Array.map (fun i -> Store.service store i) tier2 in
   Alcotest.(check bool) "downstream services untouched" true (before = after)
 
+(* A three-tier store with latent departures, and an event that can be
+   re-homed to another queue. *)
+let restore_fixture ~seed =
+  let rng = Rng.create ~seed () in
+  let net =
+    Topologies.three_tier ~arrival_rate:9.0 ~tier_sizes:(2, 1, 2) ~service_rate:6.0 ()
+  in
+  let _, _, store = Net_helpers.masked_store ~scheme:(Obs.Task_fraction 0.2) rng net 120 in
+  let q0 = Store.arrival_queue store in
+  let movable i = Store.queue store i <> q0 in
+  let i = Seq.find movable (Seq.init (Store.num_events store) Fun.id) |> Option.get in
+  let target =
+    Seq.find
+      (fun q -> q <> q0 && q <> Store.queue store i)
+      (Seq.init (Store.num_queues store) Fun.id)
+    |> Option.get
+  in
+  (store, i, target)
+
+let check_snapshot name (expected : Store.snapshot) (actual : Store.snapshot) =
+  let bits a = Array.map Int64.bits_of_float a in
+  Alcotest.(check (array int64)) (name ^ ": departures")
+    (bits expected.Store.s_departure) (bits actual.Store.s_departure);
+  Alcotest.(check (array int)) (name ^ ": queues") expected.Store.s_queue actual.Store.s_queue;
+  Alcotest.(check (array int)) (name ^ ": rho") expected.Store.s_rho actual.Store.s_rho;
+  Alcotest.(check (array int)) (name ^ ": rho_inv") expected.Store.s_rho_inv
+    actual.Store.s_rho_inv;
+  Alcotest.(check (array int)) (name ^ ": heads") expected.Store.s_heads actual.Store.s_heads
+
+let check_valid store =
+  match Store.validate store with Ok () -> () | Error m -> Alcotest.fail m
+
+(* A snapshot taken before a move restores the structure the move
+   rearranged, not just the departures. *)
+let test_restore_undoes_move () =
+  let store, i, target = restore_fixture ~seed:650 in
+  let before = Store.snapshot store in
+  Store.move_event store i ~queue:target;
+  Alcotest.(check bool) "the move changed the structure" true
+    ((Store.snapshot store).Store.s_queue <> before.Store.s_queue);
+  Store.restore store before;
+  check_snapshot "after restore" before (Store.snapshot store);
+  check_valid store
+
+(* Rolling back a sweep rewinds the departures and leaves the queues
+   and chains as they were. *)
+let test_departure_only_restore_keeps_structure () =
+  let store, _, _ = restore_fixture ~seed:651 in
+  let params = Params.create ~rates:[| 9.0; 6.0; 6.0; 6.0; 6.0; 6.0 |] ~arrival_queue:0 in
+  let before = Store.snapshot store in
+  Gibbs.run ~sweeps:2 (Rng.create ~seed:652 ()) store params;
+  let swept = Store.snapshot store in
+  Alcotest.(check bool) "the sweeps moved departures" true
+    (swept.Store.s_departure <> before.Store.s_departure);
+  Store.restore store before;
+  check_snapshot "after restore" before (Store.snapshot store);
+  check_valid store
+
 (* ------------------------------------------------------------------ *)
 (* Path_move: exact posterior checks *)
 
@@ -437,150 +495,6 @@ let test_interval_pp_runs () =
   let s = Format.asprintf "%a" Interval_report.pp r in
   Alcotest.(check bool) "prints" true (String.length s > 20)
 
-
-(* ------------------------------------------------------------------ *)
-(* Parallel (chromatic) Gibbs — appended suite *)
-
-module Parallel_gibbs = Qnet_core.Parallel_gibbs
-
-let parallel_fixture ~seed ~tasks ~frac =
-  let rng = Rng.create ~seed () in
-  let net = Topologies.three_tier ~arrival_rate:9.0 ~tier_sizes:(2, 1, 2) ~service_rate:6.0 () in
-  let trace = Net_helpers.simulate_n rng net 0 |> fun _ -> Net_helpers.simulate_n rng net tasks in
-  let mask = Obs.mask rng (Obs.Task_fraction frac) trace in
-  let store = Store.of_trace ~observed:mask trace in
-  let params = Params.create ~rates:[| 9.0; 6.0; 6.0; 6.0; 6.0; 6.0 |] ~arrival_queue:0 in
-  (store, params)
-
-let test_parallel_plan_is_proper_coloring () =
-  let store, _ = parallel_fixture ~seed:630 ~tasks:200 ~frac:0.1 in
-  let t = Parallel_gibbs.plan ~num_domains:4 store in
-  Alcotest.(check bool) "some colors" true (Parallel_gibbs.num_colors t >= 2);
-  Alcotest.(check int) "domains recorded" 4 (Parallel_gibbs.num_domains t)
-
-let test_parallel_sweep_covers_every_event_once () =
-  (* after one parallel sweep from a scrambled-but-feasible state, the
-     state must be feasible and all latent events' windows respected *)
-  let store, params = parallel_fixture ~seed:631 ~tasks:300 ~frac:0.1 in
-  let t = Parallel_gibbs.plan ~num_domains:3 store in
-  let rng = Rng.create ~seed:632 () in
-  for _ = 1 to 10 do
-    Parallel_gibbs.sweep rng t store params;
-    match Store.validate store with
-    | Ok () -> ()
-    | Error m -> Alcotest.failf "parallel sweep broke feasibility: %s" m
-  done
-
-let test_parallel_matches_serial_statistics () =
-  (* the chromatic chain must target the same posterior as the serial
-     chain: compare long-run imputed mean services *)
-  let serial_store, params = parallel_fixture ~seed:633 ~tasks:400 ~frac:0.1 in
-  let parallel_store, _ = parallel_fixture ~seed:633 ~tasks:400 ~frac:0.1 in
-  let sweeps = 120 and burn = 40 in
-  let collect run_sweep store =
-    let acc = Array.make (Store.num_queues store) 0.0 in
-    for s = 1 to sweeps do
-      run_sweep store;
-      if s > burn then begin
-        let m = Store.mean_service_by_queue store in
-        Array.iteri (fun q v -> acc.(q) <- acc.(q) +. (v /. float_of_int (sweeps - burn))) m
-      end
-    done;
-    acc
-  in
-  let rng1 = Rng.create ~seed:634 () in
-  let serial = collect (fun st -> Gibbs.sweep ~shuffle:true rng1 st params) serial_store in
-  let t = Parallel_gibbs.plan ~num_domains:4 parallel_store in
-  let rng2 = Rng.create ~seed:635 () in
-  let parallel = collect (fun st -> Parallel_gibbs.sweep rng2 t st params) parallel_store in
-  Array.iteri
-    (fun q s ->
-      let p = parallel.(q) in
-      if Float.abs (s -. p) > 0.02 +. (0.12 *. s) then
-        Alcotest.failf "queue %d: serial %.4f vs parallel %.4f" q s p)
-    serial
-
-let test_parallel_single_domain () =
-  let store, params = parallel_fixture ~seed:636 ~tasks:100 ~frac:0.2 in
-  let t = Parallel_gibbs.plan ~num_domains:1 store in
-  let rng = Rng.create ~seed:637 () in
-  Parallel_gibbs.run ~sweeps:5 rng t store params;
-  match Store.validate store with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m
-
-(* a non-initial event that can legally be re-homed to another queue *)
-let movable_event store =
-  let q0 = Store.arrival_queue store in
-  let nq = Store.num_queues store in
-  let found = ref None in
-  for i = 0 to Store.num_events store - 1 do
-    if !found = None && Store.queue store i <> q0 then begin
-      let target = ref (-1) in
-      for q = 0 to nq - 1 do
-        if !target < 0 && q <> q0 && q <> Store.queue store i then target := q
-      done;
-      if !target >= 0 then found := Some (i, !target)
-    end
-  done;
-  match !found with Some x -> x | None -> Alcotest.fail "no movable event"
-
-let test_stale_plan_fails_fast () =
-  let store, params = parallel_fixture ~seed:638 ~tasks:120 ~frac:0.2 in
-  let t = Parallel_gibbs.plan ~num_domains:2 store in
-  Alcotest.(check bool) "fresh plan" false (Parallel_gibbs.is_stale t store);
-  let gen0 = Store.generation store in
-  let i, q' = movable_event store in
-  Store.move_event store i ~queue:q';
-  Alcotest.(check bool) "move bumps generation" true (Store.generation store > gen0);
-  Alcotest.(check bool) "plan now stale" true (Parallel_gibbs.is_stale t store);
-  let rng = Rng.create ~seed:639 () in
-  (match Parallel_gibbs.sweep rng t store params with
-  | () -> Alcotest.fail "sweep on a stale plan must raise"
-  | exception Invalid_argument _ -> ());
-  (match Parallel_gibbs.run ~sweeps:1 rng t store params with
-  | () -> Alcotest.fail "run on a stale plan must raise"
-  | exception Invalid_argument _ -> ());
-  (* refresh replans against the rearranged structure *)
-  let t' = Parallel_gibbs.refresh t store in
-  Alcotest.(check bool) "refreshed plan valid" false (Parallel_gibbs.is_stale t' store);
-  Alcotest.(check int) "domains preserved" (Parallel_gibbs.num_domains t)
-    (Parallel_gibbs.num_domains t');
-  Alcotest.(check bool) "refresh of a fresh plan is the identity" true
-    (Parallel_gibbs.refresh t' store == t')
-
-let test_departure_only_restore_keeps_plan () =
-  let store, params = parallel_fixture ~seed:640 ~tasks:120 ~frac:0.2 in
-  let t = Parallel_gibbs.plan ~num_domains:2 store in
-  let snap = Store.snapshot store in
-  let rng = Rng.create ~seed:641 () in
-  Parallel_gibbs.sweep rng t store params;
-  (* rollback that only rewinds departures must not invalidate *)
-  Store.restore store snap;
-  Alcotest.(check bool) "plan survives departure-only restore" false
-    (Parallel_gibbs.is_stale t store);
-  Parallel_gibbs.sweep rng t store params
-
-let test_structural_restore_invalidates_plan () =
-  let store, params = parallel_fixture ~seed:642 ~tasks:120 ~frac:0.2 in
-  let snap = Store.snapshot store in
-  let i, q' = movable_event store in
-  Store.move_event store i ~queue:q';
-  let t = Parallel_gibbs.plan ~num_domains:2 store in
-  (* restoring the pre-move structure rearranges the chains again *)
-  Store.restore store snap;
-  Alcotest.(check bool) "plan stale after structural restore" true
-    (Parallel_gibbs.is_stale t store);
-  let rng = Rng.create ~seed:643 () in
-  (match Parallel_gibbs.sweep rng t store params with
-  | () -> Alcotest.fail "sweep must refuse the stale plan"
-  | exception Invalid_argument _ -> ());
-  let t' = Parallel_gibbs.refresh t store in
-  Parallel_gibbs.sweep rng t' store params;
-  match Store.validate store with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "refreshed sweep broke feasibility: %s" m
-
 let () =
   Alcotest.run "qnet_extensions"
     [
@@ -591,6 +505,9 @@ let () =
           Alcotest.test_case "rejections" `Quick test_move_event_rejections;
           Alcotest.test_case "downstream untouched" `Quick
             test_move_event_preserves_services_elsewhere;
+          Alcotest.test_case "restore undoes a move" `Quick test_restore_undoes_move;
+          Alcotest.test_case "departure-only restore" `Quick
+            test_departure_only_restore_keeps_structure;
         ] );
       ( "path-move",
         [
@@ -614,21 +531,6 @@ let () =
           Alcotest.test_case "posterior near truth" `Slow
             test_interval_posterior_close_to_truth;
           Alcotest.test_case "printer" `Quick test_interval_pp_runs;
-        ] );
-      ( "parallel-gibbs",
-        [
-          Alcotest.test_case "proper coloring plan" `Quick
-            test_parallel_plan_is_proper_coloring;
-          Alcotest.test_case "sweeps preserve feasibility" `Quick
-            test_parallel_sweep_covers_every_event_once;
-          Alcotest.test_case "matches serial statistics" `Slow
-            test_parallel_matches_serial_statistics;
-          Alcotest.test_case "single domain" `Quick test_parallel_single_domain;
-          Alcotest.test_case "stale plan fails fast" `Quick test_stale_plan_fails_fast;
-          Alcotest.test_case "departure-only restore keeps plan" `Quick
-            test_departure_only_restore_keeps_plan;
-          Alcotest.test_case "structural restore invalidates" `Quick
-            test_structural_restore_invalidates_plan;
         ] );
       ( "bayes",
         [

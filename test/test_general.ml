@@ -311,7 +311,7 @@ let test_general_sweep_preserves_feasibility () =
       ~arrival_queue:0
   in
   for _ = 1 to 15 do
-    General_gibbs.sweep ~shuffle:true rng store model;
+    General_gibbs.sweep rng store model;
     match Store.validate store with
     | Ok () -> ()
     | Error m -> Alcotest.failf "general sweep broke feasibility: %s" m
@@ -331,7 +331,7 @@ let test_general_invariance_exponential_case () =
   let acc = Array.make 3 0.0 in
   let sweeps = 120 and burn = 40 in
   for s = 1 to sweeps do
-    General_gibbs.sweep ~shuffle:true rng store model;
+    General_gibbs.sweep rng store model;
     if s > burn then begin
       let means = Store.mean_service_by_queue store in
       Array.iteri (fun q v -> acc.(q) <- acc.(q) +. (v /. float_of_int (sweeps - burn))) means
@@ -362,30 +362,23 @@ let test_general_stationary () =
     Array.append (Store.mean_service_by_queue store) (Store.mean_waiting_by_queue store)
   in
   let replicates = 4000 and sweeps = 10 in
-  List.iter
-    (fun shuffle ->
-      let rng = Rng.create ~seed:720 () in
-      let truth = Array.make replicates [||] and swept = Array.make replicates [||] in
-      for r = 0 to replicates - 1 do
-        let _, _, store =
-          Net_helpers.masked_store ~scheme:(Obs.Task_fraction 0.25) rng net 10
-        in
-        truth.(r) <- stats store;
-        General_gibbs.run ~shuffle ~sweeps rng store model;
-        swept.(r) <- stats store
-      done;
-      let half = replicates / 2 in
-      let critical = 2.1 *. sqrt (2.0 /. float_of_int half) in
-      for s = 0 to Array.length truth.(0) - 1 do
-        let a = Array.init half (fun i -> swept.(2 * i).(s)) in
-        let b = Array.init half (fun i -> truth.((2 * i) + 1).(s)) in
-        let d = Stats.ks_two_sample a b in
-        if d > critical then
-          Alcotest.failf "%s, statistic %d: KS %.4f > %.4f after %d sweeps"
-            (if shuffle then "shuffled" else "in order")
-            s d critical sweeps
-      done)
-    [ false; true ]
+  let rng = Rng.create ~seed:720 () in
+  let truth = Array.make replicates [||] and swept = Array.make replicates [||] in
+  for r = 0 to replicates - 1 do
+    let _, _, store = Net_helpers.masked_store ~scheme:(Obs.Task_fraction 0.25) rng net 10 in
+    truth.(r) <- stats store;
+    General_gibbs.run ~sweeps rng store model;
+    swept.(r) <- stats store
+  done;
+  let half = replicates / 2 in
+  let critical = 2.1 *. sqrt (2.0 /. float_of_int half) in
+  for s = 0 to Array.length truth.(0) - 1 do
+    let a = Array.init half (fun i -> swept.(2 * i).(s)) in
+    let b = Array.init half (fun i -> truth.((2 * i) + 1).(s)) in
+    let d = Stats.ks_two_sample a b in
+    if d > critical then
+      Alcotest.failf "statistic %d: KS %.4f > %.4f after %d sweeps" s d critical sweeps
+  done
 
 (* ------------------------------------------------------------------ *)
 (* general StEM *)

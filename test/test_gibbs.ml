@@ -391,7 +391,6 @@ let test_fully_observed_sweep_noop () =
    mode of one order shares one digest. *)
 
 module Prof = Qnet_obs.Prof
-module Parallel_gibbs = Qnet_core.Parallel_gibbs
 
 (* The 1-2-4 paper fixture at 300 tasks (about 1.1k latent events),
    initialised by Init.feasible's targeted start, swept under rates
@@ -507,9 +506,9 @@ let test_sweep_survives_corrupt_chains () =
       | Error m -> Alcotest.failf "%s: %s" order m)
     [ false; true ]
 
-(* Single-event entry points and the coloured parallel sweep, which
-   resample through the same kernel. *)
-let test_digest_single_event_and_parallel () =
+(* The single-event entry points, which resample through the same
+   kernel. *)
+let test_digest_single_event () =
   let store0, params = Lazy.force digest_three_tier in
   let store = Store.copy store0 in
   let rng = Rng.create ~seed:2025 () in
@@ -524,11 +523,7 @@ let test_digest_single_event_and_parallel () =
     "700bdac5a21dc683516f6a9a802a24d1"
     (Digest.to_hex (Digest.string (Buffer.contents draws)));
   Alcotest.(check string) "resample_event state"
-    "8c115f7298cb7a5835297f2c85d7ecf1" (digest_of store rng);
-  let plan = Parallel_gibbs.plan ~num_domains:2 store in
-  Parallel_gibbs.run ~sweeps:3 rng plan store params;
-  Alcotest.(check string) "parallel sweeps"
-    "2273216201979cc27088aa7b0a0f9d81" (digest_of store rng)
+    "8c115f7298cb7a5835297f2c85d7ecf1" (digest_of store rng)
 
 (* ------------------------------------------------------------------ *)
 (* Differential: the production kernel against the reference
@@ -691,8 +686,7 @@ let () =
             test_digest_three_tier_large_shuffled;
           Alcotest.test_case "corrupt chains, both orders" `Quick
             test_sweep_survives_corrupt_chains;
-          Alcotest.test_case "single event + parallel" `Quick
-            test_digest_single_event_and_parallel;
+          Alcotest.test_case "single event" `Quick test_digest_single_event;
         ] );
       ( "production kernel",
         [

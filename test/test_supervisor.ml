@@ -339,6 +339,31 @@ let test_graceful_degradation () =
     (fun ms -> Alcotest.(check bool) "salvaged estimate" true (ms > 0.0 && ms < 1.0))
     r.Supervisor.mean_service
 
+(* With every chain dead there is no pooled estimate, so the report
+   shows the dead chains' causes and no pooled line; a degraded run
+   still prints its pooled estimate. *)
+let test_failed_report_has_no_pooled_lines () =
+  let report ~crashed =
+    let cfg = sup_config ~chains:2 ~min_chains:2 ~max_restarts:0 () in
+    let faults =
+      List.map
+        (fun chain -> { Fault.chain; at_iteration = 3; kind = Fault.Chain_crash })
+        crashed
+    in
+    let r = Supervisor.run ~config:cfg ~faults ~seed:7 make_store in
+    (r.Supervisor.status, Format.asprintf "%a" Supervisor.pp_result r)
+  in
+  let status, text = report ~crashed:[ 0; 1 ] in
+  Alcotest.(check bool) "failed" true (status = Supervisor.Failed);
+  Alcotest.(check bool) "names the dead chains" true (contains text "chain 1: dead:");
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) (Printf.sprintf "no %S line" line) false (contains text line))
+    [ "pooled"; "split-Rhat" ];
+  let status, text = report ~crashed:[ 1 ] in
+  Alcotest.(check bool) "degraded" true (status = Supervisor.Degraded);
+  Alcotest.(check bool) "degraded run pools" true (contains text "pooled mean service:")
+
 (* A chain that ignores cancellation past the grace period is
    abandoned: its domain is leaked, its verdict is Dead, and the rest
    of the ensemble still reaches quorum. *)
@@ -542,6 +567,8 @@ let () =
             test_corruption_at_barrier_restarts;
           Alcotest.test_case "graceful degradation" `Quick
             test_graceful_degradation;
+          Alcotest.test_case "failed report has no pooled lines" `Quick
+            test_failed_report_has_no_pooled_lines;
           Alcotest.test_case "zombie abandoned" `Quick test_zombie_abandoned;
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "fault spec parsing" `Quick test_chain_fault_parsing;
