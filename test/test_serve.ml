@@ -689,10 +689,10 @@ let with_daemon cfg f =
 (* Degradation ladder                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let push_tenant_lines s lines =
+let push_tenant_lines ?(num_queues = 2) s lines =
   List.iter
     (fun line ->
-      match Ingest.decode_line ~num_queues:2 line with
+      match Ingest.decode_line ~num_queues line with
       | Ok r ->
           let item =
             { Shard.record = r; trace = None; enqueued_at = Float.nan }
@@ -777,6 +777,98 @@ let test_shard_ladder_config_rejected () =
     { fast_shard_config with Shard.promote_rounds = 0 };
   expect_invalid "log-bytes"
     { fast_shard_config with Shard.max_log_bytes = 16 }
+
+(* ------------------------------------------------------------------ *)
+(* Refit golden                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* One tenant's stream in two batches of 61 records, cut from a seeded
+   tandem trace (tasks 0-19, then 20-39). Each batch repeats one record
+   exactly, and in the first, task 4's last arrival sits halfway into
+   its visit (clock skew): the lenient rebuild drops both. *)
+let golden_batches () =
+  let trace =
+    Network.simulate_poisson (Rng.create ~seed:31 ())
+      (Topologies.tandem ~arrival_rate:8.0 ~service_rates:[ 12.0; 10.0 ])
+      ~num_tasks:40
+  in
+  let line (e : Trace.event) =
+    let arrival =
+      if e.Trace.task = 4 && e.Trace.queue = 2 then
+        (e.Trace.arrival +. e.Trace.departure) /. 2.0
+      else e.Trace.arrival
+    in
+    Ingest.to_json_line
+      {
+        Ingest.tenant = "golden";
+        task = e.Trace.task;
+        state = e.Trace.state;
+        queue = e.Trace.queue;
+        arrival;
+        departure = e.Trace.departure;
+      }
+  in
+  let batch lo =
+    let lines =
+      Array.to_list trace.Trace.events
+      |> List.filter (fun e -> e.Trace.task >= lo && e.Trace.task < lo + 20)
+      |> List.map line
+    in
+    lines @ [ List.nth lines 10 ]
+  in
+  (batch 0, batch 20)
+
+(* A round fires only once a whole batch is in (refit_events = 61, no
+   interval), and the tiny deadline demotes the shard after round 1, so
+   round 1 is a full fit of the first batch and round 2 an incremental
+   fit of both. Their posteriors are pinned bit for bit. *)
+let test_refit_golden () =
+  let dir = fresh_dir "qnet-refit-golden" in
+  let cfg =
+    {
+      fast_shard_config with
+      Shard.num_queues = 3;
+      refit_events = 61;
+      refit_interval = 1e9;
+      fit_deadline = 1e-6;
+    }
+  in
+  let render (p : Shard.posterior) =
+    let hex a = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+    Printf.sprintf "%s round %d iteration %d events %d rates %s service %s"
+      p.Shard.fit_mode p.Shard.round p.Shard.iteration p.Shard.num_events
+      (hex p.Shard.params.Qnet_core.Params.rates)
+      (hex p.Shard.mean_service)
+  in
+  match Shard.create ~dir:(Filename.concat dir "s0") ~id:0 cfg with
+  | Error m -> Alcotest.failf "shard: %s" m
+  | Ok s ->
+      Fun.protect
+        ~finally:(fun () -> Shard.stop s)
+        (fun () ->
+          let first, second = golden_batches () in
+          let fitted round lines =
+            push_tenant_lines ~num_queues:3 s lines;
+            until ~what:(Printf.sprintf "round %d posterior" round) (fun () ->
+                match Shard.posterior s ~tenant:"golden" with
+                | Some p -> p.Shard.round = round
+                | None -> false);
+            render (Option.get (Shard.posterior s ~tenant:"golden"))
+          in
+          let p1 = fitted 1 first in
+          let p2 = fitted 2 second in
+          Alcotest.(check (list string))
+            "posteriors"
+            [
+              "full round 1 iteration 6 events 59 rates 0x1.7bbdd23cfdb0cp+2 \
+               0x1.f7b2e78edd132p+3 0x1.3841110362892p+3 service \
+               0x1.59293f8d2de13p-3 0x1.04380f16c0c39p-4 0x1.a3c2b784dc16p-4";
+              "incremental round 2 iteration 14 events 119 rates \
+               0x1.f868c30c250a9p+2 0x1.6a40a30e3ad75p+3 0x1.432825e6605a6p+3 \
+               service 0x1.03da3da4434b6p-3 0x1.69d3320701e54p-4 \
+               0x1.9599468a8f495p-4";
+            ]
+            [ p1; p2 ])
 
 let test_daemon_ingest_and_posterior () =
   let dir = fresh_dir "qnet-daemon" in
@@ -1057,6 +1149,8 @@ let () =
           Alcotest.test_case "config validation" `Quick
             test_shard_ladder_config_rejected;
         ] );
+      ( "refit",
+        [ Alcotest.test_case "golden full then incremental" `Quick test_refit_golden ] );
       ( "router",
         [ Alcotest.test_case "stable fnv routing" `Quick test_router ] );
       ( "checkpoint",
