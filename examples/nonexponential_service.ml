@@ -2,10 +2,14 @@
 
    The paper's model is exponential everywhere, and §6 names general
    service distributions as the most useful generalization. This
-   example shows the extended pipeline: the database's service times
-   are really lognormal (a few slow queries dominate), the exponential
-   model misestimates it, and General_stem with an AIC-selected family
-   recovers both the mean and the shape.
+   example runs the extended pipeline on a database whose service
+   times are really lognormal (a few slow queries dominate). The
+   exponential model overestimates the database's mean; General_stem,
+   with a family per queue that AIC picks from exponential, gamma and
+   lognormal, lands nearer it. AIC does not find the lognormal: it
+   picks a gamma with shape below 1 for the database, more variable
+   than an exponential but less than the truth, and a gamma for q0
+   too, whose interarrival times are exponential.
 
    Run with: dune exec examples/nonexponential_service.exe *)
 
@@ -51,7 +55,11 @@ let () =
   let general = General_stem.run ~families rng store in
   Printf.printf "general model:      db mean service = %.4f\n"
     general.General_stem.mean_service.(2);
-  Printf.printf "fitted db service:  %s\n"
-    (Format.asprintf "%a" D.pp (Service_model.service general.General_stem.model 2));
+  let fitted = Service_model.service general.General_stem.model 2 in
+  Printf.printf "fitted db service:  %s (scv %.2f)\n"
+    (Format.asprintf "%a" D.pp fitted)
+    (D.squared_cv fitted);
   Printf.printf
-    "\nThe exponential fit can only move its one parameter; the selected family also\nrecovers the service-time shape, which is what tail-latency predictions need.\n"
+    "\nThe general model's mean is the nearer one, and its fit is more variable than an\n\
+     exponential; but AIC picked a gamma, not the true lognormal, and the fitted\n\
+     scv falls short of the true one, so the tail is only partly recovered.\n"

@@ -361,8 +361,12 @@ let handle_posterior_inner t tenant =
             (Jsonx.Obj [ ("error", Jsonx.Str "invalid tenant key") ])))
   else
     let s = shard_of t tenant in
+    (* the posterior first: a shard leaves Starting as it publishes its
+       first one, so a fresh posterior is never read with a stale
+       status *)
+    let post = Shard.posterior s ~tenant in
     let shard_status = Shard.status s in
-    match Shard.posterior s ~tenant with
+    match post with
     | Some p ->
         let lvl = Shard.level s in
         let stale =

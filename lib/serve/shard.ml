@@ -24,20 +24,14 @@ type config = {
   refit_interval : float;
   min_tenant_events : int;
   max_tenant_events : int;
-  obs_fraction : float;
   chains : int;
   min_chains : int;
   fit_iterations : int;
-  sweep_deadline : float;
   max_restarts : int;
-  backoff_base : float;
-  backoff_max : float;
   poll_interval : float;
   seed : int;
   fit_deadline : float;
-  hot_tenant_events : int;
   breaker_restarts : int;
-  breaker_window : float;
   breaker_cooldown : float;
   promote_rounds : int;
   hot_watermark : float;
@@ -53,26 +47,37 @@ let default_config =
     refit_interval = 2.0;
     min_tenant_events = 40;
     max_tenant_events = 4000;
-    obs_fraction = 0.5;
     chains = 2;
     min_chains = 1;
     fit_iterations = 30;
-    sweep_deadline = 5.0;
     max_restarts = 3;
-    backoff_base = 0.25;
-    backoff_max = 4.0;
     poll_interval = 0.05;
     seed = 1;
     fit_deadline = 10.0;
-    hot_tenant_events = 960;
     breaker_restarts = 3;
-    breaker_window = 30.0;
     breaker_cooldown = 10.0;
     promote_rounds = 3;
     hot_watermark = 0.75;
     cool_watermark = 0.25;
     max_log_bytes = 4 * 1024 * 1024;
   }
+
+(* The share of a tenant's tasks a refit treats as observed. The daemon
+   is sent every timing and hides the rest from the fit, to stand in for
+   a collector that traces only some requests; it stays until ingest
+   accepts records with missing times. *)
+let obs_fraction = 0.5
+
+(* A tenant with this many unfitted events gets an incremental refit
+   even on a [Full_fits] shard. *)
+let hot_tenant_events = 960
+
+(* The restart backoff, in seconds: 0.25 doubling up to 4. *)
+let backoff_base = 0.25
+let backoff_max = 4.0
+
+(* The restart circuit breaker counts restarts over this many seconds. *)
+let breaker_window = 30.0
 
 type status =
   | Starting
@@ -711,7 +716,10 @@ let absorb t items =
   if items <> [] then begin
     append_log t (List.map (fun it -> it.record) items);
     let absorbed_at = Clock.elapsed () in
+    let cap = t.cfg.max_tenant_events in
     Mutex.protect t.mutex (fun () ->
+        (* tenants past the buffer cap, each listed once as it crosses *)
+        let over = ref [] in
         List.iter
           (fun it ->
             let r = it.record in
@@ -734,14 +742,7 @@ let absorb t items =
             ts.events <- Ingest.to_trace_event r :: ts.events;
             ts.count <- ts.count + 1;
             ts.since_fit <- ts.since_fit + 1;
-            if ts.count > t.cfg.max_tenant_events then begin
-              (* drop the oldest tail; the lenient rebuild re-repairs
-                 the truncated window at the next fit *)
-              let keep = t.cfg.max_tenant_events in
-              ts.events <-
-                List.filteri (fun i _ -> i < keep) ts.events;
-              ts.count <- keep
-            end;
+            if ts.count = cap + 1 then over := ts :: !over;
             if not (Float.is_nan it.enqueued_at) then begin
               let wait = Float.max 0.0 (absorbed_at -. it.enqueued_at) in
               Fleet.record Fleet.Queue_wait ~tenant:r.Ingest.tenant wait;
@@ -759,23 +760,19 @@ let absorb t items =
                   if List.length ts.pending_traces < max_pending_traces then
                     ts.pending_traces <- ctx :: ts.pending_traces
             end)
-          items)
+          items;
+        (* drop the oldest tail once per batch; the lenient rebuild
+           re-repairs the truncated window at the next fit *)
+        List.iter
+          (fun ts ->
+            ts.events <- List.filteri (fun i _ -> i < cap) ts.events;
+            ts.count <- cap)
+          !over)
   end
 
 (* ------------------------------------------------------------------ *)
 (* Fitting                                                             *)
 (* ------------------------------------------------------------------ *)
-
-let csv_of_events events =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "task,state,queue,arrival,departure\n";
-  List.iter
-    (fun (e : Trace.event) ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%.17g,%.17g\n" e.Trace.task e.Trace.state
-           e.Trace.queue e.Trace.arrival e.Trace.departure))
-    events;
-  Buffer.contents buf
 
 let fit_seed t tenant =
   (* distinct, reproducible stream per (daemon seed, shard, tenant,
@@ -785,79 +782,97 @@ let fit_seed t tenant =
   + (31 * Mutex.protect t.mutex (fun () -> t.round_count))
   + (Router.fnv1a tenant mod 1_000_003)
 
-let fit_tenant t tenant =
+(* One refit of [tenant]'s buffered window on [rung]. The window is
+   repaired (repair drops are counted, never fatal), masked, and fitted
+   warm-started from the previous posterior: supervised multi-chain StEM
+   on [Full_fits]; on [Incremental] the cheap rung, a short windowed
+   Online_stem run with bounded memory and a fraction of the sweeps,
+   right for a hot tenant or a shard that blew its deadline budget. A
+   pinned shard runs no fits. *)
+let fit_tenant t tenant rung =
   let events, prev_post =
     Mutex.protect t.mutex (fun () ->
         match Hashtbl.find_opt t.tenant_tbl tenant with
         | None -> ([], None)
         | Some ts -> (List.rev ts.events, ts.post))
   in
-  if events = [] then ()
-  else begin
-    let csv = csv_of_events events in
-    match Trace.of_csv_lenient ~num_queues:t.cfg.num_queues csv with
-    | Error _report ->
-        Metrics.Counter.inc (Lazy.force m_fit_failures);
-        Mutex.protect t.mutex (fun () ->
-            t.err <- Some (Printf.sprintf "tenant %s: no usable events" tenant))
+  let fail m =
+    Metrics.Counter.inc (Lazy.force m_fit_failures);
+    Mutex.protect t.mutex (fun () ->
+        t.err <- Some (Printf.sprintf "tenant %s: %s" tenant m))
+  in
+  if events <> [] then
+    match Trace.of_events_lenient ~num_queues:t.cfg.num_queues events with
+    | Error _report -> fail "no usable events"
     | Ok (trace, report) ->
         if report.Trace.events_dropped > 0 then
           Metrics.Counter.inc
             ~by:(float_of_int report.Trace.events_dropped)
             (Lazy.force m_repair_dropped);
-        if trace.Trace.num_tasks < 2 then ()
-        else begin
+        if trace.Trace.num_tasks >= 2 then begin
           let seed = fit_seed t tenant in
           let rng = Rng.create ~seed () in
-          let mask = Obs.mask rng (Obs.Task_fraction t.cfg.obs_fraction) trace in
-          let make_store () = Store.of_trace ~observed:mask trace in
-          let sup_config =
-            {
-              Supervisor.default_config with
-              Supervisor.chains = t.cfg.chains;
-              min_chains = Stdlib.min t.cfg.min_chains t.cfg.chains;
-              stem =
-                {
-                  Stem.default_config with
-                  Stem.iterations = t.cfg.fit_iterations;
-                  burn_in = t.cfg.fit_iterations / 2;
-                };
-              round_iterations = Stdlib.max 5 (t.cfg.fit_iterations / 4);
-              sweep_deadline = t.cfg.sweep_deadline;
-              max_restarts = 1;
-            }
-          in
+          let mask = Obs.mask rng (Obs.Task_fraction obs_fraction) trace in
           let init =
             match prev_post with
-            | Some p
-              when Params.num_queues p.params = t.cfg.num_queues ->
-                Some p.params
+            | Some p when Params.num_queues p.params = t.cfg.num_queues -> Some p.params
             | _ -> None
           in
-          match Supervisor.run ~config:sup_config ?init ~seed make_store with
-          | exception Invalid_argument m ->
-              Metrics.Counter.inc (Lazy.force m_fit_failures);
-              Mutex.protect t.mutex (fun () ->
-                  t.err <- Some (Printf.sprintf "tenant %s: %s" tenant m))
-          | exception Failure m ->
-              Metrics.Counter.inc (Lazy.force m_fit_failures);
-              Mutex.protect t.mutex (fun () ->
-                  t.err <- Some (Printf.sprintf "tenant %s: %s" tenant m))
-          | r when r.Supervisor.status = Supervisor.Failed ->
-              Metrics.Counter.inc (Lazy.force m_fit_failures);
-              Mutex.protect t.mutex (fun () ->
-                  t.err <-
-                    Some (Printf.sprintf "tenant %s: fit had no healthy chain" tenant))
-          | r ->
-              let done_ =
-                Array.fold_left
-                  (fun acc v ->
-                    Stdlib.max acc v.Supervisor.iterations_done)
-                  0 r.Supervisor.verdicts
-              in
+          (* [None] keeps the old posterior; [Failure] is a failed fit *)
+          let fit () =
+            match rung with
+            | Full_fits ->
+                let config =
+                  {
+                    Supervisor.default_config with
+                    Supervisor.chains = t.cfg.chains;
+                    min_chains = Stdlib.min t.cfg.min_chains t.cfg.chains;
+                    stem =
+                      {
+                        Stem.default_config with
+                        Stem.iterations = t.cfg.fit_iterations;
+                        burn_in = t.cfg.fit_iterations / 2;
+                      };
+                    round_iterations = Stdlib.max 5 (t.cfg.fit_iterations / 4);
+                    max_restarts = 1;
+                  }
+                in
+                let r =
+                  Supervisor.run ~config ?init ~seed (fun () ->
+                      Store.of_trace ~observed:mask trace)
+                in
+                if r.Supervisor.status = Supervisor.Failed then
+                  failwith "fit had no healthy chain";
+                let done_ =
+                  Array.fold_left
+                    (fun acc v -> Stdlib.max acc v.Supervisor.iterations_done)
+                    0 r.Supervisor.verdicts
+                in
+                Some (r.Supervisor.params, r.Supervisor.mean_service, Stdlib.max 1 done_)
+            | Incremental | Pinned -> (
+                let iterations = Stdlib.max 4 (t.cfg.fit_iterations / 2) in
+                let config = { Online.num_windows = 2; iterations; min_tasks = 2 } in
+                match Online.run ~config ?init rng trace ~mask with
+                | [] -> None (* every window under min_tasks *)
+                | steps ->
+                    Metrics.Counter.inc (Lazy.force m_incremental_fits);
+                    let last = List.nth steps (List.length steps - 1) in
+                    Some
+                      ( last.Online.params,
+                        last.Online.mean_service,
+                        iterations * List.length steps ))
+          in
+          match fit () with
+          | exception (Invalid_argument m | Failure m) -> fail m
+          | None -> ()
+          | Some (params, mean_service, iterations_done) ->
               Metrics.Counter.inc (Lazy.force m_fits);
               Mutex.protect t.mutex (fun () ->
-                  t.iters <- t.iters + Stdlib.max 1 done_;
+                  t.iters <- t.iters + iterations_done;
+                  (* leave Starting as the posterior appears: no reader
+                     may see a fresh posterior on a shard not yet
+                     healthy *)
+                  (match t.st with Starting -> t.st <- Healthy | _ -> ());
                   match Hashtbl.find_opt t.tenant_tbl tenant with
                   | None -> ()
                   | Some ts ->
@@ -866,100 +881,23 @@ let fit_tenant t tenant =
                         Some
                           {
                             tenant;
-                            params = r.Supervisor.params;
-                            mean_service = r.Supervisor.mean_service;
+                            params;
+                            mean_service;
                             iteration = t.iters;
                             round = t.round_count;
                             num_events = Array.length trace.Trace.events;
                             from_checkpoint = false;
                             fitted_at = Clock.now ();
-                            fit_mode = "full";
+                            fit_mode = level_label rung;
                           });
               Metrics.Gauge.set t.iter_gauge (float_of_int (iterations t))
         end
-  end
-
-(* The cheap rung of the ladder: a short windowed Online_stem run
-   warm-started from the tenant's previous posterior. Bounded memory
-   and a fraction of the sweeps of a full supervised fit — right for a
-   hot tenant or a shard that blew its deadline budget. *)
-let fit_tenant_incremental t tenant =
-  let events, prev_post =
-    Mutex.protect t.mutex (fun () ->
-        match Hashtbl.find_opt t.tenant_tbl tenant with
-        | None -> ([], None)
-        | Some ts -> (List.rev ts.events, ts.post))
-  in
-  if events = [] then ()
-  else begin
-    let csv = csv_of_events events in
-    match Trace.of_csv_lenient ~num_queues:t.cfg.num_queues csv with
-    | Error _report ->
-        Metrics.Counter.inc (Lazy.force m_fit_failures);
-        Mutex.protect t.mutex (fun () ->
-            t.err <- Some (Printf.sprintf "tenant %s: no usable events" tenant))
-    | Ok (trace, report) ->
-        if report.Trace.events_dropped > 0 then
-          Metrics.Counter.inc
-            ~by:(float_of_int report.Trace.events_dropped)
-            (Lazy.force m_repair_dropped);
-        if trace.Trace.num_tasks < 2 then ()
-        else begin
-          let seed = fit_seed t tenant in
-          let rng = Rng.create ~seed () in
-          let mask = Obs.mask rng (Obs.Task_fraction t.cfg.obs_fraction) trace in
-          let iterations_per_window = Stdlib.max 4 (t.cfg.fit_iterations / 2) in
-          let config =
-            {
-              Online.num_windows = 2;
-              iterations = iterations_per_window;
-              min_tasks = 2;
-            }
-          in
-          let init =
-            match prev_post with
-            | Some p when Params.num_queues p.params = t.cfg.num_queues ->
-                Some p.params
-            | _ -> None
-          in
-          match Online.run ~config ?init rng trace ~mask with
-          | exception (Invalid_argument m | Failure m) ->
-              Metrics.Counter.inc (Lazy.force m_fit_failures);
-              Mutex.protect t.mutex (fun () ->
-                  t.err <- Some (Printf.sprintf "tenant %s: %s" tenant m))
-          | [] -> () (* every window under min_tasks; keep the old posterior *)
-          | steps ->
-              let last = List.nth steps (List.length steps - 1) in
-              Metrics.Counter.inc (Lazy.force m_incremental_fits);
-              Metrics.Counter.inc (Lazy.force m_fits);
-              Mutex.protect t.mutex (fun () ->
-                  t.iters <- t.iters + (iterations_per_window * List.length steps);
-                  match Hashtbl.find_opt t.tenant_tbl tenant with
-                  | None -> ()
-                  | Some ts ->
-                      ts.since_fit <- 0;
-                      ts.post <-
-                        Some
-                          {
-                            tenant;
-                            params = last.Online.params;
-                            mean_service = last.Online.mean_service;
-                            iteration = t.iters;
-                            round = t.round_count;
-                            num_events = Array.length trace.Trace.events;
-                            from_checkpoint = false;
-                            fitted_at = Clock.now ();
-                            fit_mode = "incremental";
-                          });
-              Metrics.Gauge.set t.iter_gauge (float_of_int (iterations t))
-        end
-  end
 
 let tenant_hot t tenant =
   Mutex.protect t.mutex (fun () ->
       match Hashtbl.find_opt t.tenant_tbl tenant with
       | None -> false
-      | Some ts -> ts.since_fit >= t.cfg.hot_tenant_events)
+      | Some ts -> ts.since_fit >= hot_tenant_events)
 
 let due_tenants t =
   let now = Clock.now () in
@@ -1014,7 +952,7 @@ let evaluate_ladder t ?round_seconds () =
       if breaker_open then
         demote Pinned
           (Printf.sprintf "restart circuit breaker open (%d restarts within %.3gs)"
-             (List.length t.restart_stamps) t.cfg.breaker_window)
+             (List.length t.restart_stamps) breaker_window)
       else if blew && t.miss_streak >= 2 then
         demote Pinned
           (Printf.sprintf
@@ -1063,52 +1001,45 @@ let run_fit_round t due =
   let lvl = level t in
   List.iter
     (fun tenant ->
-      let mode =
+      let rung =
         match lvl with
-        | Pinned -> None
-        | Incremental -> Some `Inc
-        | Full_fits -> Some (if tenant_hot t tenant then `Inc else `Full)
+        | Full_fits when tenant_hot t tenant -> Incremental
+        | lvl -> lvl
       in
-      match mode with
-      | None -> ()
-      | Some m ->
-          let f0 = Clock.elapsed () in
-          (match m with
-          | `Inc -> fit_tenant_incremental t tenant
-          | `Full -> fit_tenant t tenant);
-          let f1 = Clock.elapsed () in
-          let dt = Float.max 0.0 (f1 -. f0) in
-          Fleet.record Fleet.Refit ~tenant dt;
-          (* traced requests waiting on this tenant close out their
-             refit and end-to-end phases here *)
-          let pending =
-            Mutex.protect t.mutex (fun () ->
-                match Hashtbl.find_opt t.tenant_tbl tenant with
-                | None -> []
-                | Some ts ->
-                    let p = ts.pending_traces in
-                    ts.pending_traces <- [];
-                    p)
-          in
-          let mode_label =
-            match m with `Inc -> "incremental" | `Full -> "full"
-          in
-          List.iter
-            (fun ctx ->
-              let base =
-                [
-                  ("trace", Trace_ctx.id_hex ctx);
-                  ("tenant", tenant);
-                  ("shard", string_of_int t.shard_id);
-                ]
-              in
-              Span.emit
-                ~attrs:(("mode", mode_label) :: base)
-                ~start:f0 ~duration:dt "serve.refit";
-              Span.emit ~attrs:base ~start:ctx.Trace_ctx.born
-                ~duration:(Float.max 0.0 (f1 -. ctx.Trace_ctx.born))
-                "serve.e2e")
-            pending)
+      if rung <> Pinned then begin
+        let f0 = Clock.elapsed () in
+        fit_tenant t tenant rung;
+        let f1 = Clock.elapsed () in
+        let dt = Float.max 0.0 (f1 -. f0) in
+        Fleet.record Fleet.Refit ~tenant dt;
+        (* traced requests waiting on this tenant close out their
+           refit and end-to-end phases here *)
+        let pending =
+          Mutex.protect t.mutex (fun () ->
+              match Hashtbl.find_opt t.tenant_tbl tenant with
+              | None -> []
+              | Some ts ->
+                  let p = ts.pending_traces in
+                  ts.pending_traces <- [];
+                  p)
+        in
+        List.iter
+          (fun ctx ->
+            let base =
+              [
+                ("trace", Trace_ctx.id_hex ctx);
+                ("tenant", tenant);
+                ("shard", string_of_int t.shard_id);
+              ]
+            in
+            Span.emit
+              ~attrs:(("mode", level_label rung) :: base)
+              ~start:f0 ~duration:dt "serve.refit";
+            Span.emit ~attrs:base ~start:ctx.Trace_ctx.born
+              ~duration:(Float.max 0.0 (f1 -. ctx.Trace_ctx.born))
+              "serve.e2e")
+          pending
+      end)
     due;
   let after_failures = Metrics.Counter.value (Lazy.force m_fit_failures) in
   t.last_fit_scan <- Clock.now ();
@@ -1249,7 +1180,7 @@ let rec supervise t =
             t.restart_stamps <-
               now
               :: List.filter
-                   (fun s -> now -. s <= t.cfg.breaker_window)
+                   (fun s -> now -. s <= breaker_window)
                    t.restart_stamps;
             if List.length t.restart_stamps >= t.cfg.breaker_restarts then begin
               if now >= t.pinned_until then
@@ -1258,7 +1189,7 @@ let rec supervise t =
               let reason =
                 Printf.sprintf
                   "restart circuit breaker open (%d restarts within %.3gs)"
-                  (List.length t.restart_stamps) t.cfg.breaker_window
+                  (List.length t.restart_stamps) breaker_window
               in
               t.lvl_reason <- Some reason;
               if level_rank Pinned > level_rank t.lvl then begin
@@ -1270,9 +1201,7 @@ let rec supervise t =
                     f "shard %d: degraded to pinned: %s" t.shard_id reason)
               end
             end);
-        let delay =
-          backoff ~base:t.cfg.backoff_base ~max_:t.cfg.backoff_max attempt
-        in
+        let delay = backoff ~base:backoff_base ~max_:backoff_max attempt in
         Log.warn (fun f ->
             f "shard %d: %s; restarting in %.3gs (attempt %d/%d)" t.shard_id msg
               delay attempt t.cfg.max_restarts);
@@ -1425,16 +1354,11 @@ let validate cfg =
   else if cfg.queue_capacity < 1 then Error "queue_capacity must be >= 1"
   else if cfg.max_tenant_events < cfg.min_tenant_events then
     Error "max_tenant_events must be >= min_tenant_events"
-  else if cfg.obs_fraction <= 0.0 || cfg.obs_fraction > 1.0 then
-    Error "obs_fraction must be in (0, 1]"
   else if cfg.chains < 1 then Error "chains must be >= 1"
   else if cfg.fit_iterations < 2 then Error "fit_iterations must be >= 2"
-  else if cfg.backoff_base <= 0.0 || cfg.backoff_max < cfg.backoff_base then
-    Error "backoff_base/backoff_max malformed"
   else if cfg.fit_deadline <= 0.0 then Error "fit_deadline must be > 0"
   else if cfg.breaker_restarts < 1 then Error "breaker_restarts must be >= 1"
-  else if cfg.breaker_window <= 0.0 || cfg.breaker_cooldown < 0.0 then
-    Error "breaker_window/breaker_cooldown malformed"
+  else if cfg.breaker_cooldown < 0.0 then Error "breaker_cooldown must be >= 0"
   else if cfg.promote_rounds < 1 then Error "promote_rounds must be >= 1"
   else if
     cfg.hot_watermark <= cfg.cool_watermark

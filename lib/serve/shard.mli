@@ -6,15 +6,17 @@
     tenant's posterior by handing the buffered trace to the existing
     supervised multi-chain StEM runtime ({!Qnet_runtime.Supervisor}),
     warm-started from the previous posterior. The buffered events go
-    through {!Qnet_trace.Trace.of_csv_lenient} first, so the same
-    repair machinery that protects batch ingestion (duplicates,
-    broken chains, reversed intervals) protects the streaming path;
-    repair drops are counted, never fatal.
+    straight through {!Qnet_trace.Trace.of_events_lenient} first, the
+    repair that also protects lenient batch ingestion (duplicates,
+    broken chains, reversed intervals); repair drops are counted,
+    never fatal. The fit then sees half of the tenant's tasks as
+    observed and samples the rest, as under a collector that traces
+    some requests only.
 
     {b Crash tolerance.} The worker is supervised in-process: any
     exception (including an injected {!Qnet_runtime.Fault.Shard_crash})
-    moves the shard to [Restarting], sleeps an exponential backoff,
-    and re-enters the loop — state, buffers and posteriors intact —
+    moves the shard to [Restarting], sleeps an exponential backoff
+    (0.25 s, doubling up to 4 s), and re-enters the loop — state, buffers and posteriors intact —
     until the restart budget is exhausted, after which the shard is
     [Failed] but its last posteriors remain servable (stale). Across
     {e process} restarts the shard recovers from its data directory:
@@ -33,13 +35,14 @@
 
     {b Degradation ladder.} Orthogonal to worker liveness, each shard
     sits on a rung of {!level}: [Full_fits] (supervised multi-chain
-    refits; hot tenants individually degrade to incremental),
+    refits; a tenant with 960 unfitted events individually degrades to
+    incremental),
     [Incremental] (bounded-memory {!Qnet_core.Online_stem} refits
     warm-started from the previous posterior), and [Pinned] (stale
     serve only). One refit round over the [fit_deadline] budget or an
     ingest queue past [hot_watermark] demotes a rung; two blown rounds
-    running, or [breaker_restarts] watchdog restarts within
-    [breaker_window] seconds (the restart circuit breaker), pin the
+    running, or [breaker_restarts] watchdog restarts within 30
+    seconds (the restart circuit breaker), pin the
     shard. Promotion requires [promote_rounds] consecutive clean
     evaluations (hysteresis), one rung at a time. The current rung and
     its {!degraded_reason} are surfaced on [/shards.json], posterior
@@ -68,28 +71,18 @@ type config = {
   max_tenant_events : int;
       (** per-tenant buffer bound; oldest events are dropped and the
           lenient rebuild re-repairs the window (default 4000) *)
-  obs_fraction : float;
-      (** observation mask fraction applied before fitting — the
-          paper's sampled-tracing regime (default 0.5) *)
   chains : int;  (** supervised chains per fit (default 2) *)
   min_chains : int;  (** quorum for a fit (default 1) *)
   fit_iterations : int;  (** StEM iterations per fit (default 30) *)
-  sweep_deadline : float;  (** watchdog deadline inside a fit (default 5.0) *)
   max_restarts : int;  (** shard restart budget (default 3) *)
-  backoff_base : float;  (** first restart delay, seconds (default 0.25) *)
-  backoff_max : float;  (** backoff ceiling, seconds (default 4.0) *)
   poll_interval : float;  (** queue poll period, seconds (default 0.05) *)
   seed : int;
   fit_deadline : float;
       (** wall-clock budget for one refit round; a round over budget
           demotes the shard a ladder rung (default 10.0) *)
-  hot_tenant_events : int;
-      (** a tenant with this many unfitted events gets incremental
-          refits even on a [Full_fits] shard (default 960) *)
   breaker_restarts : int;
-      (** restarts within [breaker_window] that trip the circuit
-          breaker (default 3) *)
-  breaker_window : float;  (** seconds (default 30.0) *)
+      (** restarts within 30 seconds that trip the circuit breaker
+          (default 3) *)
   breaker_cooldown : float;
       (** minimum seconds pinned after a breaker trip (default 10.0) *)
   promote_rounds : int;

@@ -369,54 +369,40 @@ let pp_ingest_report ppf r =
         e.detail)
     (List.rev r.errors)
 
-let of_csv_lenient ~num_queues text =
-  if num_queues <= 0 then invalid_arg "Trace.of_csv_lenient: num_queues must be positive";
+(* The lenient passes, shared by both entry points. [feed candidate
+   malformed] hands over a source's records in source order and returns
+   the number of lines it read: [candidate line e] for each record,
+   [malformed line detail] for each line that holds none. [line] is the
+   record's 1-based source line, 0 when it has none. *)
+let lenient ~num_queues feed =
   let errors = ref [] in
   let record ?line ?task reason detail =
     errors := { line; task_id = task; reason; detail } :: !errors
   in
-  let lines_read = ref 0 in
-  let data_lines = ref 0 in
-  (* Pass 1: per-line parsing and per-field sanity. *)
-  let parsed = ref [] (* (line number, event), newest first *) in
-  let l = new_line () in
-  let pos = ref 0 and lineno = ref 0 in
-  while !pos <= String.length text do
-    let stop = scan_line text !pos l in
-    incr lineno;
-    if l.first < l.last then begin
-      incr lines_read;
-      (* unlike [of_csv], the header test reads the trimmed line *)
-      let is_header = !lineno = 1 && starts_with_task text l.first l.last in
-      if not is_header then begin
-        incr data_lines;
-        if l.commas <> 4 then
-          record ~line:!lineno Malformed_line
-            (Printf.sprintf "expected 5 comma-separated fields, got %d" (l.commas + 1))
-        else begin
-          trim_fields text l;
-          match read_event text l with
-          | exception Failure _ ->
-              record ~line:!lineno Malformed_line "unparseable numeric field"
-          | { queue; arrival; departure; _ } as e ->
-              if Float.is_nan arrival || Float.is_nan departure then
-                record ~line:!lineno ~task:e.task Nan_field "NaN arrival or departure"
-              else if queue < 0 || queue >= num_queues then
-                record ~line:!lineno ~task:e.task Bad_queue
-                  (Printf.sprintf "queue %d outside [0,%d)" queue num_queues)
-              else if arrival < 0.0 || departure < 0.0 then
-                record ~line:!lineno ~task:e.task Negative_time
-                  (Printf.sprintf "negative time (arrival %g, departure %g)" arrival
-                     departure)
-              else if departure < arrival -. chain_tolerance then
-                record ~line:!lineno ~task:e.task Out_of_order
-                  (Printf.sprintf "departure %g before arrival %g" departure arrival)
-              else parsed := (!lineno, e) :: !parsed
-        end
-      end
-    end;
-    pos := stop + 1
-  done;
+  let at line = if line = 0 then None else Some line in
+  let candidates = ref 0 in
+  (* Pass 1: per-field sanity. *)
+  let parsed = ref [] (* (line, event), newest first *) in
+  let candidate line ({ queue; arrival; departure; _ } as e) =
+    incr candidates;
+    if Float.is_nan arrival || Float.is_nan departure then
+      record ?line:(at line) ~task:e.task Nan_field "NaN arrival or departure"
+    else if queue < 0 || queue >= num_queues then
+      record ?line:(at line) ~task:e.task Bad_queue
+        (Printf.sprintf "queue %d outside [0,%d)" queue num_queues)
+    else if arrival < 0.0 || departure < 0.0 then
+      record ?line:(at line) ~task:e.task Negative_time
+        (Printf.sprintf "negative time (arrival %g, departure %g)" arrival departure)
+    else if departure < arrival -. chain_tolerance then
+      record ?line:(at line) ~task:e.task Out_of_order
+        (Printf.sprintf "departure %g before arrival %g" departure arrival)
+    else parsed := (line, e) :: !parsed
+  in
+  let malformed line detail =
+    incr candidates;
+    record ~line Malformed_line detail
+  in
+  let lines_read = feed candidate malformed in
   let parsed = List.rev !parsed in
   (* Pass 2: drop exact duplicates (keep the first occurrence). *)
   let seen = Hashtbl.create 256 in
@@ -425,7 +411,7 @@ let of_csv_lenient ~num_queues text =
       (fun (line, e) ->
         let key = (e.task, e.state, e.queue, e.arrival, e.departure) in
         if Hashtbl.mem seen key then begin
-          record ~line ~task:e.task Duplicate_event "exact duplicate record";
+          record ?line:(at line) ~task:e.task Duplicate_event "exact duplicate record";
           false
         end
         else begin
@@ -549,10 +535,9 @@ let of_csv_lenient ~num_queues text =
   let report kept =
     {
       errors = !errors;
-      lines_read = !lines_read;
+      lines_read;
       events_kept = kept;
-      (* every non-header data line was a candidate record *)
-      events_dropped = !data_lines - kept;
+      events_dropped = !candidates - kept;
       tasks_dropped = !tasks_dropped;
     }
   in
@@ -566,6 +551,39 @@ let of_csv_lenient ~num_queues text =
            exception — that is the lenient contract. *)
         record Malformed_line ("residual inconsistency: " ^ msg);
         Error (report 0))
+
+let of_events_lenient ~num_queues events =
+  if num_queues <= 0 then invalid_arg "Trace.of_events_lenient: num_queues must be positive";
+  lenient ~num_queues (fun candidate _ ->
+      List.iter (candidate 0) events;
+      List.length events)
+
+let of_csv_lenient ~num_queues text =
+  if num_queues <= 0 then invalid_arg "Trace.of_csv_lenient: num_queues must be positive";
+  lenient ~num_queues (fun candidate malformed ->
+      let lines_read = ref 0 in
+      let l = new_line () in
+      let pos = ref 0 and lineno = ref 0 in
+      while !pos <= String.length text do
+        let stop = scan_line text !pos l in
+        incr lineno;
+        if l.first < l.last then begin
+          incr lines_read;
+          (* unlike [of_csv], the header test reads the trimmed line *)
+          if not (!lineno = 1 && starts_with_task text l.first l.last) then
+            if l.commas <> 4 then
+              malformed !lineno
+                (Printf.sprintf "expected 5 comma-separated fields, got %d" (l.commas + 1))
+            else begin
+              trim_fields text l;
+              match read_event text l with
+              | exception Failure _ -> malformed !lineno "unparseable numeric field"
+              | e -> candidate !lineno e
+            end
+        end;
+        pos := stop + 1
+      done;
+      !lines_read)
 
 let load_lenient ~num_queues path =
   try

@@ -103,7 +103,9 @@ type line_error = {
 
 type ingest_report = {
   errors : line_error list;  (** newest first *)
-  lines_read : int;  (** non-empty lines, header included *)
+  lines_read : int;
+      (** non-empty lines, header included; for {!of_events_lenient},
+          the events given *)
   events_kept : int;
   events_dropped : int;
   tasks_dropped : int;  (** tasks dropped wholesale (partial drops are events) *)
@@ -111,13 +113,23 @@ type ingest_report = {
 
 val pp_ingest_report : Format.formatter -> ingest_report -> unit
 
+val of_events_lenient :
+  num_queues:int -> event list -> (t * ingest_report, ingest_report) result
+(** [of_events_lenient ~num_queues events] keeps as much of [events]
+    as the model can hold: records with a NaN, negative or reversed
+    time or an out-of-range queue are classified and skipped, exact
+    duplicates dropped (the first one stays), each task's chain
+    truncated at the first skew/gap, and tasks that enter away from
+    the (majority) arrival queue removed, and those that revisit it cut
+    there. Errors carry no line.
+    [Error report] only when {e no} event survives. *)
+
 val of_csv_lenient :
   num_queues:int -> string -> (t * ingest_report, ingest_report) result
-(** [of_csv_lenient ~num_queues text] parses as much of [text] as
-    possible: corrupt lines are classified and skipped, exact
-    duplicates dropped, each task's chain truncated at the first
-    skew/gap, and tasks that enter away from the (majority) arrival
-    queue removed. [Error report] only when {e no} event survives. *)
+(** [of_csv_lenient ~num_queues text] reads [text] line by line,
+    classifies and skips the lines that hold no record, and repairs
+    the rest as {!of_events_lenient} does; errors carry their source
+    line. *)
 
 val load_lenient :
   num_queues:int ->

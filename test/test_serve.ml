@@ -778,6 +778,69 @@ let test_shard_ladder_config_rejected () =
   expect_invalid "log-bytes"
     { fast_shard_config with Shard.max_log_bytes = 16 }
 
+(* Polled without a pause, a shard's first posterior must never be seen
+   on a shard still [Starting], which readers count as not healthy. *)
+let test_shard_first_posterior_healthy () =
+  let dir = fresh_dir "qnet-first-posterior" in
+  match Shard.create ~dir:(Filename.concat dir "s0") ~id:0 fast_shard_config with
+  | Error m -> Alcotest.failf "shard: %s" m
+  | Ok s ->
+      Fun.protect
+        ~finally:(fun () -> Shard.stop s)
+        (fun () ->
+          push_tenant_lines s (tenant_lines "acme" 20);
+          let t0 = Unix.gettimeofday () in
+          let rec poll () =
+            match Shard.posterior s ~tenant:"acme" with
+            | Some _ -> Shard.status s
+            | None ->
+                if Unix.gettimeofday () -. t0 > 30.0 then
+                  Alcotest.fail "timed out waiting for the first posterior";
+                Thread.yield ();
+                poll ()
+          in
+          Alcotest.(check string)
+            "status at the first posterior" "healthy"
+            (Shard.status_label (poll ())))
+
+(* One batch of 40 records into a buffer capped at 20 keeps exactly the
+   newest 20, in order; the final checkpoint compacts the event log to
+   that buffer. *)
+let test_shard_buffer_cap () =
+  let dir = Filename.concat (fresh_dir "qnet-buffer-cap") "s0" in
+  let cfg =
+    {
+      fast_shard_config with
+      Shard.max_tenant_events = 20;
+      refit_events = 1_000_000;
+      refit_interval = 1e9;
+    }
+  in
+  match Shard.create ~dir ~id:0 cfg with
+  | Error m -> Alcotest.failf "shard: %s" m
+  | Ok s ->
+      let lines = tenant_lines "acme" 20 in
+      push_tenant_lines s lines;
+      Shard.stop s;
+      let canonical line =
+        match Ingest.decode_line ~num_queues:2 line with
+        | Ok r -> Ingest.to_json_line r
+        | Error m -> Alcotest.failf "bad line %S: %s" line m
+      in
+      let logged =
+        In_channel.with_open_bin (Filename.concat dir "events.log") In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+        |> List.map (fun l ->
+               match Framed_log.parse l with
+               | Ok payload -> canonical payload
+               | Error _ -> Alcotest.failf "bad frame %S" l)
+      in
+      Alcotest.(check (list string))
+        "newest 20 events"
+        (List.map canonical (List.filteri (fun i _ -> i >= 20) lines))
+        logged
+
 (* ------------------------------------------------------------------ *)
 (* Refit golden                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -1150,7 +1213,13 @@ let () =
             test_shard_ladder_config_rejected;
         ] );
       ( "refit",
-        [ Alcotest.test_case "golden full then incremental" `Quick test_refit_golden ] );
+        [
+          Alcotest.test_case "golden full then incremental" `Quick test_refit_golden;
+          Alcotest.test_case "first posterior on a healthy shard" `Quick
+            test_shard_first_posterior_healthy;
+          Alcotest.test_case "buffer keeps the newest events" `Quick
+            test_shard_buffer_cap;
+        ] );
       ( "router",
         [ Alcotest.test_case "stable fnv routing" `Quick test_router ] );
       ( "checkpoint",

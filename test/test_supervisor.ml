@@ -429,8 +429,9 @@ let test_golden_crash_corrupt () =
 
 let serve_init = Params.create ~rates:[| 9.0; 14.0; 11.0 |] ~arrival_queue:0
 
-(* Shard.fit_tenant's call with the shard's defaults: 2 chains, quorum
-   1, 30 iterations in rounds of 7, one restart, warm-started. *)
+(* Shard.fit_tenant's call on the full rung with the shard's defaults:
+   2 chains, quorum 1, 30 iterations in rounds of 7, one restart,
+   warm-started. *)
 let test_golden_serve_full_refit () =
   let config =
     {
@@ -446,8 +447,9 @@ let test_golden_serve_full_refit () =
     "quorum 2 cf213259f334bb67932b635ff9b4442b" (fun () ->
       supervisor_digest (Supervisor.run ~config ~init:serve_init ~seed:104762 make_store))
 
-(* Shard.fit_tenant_incremental's call: Online_stem over 2 windows of
-   15 iterations, windows of at least 2 tasks, warm-started. *)
+(* Shard.fit_tenant's call on the incremental rung: Online_stem over 2
+   windows of 15 iterations, windows of at least 2 tasks,
+   warm-started. *)
 let test_golden_serve_incremental_refit () =
   Net_helpers.check_modes "incremental refit"
     "2 windows 4163a05afb87249850ccff5f3dfa1e56" (fun () ->

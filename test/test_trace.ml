@@ -513,6 +513,77 @@ let test_lenient_blanks_around_fields () =
       Alcotest.(check string) "same events" (trace_bits clean) (trace_bits t)
   | _ -> Alcotest.fail "blanks around fields must parse leniently"
 
+(* Lenient repair of an event list against the CSV route to it. A seeded
+   tandem trace (queues 0-2) is dirtied with every kind of record the
+   repair classifies: exact duplicates, NaN, negative and reversed
+   times, out-of-range queues, clock skew, tasks that enter at queue 1
+   (a minority) and visits that revisit queue 0; a third of the lists
+   are shuffled. *)
+let dirty_events seed =
+  let rng = Rng.create ~seed () in
+  let trace =
+    Net_helpers.simulate_n rng
+      (Topologies.tandem ~arrival_rate:8.0 ~service_rates:[ 12.0; 10.0 ])
+      (2 + Rng.int rng 30)
+  in
+  let dirty e =
+    let open Trace in
+    match Rng.int rng 24 with
+    | 0 -> [ e; e ]
+    | 1 -> [ { e with arrival = Float.nan } ]
+    | 2 -> [ { e with departure = -.Float.nan } ]
+    | 3 -> [ { e with arrival = -.e.arrival -. 1.0 } ]
+    | 4 -> [ { e with departure = -.e.departure } ]
+    | 5 -> [ { e with departure = e.arrival -. 0.01 } ]
+    | 6 -> [ { e with queue = (if Rng.bool rng then -1 else 3 + Rng.int rng 3) } ]
+    | 7 -> [ { e with arrival = e.arrival +. (0.5 *. (e.departure -. e.arrival)) } ]
+    | 8 when e.state = 0 -> [ { e with queue = 1 } ]
+    | 9 when e.state > 0 -> [ { e with queue = 0 } ]
+    | 10 -> [ { e with arrival = infinity; departure = infinity } ]
+    | _ -> [ e ]
+  in
+  let events = List.concat_map dirty (Array.to_list trace.Trace.events) in
+  if Rng.int rng 3 = 0 then begin
+    let a = Array.of_list events in
+    Rng.shuffle_in_place rng a;
+    Array.to_list a
+  end
+  else events
+
+let prop_events_lenient_matches_csv =
+  QCheck.Test.make ~name:"of_events_lenient ≡ of_csv_lenient" ~count:500
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let events = dirty_events seed in
+      let csv =
+        "task,state,queue,arrival,departure\n"
+        ^ String.concat ""
+            (List.map
+               (fun e ->
+                 Printf.sprintf "%d,%d,%d,%.17g,%.17g\n" e.Trace.task e.Trace.state
+                   e.Trace.queue e.Trace.arrival e.Trace.departure)
+               events)
+      in
+      let show = function
+        | Ok (t, r) -> (Some (trace_bits t), r)
+        | Error r -> (None, r)
+      in
+      let summary (bits, r) =
+        ( bits,
+          [ r.Trace.events_kept; r.Trace.events_dropped; r.Trace.tasks_dropped ],
+          List.map
+            (fun e ->
+              (e.Trace.task_id, Trace.corruption_label e.Trace.reason, e.Trace.detail))
+            r.Trace.errors )
+      in
+      let from_events = show (Trace.of_events_lenient ~num_queues:3 events) in
+      let from_csv = show (Trace.of_csv_lenient ~num_queues:3 csv) in
+      if summary from_events <> summary from_csv then
+        QCheck.Test.fail_reportf "seed %d: the two routes disagree on@ %S" seed csv;
+      if List.exists (fun e -> e.Trace.line <> None) (snd from_events).Trace.errors then
+        QCheck.Test.fail_reportf "seed %d: an event-list error names a line" seed;
+      true)
+
 let () =
   Alcotest.run "qnet_trace"
     [
@@ -548,5 +619,6 @@ let () =
           Alcotest.test_case "final line without newline" `Quick
             test_lenient_no_final_newline;
           Alcotest.test_case "blanks around fields" `Quick test_lenient_blanks_around_fields;
+          QCheck_alcotest.to_alcotest prop_events_lenient_matches_csv;
         ] );
     ]
