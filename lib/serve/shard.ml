@@ -1224,19 +1224,23 @@ let quarantine_frame t ~line ~reason =
    torn tail truncated back to the last record boundary. *)
 let replay_segment t path =
   if not (Sys.file_exists path) then ()
-  else
-    match
+  else begin
+    (* newest first; absorbed as one batch, so the buffer cap trims once *)
+    let replayed = ref [] in
+    let result =
       Framed_log.replay_file ~path
         ~on_payload:(fun payload ->
           match Ingest.decode_line ~num_queues:t.cfg.num_queues payload with
           | Ok r ->
-              absorb t [ { record = r; trace = None; enqueued_at = Float.nan } ];
-              Mutex.protect t.mutex (fun () ->
-                  t.replayed_events <- t.replayed_events + 1)
+              replayed := { record = r; trace = None; enqueued_at = Float.nan } :: !replayed
           | Error reason -> quarantine_frame t ~line:payload ~reason)
         ~on_corrupt:(fun ~line ~reason -> quarantine_frame t ~line ~reason)
         ()
-    with
+    in
+    absorb t (List.rev !replayed);
+    Mutex.protect t.mutex (fun () ->
+        t.replayed_events <- t.replayed_events + List.length !replayed);
+    match result with
     | Ok stats ->
         if stats.Framed_log.torn then begin
           Mutex.protect t.mutex (fun () -> t.torn_tails <- t.torn_tails + 1);
@@ -1247,6 +1251,7 @@ let replay_segment t path =
         end
     | Error m ->
         Log.warn (fun f -> f "shard %d: cannot replay %s: %s" t.shard_id path m)
+  end
 
 let resume_from_disk t =
   let resumed_ckpt =

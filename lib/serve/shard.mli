@@ -15,8 +15,8 @@
 
     {b Crash tolerance.} The worker is supervised in-process: any
     exception (including an injected {!Qnet_runtime.Fault.Shard_crash})
-    moves the shard to [Restarting], sleeps an exponential backoff
-    (0.25 s, doubling up to 4 s), and re-enters the loop — state, buffers and posteriors intact —
+    moves the shard to [Restarting], sleeps an exponential backoff,
+    and re-enters the loop — state, buffers and posteriors intact —
     until the restart budget is exhausted, after which the shard is
     [Failed] but its last posteriors remain servable (stale). Across
     {e process} restarts the shard recovers from its data directory:
@@ -35,8 +35,7 @@
 
     {b Degradation ladder.} Orthogonal to worker liveness, each shard
     sits on a rung of {!level}: [Full_fits] (supervised multi-chain
-    refits; a tenant with 960 unfitted events individually degrades to
-    incremental),
+    refits; a tenant with 960 unfitted events degrades to incremental),
     [Incremental] (bounded-memory {!Qnet_core.Online_stem} refits
     warm-started from the previous posterior), and [Pinned] (stale
     serve only). One refit round over the [fit_deadline] budget or an

@@ -116,13 +116,13 @@ val pp_ingest_report : Format.formatter -> ingest_report -> unit
 val of_events_lenient :
   num_queues:int -> event list -> (t * ingest_report, ingest_report) result
 (** [of_events_lenient ~num_queues events] keeps as much of [events]
-    as the model can hold: records with a NaN, negative or reversed
-    time or an out-of-range queue are classified and skipped, exact
-    duplicates dropped (the first one stays), each task's chain
-    truncated at the first skew/gap, and tasks that enter away from
-    the (majority) arrival queue removed, and those that revisit it cut
-    there. Errors carry no line.
-    [Error report] only when {e no} event survives. *)
+    as the model can hold. Records with a NaN, negative or reversed
+    time or an out-of-range queue are classified and skipped; exact
+    duplicates are dropped, keeping the first; each task's chain is
+    truncated at its first skew or gap and at its first revisit of the
+    arrival queue; tasks that enter away from the (majority) arrival
+    queue are removed. Errors carry no line. [Error report] only when
+    {e no} event survives. *)
 
 val of_csv_lenient :
   num_queues:int -> string -> (t * ingest_report, ingest_report) result

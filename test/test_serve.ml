@@ -778,20 +778,36 @@ let test_shard_ladder_config_rejected () =
   expect_invalid "log-bytes"
     { fast_shard_config with Shard.max_log_bytes = 16 }
 
+(* A shard data directory whose durable log holds [lines], which the
+   shard replays as it starts. *)
+let dir_with_log prefix lines =
+  let dir = Filename.concat (fresh_dir prefix) "s0" in
+  Unix.mkdir dir 0o755;
+  Out_channel.with_open_bin (Filename.concat dir "events.log") (fun oc ->
+      List.iter
+        (fun line ->
+          Out_channel.output_string oc (Framed_log.frame line);
+          Out_channel.output_char oc '\n')
+        lines);
+  dir
+
 (* Polled without a pause, a shard's first posterior must never be seen
-   on a shard still [Starting], which readers count as not healthy. *)
+   on a shard still [Starting], which readers count as not healthy.
+   Tenants a and b are replayed at start, so both are due at the
+   worker's first pass, and a's posterior is out while b fits. *)
 let test_shard_first_posterior_healthy () =
-  let dir = fresh_dir "qnet-first-posterior" in
-  match Shard.create ~dir:(Filename.concat dir "s0") ~id:0 fast_shard_config with
+  let dir =
+    dir_with_log "qnet-first-posterior" (tenant_lines "a" 20 @ tenant_lines "b" 20)
+  in
+  match Shard.create ~dir ~id:0 fast_shard_config with
   | Error m -> Alcotest.failf "shard: %s" m
   | Ok s ->
       Fun.protect
         ~finally:(fun () -> Shard.stop s)
         (fun () ->
-          push_tenant_lines s (tenant_lines "acme" 20);
           let t0 = Unix.gettimeofday () in
           let rec poll () =
-            match Shard.posterior s ~tenant:"acme" with
+            match Shard.posterior s ~tenant:"a" with
             | Some _ -> Shard.status s
             | None ->
                 if Unix.gettimeofday () -. t0 > 30.0 then
@@ -840,6 +856,28 @@ let test_shard_buffer_cap () =
         "newest 20 events"
         (List.map canonical (List.filteri (fun i _ -> i >= 20) lines))
         logged
+
+(* A shard replays its durable log at start. Replaying three times the
+   default buffer cap (4,000 events) must cost about three times a
+   replay of the cap, not a buffer rebuild for every record past it. *)
+let test_shard_replay_past_cap () =
+  let replay_words n =
+    let dir = dir_with_log "qnet-replay-cap" (tenant_lines "acme" (n / 2)) in
+    let cfg = { fast_shard_config with Shard.refit_events = max_int; refit_interval = 1e9 } in
+    let w0 = Qnet_obs.Prof.allocated_words () in
+    match Shard.create ~dir ~id:0 cfg with
+    | Error m -> Alcotest.failf "shard: %s" m
+    | Ok s ->
+        let words = Qnet_obs.Prof.allocated_words () -. w0 in
+        Alcotest.(check int) "all replayed" n (Shard.replayed_events s);
+        Shard.stop s;
+        words
+  in
+  let at_cap = replay_words 4000 and past_cap = replay_words 12000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "3x the records cost %.1fx the allocation" (past_cap /. at_cap))
+    true
+    (past_cap < 4.0 *. at_cap)
 
 (* ------------------------------------------------------------------ *)
 (* Refit golden                                                        *)
@@ -1219,6 +1257,8 @@ let () =
             test_shard_first_posterior_healthy;
           Alcotest.test_case "buffer keeps the newest events" `Quick
             test_shard_buffer_cap;
+          Alcotest.test_case "replay past the cap trims once" `Quick
+            test_shard_replay_past_cap;
         ] );
       ( "router",
         [ Alcotest.test_case "stable fnv routing" `Quick test_router ] );
