@@ -72,7 +72,7 @@ let obs_fraction = 0.5
    even on a [Full_fits] shard. *)
 let hot_tenant_events = 960
 
-(* The restart backoff, in seconds: 0.25 doubling up to 4. *)
+(* The restart backoff, in seconds. *)
 let backoff_base = 0.25
 let backoff_max = 4.0
 

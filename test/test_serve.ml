@@ -819,9 +819,9 @@ let test_shard_first_posterior_healthy () =
             "status at the first posterior" "healthy"
             (Shard.status_label (poll ())))
 
-(* One batch of 40 records into a buffer capped at 20 keeps exactly the
-   newest 20, in order; the final checkpoint compacts the event log to
-   that buffer. *)
+(* 40 records pushed at once into a buffer capped at 20 leave exactly
+   the newest 20, in order, however the worker batches them; the final
+   checkpoint compacts the event log to that buffer. *)
 let test_shard_buffer_cap () =
   let dir = Filename.concat (fresh_dir "qnet-buffer-cap") "s0" in
   let cfg =
