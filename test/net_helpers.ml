@@ -16,6 +16,14 @@ let masked_store ?(scheme = Qnet_core.Observation.Task_fraction 0.1) rng net n =
   let store = Qnet_core.Event_store.of_trace ~observed:mask trace in
   (trace, mask, store)
 
+(* The contents of a golden file of this directory. [dune runtest] runs
+   the tests from the build copy of test/, where the files are
+   dependencies; [dune exec test/<name>.exe] runs them from the
+   repository root. *)
+let read_golden name =
+  let path = if Sys.file_exists name then name else Filename.concat "test" name in
+  In_channel.with_open_bin path In_channel.input_all
+
 (* Run [f] plain, with metrics enabled, inside a profiling session, or
    traced: span tracing and a profiling session together. Telemetry,
    tracing and profiling must not consume draws, so a seeded chain's

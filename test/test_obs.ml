@@ -157,12 +157,7 @@ let golden_registry () =
 
 let test_prometheus_golden () =
   let actual = Metrics.to_prometheus (golden_registry ()) in
-  let golden =
-    let ic = open_in "golden_metrics.prom" in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let golden = Net_helpers.read_golden "golden_metrics.prom" in
   if actual <> golden then
     Alcotest.failf
       "Prometheus text drifted from golden_metrics.prom.@\nActual:@\n%s" actual
@@ -527,12 +522,7 @@ let test_diag_register_golden () =
   let reg = Metrics.create_registry () in
   Diagnostics.register_metrics ~registry:reg ();
   let actual = Metrics.to_prometheus reg in
-  let golden =
-    let ic = open_in "golden_diagnostics.prom" in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let golden = Net_helpers.read_golden "golden_diagnostics.prom" in
   if actual <> golden then
     Alcotest.failf
       "present-zeros scrape drifted from golden_diagnostics.prom.@\nActual:@\n%s"

@@ -614,12 +614,7 @@ let test_serve_metrics_golden () =
   let reg = Metrics.create_registry () in
   Serve_metrics.force_register ~registry:reg ();
   let actual = Metrics.to_prometheus reg in
-  let golden =
-    let ic = open_in "golden_serve_metrics.prom" in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let golden = Net_helpers.read_golden "golden_serve_metrics.prom" in
   if actual <> golden then
     Alcotest.failf
       "qnet_serve_* families drifted from golden_serve_metrics.prom.@\n\
