@@ -147,7 +147,10 @@ let sample_compiled rng compiled =
 (* The production kernel (DESIGN.md section 2): the reference's
    arithmetic, operation for operation and draw for draw, specialised
    to the at most two hinges and three pieces a move produces, and
-   allocating nothing. The default build compiles with -opaque, so a
+   allocating nothing. Like Piecewise it works in linear space: an exp
+   and an expm1 per piece mass, the masses handed unnormalised to the
+   categorical draw, and one log1p (plus an expm1 for a rising piece)
+   to invert; a three-piece move makes 7-8 such calls. The default build compiles with -opaque, so a
    float passed to or returned from a function of another compilation
    unit is boxed. The kernel therefore reads the store's arrays and
    [Params.rates] in place, draws through the int-returning
@@ -164,11 +167,11 @@ let s_hinge = 3 (* 2 pairs *)
 let s_break = 7 (* 4 piece boundaries *)
 let s_rate = 11 (* 3 piece slopes *)
 let s_logval = 14 (* 4 log-densities at the boundaries *)
-let s_mass = 18 (* 3 log masses, then normalised weights *)
-let s_log_z = 21
-let s_acc = 22 (* loop accumulator *)
-let s_draw = 23 (* the kernel's result *)
-let scratch_len = 24
+let s_mass = 18 (* 3 piece masses *)
+let s_expm1 = 21 (* 3 expm1 (rate * width), kept for the falling pieces *)
+let s_acc = 24 (* loop accumulator *)
+let s_draw = 25 (* the kernel's result *)
+let scratch_len = 26
 
 (* Kernel kinds, as indices into [m_kernel_kinds]. *)
 let kind_point = 0
@@ -248,40 +251,7 @@ let terms sc (v : Store.view) (rates : float array) f =
 (* [Rng.float_unit] from the int draw: no float crosses from Rng. *)
 let[@inline] float_unit rng = float_of_int (Rng.bits53 rng) *. 0x1p-53
 
-(* The numeric helpers of Special and Piecewise, restated here so they
-   inline; each keeps the original's expressions. The guards the
-   kernel cannot trip (log1mexp on x > 0, log_expm1 on x <= 0) are
-   left out. *)
-let log_half = -0.6931471805599453
 let tiny_rate_width = 1e-12
-
-let[@inline] log1mexp x =
-  if Float.equal x 0.0 then neg_infinity
-  else if x > log_half then log (-.Float.expm1 x)
-  else Float.log1p (-.exp x)
-
-let[@inline] log_piece_mass v r w =
-  if w <= 0.0 then neg_infinity
-  else if Float.abs (r *. w) < tiny_rate_width then v +. log w +. (0.5 *. r *. w)
-  else if r > 0.0 then v +. (r *. w) +. log1mexp (-.r *. w) -. log r
-  else v +. log1mexp (r *. w) -. log (-.r)
-
-let[@inline] invert_piece r w q =
-  if q <= 0.0 then 0.0
-  else if q >= 1.0 then w
-  else if Float.abs (r *. w) < tiny_rate_width then q *. w
-  else if r > 0.0 then begin
-    let rw = r *. w in
-    let log_term = log q +. (if rw > 36.0 then rw else log (Float.expm1 rw)) in
-    (* Special.log_sum_exp2 0.0 log_term *)
-    let lse =
-      if Float.equal log_term neg_infinity then 0.0
-      else if 0.0 >= log_term then 0.0 +. Float.log1p (exp (log_term -. 0.0))
-      else log_term +. Float.log1p (exp (0.0 -. log_term))
-    in
-    Float.max 0.0 (Float.min w (lse /. r))
-  end
-  else Float.max 0.0 (Float.min w (Float.log1p (q *. Float.expm1 (r *. w)) /. r))
 
 (* Rng.categorical over the [n] weights at [s_mass]: the same checks,
    the same single draw, the same scan. *)
@@ -309,8 +279,9 @@ let categorical sc rng n =
   done;
   !i
 
-(* Piecewise.sample's choice of piece, from the masses Piecewise.compile
-   computes for the [n] pieces in [sc]. *)
+(* Piecewise.sample's choice of piece, by the masses Piecewise.compile
+   computes for the [n] pieces in [sc]. A falling piece's expm1 goes to
+   [s_expm1], where the inversion finds it. *)
 let pick_piece sc rng n =
   (* log-density at each break, re-centred so the largest is 0 *)
   sc.(s_logval) <- 0.0;
@@ -325,27 +296,19 @@ let pick_piece sc rng n =
   for i = 0 to n do
     sc.(s_logval + i) <- sc.(s_logval + i) -. sc.(s_acc)
   done;
+  (* Piecewise.piece_mass *)
   for i = 0 to n - 1 do
-    sc.(s_mass + i) <-
-      log_piece_mass sc.(s_logval + i) sc.(s_rate + i)
-        (sc.(s_break + i + 1) -. sc.(s_break + i))
-  done;
-  (* Special.log_sum_exp of the masses *)
-  sc.(s_acc) <- neg_infinity;
-  for i = 0 to n - 1 do
-    if not (sc.(s_acc) >= sc.(s_mass + i)) then sc.(s_acc) <- sc.(s_mass + i)
-  done;
-  let m = sc.(s_acc) in
-  if Float.equal m neg_infinity || Float.equal m infinity then sc.(s_log_z) <- m
-  else begin
-    sc.(s_acc) <- 0.0;
-    for i = 0 to n - 1 do
-      sc.(s_acc) <- sc.(s_acc) +. exp (sc.(s_mass + i) -. m)
-    done;
-    sc.(s_log_z) <- m +. log sc.(s_acc)
-  end;
-  for i = 0 to n - 1 do
-    sc.(s_mass + i) <- exp (sc.(s_mass + i) -. sc.(s_log_z))
+    let r = sc.(s_rate + i) in
+    let w = sc.(s_break + i + 1) -. sc.(s_break + i) in
+    let rw = r *. w in
+    if Float.abs rw < tiny_rate_width then
+      sc.(s_mass + i) <- exp (sc.(s_logval + i) +. (0.5 *. rw)) *. w
+    else if r > 0.0 then
+      sc.(s_mass + i) <- exp sc.(s_logval + i + 1) *. (-.Float.expm1 (-.rw) /. r)
+    else begin
+      sc.(s_expm1 + i) <- Float.expm1 rw;
+      sc.(s_mass + i) <- exp sc.(s_logval + i) *. (sc.(s_expm1 + i) /. r)
+    end
   done;
   categorical sc rng n
 
@@ -398,9 +361,20 @@ let sample_window sc rng nh =
   done;
   let i = if n = 1 then 0 else pick_piece sc rng n in
   let q = float_unit rng in
-  sc.(s_draw) <-
-    sc.(s_break + i)
-    +. invert_piece sc.(s_rate + i) (sc.(s_break + i + 1) -. sc.(s_break + i)) q
+  (* Piecewise.invert_piece, reusing a falling piece's expm1 *)
+  let r = sc.(s_rate + i) in
+  let w = sc.(s_break + i + 1) -. sc.(s_break + i) in
+  let rw = r *. w in
+  let y =
+    if q <= 0.0 then 0.0
+    else if Float.abs rw < tiny_rate_width then q *. w
+    else begin
+      let em = if r > 0.0 || n = 1 then Float.expm1 rw else sc.(s_expm1 + i) in
+      let y = if em < infinity then Float.log1p (q *. em) /. r else w +. (log q /. r) in
+      Float.max 0.0 (Float.min w y)
+    end
+  in
+  sc.(s_draw) <- sc.(s_break + i) +. y
 
 (* One move on event [f]: the draw goes to [s_draw]; returns the kernel
    kind. *)

@@ -5,36 +5,39 @@ type t = {
   upper : float;
   breaks : float array; (* n + 1 entries; breaks.(0) = lower, breaks.(n) = upper *)
   rates : float array; (* n entries: log-density slope on each piece *)
-  logvals : float array; (* n + 1 entries: relative log-density at each break *)
-  log_masses : float array; (* n entries: relative log-mass of each piece *)
-  log_z : float;
+  logvals : float array; (* n + 1 entries: log-density at each break, the largest 0 *)
+  masses : float array; (* n entries: mass of each piece under exp logvals *)
+  z : float; (* the masses' sum *)
 }
 
 let tiny_rate_width = 1e-12
 
-(* log of the integral of exp (v + r * (x - t0)) over x in [t0, t0 + w],
-   where v is the log-density at the left edge. *)
-let log_piece_mass ~left_logval:v ~rate:r ~width:w =
-  if w <= 0.0 then neg_infinity
-  else if Float.abs (r *. w) < tiny_rate_width then v +. log w +. (0.5 *. r *. w)
-  else if r > 0.0 then v +. (r *. w) +. Special.log1mexp (-.r *. w) -. log r
-  else v +. Special.log1mexp (r *. w) -. log (-.r)
+(* The integral of exp (lo + r * (x - t0)) over x in [t0, t0 + w], where
+   lo and hi are the log-density at the piece's left and right edges:
+   the value at the higher edge times (1 - e^{-|r|w}) / |r|. With the
+   largest break value at 0 neither factor can overflow. *)
+let piece_mass ~lo ~hi ~rate:r ~width:w =
+  let rw = r *. w in
+  if Float.abs rw < tiny_rate_width then exp (lo +. (0.5 *. rw)) *. w
+  else if r > 0.0 then exp hi *. (-.Float.expm1 (-.rw) /. r)
+  else exp lo *. (Float.expm1 rw /. r)
 
 (* Inverse of the within-piece CDF: given the mass fraction q of the
    piece that should lie left of the answer, return the offset y from
-   the left edge, 0 <= y <= w. Solves (e^{ry} - 1) / (e^{rw} - 1) = q. *)
+   the left edge, 0 <= y <= w. Solves (e^{ry} - 1) / (e^{rw} - 1) = q:
+   y = log1p (q * expm1 (rw)) / r, or w + log q / r where expm1 (rw)
+   overflows (the two agree far below double precision there). *)
 let invert_piece ~rate:r ~width:w q =
   if q <= 0.0 then 0.0
   else if q >= 1.0 then w
-  else if Float.abs (r *. w) < tiny_rate_width then q *. w
-  else if r > 0.0 then begin
-    let log_term = log q +. Special.log_expm1 (r *. w) in
-    let y = Special.log_sum_exp2 0.0 log_term /. r in
-    Float.max 0.0 (Float.min w y)
-  end
   else begin
-    let y = Float.log1p (q *. Float.expm1 (r *. w)) /. r in
-    Float.max 0.0 (Float.min w y)
+    let rw = r *. w in
+    if Float.abs rw < tiny_rate_width then q *. w
+    else begin
+      let em = Float.expm1 rw in
+      let y = if em < infinity then Float.log1p (q *. em) /. r else w +. (log q /. r) in
+      Float.max 0.0 (Float.min w y)
+    end
   end
 
 let compile ~lower ~upper ~linear ~hinges =
@@ -80,13 +83,13 @@ let compile ~lower ~upper ~linear ~hinges =
   (* Re-centre so the largest log value is 0: keeps exp () in range. *)
   let m = Array.fold_left max neg_infinity logvals in
   Array.iteri (fun i v -> logvals.(i) <- v -. m) logvals;
-  let log_masses =
+  let masses =
     Array.init n (fun i ->
-        log_piece_mass ~left_logval:logvals.(i) ~rate:rates.(i)
+        piece_mass ~lo:logvals.(i) ~hi:logvals.(i + 1) ~rate:rates.(i)
           ~width:(breaks.(i + 1) -. breaks.(i)))
   in
-  let log_z = Special.log_sum_exp log_masses in
-  { lower; upper; breaks; rates; logvals; log_masses; log_z }
+  let z = Array.fold_left ( +. ) 0.0 masses in
+  { lower; upper; breaks; rates; logvals; masses; z }
 
 let lower t = t.lower
 let upper t = t.upper
@@ -112,22 +115,19 @@ let log_density t x =
     let i = find_piece t x in
     t.logvals.(i) +. (t.rates.(i) *. (x -. t.breaks.(i)))
 
-let log_normalizer t = t.log_z
+let log_normalizer t = log t.z
 
 let cdf t x =
   if x <= t.lower then 0.0
   else if x >= t.upper then 1.0
   else begin
     let i = find_piece t x in
-    let partial =
-      log_piece_mass ~left_logval:t.logvals.(i) ~rate:t.rates.(i)
-        ~width:(x -. t.breaks.(i))
-    in
-    let acc = ref partial in
+    let lo = t.logvals.(i) and r = t.rates.(i) and w = x -. t.breaks.(i) in
+    let acc = ref (piece_mass ~lo ~hi:(lo +. (r *. w)) ~rate:r ~width:w) in
     for j = 0 to i - 1 do
-      acc := Special.log_sum_exp2 !acc t.log_masses.(j)
+      acc := !acc +. t.masses.(j)
     done;
-    exp (!acc -. t.log_z)
+    !acc /. t.z
   end
 
 let quantile t p =
@@ -141,7 +141,7 @@ let quantile t p =
     let rec walk i acc =
       if i >= n then (n - 1, 1.0)
       else
-        let w = exp (t.log_masses.(i) -. t.log_z) in
+        let w = t.masses.(i) /. t.z in
         if acc +. w >= p || i = n - 1 then (i, (p -. acc) /. w) else walk (i + 1) (acc +. w)
     in
     let i, q = walk 0 0.0 in
@@ -153,14 +153,7 @@ let quantile t p =
   end
 
 let sample rng t =
-  let n = Array.length t.rates in
-  let i =
-    if n = 1 then 0
-    else begin
-      let weights = Array.map (fun lm -> exp (lm -. t.log_z)) t.log_masses in
-      Rng.categorical rng weights
-    end
-  in
+  let i = if Array.length t.masses = 1 then 0 else Rng.categorical rng t.masses in
   let q = Rng.float_unit rng in
   t.breaks.(i)
   +. invert_piece ~rate:t.rates.(i) ~width:(t.breaks.(i + 1) -. t.breaks.(i)) q
@@ -176,7 +169,7 @@ let mean t =
     let w = t.breaks.(i + 1) -. t0 in
     let r = t.rates.(i) in
     let v = exp t.logvals.(i) in
-    let mass = exp (t.log_masses.(i)) in
+    let mass = t.masses.(i) in
     let rw = r *. w in
     let integral_term =
       if Float.abs rw < 1e-4 then

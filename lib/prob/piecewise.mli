@@ -6,12 +6,14 @@
     an M/M/1 FIFO network (the paper's Figure 3): each neighbouring
     service time contributes one linear-or-hinge term. This module
     compiles such a "hinge form" into explicit pieces and supports
-    exact inverse-CDF sampling, evaluation, and moments, all in
-    log-space.
+    exact inverse-CDF sampling, evaluation, and moments.
 
-    All computations are stable for rates up to ~1e300 and intervals
-    down to the denormal range: piece masses use [log1mexp] /
-    [Float.expm1], never bare [exp] differences. *)
+    The log-density is shifted so that its largest value at a break is
+    0; a piece's mass is then the density at its higher end times
+    [(1 - exp (-|r|w)) / |r|], computed with [Float.expm1], and can
+    neither overflow nor cancel. Masses, the CDF and draws are stable
+    for rates up to ~1e300 and widths down to the denormal range
+    (where |r·w| < 1e-12 a piece is taken as flat to first order). *)
 
 type hinge = { knee : float; slope : float }
 (** One term [slope · max 0. (x - knee)]: contributes nothing left of
@@ -56,8 +58,11 @@ val quantile : t -> float -> float
 (** Exact inverse CDF; requires the argument in [\[0, 1\]]. *)
 
 val sample : Rng.t -> t -> float
-(** One exact draw: choose a piece by its normalized mass, then invert
-    the truncated-exponential CDF within the piece. *)
+(** One exact draw: choose a piece by {!Rng.categorical} over the
+    unnormalised masses (no draw for a single piece), then invert the
+    truncated-exponential CDF within it on a second uniform [q]: the
+    offset [log1p (q · expm1 (r·w)) / r], or [w + log q / r] where
+    [expm1 (r·w)] overflows. *)
 
 val mean : t -> float
 (** Exact first moment (closed-form per piece). *)

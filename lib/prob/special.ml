@@ -1,9 +1,3 @@
-let log_sum_exp2 a b =
-  if Float.equal a neg_infinity then b
-  else if Float.equal b neg_infinity then a
-  else if a >= b then a +. Float.log1p (exp (b -. a))
-  else b +. Float.log1p (exp (a -. b))
-
 let log_sum_exp xs =
   let m = Array.fold_left max neg_infinity xs in
   if Float.equal m neg_infinity then neg_infinity
@@ -13,19 +7,6 @@ let log_sum_exp xs =
     Array.iter (fun x -> acc := !acc +. exp (x -. m)) xs;
     m +. log !acc
   end
-
-let log_half = -0.6931471805599453
-
-let log1mexp x =
-  if x > 0.0 then invalid_arg "Special.log1mexp: positive argument"
-  else if Float.equal x 0.0 then neg_infinity
-  else if x > log_half then log (-.Float.expm1 x)
-  else Float.log1p (-.exp x)
-
-let log_expm1 x =
-  if x <= 0.0 then invalid_arg "Special.log_expm1: non-positive argument"
-  else if x > 36.0 then x (* exp x -. 1. = exp x to double precision *)
-  else log (Float.expm1 x)
 
 (* Lanczos approximation, g = 7, n = 9 coefficients. *)
 let lanczos_g = 7.0

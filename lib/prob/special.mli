@@ -5,22 +5,9 @@
     actually hits (tiny intervals, huge rates, near-cancelling
     exponentials). *)
 
-val log_sum_exp2 : float -> float -> float
-(** [log_sum_exp2 a b] is [log (exp a +. exp b)] computed without
-    overflow. [neg_infinity] acts as the identity. *)
-
 val log_sum_exp : float array -> float
 (** [log_sum_exp xs] is [log (sum_i (exp xs.(i)))], stable. Returns
     [neg_infinity] on an empty array. *)
-
-val log1mexp : float -> float
-(** [log1mexp x] is [log (1 -. exp x)] for [x <= 0], accurate both for
-    [x] near 0 and for very negative [x] (uses the expm1 / log1p
-    split at [-log 2]). Returns [neg_infinity] at [x = 0]. *)
-
-val log_expm1 : float -> float
-(** [log_expm1 x] is [log (exp x -. 1)] for [x > 0], stable for both
-    tiny and large [x]. *)
 
 val log_gamma : float -> float
 (** [log_gamma x] is the natural log of the Gamma function for

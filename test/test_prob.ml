@@ -223,12 +223,6 @@ let test_categorical_rejects_all_zero () =
 (* ------------------------------------------------------------------ *)
 (* Special functions *)
 
-let test_log_sum_exp2 () =
-  check_rel "lse2 basic" (log (exp 1.0 +. exp 2.0)) (Special.log_sum_exp2 1.0 2.0);
-  check_rel "lse2 large" (1000.0 +. log 2.0) (Special.log_sum_exp2 1000.0 1000.0);
-  check_close "lse2 neg_inf left" 3.0 (Special.log_sum_exp2 neg_infinity 3.0);
-  check_close "lse2 neg_inf right" 3.0 (Special.log_sum_exp2 3.0 neg_infinity)
-
 let test_log_sum_exp () =
   check_rel "lse array"
     (log (exp 0.5 +. exp 1.5 +. exp (-0.5)))
@@ -236,18 +230,6 @@ let test_log_sum_exp () =
   check_close "lse empty" neg_infinity (Special.log_sum_exp [||]);
   check_rel "lse huge" (-1000.0 +. log 3.0)
     (Special.log_sum_exp [| -1000.0; -1000.0; -1000.0 |])
-
-let test_log1mexp () =
-  check_rel "log1mexp moderate" (log (1.0 -. exp (-1.0))) (Special.log1mexp (-1.0));
-  check_rel "log1mexp tiny" (log (-.Float.expm1 (-1e-10))) (Special.log1mexp (-1e-10));
-  (* at -50, 1 - e^-50 rounds to 1.; log1mexp keeps the -e^-50 term *)
-  check_close ~eps:1e-30 "log1mexp large" (-.exp (-50.0)) (Special.log1mexp (-50.0));
-  check_close "log1mexp zero" neg_infinity (Special.log1mexp 0.0)
-
-let test_log_expm1 () =
-  check_rel "log_expm1 moderate" (log (Float.expm1 2.0)) (Special.log_expm1 2.0);
-  check_rel "log_expm1 small" (log (Float.expm1 1e-8)) (Special.log_expm1 1e-8);
-  check_rel "log_expm1 huge" 100.0 (Special.log_expm1 100.0)
 
 let test_log_gamma_known_values () =
   check_rel "gamma(1)" 1.0 (exp (Special.log_gamma 1.0));
@@ -678,6 +660,236 @@ let qcheck_piecewise_cdf_monotone =
       monotone cdfs
       && List.for_all (fun c -> c >= -1e-12 && c <= 1.0 +. 1e-12) cdfs)
 
+(* The edge cases piecewise.mli promises, against closed forms. On
+   [0, w] with slope r the density peaks at 0 when r < 0 and at w when
+   r > 0, so log_normalizer is log ((1 - e^{-|r|w}) / |r|), and the
+   offset that leaves mass fraction q to its left is
+   log1p (q * expm1 (r w)) / r. *)
+let closed_log_z r w = log (-.Float.expm1 (-.Float.abs (r *. w)) /. Float.abs r)
+let closed_quantile r w q = Float.log1p (q *. Float.expm1 (r *. w)) /. r
+
+let test_piecewise_extreme_rates_closed_form () =
+  List.iter
+    (fun (r, w) ->
+      let name = Printf.sprintf "r %g, w %g" r w in
+      let pw = Piecewise.compile ~lower:0.0 ~upper:w ~linear:r ~hinges:[] in
+      check_rel ~eps:1e-14 (name ^ ": log_normalizer") (closed_log_z r w)
+        (Piecewise.log_normalizer pw);
+      List.iter
+        (fun q ->
+          let x = Piecewise.quantile pw q in
+          check_rel ~eps:1e-14 (Printf.sprintf "%s: quantile %g" name q)
+            (closed_quantile r w q) x;
+          check_rel ~eps:1e-13 (Printf.sprintf "%s: cdf at quantile %g" name q) q
+            (Piecewise.cdf pw x))
+        [ 1e-9; 0.3; 0.5; 0.9 ])
+    [ (-1e300, 1.0); (-1e300, 3e-300); (1e300, 1e-299); (1e300, 2e-298); (-1e150, 1e-148) ]
+
+(* Widths down to the denormal range: |r w| < 1e-12 for any finite r, so
+   every piece takes the near-flat branch, mass = w e^{mid-point value}. *)
+let test_piecewise_denormal_widths () =
+  let d = 0x1p-1074 in
+  List.iter
+    (fun r ->
+      let w = 1000.0 *. d in
+      let pw = Piecewise.compile ~lower:0.0 ~upper:w ~linear:r ~hinges:[] in
+      let name = Printf.sprintf "r %g" r in
+      check_rel ~eps:1e-12 (name ^ ": log_normalizer") (log w) (Piecewise.log_normalizer pw);
+      check_close ~eps:0.0 (name ^ ": cdf at w/2") 0.5 (Piecewise.cdf pw (500.0 *. d));
+      check_close ~eps:0.0 (name ^ ": quantile 0.25") (250.0 *. d) (Piecewise.quantile pw 0.25))
+    [ -1.0; 1.0; -1e300; 1e300 ];
+  (* a denormal first piece inside a unit window: a knee 10 steps past
+     lower holds ~1e-323 of the mass *)
+  let knee = 10.0 *. d in
+  let pw =
+    Piecewise.compile ~lower:0.0 ~upper:1.0 ~linear:(-2.0)
+      ~hinges:[ { Piecewise.knee; slope = 3.0 } ]
+  in
+  (match Piecewise.pieces pw with
+  | [ (_, k, _); _ ] -> check_close ~eps:0.0 "denormal piece kept" knee k
+  | ps -> Alcotest.failf "expected 2 pieces, got %d" (List.length ps));
+  (* beyond the knee the slope is 1: log z = log (e - 1) - 1 + 2 * knee ~ log (1 - 1/e) *)
+  check_rel ~eps:1e-14 "log_normalizer" (closed_log_z 1.0 1.0) (Piecewise.log_normalizer pw);
+  let rng = Rng.create ~seed:59 () in
+  for _ = 1 to 1000 do
+    let x = Piecewise.sample rng pw in
+    if not (x >= 0.0 && x <= 1.0) then Alcotest.failf "sample out of support: %g" x
+  done
+
+(* |r w| just below and just above the 1e-12 switch between the near-flat
+   branch and the expm1 forms: both sides agree with the closed forms,
+   the near-flat draw q w to within its O(r w) error. *)
+let test_piecewise_flat_switch () =
+  List.iter
+    (fun r ->
+      List.iter
+        (fun rw ->
+          let w = Float.abs (rw /. r) in
+          let name = Printf.sprintf "r %g, |r w| %.6g" r rw in
+          let pw = Piecewise.compile ~lower:0.0 ~upper:w ~linear:r ~hinges:[] in
+          check_rel ~eps:1e-15 (name ^ ": log_normalizer") (closed_log_z r w)
+            (Piecewise.log_normalizer pw);
+          List.iter
+            (fun q ->
+              check_rel ~eps:1e-12 (Printf.sprintf "%s: quantile %g" name q)
+                (closed_quantile r w q) (Piecewise.quantile pw q))
+            [ 0x1p-53; 0.25; 0.75 ])
+        [ 0.999999e-12; 1.000001e-12 ])
+    [ 1.0; -1.0; 1e300; -1e300; 1e-3 ]
+
+(* The log-space arithmetic Piecewise drew with before its masses moved
+   to linear space, verbatim, with the three Special helpers it called:
+   an oracle for the new masses and draws. *)
+module Log_space = struct
+  module Special = struct
+    let log_sum_exp2 a b =
+      if Float.equal a neg_infinity then b
+      else if Float.equal b neg_infinity then a
+      else if a >= b then a +. Float.log1p (exp (b -. a))
+      else b +. Float.log1p (exp (a -. b))
+
+    let log_half = -0.6931471805599453
+
+    let log1mexp x =
+      if x > 0.0 then invalid_arg "Special.log1mexp: positive argument"
+      else if Float.equal x 0.0 then neg_infinity
+      else if x > log_half then log (-.Float.expm1 x)
+      else Float.log1p (-.exp x)
+
+    let log_expm1 x =
+      if x <= 0.0 then invalid_arg "Special.log_expm1: non-positive argument"
+      else if x > 36.0 then x (* exp x -. 1. = exp x to double precision *)
+      else log (Float.expm1 x)
+  end
+
+  let tiny_rate_width = 1e-12
+
+  (* log of the integral of exp (v + r * (x - t0)) over x in [t0, t0 + w],
+     where v is the log-density at the left edge. *)
+  let log_piece_mass ~left_logval:v ~rate:r ~width:w =
+    if w <= 0.0 then neg_infinity
+    else if Float.abs (r *. w) < tiny_rate_width then v +. log w +. (0.5 *. r *. w)
+    else if r > 0.0 then v +. (r *. w) +. Special.log1mexp (-.r *. w) -. log r
+    else v +. Special.log1mexp (r *. w) -. log (-.r)
+
+  (* Inverse of the within-piece CDF: given the mass fraction q of the
+     piece that should lie left of the answer, return the offset y from
+     the left edge, 0 <= y <= w. Solves (e^{ry} - 1) / (e^{rw} - 1) = q. *)
+  let invert_piece ~rate:r ~width:w q =
+    if q <= 0.0 then 0.0
+    else if q >= 1.0 then w
+    else if Float.abs (r *. w) < tiny_rate_width then q *. w
+    else if r > 0.0 then begin
+      let log_term = log q +. Special.log_expm1 (r *. w) in
+      let y = Special.log_sum_exp2 0.0 log_term /. r in
+      Float.max 0.0 (Float.min w y)
+    end
+    else begin
+      let y = Float.log1p (q *. Float.expm1 (r *. w)) /. r in
+      Float.max 0.0 (Float.min w y)
+    end
+
+  (* Piecewise.compile's log masses and Piecewise.sample's normalised
+     choice of piece, over the pieces of [pw]. *)
+  let sample rng pw =
+    let pieces = Array.of_list (Piecewise.pieces pw) in
+    let n = Array.length pieces in
+    let logvals = Array.make (n + 1) 0.0 in
+    Array.iteri (fun i (lo, hi, r) -> logvals.(i + 1) <- logvals.(i) +. (r *. (hi -. lo))) pieces;
+    let m = Array.fold_left max neg_infinity logvals in
+    Array.iteri (fun i v -> logvals.(i) <- v -. m) logvals;
+    let log_masses =
+      Array.mapi
+        (fun i (lo, hi, r) -> log_piece_mass ~left_logval:logvals.(i) ~rate:r ~width:(hi -. lo))
+        pieces
+    in
+    let log_z = Qnet_prob.Special.log_sum_exp log_masses in
+    let i =
+      if n = 1 then 0
+      else Rng.categorical rng (Array.map (fun lm -> exp (lm -. log_z)) log_masses)
+    in
+    let lo, hi, r = pieces.(i) in
+    (log_z, lo +. invert_piece ~rate:r ~width:(hi -. lo) (Rng.float_unit rng))
+end
+
+let rel_diff a b = if Float.equal a b then 0.0 else Float.abs (a -. b) /. Float.abs b
+
+(* One piece [0, w] with slope r and a mass fraction q. A quarter of the
+   cases are rising pieces with r w in 20-40 and q within 2^10 steps of
+   2^-53, where the log-space inversion loses the most; a quarter reach
+   rates to 1e300 and widths to 1e-314; a quarter sit at |r w| ~ 1e-12. *)
+let piece_gen =
+  let open QCheck.Gen in
+  let log_uniform lo hi = map (fun e -> 10.0 ** e) (float_range lo hi) in
+  let signed g = map2 (fun up x -> if up then x else -.x) bool g in
+  let near_min_q = map (fun k -> float_of_int k *. 0x1p-53) (int_range 1 1024) in
+  frequency
+    [
+      ( 1,
+        map3 (fun r w q -> (r, w, q)) (signed (log_uniform (-3.) 3.)) (log_uniform (-4.) 1.)
+          (float_range 0.0 1.0) );
+      ( 1,
+        map3
+          (fun r rw q -> (r, rw /. r, q))
+          (log_uniform (-2.) 2.) (float_range 20.0 40.0) near_min_q );
+      ( 1,
+        map3
+          (fun r rw q -> (r, Float.abs (rw /. r), q))
+          (signed (log_uniform 0. 300.)) (log_uniform (-14.) 3.) (float_range 0.0 1.0) );
+      ( 1,
+        map3
+          (fun r dev q -> (r, 1e-12 *. (1.0 +. dev) /. Float.abs r, q))
+          (signed (log_uniform (-3.) 3.)) (float_range (-1e-3) 1e-3)
+          (oneof [ float_range 0.0 1.0; near_min_q ]) );
+    ]
+
+(* The masses agree with the oracle's to 1e-14 of max (1, |log mass|)
+   (a 4M-case scan read 1.3e-15), and the draws to 1e-12 relative (the
+   scan read 2.1e-13, all of it the oracle's own error: the new draw is
+   log1p (q * expm1 (r w)) / r to the bit wherever |r w| >= 1e-12 and
+   expm1 is finite). Inverting a rising piece from its right end
+   instead, w + log1p ((1 - q) * expm1 (-r w)) / r, is off by more than
+   1e-4 relative on the steep cases and fails. *)
+let qcheck_piecewise_linear_space_oracle =
+  QCheck.Test.make ~name:"linear-space piece ≡ log-space oracle" ~count:20_000
+    (QCheck.make piece_gen ~print:(fun (r, w, q) -> Printf.sprintf "r %h w %h q %h" r w q))
+    (fun (r, w, q) ->
+      let pw = Piecewise.compile ~lower:0.0 ~upper:w ~linear:r ~hinges:[] in
+      let lm =
+        Log_space.log_piece_mass ~left_logval:(Piecewise.log_density pw 0.0) ~rate:r ~width:w
+      in
+      let mass_err = Float.abs (Piecewise.log_normalizer pw -. lm) /. Float.max 1.0 (Float.abs lm) in
+      let y = Piecewise.quantile pw q in
+      let em = Float.expm1 (r *. w) in
+      mass_err <= 1e-14
+      && rel_diff y (Log_space.invert_piece ~rate:r ~width:w q) <= 1e-12
+      && (Float.abs (r *. w) < 1e-12 || not (em < infinity)
+         || Float.equal y (Float.max 0.0 (Float.min w (Float.log1p (q *. em) /. r)))))
+
+(* Whole densities of one to three pieces drawn by Piecewise.sample and
+   by the oracle from one seed: the same piece, the same uniform, the
+   same draw to 1e-12 of the window. *)
+let qcheck_piecewise_sample_oracle =
+  QCheck.Test.make ~name:"sample ≡ log-space oracle draw" ~count:500
+    QCheck.(
+      triple (float_range (-30.0) 30.0)
+        (list_of_size (Gen.int_bound 2)
+           (pair (float_bound_exclusive 4.0) (float_range (-25.0) 25.0)))
+        small_nat)
+    (fun (linear, hinge_spec, seed) ->
+      let hinges =
+        List.map (fun (pos, slope) -> { Piecewise.knee = pos; slope }) hinge_spec
+      in
+      let pw = Piecewise.compile ~lower:0.0 ~upper:4.0 ~linear ~hinges in
+      let a = Rng.create ~seed () and b = Rng.create ~seed () in
+      List.for_all
+        (fun _ ->
+          let log_z, x_oracle = Log_space.sample b pw in
+          Float.abs (Piecewise.sample a pw -. x_oracle) <= 4e-12
+          && Float.abs (Piecewise.log_normalizer pw -. log_z)
+             <= 1e-14 *. Float.max 1.0 (Float.abs log_z))
+        (List.init 20 Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* Statistics *)
 
@@ -954,10 +1166,7 @@ let () =
         ] );
       ( "special",
         [
-          Alcotest.test_case "log_sum_exp2" `Quick test_log_sum_exp2;
           Alcotest.test_case "log_sum_exp" `Quick test_log_sum_exp;
-          Alcotest.test_case "log1mexp" `Quick test_log1mexp;
-          Alcotest.test_case "log_expm1" `Quick test_log_expm1;
           Alcotest.test_case "log_gamma" `Quick test_log_gamma_known_values;
           Alcotest.test_case "log_factorial" `Quick test_log_factorial;
           Alcotest.test_case "erf" `Quick test_erf_known_values;
@@ -1012,6 +1221,12 @@ let () =
           Alcotest.test_case "degenerate rejected" `Quick test_piecewise_degenerate_rejected;
           qc qcheck_piecewise_sampler_in_support;
           qc qcheck_piecewise_cdf_monotone;
+          Alcotest.test_case "closed forms at rates to 1e300" `Quick
+            test_piecewise_extreme_rates_closed_form;
+          Alcotest.test_case "denormal widths" `Quick test_piecewise_denormal_widths;
+          Alcotest.test_case "either side of |r w| = 1e-12" `Quick test_piecewise_flat_switch;
+          qc qcheck_piecewise_linear_space_oracle;
+          qc qcheck_piecewise_sample_oracle;
         ] );
       ( "statistics",
         [

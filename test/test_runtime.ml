@@ -283,7 +283,7 @@ let runtime_digest store rng (r : Runtime.result) =
 
 let test_golden_clean_run () =
   Net_helpers.check_modes "clean Runtime.run"
-    "322d9708c68b320dd97f1d4e5c322f87" (fun () ->
+    "6479c6da2e635e23c5810813e297ab2a" (fun () ->
       let _, _, store = fresh_store () in
       let rng = Rng.create ~seed:99 () in
       let r = Runtime.run ~config:(runtime_config ~iterations:24 ()) rng store in
@@ -295,7 +295,7 @@ let test_golden_clean_run () =
 let test_golden_rollback_run () =
   Net_helpers.check_modes "Runtime.run with one rollback"
     "retries=1 done=20 | 9: 2 violations: nan-latent(165), nonfinite-log-likelihood(nan) \
-     | 2313f2fe9eb6645d507301452e0285d0" (fun () ->
+     | 69d2f2857bffc9571af91c5b98c12d8d" (fun () ->
       let _, _, store = fresh_store () in
       let rng = Rng.create ~seed:11 () in
       let fired = ref false in

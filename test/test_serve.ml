@@ -962,7 +962,7 @@ let test_refit_golden () =
               "incremental round 2 iteration 14 events 119 rates \
                0x1.f868c30c250a9p+2 0x1.6a40a30e3ad75p+3 0x1.432825e6605a6p+3 \
                service 0x1.03da3da4434b6p-3 0x1.69d3320701e54p-4 \
-               0x1.9599468a8f495p-4";
+               0x1.9599468a8f496p-4";
             ]
             [ p1; p2 ])
 

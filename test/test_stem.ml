@@ -217,12 +217,12 @@ let balancer_store () =
 
 let test_golden_three_tier () =
   Net_helpers.check_modes "Stem.run three-tier"
-    "ee970a46cf24f1a19f9c0c7d2a914d83" (fun () ->
+    "86cd9eae542baff7e683a3f53eb58291" (fun () ->
       run_digest ~seed:2024 three_tier_store)
 
 let test_golden_balancer_routes () =
   Net_helpers.check_modes "Stem.run ~route_fsm balancer"
-    "2402d15dacfdc16ad19a2ac01ab92178" (fun () ->
+    "0e5401b4959b48fd470e94ef6871499f" (fun () ->
       run_digest ~route_fsm:balancer_fsm ~seed:2025 balancer_store)
 
 (* ------------------------------------------------------------------ *)

@@ -408,7 +408,7 @@ let supervisor_digest (r : Supervisor.result) =
 
 let test_golden_fault_free () =
   Net_helpers.check_modes "fault-free Supervisor.run"
-    "quorum 4 941743530ae845127cfc0558bddc747f" (fun () ->
+    "quorum 4 a8035fa3be97ea3957ece82d8aa82b44" (fun () ->
       supervisor_digest (Supervisor.run ~config:(sup_config ()) ~seed:7 make_store))
 
 (* A crash on chain 1 before its first checkpoint (re-warm from the
@@ -424,7 +424,7 @@ let test_golden_crash_corrupt () =
     ]
   in
   Net_helpers.check_modes "Supervisor.run with crash and corrupt faults"
-    "quorum 4 e45eb3987338a907eae0c47c62ab8bac" (fun () ->
+    "quorum 4 5e677ae5bab7ebb60566581b85282712" (fun () ->
       supervisor_digest (Supervisor.run ~config:(sup_config ()) ~faults ~seed:7 make_store))
 
 let serve_init = Params.create ~rates:[| 9.0; 14.0; 11.0 |] ~arrival_queue:0
@@ -444,7 +444,7 @@ let test_golden_serve_full_refit () =
     }
   in
   Net_helpers.check_modes "full refit"
-    "quorum 2 cf213259f334bb67932b635ff9b4442b" (fun () ->
+    "quorum 2 95979391f8a07df0e6ed03c0095d213d" (fun () ->
       supervisor_digest (Supervisor.run ~config ~init:serve_init ~seed:104762 make_store))
 
 (* Shard.fit_tenant's call on the incremental rung: Online_stem over 2
