@@ -150,13 +150,14 @@ let sample_compiled rng compiled =
    allocating nothing. Like Piecewise it works in linear space: an exp
    and an expm1 per piece mass, the masses handed unnormalised to the
    categorical draw, and one log1p (plus an expm1 for a rising piece)
-   to invert; a three-piece move makes 7-8 such calls. The default build compiles with -opaque, so a
-   float passed to or returned from a function of another compilation
-   unit is boxed. The kernel therefore reads the store's arrays and
-   [Params.rates] in place, draws through the int-returning
-   [Rng.bits53], keeps every intermediate in a float scratch the caller
-   owns, and calls only helpers that are inlined into it or that take
-   and return no floats. *)
+   to invert; a three-piece move makes 7-8 such calls. The default
+   build compiles with -opaque, so a float passed to or returned from
+   a function of another compilation unit is boxed. The kernel
+   therefore reads the store's arrays and [Params.rates] in place,
+   draws through the int-returning [Rng.bits53], keeps every
+   intermediate in a float scratch the caller owns, and calls only
+   helpers that are inlined into it or that take and return no
+   floats. *)
 
 (* Scratch layout. The hinges are (knee, slope) pairs in the
    reference's list order, g's before e's. *)

@@ -708,7 +708,8 @@ let test_piecewise_denormal_widths () =
   (match Piecewise.pieces pw with
   | [ (_, k, _); _ ] -> check_close ~eps:0.0 "denormal piece kept" knee k
   | ps -> Alcotest.failf "expected 2 pieces, got %d" (List.length ps));
-  (* beyond the knee the slope is 1: log z = log (e - 1) - 1 + 2 * knee ~ log (1 - 1/e) *)
+  (* past the knee the slope is 1, and the denormal piece adds ~1e-323:
+     log z = log (1 - 1/e) *)
   check_rel ~eps:1e-14 "log_normalizer" (closed_log_z 1.0 1.0) (Piecewise.log_normalizer pw);
   let rng = Rng.create ~seed:59 () in
   for _ = 1 to 1000 do
