@@ -790,7 +790,7 @@ module Log_space = struct
       Float.max 0.0 (Float.min w y)
     end
 
-  (* Piecewise.compile's log masses and Piecewise.sample's normalised
+  (* The log-space compile's log masses and its sample's normalised
      choice of piece, over the pieces of [pw]. *)
   let sample rng pw =
     let pieces = Array.of_list (Piecewise.pieces pw) in
