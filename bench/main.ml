@@ -30,7 +30,9 @@
    (Trace.of_csv, then the mask and Event_store.of_trace), and takes a
    short profiled pass (Qnet_obs.Prof)
    for GC pause p50/p99 and the phase self-time split; StEM
-   iterations/s and piecewise draws/s are timed on the 1k fixture.
+   iterations/s and piecewise draws/s are timed on the 1k fixture, and
+   Trace.of_csv parses/s on the 10k trace's text, next to a pass of
+   reads over that text.
    Everything lands in PATH (default BENCH_core.json, schema 2, one
    size object per line). `make bench` compares that file against the
    committed baseline per size and fails when an in-order speed
@@ -193,6 +195,24 @@ let reference store order =
         order
     done;
     ignore (Sys.opaque_identity !acc)
+
+(* The host reference for the parse: one pass over the same CSV text
+   that reads every byte and folds each run of digits into an int, as
+   any scanner of the text must, but converts nothing and allocates
+   nothing. It calls no qnet code, so no change to the parser moves it.
+   The result runs [passes] passes. *)
+let text_reference text passes =
+  let acc = ref 0 and sum = ref 0 in
+  for _ = 1 to passes do
+    for k = 0 to String.length text - 1 do
+      match String.unsafe_get text k with
+      | '0' .. '9' as c -> acc := (10 * !acc) + Char.code c - 48
+      | _ ->
+          sum := !sum lxor !acc;
+          acc := 0
+    done
+  done;
+  ignore (Sys.opaque_identity !sum)
 
 (* Median work/s over [repeats] repeats of [per_repeat] calls, and
    the median per-repeat ratio of the time of one [reference] pass to
@@ -445,6 +465,19 @@ let core_json ~sizes out =
         ignore (Gibbs.sample_event rng fig4_store fig4_params kernel_event))
       ~reference:fig4_reference
   in
+  (* Trace.of_csv on the 10k trace's to_csv text, next to passes of
+     its text reference *)
+  let parse_trace =
+    Network.simulate_poisson (Rng.create ~seed:1001 ()) fig4_net ~num_tasks:2632
+  in
+  let csv = Trace.to_csv parse_trace in
+  let csv_parses, csv_parses_per_ref =
+    median_rate ~repeats ~per_repeat:10
+      ~work:(fun () ->
+        ignore
+          (Sys.opaque_identity (Trace.of_csv ~num_queues:parse_trace.Trace.num_queues csv)))
+      ~reference:(text_reference csv)
+  in
   let results = List.map run_size specs in
   let legacy =
     match List.find_opt (fun r -> r.spec.label = "1k") results with
@@ -463,9 +496,9 @@ let core_json ~sizes out =
     results;
   Buffer.add_string buf
     (Printf.sprintf
-       "},\n\"gibbs_sweeps_per_s\":%.2f,\"stem_iterations_per_s\":%.2f,\"piecewise_draws_per_s\":%.2f,\"gibbs_sweeps_per_ref\":%.4f,\"stem_iterations_per_ref\":%.4f,\"piecewise_draws_per_ref\":%.4f}\n"
-       legacy.sweeps_per_s stem_iterations piecewise_draws legacy.sweeps_per_ref
-       stem_iterations_per_ref piecewise_draws_per_ref);
+       "},\n\"gibbs_sweeps_per_s\":%.2f,\"stem_iterations_per_s\":%.2f,\"piecewise_draws_per_s\":%.2f,\"csv_parses_per_s\":%.2f,\"gibbs_sweeps_per_ref\":%.4f,\"stem_iterations_per_ref\":%.4f,\"piecewise_draws_per_ref\":%.4f,\"csv_parses_per_ref\":%.4f}\n"
+       legacy.sweeps_per_s stem_iterations piecewise_draws csv_parses legacy.sweeps_per_ref
+       stem_iterations_per_ref piecewise_draws_per_ref csv_parses_per_ref);
   let oc = open_out out in
   output_string oc (Buffer.contents buf);
   close_out oc;
@@ -485,6 +518,8 @@ let core_json ~sizes out =
     stem_iterations_per_ref;
   Printf.printf "  piecewise draws     %10.1f /s (%.3f per reference)\n" piecewise_draws
     piecewise_draws_per_ref;
+  Printf.printf "  10k csv parses      %10.1f /s (%.3f per reference)\n" csv_parses
+    csv_parses_per_ref;
   Printf.printf "-> %s\n" out
 
 let benchmark () =

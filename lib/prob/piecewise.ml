@@ -158,29 +158,25 @@ let sample rng t =
   t.breaks.(i)
   +. invert_piece ~rate:t.rates.(i) ~width:(t.breaks.(i + 1) -. t.breaks.(i)) q
 
+(* The mean offset from the left edge of a piece of width w with slope
+   r, a truncated exponential: 1/λ − w/expm1(λw) for a falling piece
+   (λ = −r), w − 1/r + w/expm1(rw) for a rising one, and the series
+   w/2 + rw²/12 where |rw| is small enough that those cancel. expm1
+   overflowing to infinity leaves the untruncated limit. *)
+let mean_offset ~rate:r ~width:w =
+  let rw = r *. w in
+  if Float.abs rw < 1e-4 then (0.5 *. w) +. (rw *. w /. 12.0)
+  else if r < 0.0 then (-1.0 /. r) -. (w /. Float.expm1 (-.rw))
+  else w -. (1.0 /. r) +. (w /. Float.expm1 rw)
+
 let mean t =
-  (* Per piece: ∫ x e^{v + r (x - t0)} dx = t0 * mass + e^v * I(r, w)
-     with I(r, w) = ((rw - 1) e^{rw} + 1) / r^2, series-expanded for
-     small rw to avoid cancellation. *)
-  let n = Array.length t.rates in
-  let num = ref 0.0 and den = ref 0.0 in
-  for i = 0 to n - 1 do
+  (* Per piece, its share of the mass times its mean, t0 + offset: no
+     product or square of the rate, so nothing overflows at steep
+     rates. *)
+  let acc = ref 0.0 in
+  for i = 0 to Array.length t.rates - 1 do
     let t0 = t.breaks.(i) in
-    let w = t.breaks.(i + 1) -. t0 in
-    let r = t.rates.(i) in
-    let v = exp t.logvals.(i) in
-    let mass = t.masses.(i) in
-    let rw = r *. w in
-    let integral_term =
-      if Float.abs rw < 1e-4 then
-        v *. w *. w *. (0.5 +. (rw /. 3.0) +. (rw *. rw /. 8.0))
-      else if rw > 700.0 then
-        (* exp rw would overflow; the mass concentrates at the right
-           edge, so the contribution tends to (t1 - t0) * mass *)
-        w *. mass
-      else v *. (((rw -. 1.0) *. exp rw) +. 1.0) /. (r *. r)
-    in
-    num := !num +. (t0 *. mass) +. integral_term;
-    den := !den +. mass
+    let offset = mean_offset ~rate:t.rates.(i) ~width:(t.breaks.(i + 1) -. t0) in
+    acc := !acc +. (t.masses.(i) /. t.z *. (t0 +. offset))
   done;
-  !num /. !den
+  !acc

@@ -11,9 +11,10 @@
     The log-density is shifted so that its largest value at a break is
     0; a piece's mass is then the density at its higher end times
     [(1 - exp (-|r|w)) / |r|], computed with [Float.expm1], and can
-    neither overflow nor cancel. Masses, the CDF and draws are stable
-    for rates up to ~1e300 and widths down to the denormal range
-    (where |r·w| < 1e-12 a piece is taken as flat to first order). *)
+    neither overflow nor cancel. Masses, the CDF, draws and the mean
+    are stable for rates up to ~1e300 and widths down to the denormal
+    range (where |r·w| < 1e-12 a piece is taken as flat to first
+    order). *)
 
 type hinge = { knee : float; slope : float }
 (** One term [slope · max 0. (x - knee)]: contributes nothing left of
@@ -65,4 +66,5 @@ val sample : Rng.t -> t -> float
     [expm1 (r·w)] overflows. *)
 
 val mean : t -> float
-(** Exact first moment (closed-form per piece). *)
+(** Exact first moment: each piece's share of the mass times its
+    truncated-exponential mean, in closed form. *)

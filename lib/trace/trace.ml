@@ -246,7 +246,9 @@ let int_field text i j =
   else if d > i then - !acc
   else !acc
 
-let float_field text i j = float_of_string (String.sub text i (j - i))
+(* A float field, read in place as [float_of_string] reads its
+   substring. Raises [Failure] on a field [float_of_string] rejects. *)
+let float_field = Decimal.float_of_substring
 
 (* The record on a line with 4 commas. Raises [Failure] on a field the
    conversions reject. *)
@@ -269,8 +271,17 @@ let count_newlines text =
 let placeholder = { task = 0; state = 0; queue = 0; arrival = 0.0; departure = 0.0 }
 
 let of_csv ~num_queues text =
-  (* at most one event per line *)
-  let events = Array.make (count_newlines text + 1) placeholder in
+  (* At most one event per line, and none on a header line or on the
+     empty piece after a final newline, so a file [to_csv] wrote is read
+     into an array of its exact size. *)
+  let len = String.length text in
+  let first_end = Option.value (String.index_opt text '\n') ~default:len in
+  let slots =
+    count_newlines text + 1
+    - Bool.to_int (starts_with_task text 0 first_end)
+    - Bool.to_int (len > 0 && String.unsafe_get text (len - 1) = '\n')
+  in
+  let events = Array.make slots placeholder in
   let count = ref 0 and error = ref None in
   let l = new_line () in
   let pos = ref 0 and lineno = ref 1 in

@@ -68,7 +68,10 @@ val to_csv : t -> string
 
 val of_csv : num_queues:int -> string -> (t, string) result
 (** Parse the format written by {!to_csv}. Strict: the first corrupt
-    line rejects the whole file. *)
+    line rejects the whole file. A float field is read in place by
+    {!Decimal.float_of_substring}, so it takes exactly the value, and
+    is rejected exactly where, [float_of_string] on the field's text
+    would. *)
 
 (** {1 Lenient ingestion}
 

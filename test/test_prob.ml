@@ -13,8 +13,8 @@ let check_close ?(eps = 1e-9) name expected actual =
     Alcotest.failf "%s: expected %.12g, got %.12g (diff %.3g)" name expected actual
       (Float.abs (expected -. actual))
 
-let check_rel ?(eps = 1e-6) name expected actual =
-  let denom = Float.max (Float.abs expected) 1e-30 in
+let check_rel ?(eps = 1e-6) ?(floor = 1e-30) name expected actual =
+  let denom = Float.max (Float.abs expected) floor in
   if Float.abs (expected -. actual) /. denom > eps then
     Alcotest.failf "%s: expected %.12g, got %.12g (rel %.3g)" name expected actual
       (Float.abs (expected -. actual) /. denom)
@@ -668,6 +668,13 @@ let qcheck_piecewise_cdf_monotone =
 let closed_log_z r w = log (-.Float.expm1 (-.Float.abs (r *. w)) /. Float.abs r)
 let closed_quantile r w q = Float.log1p (q *. Float.expm1 (r *. w)) /. r
 
+(* The mean of e^{-λy} on [0, w] is (1 - (1 + λw) e^{-λw}) / (λ (1 - e^{-λw}));
+   a rising piece is its mirror image. *)
+let closed_mean r w =
+  let lw = Float.abs r *. w in
+  let m = (-.Float.expm1 (-.lw) -. (lw *. exp (-.lw))) /. (Float.abs r *. -.Float.expm1 (-.lw)) in
+  if r < 0.0 then m else w -. m
+
 let test_piecewise_extreme_rates_closed_form () =
   List.iter
     (fun (r, w) ->
@@ -675,15 +682,17 @@ let test_piecewise_extreme_rates_closed_form () =
       let pw = Piecewise.compile ~lower:0.0 ~upper:w ~linear:r ~hinges:[] in
       check_rel ~eps:1e-14 (name ^ ": log_normalizer") (closed_log_z r w)
         (Piecewise.log_normalizer pw);
+      check_rel ~eps:1e-14 ~floor:0.0 (name ^ ": mean") (closed_mean r w) (Piecewise.mean pw);
       List.iter
         (fun q ->
           let x = Piecewise.quantile pw q in
-          check_rel ~eps:1e-14 (Printf.sprintf "%s: quantile %g" name q)
+          check_rel ~eps:1e-14 ~floor:0.0 (Printf.sprintf "%s: quantile %g" name q)
             (closed_quantile r w q) x;
           check_rel ~eps:1e-13 (Printf.sprintf "%s: cdf at quantile %g" name q) q
             (Piecewise.cdf pw x))
         [ 1e-9; 0.3; 0.5; 0.9 ])
-    [ (-1e300, 1.0); (-1e300, 3e-300); (1e300, 1e-299); (1e300, 2e-298); (-1e150, 1e-148) ]
+    [ (-1e300, 1.0); (-1e300, 3e-300); (1e300, 1e-299); (1e300, 2e-298); (-1e150, 1e-148);
+      (-1e200, 1.0) ]
 
 (* Widths down to the denormal range: |r w| < 1e-12 for any finite r, so
    every piece takes the near-flat branch, mass = w e^{mid-point value}. *)

@@ -1,6 +1,7 @@
 (* Tests for trace construction, statistics, and serialization. *)
 
 module Trace = Qnet_trace.Trace
+module Decimal = Qnet_trace.Decimal
 module Topologies = Qnet_des.Topologies
 module Rng = Qnet_prob.Rng
 
@@ -302,9 +303,10 @@ let test_golden_parse_errors () =
     malformed_corpus
 
 (* The ceiling [make bench] gates as MAX_PARSE_BPE, on the ~10k-event
-   golden trace: the one-pass parser allocates 156 B per event (the
-   record, two boxed floats and the two float fields' substrings), the
-   split-based one 488 B. *)
+   golden trace: the parser allocates 84 B per event (the record, its
+   array slot and the boxed floats; a time of 0 is a shared constant).
+   Reading the float fields from substrings took 156 B, the split-based
+   parser 488 B. *)
 let test_parse_allocation () =
   let t = List.assoc "three-tier 1-2-4" (golden_inputs ()) in
   let csv = Trace.to_csv t in
@@ -315,8 +317,8 @@ let test_parse_allocation () =
     *. float_of_int (Sys.word_size / 8)
     /. float_of_int (Array.length t.Trace.events)
   in
-  if per_event > 172.0 then
-    Alcotest.failf "of_csv allocated %.1f B per event (budget 172)" per_event
+  if per_event > 92.0 then
+    Alcotest.failf "of_csv allocated %.1f B per event (budget 92)" per_event
 
 (* Differential test of the parser. The oracle is the split-based
    [of_csv] the one-pass scanner replaced, kept verbatim. *)
@@ -365,22 +367,69 @@ let random_double rng =
   | 2 -> 10.0 ** float_of_int (Rng.int rng 660 - 340)
   | _ -> Float.round (Rng.float_unit rng *. 1e5) /. 1000.0
 
+let pow5 k =
+  let p = ref 1L in
+  for _ = 1 to k do
+    p := Int64.mul !p 5L
+  done;
+  !p
+
+(* A decimal exactly halfway between two adjacent doubles, which must
+   round to the even one: an odd 54-bit integer times a power of two.
+   For a decimal exponent q in [-4, -1] that is the odd integer times
+   5^-q, with a point -q places from its end (17 to 20 digits); for q in
+   [0, 23], an odd o whose o * 5^q has 54 bits, times 2^s for s < 6,
+   written o·2^s e q (q = 0 gives the halfway integers in [2^53, 2^60);
+   q = 23 and o = 1 gives 1e23). A quarter have their last digit moved
+   by one, to a decimal just off the tie. *)
+let halfway rng =
+  let q = Rng.int rng 28 - 4 in
+  let digits =
+    if q < 0 then
+      let odd =
+        Int64.logor 1L
+          (Int64.logor (Int64.shift_left 1L 53)
+             (Int64.logand (Rng.bits64 rng) 0x1F_FFFF_FFFF_FFFFL))
+      in
+      Int64.mul odd (pow5 (-q))
+    else
+      let p = pow5 q in
+      let lo = Int64.div (Int64.add (Int64.shift_left 1L 53) (Int64.pred p)) p in
+      let hi = Int64.succ (Int64.div (Int64.pred (Int64.shift_left 1L 54)) p) in
+      let o = Int64.add lo (Int64.unsigned_rem (Rng.bits64 rng) (Int64.sub hi lo)) in
+      let o = if Int64.rem o 2L = 1L then o else if Int64.succ o < hi then Int64.succ o else Int64.pred o in
+      Int64.shift_left o (Rng.int rng 6)
+  in
+  let digits =
+    match Rng.int rng 8 with 0 -> Int64.succ digits | 1 -> Int64.pred digits | _ -> digits
+  in
+  let s = Printf.sprintf "%Lu" digits in
+  let n = String.length s in
+  if q < 0 then String.sub s 0 (n + q) ^ "." ^ String.sub s (n + q) (-q)
+  else if q = 0 then s
+  else Printf.sprintf "%se%d" s q
+
 let float_specials =
   [| "nan"; "inf"; "-inf"; "infinity"; "1e400"; "-1e400"; "1e-400"; "1_000.5"; " 2.5"; ".5";
      "5."; "1e"; "+1.5"; "4.9e-324"; "2.2250738585072011e-308"; "1.7976931348623157e308";
      "1.7976931348623159e308"; "-0.0"; "0x1p-1074"; "1e22"; "1e23"; "0.1"; ""; "1.5x";
-     "--1"; "1e+"; "0x"; "_1"; "1__0"; "1,5"; "2.5 "; "\t3" |]
+     "--1"; "1e+"; "0x"; "_1"; "1__0"; "1,5"; "2.5 "; "\t3"; "9007199254740993";
+     "9007199254740995"; "4503599627370496.5"; "4503599627370497.5"; "2.0000000000000001";
+     "0.10000000000000000555"; "123456789012345678901"; "1.00000000000000000000001";
+     "9007199254740992.50000000000000000001" |]
 
 (* The ways to write [x]: each keeps its value where float_of_string
-   reads it, except the specials. *)
+   reads it, except the specials and the ties. *)
 let float_text rng x =
-  match Rng.int rng 24 with
+  match Rng.int rng 26 with
   | 0 | 1 -> Printf.sprintf "%.3f" x
   | 2 | 3 -> Printf.sprintf "%e" x
   | 4 | 5 -> Printf.sprintf "%h" x
   | 6 | 7 -> Printf.sprintf "%.16e" x
   | 8 -> " " ^ Printf.sprintf "%.17g" x
   | 9 -> pick rng float_specials
+  | 10 -> halfway rng
+  | 11 -> Printf.sprintf "%.25g" x
   | _ -> Printf.sprintf "%.17g" x
 
 let int_specials =
@@ -449,6 +498,259 @@ let prop_parser_matches_oracle =
           (match expected with Ok b -> b | Error m -> m)
           (match got with Ok b -> b | Error m -> m);
       true)
+
+(* Differential test of the float reader: [Decimal.float_of_substring]
+   against [float_of_string] on the substring, the same bits or Failure
+   from both. Each case sweeps every decimal exponent in [-360, 330]
+   with a 1- to 19-digit mantissa, sometimes signed or with a point,
+   then draws 160 more from the inputs random doubles never produce.
+   Every string sits between random bytes that a reader going past its
+   ends would take in. *)
+let digit_string rng n = String.init n (fun _ -> Char.chr (48 + Rng.int rng 10))
+
+let with_point rng digits =
+  let n = String.length digits in
+  if n < 2 || Rng.bool rng then digits
+  else
+    let k = 1 + Rng.int rng (n - 1) in
+    String.sub digits 0 k ^ "." ^ String.sub digits k (n - k)
+
+let signed rng s = if Rng.int rng 4 = 0 then "-" ^ s else s
+
+let swept rng e = signed rng (with_point rng (digit_string rng (1 + Rng.int rng 19)) ^ "e" ^ string_of_int e)
+
+(* Doubles at the subnormal, normal and overflow edges, written with
+   1 to 19 digits, the last of them sometimes moved by one. *)
+let boundary rng =
+  let bits =
+    match Rng.int rng 4 with
+    | 0 -> Int64.of_int (1 + Rng.int rng 4096)
+    | 1 -> Int64.add 0x000F_FFFF_FFFF_FF00L (Int64.of_int (Rng.int rng 512))
+    | 2 -> Int64.sub 0x7FEF_FFFF_FFFF_FFFFL (Int64.of_int (Rng.int rng 512))
+    | _ -> Int64.of_int (Rng.int rng 2)
+  in
+  let s = Printf.sprintf "%.*e" (Rng.int rng 19) (Int64.float_of_bits bits) in
+  let e = String.index s 'e' in
+  let nudge c = Char.chr (48 + ((Char.code c - 48 + if Rng.bool rng then 1 else 9) mod 10)) in
+  if Rng.int rng 3 = 0 then
+    String.mapi (fun k c -> if k = e - 1 && c <> '.' then nudge c else c) s
+  else s
+
+let long_mantissa rng =
+  let s = with_point rng (digit_string rng (20 + Rng.int rng 21)) in
+  let s = if Rng.bool rng then s else s ^ "e" ^ string_of_int (Rng.int rng 700 - 350) in
+  signed rng s
+
+let zeros rng =
+  let z n = String.make n '0' in
+  match Rng.int rng 5 with
+  | 0 -> signed rng (pick rng [| "0"; "0.0"; "0e0"; "0.000e-400"; "000"; "0e999"; "00.00e+5" |])
+  | 1 -> signed rng (z (Rng.int rng 30) ^ digit_string rng (1 + Rng.int rng 17))
+  | 2 -> signed rng ("0." ^ z (Rng.int rng 400) ^ digit_string rng (1 + Rng.int rng 19))
+  | 3 ->
+      signed rng
+        (digit_string rng (1 + Rng.int rng 10) ^ "." ^ digit_string rng (Rng.int rng 5)
+       ^ "1" ^ z (Rng.int rng 8))
+  | _ -> signed rng (digit_string rng (1 + Rng.int rng 5) ^ z (Rng.int rng 20) ^ "e-" ^ string_of_int (Rng.int rng 30))
+
+let rejected_forms =
+  [| ""; "-"; "+"; "."; "-."; "e5"; ".5"; "5."; "-.5"; "-5."; "+1.5"; "1e"; "1e+"; "1e-"; "1.5.";
+     "1e5.5"; "1,5"; "1.5x"; " 2.5"; "2.5 "; "\t3"; "1_000.5"; "_1"; "1_"; "1__0"; "1e1_0";
+     "1.2_3"; "--1"; "-+1"; "0x"; "0x1p-3"; "0X1.8p1"; "-0x10"; "inf"; "-inf"; "infinity";
+     "Infinity"; "nan"; "-nan"; "NaN"; "1e100000"; "1e-100000"; "0e999999"; "1\0002"; "1e5e5";
+     "١" |]
+
+(* A fallback form: a fixed one, a hex float, or a valid number with a
+   byte the fast path does not take put in at random. *)
+let fallback_form rng =
+  match Rng.int rng 3 with
+  | 0 -> pick rng rejected_forms
+  | 1 -> Printf.sprintf "%h" (Int64.float_of_bits (Rng.bits64 rng))
+  | _ ->
+      let s = Printf.sprintf "%.17g" (Rng.float_unit rng *. 1e6) in
+      let k = Rng.int rng (String.length s + 1) in
+      String.sub s 0 k ^ pick rng [| "_"; "+"; " "; "x"; "."; "e"; "-"; ","; "_0" |]
+      ^ String.sub s k (String.length s - k)
+
+let decimal_case rng =
+  match Rng.int rng 6 with
+  | 0 -> long_mantissa rng
+  | 1 -> halfway rng
+  | 2 -> zeros rng
+  | 3 -> boundary rng
+  | 4 -> fallback_form rng
+  | _ -> Printf.sprintf "%.*g" (15 + Rng.int rng 3) (Int64.float_of_bits (Rng.bits64 rng))
+
+let read_bits f = match f () with x -> Ok (Int64.bits_of_float x) | exception Failure _ -> Error ()
+
+let prop_decimal_matches_float_of_string =
+  QCheck.Test.make ~name:"Decimal.float_of_substring ≡ float_of_string ∘ String.sub" ~count:150
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Rng.create ~seed () in
+      let rejected = ref 0 in
+      let check s =
+        let pad () = String.init (Rng.int rng 3) (fun _ -> pick rng [| '0'; '9'; '.'; 'e'; '-'; '5' |]) in
+        let before = pad () in
+        let text = before ^ s ^ pad () in
+        let i = String.length before in
+        let expected = read_bits (fun () -> float_of_string s) in
+        let got = read_bits (fun () -> Decimal.float_of_substring text i (i + String.length s)) in
+        if expected <> got then
+          QCheck.Test.fail_reportf "seed %d, %S: float_of_string %s, float_of_substring %s" seed s
+            (match expected with Ok b -> Printf.sprintf "%Lx" b | Error () -> "Failure")
+            (match got with Ok b -> Printf.sprintf "%Lx" b | Error () -> "Failure");
+        if expected = Error () then incr rejected
+      in
+      for e = -360 to 330 do
+        check (swept rng e)
+      done;
+      for _ = 1 to 160 do
+        check (decimal_case rng)
+      done;
+      !rejected > 0)
+
+(* Naturals as little-endian arrays of 24-bit limbs: just enough exact
+   arithmetic to recompute the reader's table of powers of five. *)
+let limb = 24
+
+let nat_norm a =
+  let n = ref (Array.length a) in
+  while !n > 0 && a.(!n - 1) = 0 do
+    decr n
+  done;
+  Array.sub a 0 !n
+
+let nat_bit a k = k / limb < Array.length a && (a.(k / limb) lsr (k mod limb)) land 1 = 1
+
+let nat_bit_length a =
+  let n = Array.length a in
+  if n = 0 then 0
+  else
+    let b = ref 0 in
+    while a.(n - 1) lsr !b > 0 do
+      incr b
+    done;
+    ((n - 1) * limb) + !b
+
+let nat_of_bits n bit =
+  let a = Array.make ((n / limb) + 1) 0 in
+  for k = 0 to n - 1 do
+    if bit k then a.(k / limb) <- a.(k / limb) lor (1 lsl (k mod limb))
+  done;
+  nat_norm a
+
+(* a * 2^s for s >= 0, floor (a / 2^-s) for s < 0 *)
+let nat_shift a s =
+  let mask = (1 lsl limb) - 1 and n = Array.length a in
+  if s >= 0 then begin
+    let q = s / limb and r = s mod limb in
+    let out = Array.make (n + q + 1) 0 in
+    Array.iteri
+      (fun i x ->
+        let v = x lsl r in
+        out.(i + q) <- out.(i + q) lor (v land mask);
+        out.(i + q + 1) <- v lsr limb)
+      a;
+    nat_norm out
+  end
+  else
+    let q = -s / limb and r = -s mod limb in
+    nat_norm
+      (Array.init (Int.max 0 (n - q)) (fun i ->
+           let above = if i + q + 1 < n then a.(i + q + 1) lsl (limb - r) else 0 in
+           ((a.(i + q) lsr r) lor above) land mask))
+
+(* a * m for 0 < m < 2^24 *)
+let nat_mul_small a m =
+  let r = Array.make (Array.length a + 1) 0 and carry = ref 0 in
+  Array.iteri
+    (fun i x ->
+      let v = (x * m) + !carry in
+      r.(i) <- v land ((1 lsl limb) - 1);
+      carry := v lsr limb)
+    a;
+  r.(Array.length a) <- !carry;
+  nat_norm r
+
+let nat_succ a =
+  let r = Array.append a [| 0 |] and i = ref 0 in
+  while r.(!i) = (1 lsl limb) - 1 do
+    r.(!i) <- 0;
+    incr i
+  done;
+  r.(!i) <- r.(!i) + 1;
+  nat_norm r
+
+let nat_compare a b =
+  let a = nat_norm a and b = nat_norm b in
+  if Array.length a <> Array.length b then compare (Array.length a) (Array.length b)
+  else
+    let rec go i = if i < 0 then 0 else if a.(i) <> b.(i) then compare a.(i) b.(i) else go (i - 1) in
+    go (Array.length a - 1)
+
+let nat_sub a b =
+  (* a - b, a >= b *)
+  let r = Array.copy a and borrow = ref 0 in
+  Array.iteri
+    (fun i x ->
+      let v = x - (if i < Array.length b then b.(i) else 0) - !borrow in
+      if v < 0 then begin
+        r.(i) <- v + (1 lsl limb);
+        borrow := 1
+      end
+      else begin
+        r.(i) <- v;
+        borrow := 0
+      end)
+    a;
+  nat_norm r
+
+(* floor (2^e / d), one quotient bit at a time. *)
+let nat_div_pow2 e d =
+  let r = ref [||] and bits = Array.make (e + 1) false in
+  for k = e downto 0 do
+    r := if k = e then [| 1 |] else nat_shift !r 1;
+    if nat_compare !r d >= 0 then begin
+      r := nat_sub !r d;
+      bits.(k) <- true
+    end
+  done;
+  nat_of_bits (e + 1) (fun k -> bits.(k))
+
+let nat_word a w =
+  let x = ref 0L in
+  for k = 63 downto 0 do
+    x := Int64.logor (Int64.shift_left !x 1) (if nat_bit a ((64 * w) + k) then 1L else 0L)
+  done;
+  !x
+
+(* The table's definition, in exact arithmetic: for q >= 0, 5^q with
+   its top bit moved to bit 127; for q = -k, floor (2^b / 5^k) + 1 with
+   z the bit length of 5^k, b = z + 127 when k <= 27 and otherwise
+   b = 2z + 128 and the quotient shifted right to fit 128 bits. *)
+let test_power_table () =
+  let pows = Array.make 343 [| 1 |] in
+  for k = 1 to 342 do
+    pows.(k) <- nat_mul_small pows.(k - 1) 5
+  done;
+  for q = -342 to 308 do
+    let p = pows.(abs q) in
+    let z = nat_bit_length p in
+    let c =
+      if q >= 0 then nat_shift p (128 - z)
+      else if q >= -27 then nat_succ (nat_div_pow2 (z + 127) p)
+      else
+        let c = nat_succ (nat_div_pow2 ((2 * z) + 128) p) in
+        nat_shift c (Int.min 0 (128 - nat_bit_length c))
+    in
+    let hi, lo = Decimal.power_of_five q in
+    if nat_word c 1 <> hi || nat_word c 0 <> lo then
+      Alcotest.failf "5^%d: table %016Lx_%016Lx, definition %016Lx_%016Lx" q hi lo (nat_word c 1)
+        (nat_word c 0)
+  done;
+  Alcotest.(check (pair int64 int64))
+    "q = -342" (0xeef453d6923bd65aL, 0x113faa2906a13b3fL) (Decimal.power_of_five (-342))
 
 (* [create] against [Array.sort] with the comparator it has always
    used, on strictly increasing, tied and shuffled events. The ties
@@ -609,6 +911,8 @@ let () =
           Alcotest.test_case "of_csv bits" `Quick test_golden_parse;
           Alcotest.test_case "error strings" `Quick test_golden_parse_errors;
           QCheck_alcotest.to_alcotest prop_parser_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_decimal_matches_float_of_string;
+          Alcotest.test_case "power-of-five table" `Quick test_power_table;
           Alcotest.test_case "create ≡ Array.sort" `Quick test_create_matches_sort;
           Alcotest.test_case "parse allocation" `Quick test_parse_allocation;
         ] );
