@@ -42,14 +42,14 @@
 
 val start : unit -> unit
 (** Start a profiling session, clearing any stopped session's data.
-    Forces a minor collection before it reads the GC counters. A no-op
-    if a session is already running. *)
+    Forces a minor collection and a major slice before it reads the GC
+    counters. A no-op if a session is already running. *)
 
 val stop : unit -> unit
-(** Stop the session: force a minor collection, read the rings, pause
-    them, and freeze the GC counters and duration the snapshot reports.
-    The forced collection is the session's last minor pause and
-    counts as one of its collections. Idempotent. The
+(** Stop the session: force a minor collection and a major slice, read
+    the rings, pause them, and freeze the GC counters and duration the
+    snapshot reports. The forced collection is the session's last minor
+    pause and counts as one of its collections. Idempotent. The
     session's data stays readable ({!snapshot_json}, {!to_folded})
     until the next [start]. *)
 
@@ -121,12 +121,13 @@ val phase_split : unit -> (string * float) list
 val allocated_bytes : unit -> float
 (** Process-wide bytes allocated in the session ([Gc.quick_stat]
     delta, up to its stop), 0 when no session. On OCaml 5.1
-    [quick_stat]'s minor words advance only at a minor collection, so
-    {!start} and {!stop} each force one before they read: over a
-    stopped session the delta holds every byte its phases allocated,
-    and so at least the site table's total, which the phases count
-    with {!allocated_words}. While a session runs, a read lags by what
-    the minor heaps hold. *)
+    [quick_stat]'s minor words advance only at a minor collection and
+    its major words only at a major slice, so {!start} and {!stop}
+    each force both before they read: over a stopped session the delta
+    holds every byte its phases allocated, and so at least the site
+    table's total, which the phases count with {!allocated_words}.
+    While a session runs, a read lags by what the minor heaps hold and
+    what reached the major heap since its last slice. *)
 
 val snapshot_json : unit -> string
 (** One self-contained JSON object: session state, the site table
