@@ -30,7 +30,8 @@
    (Trace.of_csv, then the mask and Event_store.of_trace), and takes a
    short profiled pass (Qnet_obs.Prof)
    for GC pause p50/p99 and the phase self-time split; StEM
-   iterations/s and piecewise draws/s are timed on the 1k fixture, and
+   iterations/s and piecewise draws/s are timed on the 1k fixture (the
+   draws next to a loop of the libm calls a draw makes), and
    Trace.of_csv parses/s on the 10k trace's text, next to a pass of
    reads over that text.
    Everything lands in PATH (default BENCH_core.json, schema 2, one
@@ -213,6 +214,32 @@ let text_reference text passes =
     done
   done;
   ignore (Sys.opaque_identity !sum)
+
+(* The host reference for the draw: the calls a three-piece move
+   makes, an exp and an expm1 per piece and a log1p to invert, over a
+   fixed array of rate-times-width products of both signs. A draw is
+   bound by those libm calls, not by memory, so it tracks this loop
+   through the host's fast and slow spells where it does not track a
+   store pass. It calls no qnet code, so no change to the kernel moves
+   it. Like the kernel it allocates nothing. The result runs [passes]
+   passes. *)
+let draw_reference =
+  let rws =
+    Array.init 64 (fun i ->
+        (if i land 1 = 0 then 1.0 else -1.0) *. (0.05 +. (float_of_int i /. 16.0)))
+  in
+  fun passes ->
+    let acc = ref 0.0 in
+    for _ = 1 to passes do
+      for i = 0 to Array.length rws - 3 do
+        let a = rws.(i) and b = rws.(i + 1) and c = rws.(i + 2) in
+        let ma = Float.exp (-.Float.abs a) *. (Float.expm1 a /. a) in
+        let mb = Float.exp (-.Float.abs b) *. (Float.expm1 b /. b) in
+        let mc = Float.exp (-.Float.abs c) *. (Float.expm1 c /. c) in
+        acc := !acc +. (Float.log1p (Float.abs (ma -. mb)) /. mc)
+      done
+    done;
+    ignore (Sys.opaque_identity !acc)
 
 (* Median work/s over [repeats] repeats of [per_repeat] calls, and
    the median per-repeat ratio of the time of one [reference] pass to
@@ -463,7 +490,7 @@ let core_json ~sizes out =
     median_rate ~repeats ~per_repeat:60_000
       ~work:(fun () ->
         ignore (Gibbs.sample_event rng fig4_store fig4_params kernel_event))
-      ~reference:fig4_reference
+      ~reference:draw_reference
   in
   (* Trace.of_csv on the 10k trace's to_csv text, next to passes of
      its text reference *)

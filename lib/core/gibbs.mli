@@ -102,7 +102,7 @@ val sweep :
 val register_metrics : unit -> unit
 (** Create the sweep's metric families now. [Lazy.force] is not
     domain-safe, so a caller that runs chains on several domains with
-    metrics enabled calls this on its own domain before it spawns them:
+    metrics enabled calls this on its own domain before it starts them:
     {!Stem.register_metrics} does, for [Qnet_runtime.Supervisor]. *)
 
 val run :

@@ -337,6 +337,11 @@ let mnode_of env ~(from : uinfo) (r : Index.sref) ~site_line =
 
 let fn_key (ui : uinfo) (f : Index.fn) = ui.u.Index.u_path ^ "#" ^ f.Index.f_name
 
+let spawn_label = function
+  | "domain" -> "Domain.spawn"
+  | "pool" -> "Pool.submit"
+  | _ -> "Thread.create"
+
 let compare_site a b =
   match compare a.s_file b.s_file with
   | 0 -> (
@@ -388,8 +393,7 @@ let analyze units =
       (match f.Index.f_spawn with
       | Some (kind, line) ->
           let origin =
-            Printf.sprintf "%s closure at %s:%d"
-              (if kind = "domain" then "Domain.spawn" else "Thread.create")
+            Printf.sprintf "%s closure at %s:%d" (spawn_label kind)
               ui.u.Index.u_path line
           in
           push (fn_key ui f) ~guarded:false ~origin
@@ -399,8 +403,7 @@ let analyze units =
           match resolve env ~from:ui r with
           | T_fn (cui, cf) ->
               let origin =
-                Printf.sprintf "%s %s at %s:%d"
-                  (if kind = "domain" then "Domain.spawn" else "Thread.create")
+                Printf.sprintf "%s %s at %s:%d" (spawn_label kind)
                   cf.Index.f_name ui.u.Index.u_path line
               in
               push (fn_key cui cf) ~guarded:false ~origin

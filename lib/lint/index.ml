@@ -6,7 +6,8 @@
    touches and under which locks; which mutexes are acquired while
    which others are held; which blocking primitives run inside
    critical sections; which closures are handed to Domain.spawn /
-   Thread.create; and the per-function Atomic.get/set op mix.
+   Thread.create / Pool.submit; and the per-function Atomic.get/set op
+   mix.
 
    Everything here is syntactic — no typing pass — so references are
    recorded as unresolved [sref]s and resolved against the merged
@@ -18,9 +19,10 @@
      ~finally:(fun () -> Mutex.unlock m)] idiom are all understood);
    - the local scope: let/fun/match-bound names shadow unit-level
      bindings, so a local [cache] never resolves to a global one;
-   - spawn position: the body of a closure passed to [Domain.spawn] or
-     [Thread.create] is summarized as its own pseudo-function entered
-     with an empty lock set. *)
+   - spawn position: the body of a closure passed to [Domain.spawn],
+     [Thread.create] or [Pool.submit] (a job for the runtime's worker
+     domains, its second argument) is summarized as its own
+     pseudo-function entered with an empty lock set. *)
 
 open Parsetree
 
@@ -430,8 +432,14 @@ and walk_apply ctx scope held app f args =
       in
       List.iter (fun (_, a) -> ignore (walk ctx scope held a)) body;
       List.fold_left (fun h (_, a) -> walk ctx scope h a) held finally
-  | ("Domain.spawn" | "Thread.create"), fn_arg :: rest ->
-      let kind = if fname = "Domain.spawn" then "domain" else "thread" in
+  | ("Domain.spawn" | "Thread.create"), fn_arg :: rest
+  | "Pool.submit", _ :: fn_arg :: rest ->
+      let kind =
+        match fname with
+        | "Domain.spawn" -> "domain"
+        | "Pool.submit" -> "pool"
+        | _ -> "thread"
+      in
       (match fn_arg.pexp_desc with
       | Pexp_fun (_, _, pat, body) ->
           incr ctx.spawn_counter;

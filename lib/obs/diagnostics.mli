@@ -17,7 +17,7 @@
     on {!Metrics.enabled} so the instrumentation-off cost stays one
     atomic load. Observations are iteration-granular (not
     event-granular): a mutex-guarded hub is cheap at that rate and safe
-    under the supervisor's chain domains.
+    under the supervisor's pool workers.
 
     {b Publishing.} Every [publish_every] observations the hub
     refreshes [qnet_diag_*] gauges in the registry and, if a sink is

@@ -12,11 +12,15 @@
     scrape sees a {e bounded-staleness} snapshot — some recently
     written value per shard, monotone per shard across scrapes — and
     the exact total once a happens-before edge (e.g. [Domain.join] on
-    the writers, or a mutex handed from writer to reader) orders the
-    last update before the read. Shards survive their domain (they
-    hold the domain's cumulative contribution), so spawning many
-    short-lived domains — the supervisor does — cannot lose counts.
-    Gauges are last-write-wins and use a single atomic cell.
+    the writers, an atomic a finished job sets, or a mutex handed from
+    writer to reader) orders the last update before the read. A shard
+    lives as long as the process, not its domain (it holds the
+    domain's cumulative contribution), so a domain that exits loses no
+    counts. Shards are never pruned, so each domain that ever touched
+    a metric adds one shard to it and one step to every read of it;
+    the supervisor runs its chains on a fixed pool of domains, which
+    bounds their number. Gauges are last-write-wins and use a single
+    atomic cell.
 
     {b Cost.} The global {!enabled} switch gates the hot
     instrumentation sites in the samplers; when it is off they pay one

@@ -68,10 +68,11 @@ let m_checkpoint_seconds =
    snapshot) exports them all at 0 even when nothing bad happened —
    an absent quarantine counter is indistinguishable from a broken
    exporter, a present zero is evidence of health. The step's own
-   families are forced here too, on this domain: chain domains forcing
+   families are forced here too, on this domain: pool workers forcing
    one lazy at once would crash a chain with [CamlinternalLazy.Undefined]. *)
 let register_metrics () =
   Stem.register_metrics ();
+  Pool.register_metrics ();
   List.iter
     (fun m -> ignore (Lazy.force m : Metrics.Counter.t))
     [
@@ -92,7 +93,6 @@ type config = {
   stem : Stem.config;
   round_iterations : int;
   sweep_deadline : float;
-  poll_interval : float;
   stall_grace : float;
   max_restarts : int;
   rhat_threshold : float;
@@ -106,7 +106,6 @@ let default_config =
     stem = Stem.default_config;
     round_iterations = 10;
     sweep_deadline = 5.0;
-    poll_interval = 0.005;
     stall_grace = 2.0;
     max_restarts = 2;
     rhat_threshold = 1.2;
@@ -188,12 +187,12 @@ let ks_outlier_scores chains =
 (* Per-chain supervised state.                                         *)
 (* ------------------------------------------------------------------ *)
 
-type armed_fault = { spec : Fault.chain_fault; mutable fired : bool }  (* qnet-lint: racy-ok C001 flipped by the round domain, read by the supervisor only between rounds (join is the barrier) *)
+type armed_fault = { spec : Fault.chain_fault; mutable fired : bool }  (* qnet-lint: racy-ok C001 flipped by the round's pool job, read by the supervisor only between rounds (the job's completion is the barrier) *)
 
 type round_outcome = Round_ok | Round_crashed of string
 
 type chain_state = {
-  chain : Stem.chain;  (* handed to the round domain like the fields below *)
+  chain : Stem.chain;  (* handed to the round's pool job like the fields below *)
   samples : float array array;
       (* realized mean service per queue per iteration — kept alongside
          the chain's history so the Welford accumulators can be rebuilt
@@ -203,7 +202,7 @@ type chain_state = {
   age_gauge : Metrics.Gauge.t;
   cancel : bool Atomic.t;
   faults : armed_fault array;
-  mutable restarts : int;  (* qnet-lint: racy-ok C001 round-barrier hand-off: the spawned round domain owns st until join; supervisor touches it only between rounds *)
+  mutable restarts : int;  (* qnet-lint: racy-ok C001 round-barrier hand-off: the round's pool job owns st until it finishes; supervisor touches it only between rounds *)
   mutable incidents : (int * string) list;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see restarts) *)
   mutable status : chain_status;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see restarts) *)
   mutable last_good : Checkpoint.t option;  (* qnet-lint: racy-ok C001 round-barrier hand-off (see restarts) *)
@@ -250,7 +249,7 @@ let init_chain cfg ~seed ~init make_store faults id =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The chain worker — runs on its own domain, one round at a time.     *)
+(* The chain worker — one round at a time, as a job on the pool.       *)
 (* ------------------------------------------------------------------ *)
 
 let fire_pre_step_faults st =
@@ -293,7 +292,10 @@ let record_sample st realized =
     if !bad > 0 then Metrics.Counter.inc ~by:(float_of_int !bad) (Lazy.force m_samples_bad)
   end
 
+(* The heartbeat is armed when a worker takes the job, not when it is
+   submitted: a chain still queued behind others is not stalled. *)
 let run_round cfg st ~stop_at =
+  Watchdog.Heartbeat.arm st.hb ~now:(now ());
   let chain = st.chain in
   Span.with_span "chain.round"
     ~attrs:
@@ -478,36 +480,38 @@ let divergence_pass cfg chains =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Watchdog loop: poll heartbeats until every chain in the round is    *)
-(* done or abandoned.                                                  *)
+(* Watchdog loop: wait until every job of the round has finished or    *)
+(* been abandoned, checking heartbeats while any runs.                 *)
 (* ------------------------------------------------------------------ *)
 
-let watch cfg runnable =
-  let arr = Array.of_list runnable in
+let watch cfg waiter jobs =
+  let arr = Array.of_list jobs in
   let wd =
     Watchdog.create ~deadline:cfg.sweep_deadline
-      (Array.map (fun st -> st.hb) arr)
+      (Array.map (fun (st, _) -> st.hb) arr)
   in
   let first_stalled = Hashtbl.create 8 in
   let abandoned = ref [] in
-  let settled st =
-    Watchdog.Heartbeat.is_done st.hb || List.memq st !abandoned
-  in
+  let settled (st, job) = Pool.finished job || List.memq st !abandoned in
   let all_settled () = Array.for_all settled arr in
   let instrumented = Metrics.enabled () in
+  (* A finished job wakes the wait at once; the timeout only paces the
+     heartbeat checks. A queued chain's heartbeat reads done until its
+     job starts, so the watchdog does not judge it. *)
+  let check_period = cfg.sweep_deadline /. 10.0 in
   while not (all_settled ()) do
     let t = now () in
     let verdicts = Watchdog.poll ~now:t wd in
     if instrumented then
       Array.iter
-        (fun st ->
+        (fun (st, _) ->
           Metrics.Gauge.set st.age_gauge
             (if Watchdog.Heartbeat.is_done st.hb then 0.0
              else Watchdog.Heartbeat.age st.hb ~now:t))
         arr;
     Array.iteri
       (fun i v ->
-        let st = arr.(i) in
+        let st, job = arr.(i) in
         match v with
         | Watchdog.Stalled age when not (List.memq st !abandoned) ->
             if not st.stall_flagged then begin
@@ -537,12 +541,13 @@ let watch cfg runnable =
                 Log.err (fun m ->
                     m "chain %d unresponsive %.3fs past cancellation; abandoning"
                       st.chain.Stem.id since);
+                Pool.abandon job;
                 abandoned := st :: !abandoned
               end
             end
         | _ -> ())
       verdicts;
-    if not (all_settled ()) then Unix.sleepf cfg.poll_interval
+    if not (all_settled ()) then Pool.wait waiter ~timeout:check_period
   done;
   if instrumented then begin
     let n = Watchdog.misses wd in
@@ -566,7 +571,7 @@ let verdict_of st =
     chain = st.chain.Stem.id;
     status = st.status;
     iterations_done =
-      (* an abandoned chain's iteration races with its zombie domain;
+      (* an abandoned chain's iteration races with its zombie job;
          the heartbeat's sweep index is the last trustworthy reading *)
       (if st.abandoned then snd (Watchdog.Heartbeat.last st.hb)
        else st.chain.Stem.iteration);
@@ -658,6 +663,8 @@ let finalize cfg chains t0 =
 
 let validate cfg faults =
   let fail msg = invalid_arg ("Supervisor.run: " ^ msg) in
+  (* a job waiting on its own chains' jobs can hold every worker *)
+  if Pool.in_worker () then fail "called from a pool job";
   if cfg.chains < 1 then fail "chains must be >= 1";
   if cfg.min_chains < 1 || cfg.min_chains > cfg.chains then
     fail "min_chains must be in [1, chains]";
@@ -667,8 +674,6 @@ let validate cfg faults =
   then fail "stem.burn_in must be in [0, iterations)";
   if not (Float.is_finite cfg.sweep_deadline && cfg.sweep_deadline > 0.0) then
     fail "sweep_deadline must be finite and positive";
-  if not (Float.is_finite cfg.poll_interval && cfg.poll_interval > 0.0) then
-    fail "poll_interval must be finite and positive";
   if not (Float.is_finite cfg.stall_grace && cfg.stall_grace >= 0.0) then
     fail "stall_grace must be finite and non-negative";
   if cfg.max_restarts < 0 then fail "max_restarts must be >= 0";
@@ -708,6 +713,8 @@ let run ?(config = default_config) ?init ?(faults = []) ~seed make_store =
   let chains =
     Array.init config.chains (init_chain config ~seed ~init make_store faults)
   in
+  let waiter = Pool.waiter () in
+  Fun.protect ~finally:(fun () -> Pool.release waiter) @@ fun () ->
   let iterations = config.stem.Stem.iterations in
   let continue_ = ref true in
   let round = ref 0 in
@@ -723,29 +730,22 @@ let run ?(config = default_config) ?init ?(faults = []) ~seed make_store =
         ~attrs:[ ("round", string_of_int !round) ]
       @@ fun () ->
       incr round;
-      let t = now () in
       List.iter
         (fun st ->
           Atomic.set st.cancel false;
           st.stall_flagged <- false;
-          st.outcome <- Round_ok;
-          Watchdog.Heartbeat.arm st.hb ~now:t)
+          st.outcome <- Round_ok)
         runnable;
-      let doms =
+      let jobs =
         List.map
           (fun st ->
             let stop_at =
               Stdlib.min iterations (st.chain.Stem.iteration + config.round_iterations)
             in
-            (st, Domain.spawn (fun () -> run_round config st ~stop_at)))
+            (st, Pool.submit waiter (fun () -> run_round config st ~stop_at)))
           runnable
       in
-      let abandoned = watch config runnable in
-      (* Join everything that reached its barrier; abandoned domains
-         are leaked on purpose — joining would block forever. *)
-      List.iter
-        (fun (st, d) -> if not (List.memq st abandoned) then Domain.join d)
-        doms;
+      let abandoned = watch config waiter jobs in
       List.iter
         (fun st ->
           if List.memq st abandoned then begin
@@ -765,7 +765,7 @@ let run ?(config = default_config) ?init ?(faults = []) ~seed make_store =
         Metrics.Counter.inc (Lazy.force m_rounds);
         (* Barrier-side diagnostics export: verdict strings plus one
            GC sample. Ticking GC here (supervisor domain) rather than
-           per-iteration keeps the chain domains' deltas from
+           per-iteration keeps the pool workers' deltas from
            interleaving; heap/major figures stay meaningful, minor
            words are supervisor-local — an accepted approximation. *)
         export_diag_statuses chains;

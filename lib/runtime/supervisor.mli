@@ -1,8 +1,8 @@
 (** Supervised multi-chain stochastic-EM inference.
 
     {!run} executes N independent StEM chains ({!Qnet_core.Stem.chain},
-    advanced by {!Qnet_core.Stem.step}) on OCaml 5 domains and
-    babysits them from the main domain: every chain beats a
+    advanced by {!Qnet_core.Stem.step}) on the worker domains of
+    {!Pool} and babysits them from the calling domain: every chain beats a
     {!Watchdog.Heartbeat} once per sweep, a watchdog enforces a
     per-sweep deadline, a cross-chain monitor computes split-R̂ /
     effective sample size over the pooled iterates, and chains that
@@ -15,8 +15,12 @@
 
     {b Execution model.} Chains advance in {e rounds} of
     [round_iterations] StEM iterations. Each round the supervisor
-    spawns one domain per active chain, polls heartbeats while they
-    run, and joins them at a barrier where all control decisions
+    submits one {!Pool} job per active chain and waits at a barrier
+    that wakes as soon as the round's last job finishes. While jobs
+    run it checks their heartbeats, ten times per [sweep_deadline].
+    With more chains than workers, some chains wait in the pool's
+    queue; a chain's heartbeat is armed when its job starts, so a
+    queued chain is not stalled. At the barrier all control decisions
     happen: health checks, checkpoint capture, crash/stall recovery,
     divergence quarantine. Putting every decision at a deterministic
     barrier (rather than in racing signal handlers) means a run with a
@@ -29,8 +33,9 @@
     {b Stalls.} An OCaml domain cannot be preempted. A stalled chain
     is cancelled cooperatively (a flag it checks at each iteration
     boundary); one that never reaches a boundary is abandoned after
-    [stall_grace] seconds and its domain deliberately leaked — the
-    price of never blocking the healthy majority on a zombie. *)
+    [stall_grace] seconds ({!Pool.abandon}). The pool starts a
+    replacement worker at once, so the healthy majority never waits on
+    a zombie; the zombie's worker exits if its job ever returns. *)
 
 type config = {
   chains : int;  (** number of independent chains (default 4) *)
@@ -43,10 +48,8 @@ type config = {
           checkpoints, health checks and divergence tests (default 10) *)
   sweep_deadline : float;
       (** watchdog deadline in seconds between heartbeats; a chain
-          quieter than this is stalled (default 5.0) *)
-  poll_interval : float;
-      (** supervisor heartbeat-polling period in seconds
-          (default 0.005) *)
+          quieter than this is stalled (default 5.0). While chains run,
+          the watchdog checks their heartbeats every tenth of it. *)
   stall_grace : float;
       (** seconds a stalled chain may ignore cancellation before its
           domain is abandoned (default 2.0) *)
@@ -133,6 +136,13 @@ val ks_outlier_scores : float array array -> float array
     [ks_threshold]. Raises [Invalid_argument] with fewer than two
     chains. Exposed for testing and external monitors. *)
 
+val register_metrics : unit -> unit
+(** Register the supervisor's metric families, the StEM step's, the
+    Gibbs kernel's and {!Pool}'s. {!run} calls it when metrics are
+    enabled; a caller whose threads may start runs at once (the serve
+    daemon) calls it first, on one thread, because two threads forcing
+    one lazy handle at once fail. *)
+
 val run :
   ?config:config ->
   ?init:Qnet_core.Params.t ->
@@ -146,6 +156,9 @@ val run :
     overrides the data-driven {!Qnet_core.Stem.initial_guess} anchor.
     [faults] injects deterministic chain-level faults (each fires at
     most once, so a restarted chain re-runs the faulted iteration
-    cleanly). Never raises on chain failure — failures are reported in
-    the verdicts; raises [Invalid_argument] only for a malformed
-    config or a fault naming a chain out of range. *)
+    cleanly). Each round runs the chains as {!Pool} jobs, so the first
+    run starts the pool's workers and later runs reuse them. Never
+    raises on chain failure — failures are reported in the verdicts;
+    raises [Invalid_argument] only for a malformed config, a fault
+    naming a chain out of range, or a call from inside a pool job,
+    which would wait on jobs queued behind it. *)

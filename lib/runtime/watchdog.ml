@@ -9,7 +9,7 @@ module Heartbeat = struct
 
   let arm t ~now =
     let c = Atomic.get t in
-    Atomic.set t { at = now; sweep = c.sweep; beats = c.beats; done_ = false }  (* qnet-lint: racy-ok C005 single writer: only the supervisor arms *)
+    Atomic.set t { at = now; sweep = c.sweep; beats = c.beats; done_ = false }  (* qnet-lint: racy-ok C005 single writer: the chain's own round job arms, then beats *)
 
   let beat t ~now ~sweep =
     let c = Atomic.get t in

@@ -3,7 +3,7 @@
 
     Each chain owns a {!Heartbeat.t} and beats it once per Gibbs sweep
     (and once per warmup sweep); the supervisor's watchdog polls all
-    heartbeats against a per-sweep deadline from the main domain. A
+    heartbeats against a per-sweep deadline from the caller's domain. A
     chain whose last beat is older than the deadline is {e stalled}:
     the watchdog cannot preempt an OCaml domain, so the verdict's job
     is to trigger the supervisor's cooperative cancellation, which a
@@ -12,8 +12,8 @@
     and restarts it with re-jittered latents, exhausting the restart
     budget into a [Dead] verdict. A chain stuck {e inside} a single
     Gibbs move never reaches the cancellation point — the supervisor
-    abandons its domain after a grace period and the run degrades to
-    the surviving chains. (Divergence {e quarantine} is a separate
+    abandons it after a grace period, the pool replaces the worker it
+    holds, and the run degrades to the surviving chains. (Divergence {e quarantine} is a separate
     mechanism, driven by cross-chain statistics in the supervisor, not
     by this watchdog.)
 
@@ -30,10 +30,11 @@ module Heartbeat : sig
   val create : unit -> t
 
   val arm : t -> now:float -> unit
-  (** Start (or restart) the deadline clock — called by the supervisor
-      just before the chain's domain is spawned, so a chain that never
-      manages a single beat still times out. Also clears the done
-      flag. *)
+  (** Start (or restart) the deadline clock — called by the chain's
+      round job when a pool worker starts it, so a chain that never
+      manages a single beat still times out, and a chain still queued
+      (its heartbeat done since its last round) is not judged. Also
+      clears the done flag. *)
 
   val beat : t -> now:float -> sweep:int -> unit
   (** Record liveness at sweep [sweep]. *)

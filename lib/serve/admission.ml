@@ -119,11 +119,13 @@ let observe t ~tenant ~pressure ~now =
           ts.rate <- Float.max t.cfg.min_rate (ts.rate *. t.cfg.decrease)
         else if pressure <= t.cfg.low_watermark then
           ts.rate <- Float.min 1.0 (ts.rate +. t.cfg.increase);
-        ts.last_adjust <- now;
         if ts.rate < before then Metrics.Counter.inc (Lazy.force m_decreases)
         else if ts.rate > before then
           Metrics.Counter.inc (Lazy.force m_increases);
+        (* Only an adjustment starts the interval: an observation that
+           moved nothing must not mask a high one right behind it. *)
         if not (Float.equal ts.rate before) then begin
+          ts.last_adjust <- now;
           Metrics.Gauge.set (tenant_rate_gauge tenant) ts.rate;
           Metrics.Gauge.set (Lazy.force g_rate) (min_rate_over_tenants t)
         end

@@ -35,7 +35,8 @@ val create : config -> t
 
 val observe : t -> tenant:string -> pressure:float -> now:float -> unit
 (** Feed one pressure observation in [0, 1] for [tenant]; at most one
-    AIMD adjustment per [adjust_interval] is applied. *)
+    AIMD adjustment per [adjust_interval] is applied. An observation
+    that changes no rate does not start the interval. *)
 
 val admit : t -> tenant:string -> bool
 (** Bernoulli coin at the tenant's current rate. At rate 1.0 this

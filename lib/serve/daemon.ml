@@ -624,6 +624,9 @@ let create cfg =
   | Error m -> Error m
   | Ok () -> begin
     Serve_metrics.force_register ();
+    (* before any shard thread starts: two shards' first refits forcing
+       one lazy handle at once would fail *)
+    Qnet_runtime.Supervisor.register_metrics ();
     Metrics.Gauge.set (Lazy.force g_shards) (float_of_int cfg.shards);
     match
       mkdir_p cfg.data_dir;

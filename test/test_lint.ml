@@ -22,6 +22,13 @@ let suppressed ?only ?(path = default_path) src =
 
 let codes findings = List.map (fun f -> f.Finding.code) findings
 
+let contains hay needle =
+  let rec go i =
+    i + String.length needle <= String.length hay
+    && (String.sub hay i (String.length needle) = needle || go (i + 1))
+  in
+  go 0
+
 let check_codes what expected findings =
   Alcotest.(check (list string)) what expected (codes findings)
 
@@ -386,6 +393,18 @@ let test_deep_c001_clean () =
       Alcotest.(check (list string))
         "uniformly guarded state is fine" [] (concurrency_codes o))
 
+(* A job submitted to the runtime's pool runs on a worker domain, so
+   its closure is a spawn site like Domain.spawn's. *)
+let test_deep_c001_pool_job () =
+  deep_run
+    [ List.hd (c001_state "");
+      ("lib/worker.ml", "let start w = Pool.submit w (fun () -> State.bump ())\n") ]
+    (fun o ->
+      Alcotest.(check (list string)) "flagged" [ "C001" ] (concurrency_codes o);
+      let f = List.find (fun f -> f.Finding.code = "C001") o.Driver.findings in
+      Alcotest.(check bool) "names the pool job" true
+        (contains f.Finding.message "Pool.submit closure at lib/worker.ml:1"))
+
 (* C002: a three-module lock-order cycle, visible only interprocedurally
    (each unit acquires its own mutex and calls the next). *)
 let lock_cycle =
@@ -553,13 +572,6 @@ let test_reporter_text () =
       [ Finding.v ~code:"D001" ~file:"lib/x.ml" ~line:7 ~col:3 "boom" ]
   in
   let text = Reporter.text o in
-  let contains hay needle =
-    let rec go i =
-      i + String.length needle <= String.length hay
-      && (String.sub hay i (String.length needle) = needle || go (i + 1))
-    in
-    go 0
-  in
   Alcotest.(check bool)
     "compiler-style prefix" true
     (contains text "lib/x.ml:7:3: error D001: boom");
@@ -714,6 +726,7 @@ let () =
           Alcotest.test_case "c001 positive" `Quick test_deep_c001_positive;
           Alcotest.test_case "c001 suppressed" `Quick test_deep_c001_suppressed;
           Alcotest.test_case "c001 clean" `Quick test_deep_c001_clean;
+          Alcotest.test_case "c001 pool job" `Quick test_deep_c001_pool_job;
           Alcotest.test_case "c002 cycle" `Quick test_deep_c002_cycle;
           Alcotest.test_case "c002 clean" `Quick test_deep_c002_clean;
           Alcotest.test_case "c003 positive" `Quick test_deep_c003_positive;

@@ -524,6 +524,22 @@ let test_admission_aimd () =
     "additive recovery back to 1" 1.0
     (Admission.rate a ~tenant:"t")
 
+(* Only a rate change starts the adjust interval: a batch accepted in
+   the dead band between the watermarks must not mask the full queue
+   the next batch meets a millisecond later. *)
+let test_admission_dead_band_does_not_throttle () =
+  let a =
+    Admission.create { admission_test_config with Admission.adjust_interval = 0.1 }
+  in
+  Admission.observe a ~tenant:"t" ~pressure:0.6 ~now:1.0;
+  Admission.observe a ~tenant:"t" ~pressure:1.0 ~now:1.001;
+  let backed_off = Admission.rate a ~tenant:"t" in
+  Alcotest.(check bool) "high pressure right after the dead band backs off" true
+    (backed_off < 1.0);
+  Admission.observe a ~tenant:"t" ~pressure:1.0 ~now:1.002;
+  Alcotest.(check (float 0.0)) "one adjustment per interval" backed_off
+    (Admission.rate a ~tenant:"t")
+
 let test_admission_coin_and_accounting () =
   let a = Admission.create admission_test_config in
   for _ = 1 to 100 do
@@ -1231,6 +1247,8 @@ let () =
       ( "admission",
         [
           Alcotest.test_case "aimd rate control" `Quick test_admission_aimd;
+          Alcotest.test_case "dead band does not throttle" `Quick
+            test_admission_dead_band_does_not_throttle;
           Alcotest.test_case "coin + accounting" `Quick
             test_admission_coin_and_accounting;
           Alcotest.test_case "config rejected" `Quick

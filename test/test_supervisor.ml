@@ -15,6 +15,8 @@ module Health = Qnet_runtime.Health
 module Fault = Qnet_runtime.Fault
 module Watchdog = Qnet_runtime.Watchdog
 module Supervisor = Qnet_runtime.Supervisor
+module Pool = Qnet_runtime.Pool
+module Metrics = Qnet_obs.Metrics
 
 let tandem_net () =
   Topologies.tandem ~arrival_rate:10.0 ~service_rates:[ 15.0; 12.0 ]
@@ -40,7 +42,6 @@ let sup_config ?(chains = 4) ?(min_chains = 2) ?(iterations = 36)
     max_restarts;
     sweep_deadline = deadline;
     stall_grace = grace;
-    poll_interval = 0.002;
   }
 
 let verdict_t = Alcotest.testable Supervisor.pp_verdict ( = )
@@ -364,9 +365,20 @@ let test_failed_report_has_no_pooled_lines () =
   Alcotest.(check bool) "degraded" true (status = Supervisor.Degraded);
   Alcotest.(check bool) "degraded run pools" true (contains text "pooled mean service:")
 
+(* The pool's two metric families, read from the default registry. *)
+let pool_domains_started () =
+  Supervisor.register_metrics ();
+  int_of_float (Metrics.Counter.value (Metrics.Counter.create "qnet_pool_domains_started_total"))
+
+let pool_workers () =
+  Supervisor.register_metrics ();
+  int_of_float (Metrics.Gauge.value (Metrics.Gauge.create "qnet_pool_workers"))
+
 (* A chain that ignores cancellation past the grace period is
-   abandoned: its domain is leaked, its verdict is Dead, and the rest
-   of the ensemble still reaches quorum. *)
+   abandoned: its verdict is Dead, and the rest of the ensemble still
+   reaches quorum. The pool replaces the worker the zombie holds, so a
+   following run gets the whole pool, and the zombie's worker exits
+   once the stall ends. *)
 let test_zombie_abandoned () =
   let cfg =
     sup_config ~chains:3 ~min_chains:2 ~deadline:0.05 ~grace:0.02 ()
@@ -374,6 +386,9 @@ let test_zombie_abandoned () =
   let faults =
     [ { Fault.chain = 1; at_iteration = 4; kind = Fault.Chain_stall 0.3 } ]
   in
+  (* the pool exists before the count starts, so only a replacement moves it *)
+  ignore (Supervisor.run ~config:(sup_config ~chains:1 ~min_chains:1 ()) ~seed:7 make_store);
+  let started = pool_domains_started () in
   let r = Supervisor.run ~config:cfg ~faults ~seed:7 make_store in
   (match r.Supervisor.verdicts.(1).Supervisor.status with
   | Supervisor.Dead why ->
@@ -383,8 +398,88 @@ let test_zombie_abandoned () =
   Alcotest.(check int) "two survivors" 2 r.Supervisor.healthy_chains;
   Alcotest.(check bool) "quorum despite the zombie" true
     (r.Supervisor.status = Supervisor.Quorum);
-  (* give the zombie time to wake up and exit before the process does *)
-  Unix.sleepf 0.4
+  Alcotest.(check int) "one replacement worker started" (started + 1)
+    (pool_domains_started ());
+  let next = Supervisor.run ~config:(sup_config ~chains:2 ~min_chains:2 ()) ~seed:8 make_store in
+  Alcotest.(check bool) "the next run reaches quorum" true
+    (next.Supervisor.status = Supervisor.Quorum);
+  Array.iter
+    (fun v -> Alcotest.(check bool) "next run's chain healthy" true (is_healthy v))
+    next.Supervisor.verdicts;
+  (* the zombie returns 0.3 s into its stall; its worker then exits *)
+  let rec settle n =
+    if pool_workers () <> Pool.size && n > 0 then begin
+      Unix.sleepf 0.05;
+      settle (n - 1)
+    end
+  in
+  settle 100;
+  Alcotest.(check int) "pool back to its size" Pool.size (pool_workers ())
+
+(* The pool is started once: after the first supervised run, runs
+   start no domain. *)
+let test_pool_domains_bounded () =
+  Net_helpers.with_mode `Metrics (fun () ->
+      let before = pool_domains_started () in
+      let run () =
+        ignore
+          (Supervisor.run ~config:(sup_config ~chains:2 ~min_chains:1 ~iterations:8 ~burn_in:2 ())
+             ~seed:7 make_store
+            : Supervisor.result)
+      in
+      run ();
+      let after_first = pool_domains_started () in
+      Alcotest.(check bool) "the first run starts at most the pool" true
+        (after_first - before <= Pool.size);
+      for _ = 2 to 20 do
+        run ()
+      done;
+      Alcotest.(check int) "later runs start no domain" after_first (pool_domains_started ());
+      Alcotest.(check int) "the pool keeps its size" Pool.size (pool_workers ()))
+
+(* Four chains on a pool of fewer than four workers: some chains wait
+   in the queue through a whole round of the others. A round lasts
+   several deadlines and a sweep a small fraction of one, so a queued
+   chain judged from its submit time would be flagged stalled. *)
+let test_queued_chains_not_stalled () =
+  let make_store () =
+    let rng = Rng.create ~seed:43 () in
+    let _, _, store =
+      Net_helpers.masked_store ~scheme:(Obs.Task_fraction 0.5) rng (tandem_net ()) 2000
+    in
+    store
+  in
+  let iterations = 700 in
+  let cfg =
+    sup_config ~chains:4 ~min_chains:4 ~iterations ~burn_in:(iterations / 2)
+      ~round_iterations:iterations ~deadline:0.1 ~grace:5.0 ()
+  in
+  let r = Supervisor.run ~config:cfg ~seed:7 make_store in
+  Array.iter
+    (fun v ->
+      Alcotest.(check (list (pair int string))) "no incident" [] v.Supervisor.incidents;
+      Alcotest.(check bool) "healthy" true (is_healthy v);
+      Alcotest.(check int) "no restart" 0 v.Supervisor.restarts)
+    r.Supervisor.verdicts
+
+(* A pool job that waits on other jobs can hold every worker, so a
+   supervised run refuses to start inside one. *)
+let test_no_run_inside_a_pool_job () =
+  let w = Pool.waiter () in
+  let outcome = Atomic.make "not run" in
+  let job =
+    Pool.submit w (fun () ->
+        Atomic.set outcome
+          (match Supervisor.run ~config:(sup_config ~chains:2 ~min_chains:1 ()) ~seed:7 make_store with
+          | _ -> "ran"
+          | exception Invalid_argument m -> m))
+  in
+  while not (Pool.finished job) do
+    Pool.wait w ~timeout:1.0
+  done;
+  Pool.release w;
+  Alcotest.(check string) "refused" "Supervisor.run: called from a pool job"
+    (Atomic.get outcome)
 
 (* ------------------------------------------------------------------ *)
 (* Goldens: the bits of whole seeded runs, committed before Stem.run,
@@ -572,6 +667,11 @@ let () =
           Alcotest.test_case "failed report has no pooled lines" `Quick
             test_failed_report_has_no_pooled_lines;
           Alcotest.test_case "zombie abandoned" `Quick test_zombie_abandoned;
+          Alcotest.test_case "pool started once" `Quick test_pool_domains_bounded;
+          Alcotest.test_case "queued chains are not stalled" `Quick
+            test_queued_chains_not_stalled;
+          Alcotest.test_case "no run inside a pool job" `Quick
+            test_no_run_inside_a_pool_job;
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "fault spec parsing" `Quick test_chain_fault_parsing;
           Alcotest.test_case "profile shows the step" `Quick test_profile_has_step_phases;
