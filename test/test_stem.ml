@@ -225,6 +225,60 @@ let test_golden_balancer_routes () =
     "0e5401b4959b48fd470e94ef6871499f" (fun () ->
       run_digest ~route_fsm:balancer_fsm ~seed:2025 balancer_store)
 
+(* [initial_guess]'s rates in hex, pinned while it still read each
+   queue through [events_at_queue]: the 1-2-4 fixture at ~10k events
+   with 5% of tasks observed, a feedback store, a store whose queue 5
+   has no observed event (the horizon fallback), and one where only
+   q0's events are observed. *)
+let guess_stores () =
+  let three_tier =
+    Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 ()
+  in
+  let build seed net tasks mask_of =
+    let trace = Net_helpers.simulate_n (Rng.create ~seed ()) net tasks in
+    Store.of_trace ~observed:(mask_of trace) trace
+  in
+  let by_scheme seed scheme trace = Obs.mask (Rng.create ~seed ()) scheme trace in
+  [
+    ("three-tier 10k, 5%", build 1021 three_tier 2632 (by_scheme 1022 (Obs.Task_fraction 0.05)));
+    ( "feedback",
+      build 1023
+        (Topologies.feedback ~arrival_rate:3.0 ~service_rate:6.0 ~loop_prob:0.4)
+        200
+        (by_scheme 1024 (Obs.Event_fraction 0.3)) );
+    ( "queue 5 unobserved",
+      build 1025 three_tier 300 (fun trace ->
+          let mask = by_scheme 1026 (Obs.Task_fraction 0.2) trace in
+          Array.mapi (fun i o -> o && trace.Trace.events.(i).Trace.queue <> 5) mask) );
+    ( "only q0 observed",
+      build 1027 three_tier 300 (fun trace ->
+          Array.map (fun e -> e.Trace.queue = 0) trace.Trace.events) );
+  ]
+
+let guess_hex store =
+  String.concat " "
+    (Array.to_list (Array.map (Printf.sprintf "%h") (Stem.initial_guess store).Params.rates))
+
+let test_golden_initial_guess () =
+  let expected =
+    [
+      ( "three-tier 10k, 5%",
+        "0x1.c868aa0e1d41cp+3 0x1.30f8be8555378p+2 0x1.297016fbb866cp+1 0x1.0559c9a31425p+2 "
+        ^ "0x1.12b4d223cfc7fp+2 0x1.c977cab5e4ef9p+1 0x1.17d1e578e96eap+2 0x1.12f902805fc73p+2" );
+      ("feedback", "0x1.5b10556075d2ep+1 0x1.79ba795556972p+2");
+      ( "queue 5 unobserved",
+        "0x1.3ce4b215986dfp+3 0x1.1edc0f08f4f67p+3 0x1.0457e99f049d4p+2 0x1.0f3e3830cccd2p+3 "
+        ^ "0x1.0238d4b9e074fp+2 0x1.525a19bc5f044p+0 0x1.288e53e94443dp+2 0x1.fe044250df523p+1" );
+      ( "only q0 observed",
+        "0x1.5d5475d626bf1p+3 0x1.5d21dc57b0dbap+3 0x1.587a27e94b836p+2 0x1.61c990c61633ep+2 "
+        ^ "0x1.667145347b8c2p+1 0x1.4f2abf0c80d2dp+1 0x1.45db562fb6226p+1 0x1.791016ee10ed3p+1" );
+    ]
+  in
+  List.iter
+    (fun (name, store) ->
+      Alcotest.(check string) name (List.assoc name expected) (guess_hex store))
+    (guess_stores ())
+
 (* ------------------------------------------------------------------ *)
 (* Baseline estimators *)
 
@@ -330,6 +384,7 @@ let () =
         [
           Alcotest.test_case "three-tier" `Quick test_golden_three_tier;
           Alcotest.test_case "balancer routes" `Quick test_golden_balancer_routes;
+          Alcotest.test_case "initial guess" `Quick test_golden_initial_guess;
         ] );
       ( "mcem",
         [

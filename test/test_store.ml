@@ -264,6 +264,96 @@ let test_golden_structure () =
   Alcotest.(check string) "feedback" "612f95561bc1baea18d4a8c1c4ebba1e"
     (structure_digest feedback)
 
+(* The ρ chains as [of_trace] built them when it sorted every queue:
+   each queue's events bucketed in index order, then stable-sorted by
+   recorded arrival, departure and index. *)
+let oracle_chains trace =
+  let events = trace.Trace.events in
+  let n = Array.length events and num_queues = trace.Trace.num_queues in
+  let queue = Array.map (fun e -> e.Trace.queue) events in
+  let arrival0 = Array.map (fun e -> e.Trace.arrival) events in
+  let departure = Array.map (fun e -> e.Trace.departure) events in
+  let count = Array.make num_queues 0 in
+  Array.iter (fun q -> count.(q) <- count.(q) + 1) queue;
+  let buckets = Array.map (fun c -> Array.make c 0) count in
+  Array.fill count 0 num_queues 0;
+  for i = 0 to n - 1 do
+    let q = queue.(i) in
+    buckets.(q).(count.(q)) <- i;
+    count.(q) <- count.(q) + 1
+  done;
+  let cmp i j =
+    match compare arrival0.(i) arrival0.(j) with
+    | 0 -> (
+        match compare departure.(i) departure.(j) with
+        | 0 -> compare i j
+        | c -> c)
+    | c -> c
+  in
+  Array.iter (Array.stable_sort cmp) buckets;
+  buckets
+
+(* A trace whose tasks enter on a coarse grid, so that q0 has ties in
+   departure as well as in arrival, and visit three queues in random
+   order with services of 0.5 to 1.5 on the same grid, so that most
+   queues see their arrivals out of index order and some tie. Task ids
+   are scattered. *)
+let tied_trace rng =
+  let num_queues = 4 in
+  let events = ref [] in
+  for k = 0 to Rng.int rng 40 do
+    let id = (97 * k) mod 101 - 50 in
+    let entry = 0.5 *. float_of_int (Rng.int rng 6) in
+    events := ev id 0 0 0.0 entry :: !events;
+    let t = ref entry in
+    for s = 1 to Rng.int rng 4 do
+      let d = !t +. (0.5 *. float_of_int (1 + Rng.int rng 3)) in
+      events := ev id s (1 + Rng.int rng (num_queues - 1)) !t d :: !events;
+      t := d
+    done
+  done;
+  Trace.create ~num_queues !events
+
+let test_chains_match_full_sort () =
+  for seed = 1 to 400 do
+    let rng = Rng.create ~seed:(7000 + seed) () in
+    let trace = tied_trace rng in
+    let n = Array.length trace.Trace.events in
+    let store = Store.of_trace ~observed:(Array.init n (fun _ -> Rng.bool rng)) trace in
+    let name what = Printf.sprintf "seed %d: %s" seed what in
+    Array.iteri
+      (fun q order ->
+        Alcotest.(check (array int))
+          (name (Printf.sprintf "queue %d order" q))
+          order (Store.events_at_queue store q);
+        Array.iteri
+          (fun k i ->
+            let at j = if j < 0 || j >= Array.length order then -1 else order.(j) in
+            Alcotest.(check int) (name "rho") (at (k - 1)) (Store.rho store i);
+            Alcotest.(check int) (name "rho_inv") (at (k + 1)) (Store.rho_inv store i))
+          order)
+      (oracle_chains trace);
+    (* [task] is the dense rank of the event's task id, and [to_trace]
+       gives the trace back, bit for bit *)
+    let ids = Trace.tasks trace in
+    Array.iteri
+      (fun i e ->
+        Alcotest.(check int) (name "task") e.Trace.task ids.(Store.task store i))
+      trace.Trace.events;
+    let back = Store.to_trace store in
+    Alcotest.(check int) (name "tasks") trace.Trace.num_tasks back.Trace.num_tasks;
+    Array.iteri
+      (fun i e ->
+        let e' = back.Trace.events.(i) in
+        if
+          e.Trace.task <> e'.Trace.task || e.Trace.state <> e'.Trace.state
+          || e.Trace.queue <> e'.Trace.queue
+          || Int64.bits_of_float e.Trace.arrival <> Int64.bits_of_float e'.Trace.arrival
+          || Int64.bits_of_float e.Trace.departure <> Int64.bits_of_float e'.Trace.departure
+        then Alcotest.failf "%s" (name (Printf.sprintf "to_trace event %d" i)))
+      trace.Trace.events
+  done
+
 (* Bytes [f] allocates. *)
 let allocated_bytes f =
   let w0 = Qnet_obs.Prof.allocated_words () in
@@ -366,6 +456,7 @@ let () =
           Alcotest.test_case "simulated store consistency" `Quick
             test_large_simulated_store_consistency;
           Alcotest.test_case "golden structure" `Quick test_golden_structure;
+          Alcotest.test_case "chains ≡ full bucket sort" `Quick test_chains_match_full_sort;
           Alcotest.test_case "reductions allocate per queue" `Quick test_reductions_allocation;
           Alcotest.test_case "set-up allocation" `Quick test_setup_allocation;
           Alcotest.test_case "shuffled latent ≡ Rng.shuffle_in_place" `Quick

@@ -248,10 +248,45 @@ let test_golden_parse () =
   in
   List.iter
     (fun (name, t) ->
-      match Trace.of_csv ~num_queues:t.Trace.num_queues (Trace.to_csv t) with
+      let num_queues = t.Trace.num_queues and csv = Trace.to_csv t in
+      let source = Trace.create ~num_queues (Array.to_list t.Trace.events) in
+      Alcotest.(check string) (name ^ ", source") (List.assoc name expected) (trace_digest source);
+      (match Trace.of_csv ~num_queues csv with
       | Error m -> Alcotest.failf "%s: %s" name m
-      | Ok parsed -> Alcotest.(check string) name (List.assoc name expected) (trace_digest parsed))
+      | Ok parsed -> Alcotest.(check string) name (List.assoc name expected) (trace_digest parsed));
+      match Trace.of_csv_lenient ~num_queues csv with
+      | Error _ -> Alcotest.failf "%s: lenient parse failed" name
+      | Ok (parsed, _) ->
+          Alcotest.(check string) (name ^ ", lenient") (List.assoc name expected)
+            (trace_digest parsed))
     (golden_inputs ())
+
+(* An arrival takes the value its own text gives, whether or not that
+   text is the previous departure's: "1.50", "15e-1" and "1.5" after a
+   departure written "1.5" all read 1.5, in both parsers. *)
+let test_arrival_text () =
+  let csv =
+    "task,state,queue,arrival,departure\n\
+     0,0,0,0,1.5\n0,1,1,1.50,2.25\n0,2,2,2.25,3\n\
+     1,0,0,0,1.5\n1,1,1,15e-1,3.5\n\
+     2,0,0,0.0,1.5\n2,1,1,1.5,2\n"
+  in
+  let expected = [| (0.0, 1.5); (1.5, 2.25); (2.25, 3.0); (0.0, 1.5); (1.5, 3.5); (0.0, 1.5); (1.5, 2.0) |] in
+  let check name t =
+    Array.iteri
+      (fun i (a, d) ->
+        let e = t.Trace.events.(i) in
+        let bits x = Int64.bits_of_float x in
+        Alcotest.(check int64) (Printf.sprintf "%s: event %d arrival" name i) (bits a) (bits e.Trace.arrival);
+        Alcotest.(check int64) (Printf.sprintf "%s: event %d departure" name i) (bits d) (bits e.Trace.departure))
+      expected
+  in
+  (match Trace.of_csv ~num_queues:3 csv with
+  | Ok t -> check "of_csv" t
+  | Error m -> Alcotest.fail m);
+  match Trace.of_csv_lenient ~num_queues:3 csv with
+  | Ok (t, _) -> check "of_csv_lenient" t
+  | Error _ -> Alcotest.fail "lenient parse failed"
 
 (* Every malformed input below is rejected with exactly this message:
    the first line that does not parse, numbered from 1 with blank lines
@@ -911,6 +946,7 @@ let () =
         [
           Alcotest.test_case "of_csv bits" `Quick test_golden_parse;
           Alcotest.test_case "error strings" `Quick test_golden_parse_errors;
+          Alcotest.test_case "arrival text" `Quick test_arrival_text;
           QCheck_alcotest.to_alcotest prop_parser_matches_oracle;
           QCheck_alcotest.to_alcotest prop_decimal_matches_float_of_string;
           Alcotest.test_case "power-of-five table" `Quick test_power_table;
