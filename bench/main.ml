@@ -27,7 +27,8 @@
    bytes/sweep on the plain hot path in both orders, times the
    targeted Init.feasible on a copy of the store and counts its bytes
    per store event, counts the bytes per event that set-up allocates
-   (Trace.of_csv, then the mask and Event_store.of_trace), and takes a
+   (Trace.of_csv, then the mask and Event_store.of_trace, then
+   Stem.initial_guess on that store), and takes a
    short profiled pass (Qnet_obs.Prof)
    for GC pause p50/p99 and the phase self-time split; StEM
    iterations/s and piecewise draws/s are timed on the 1k fixture (the
@@ -40,8 +41,9 @@
    relative to the host reference drops past the measured noise (the
    shuffled sweep's is info), on a plain sweep that
    allocates more than 1 byte per
-   resampled event, or on an Init.feasible, a parse or a store build
-   over its byte budget per event (scripts/bench_compare). *)
+   resampled event, or on an Init.feasible, a parse, a store build or
+   an initial guess over its byte budget per event
+   (scripts/bench_compare). *)
 
 open Bechamel
 open Toolkit
@@ -327,6 +329,7 @@ type size_result = {
   init_alloc_bytes_per_event : float;
   parse_alloc_bytes_per_event : float;
   store_alloc_bytes_per_event : float;
+  guess_alloc_bytes_per_event : float;
   pause_minor : Prof.pause_stats;
   pause_major : Prof.pause_stats;
   pauses_recorded : int;
@@ -378,10 +381,10 @@ let time_init spec store params =
     snd runs.(0) /. float_of_int (Store.num_events store) )
 
 (* Bytes per trace event that set-up allocates: Trace.of_csv on the
-   trace's to_csv text, which is rendered outside the count, and then
-   Observation.mask plus Event_store.of_trace. Both counts are
-   deterministic. *)
-let setup_alloc trace =
+   trace's to_csv text, which is rendered outside the count, then
+   Observation.mask plus Event_store.of_trace, then Stem.initial_guess
+   on the size's store. All three counts are deterministic. *)
+let setup_alloc trace store =
   let per_event f =
     let a0 = Prof.allocated_words () in
     ignore (Sys.opaque_identity (f ()));
@@ -391,7 +394,8 @@ let setup_alloc trace =
   in
   let csv = Trace.to_csv trace in
   ( per_event (fun () -> Trace.of_csv ~num_queues:trace.Trace.num_queues csv),
-    per_event (fun () -> Store.of_trace ~observed:(mask_of trace) trace) )
+    per_event (fun () -> Store.of_trace ~observed:(mask_of trace) trace),
+    per_event (fun () -> Stem.initial_guess store) )
 
 let run_size spec =
   let trace, store, params = size_store spec in
@@ -421,7 +425,9 @@ let run_size spec =
   (* Last, so that Init's store copies and constraint arrays are not
      on the major heap while the sweeps above are timed. *)
   let init_s, init_alloc_bytes_per_event = time_init spec store params in
-  let parse_alloc_bytes_per_event, store_alloc_bytes_per_event = setup_alloc trace in
+  let parse_alloc_bytes_per_event, store_alloc_bytes_per_event, guess_alloc_bytes_per_event =
+    setup_alloc trace store
+  in
   {
     spec;
     events;
@@ -435,6 +441,7 @@ let run_size spec =
     init_alloc_bytes_per_event;
     parse_alloc_bytes_per_event;
     store_alloc_bytes_per_event;
+    guess_alloc_bytes_per_event;
     pause_minor = find Prof.Minor;
     pause_major = find Prof.Major;
     pauses_recorded = pstats.Prof.pauses_recorded;
@@ -454,11 +461,11 @@ let size_json r =
     |> String.concat ""
   in
   Printf.sprintf
-    "\"%s\":{\"tasks\":%d,\"store_events\":%d,\"repeats\":%d,\"gibbs_sweeps_per_s\":%.2f,\"gibbs_sweeps_per_ref\":%.4f,\"alloc_bytes_per_sweep\":%.1f,\"shuffled_sweeps_per_s\":%.2f,\"shuffled_sweeps_per_ref\":%.4f,\"shuffled_alloc_bytes_per_sweep\":%.1f,\"init_s\":%.6g,\"init_alloc_bytes_per_event\":%.1f,\"parse_alloc_bytes_per_event\":%.1f,\"store_alloc_bytes_per_event\":%.1f,\"minor_pause_p50_s\":%s,\"minor_pause_p99_s\":%s,\"major_pause_p50_s\":%s,\"major_pause_p99_s\":%s,\"gc_pauses\":%d%s}"
+    "\"%s\":{\"tasks\":%d,\"store_events\":%d,\"repeats\":%d,\"gibbs_sweeps_per_s\":%.2f,\"gibbs_sweeps_per_ref\":%.4f,\"alloc_bytes_per_sweep\":%.1f,\"shuffled_sweeps_per_s\":%.2f,\"shuffled_sweeps_per_ref\":%.4f,\"shuffled_alloc_bytes_per_sweep\":%.1f,\"init_s\":%.6g,\"init_alloc_bytes_per_event\":%.1f,\"parse_alloc_bytes_per_event\":%.1f,\"store_alloc_bytes_per_event\":%.1f,\"guess_alloc_bytes_per_event\":%.1f,\"minor_pause_p50_s\":%s,\"minor_pause_p99_s\":%s,\"major_pause_p50_s\":%s,\"major_pause_p99_s\":%s,\"gc_pauses\":%d%s}"
     r.spec.label r.spec.tasks r.events r.spec.repeats r.sweeps_per_s r.sweeps_per_ref
     r.alloc_bytes_per_sweep r.shuffled_sweeps_per_s r.shuffled_sweeps_per_ref
     r.shuffled_alloc_bytes_per_sweep r.init_s r.init_alloc_bytes_per_event r.parse_alloc_bytes_per_event
-    r.store_alloc_bytes_per_event
+    r.store_alloc_bytes_per_event r.guess_alloc_bytes_per_event
     (jnum r.pause_minor.Prof.p50_s)
     (jnum r.pause_minor.Prof.p99_s) (jnum r.pause_major.Prof.p50_s)
     (jnum r.pause_major.Prof.p99_s) r.pauses_recorded phase_keys
@@ -533,11 +540,11 @@ let core_json ~sizes out =
   List.iter
     (fun r ->
       Printf.printf
-        "  %-4s %8d events: %10.2f sweeps/s in order (%.3f per reference, %.0f alloc B/sweep), %10.2f shuffled (%.3f, %.0f B), init %.3f s (%.0f B/event), parse %.0f B/event, store %.0f B/event, %d GC pause(s) [minor p99 %s, major p99 %s]\n"
+        "  %-4s %8d events: %10.2f sweeps/s in order (%.3f per reference, %.0f alloc B/sweep), %10.2f shuffled (%.3f, %.0f B), init %.3f s (%.0f B/event), parse %.0f B/event, store %.0f B/event, guess %.1f B/event, %d GC pause(s) [minor p99 %s, major p99 %s]\n"
         r.spec.label r.events r.sweeps_per_s r.sweeps_per_ref r.alloc_bytes_per_sweep
         r.shuffled_sweeps_per_s r.shuffled_sweeps_per_ref r.shuffled_alloc_bytes_per_sweep r.init_s
         r.init_alloc_bytes_per_event r.parse_alloc_bytes_per_event
-        r.store_alloc_bytes_per_event r.pauses_recorded
+        r.store_alloc_bytes_per_event r.guess_alloc_bytes_per_event r.pauses_recorded
         (jnum r.pause_minor.Prof.p99_s)
         (jnum r.pause_major.Prof.p99_s))
     results;

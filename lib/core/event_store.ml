@@ -4,7 +4,6 @@ module Span = Qnet_obs.Span
 type t = {
   num_queues : int;
   num_tasks : int;
-  task : int array;
   state : int array;
   queue : int array; (* mutable through move_event *)
   departure : float array;
@@ -58,29 +57,26 @@ let of_trace ?observed trace =
   let task_start = Task_runs.starts ~caller:"Event_store.of_trace" trace in
   let num_tasks = Array.length task_start - 1 in
   let task_ids = Array.init num_tasks (fun k -> events.(task_start.(k)).Trace.task) in
-  let task = Array.make n 0 in
   let pi = Array.make n (-1) in
   let pi_inv = Array.make n (-1) in
   for k = 0 to num_tasks - 1 do
-    task.(task_start.(k)) <- k;
     for i = task_start.(k) + 1 to task_start.(k + 1) - 1 do
-      task.(i) <- k;
       pi.(i) <- i - 1;
       pi_inv.(i - 1) <- i
     done
   done;
-  let state = Array.map (fun e -> e.Trace.state) events in
-  let queue = Array.map (fun e -> e.Trace.queue) events in
-  let departure = Array.make n 0.0 and arrival0 = Array.make n 0.0 in
+  let state = Array.make n 0 and queue = Array.make n 0 and departure = Array.make n 0.0 in
   for i = 0 to n - 1 do
-    departure.(i) <- events.(i).Trace.departure;
-    arrival0.(i) <- events.(i).Trace.arrival
+    let e = events.(i) in
+    state.(i) <- e.Trace.state;
+    queue.(i) <- e.Trace.queue;
+    departure.(i) <- e.Trace.departure
   done;
   (* Initial events must be first per task and at a common queue. *)
   let arrival_queue = queue.(0) in
   for k = 0 to num_tasks - 1 do
     let first = task_start.(k) in
-    if not (Float.equal arrival0.(first) 0.0) then
+    if not (Float.equal events.(first).Trace.arrival 0.0) then
       invalid_arg "Event_store.of_trace: task without initial event";
     if queue.(first) <> arrival_queue then
       invalid_arg "Event_store.of_trace: inconsistent arrival queue";
@@ -91,53 +87,69 @@ let of_trace ?observed trace =
         invalid_arg "Event_store.of_trace: a task revisits the arrival queue"
     done
   done;
-  (* Within-queue chains from the true arrival order (ties broken by
-     departure, then index, so q0's simultaneous arrivals order by
-     entry time). This order is the fixed "event counter" data. The
-     comparator is a total order, so the result does not depend on the
-     order events are bucketed in, nor on the sort: a bucket already in
-     order, as most are, is left as it is. *)
+  (* Within-queue chains from the true arrival order: the recorded
+     arrivals, ties broken by departure, then index, so q0's
+     simultaneous arrivals order by entry time. This order is the fixed
+     "event counter" data. The comparator is a total order, so the
+     chains are unique. One pass links each queue's events in index
+     order, which at most queues is their arrival order; a queue where
+     an event sorts before the one linked ahead of it is relinked from a
+     sort of its own events. *)
   let num_queues = trace.Trace.num_queues in
-  let by_queue =
-    let count = Array.make num_queues 0 in
-    Array.iter (fun q -> count.(q) <- count.(q) + 1) queue;
-    let buckets = Array.map (fun c -> Array.make c 0) count in
-    Array.fill count 0 num_queues 0;
-    for i = 0 to n - 1 do
-      let q = queue.(i) in
-      buckets.(q).(count.(q)) <- i;
-      count.(q) <- count.(q) + 1
-    done;
-    let cmp i j =
-      match compare arrival0.(i) arrival0.(j) with
-      | 0 -> (
-          match compare departure.(i) departure.(j) with
-          | 0 -> compare i j
-          | c -> c)
-      | c -> c
-    in
-    let rec in_order b k =
-      k >= Array.length b || (cmp b.(k - 1) b.(k) < 0 && in_order b (k + 1))
-    in
-    Array.iter (fun b -> if not (in_order b 1) then Array.stable_sort cmp b) buckets;
-    buckets
-  in
-  let rho = Array.make n (-1) in
-  let rho_inv = Array.make n (-1) in
-  let heads = Array.make num_queues (-1) in
-  Array.iteri
-    (fun q order ->
-      if Array.length order > 0 then heads.(q) <- order.(0);
-      for k = 1 to Array.length order - 1 do
-        rho.(order.(k)) <- order.(k - 1);
-        rho_inv.(order.(k - 1)) <- order.(k)
-      done)
-    by_queue;
+  let rho = Array.make n (-1) and rho_inv = Array.make n (-1) in
+  let heads = Array.make num_queues (-1) and tail = Array.make num_queues (-1) in
+  let tail_arrival = Array.make num_queues 0.0 in
+  let count = Array.make num_queues 0 and in_order = Array.make num_queues true in
+  for i = 0 to n - 1 do
+    let q = queue.(i) and a = events.(i).Trace.arrival in
+    let t = tail.(q) in
+    if t < 0 then heads.(q) <- i
+    else begin
+      (match compare tail_arrival.(q) a with
+      | 0 -> if compare departure.(t) departure.(i) > 0 then in_order.(q) <- false
+      | c -> if c > 0 then in_order.(q) <- false);
+      rho.(i) <- t;
+      rho_inv.(t) <- i
+    end;
+    tail.(q) <- i;
+    tail_arrival.(q) <- a;
+    count.(q) <- count.(q) + 1
+  done;
+  for q = 0 to num_queues - 1 do
+    if not in_order.(q) then begin
+      (* the queue's events in index order (its chain so far), with
+         their arrivals as flat keys, sorted by position *)
+      let c = count.(q) in
+      let at = Array.make c 0 and key = Array.make c 0.0 in
+      let i = ref heads.(q) in
+      for k = 0 to c - 1 do
+        at.(k) <- !i;
+        key.(k) <- events.(!i).Trace.arrival;
+        i := rho_inv.(!i)
+      done;
+      let by_position x y =
+        match compare key.(x) key.(y) with
+        | 0 -> (
+            match compare departure.(at.(x)) departure.(at.(y)) with
+            | 0 -> compare x y
+            | c -> c)
+        | c -> c
+      in
+      let order = Array.init c Fun.id in
+      Array.stable_sort by_position order;
+      heads.(q) <- at.(order.(0));
+      rho.(at.(order.(0))) <- -1;
+      rho_inv.(at.(order.(c - 1))) <- -1;
+      for k = 1 to c - 1 do
+        rho.(at.(order.(k))) <- at.(order.(k - 1));
+        rho_inv.(at.(order.(k - 1))) <- at.(order.(k))
+      done
+    end
+  done;
   let latent = latent_of observed in
   {
     num_queues;
     num_tasks;
-    task;
     state;
     queue;
     departure;
@@ -157,7 +169,17 @@ let of_trace ?observed trace =
 let num_events t = Array.length t.departure
 let num_queues t = t.num_queues
 let num_tasks t = t.num_tasks
-let task t i = t.task.(i)
+(* The task whose run of indices holds [i]: the last [k] with
+   [task_start.(k) <= i]. *)
+let task t i =
+  if i < 0 || i >= num_events t then invalid_arg "index out of bounds";
+  let lo = ref 0 and hi = ref t.num_tasks in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if t.task_start.(mid) <= i then lo := mid else hi := mid
+  done;
+  !lo
+
 let state t i = t.state.(i)
 let queue t i = t.queue.(i)
 let departure t i = t.departure.(i)
@@ -166,6 +188,17 @@ let pi t i = t.pi.(i)
 let pi_inv t i = t.pi_inv.(i)
 let rho t i = t.rho.(i)
 let rho_inv t i = t.rho_inv.(i)
+
+(* [Float.max] calls the C function [caml_signbit] whenever [y > x]
+   fails, and the call spills every live float register. This gives the
+   same bits on every pair without a NaN, signed zeros included, and a
+   NaN when either argument is one. Under -opaque a helper of another
+   unit is not inlined, so the kernel keeps its own copy. *)
+let[@inline] fmax (x : float) y =
+  if y > x then y
+  else if x > y then x
+  else if x = y && Float.abs x > 0.0 then x
+  else (* two zeros, whose sum is their max, or a NaN *) x +. y
 
 (* The time arithmetic on the arrays themselves, inlined so that the
    reductions below box no float per event. *)
@@ -176,7 +209,7 @@ let[@inline] arrival_in d pi i =
 let[@inline] start_in d pi rho i =
   let a = arrival_in d pi i in
   let r = rho.(i) in
-  if r < 0 then a else Float.max a d.(r)
+  if r < 0 then a else fmax a d.(r)
 
 let arrival t i = arrival_in t.departure t.pi i
 let start_service t i = start_in t.departure t.pi t.rho i
@@ -223,6 +256,7 @@ type view = {
   v_pi_inv : int array;
   v_rho : int array;
   v_rho_inv : int array;
+  v_heads : int array;
 }
 
 let view t =
@@ -234,22 +268,25 @@ let view t =
     v_pi_inv = t.pi_inv;
     v_rho = t.rho;
     v_rho_inv = t.rho_inv;
+    v_heads = t.heads;
   }
 
 let arrival_queue t = t.arrival_queue
 
 let to_trace t =
   let events = ref [] in
-  for i = num_events t - 1 downto 0 do
-    events :=
-      {
-        Trace.task = t.task_ids.(t.task.(i));
-        state = t.state.(i);
-        queue = t.queue.(i);
-        arrival = arrival t i;
-        departure = t.departure.(i);
-      }
-      :: !events
+  for k = t.num_tasks - 1 downto 0 do
+    for i = t.task_start.(k + 1) - 1 downto t.task_start.(k) do
+      events :=
+        {
+          Trace.task = t.task_ids.(k);
+          state = t.state.(i);
+          queue = t.queue.(i);
+          arrival = arrival t i;
+          departure = t.departure.(i);
+        }
+        :: !events
+    done
   done;
   Trace.create ~num_queues:t.num_queues !events
 
@@ -363,12 +400,14 @@ let log_likelihood t params =
   if Params.num_queues params <> t.num_queues then
     invalid_arg "Event_store.log_likelihood: params dimension mismatch";
   let rates = params.Params.rates and d = t.departure and pi = t.pi and rho = t.rho in
+  let log_rates = Array.map log rates in
   let acc = ref 0.0 in
   for i = 0 to num_events t - 1 do
-    let mu = rates.(t.queue.(i)) in
+    let q = t.queue.(i) in
+    let mu = rates.(q) in
     let s = d.(i) -. start_in d pi rho i in
     if s < 0.0 then acc := neg_infinity
-    else acc := !acc +. log mu -. (mu *. s)
+    else acc := !acc +. log_rates.(q) -. (mu *. s)
   done;
   !acc
 

@@ -120,6 +120,7 @@ type view = {
   v_pi_inv : int array;
   v_rho : int array;
   v_rho_inv : int array;
+  v_heads : int array;  (** per queue, its first event in arrival order; [-1] if none *)
 }
 (** The store's own arrays, not copies, so a sampler in another
     compilation unit can read times without boxing them. The arrays
@@ -163,6 +164,12 @@ val restore : t -> snapshot -> unit
     count and queue count); raises [Invalid_argument] on a dimension
     mismatch. No other validation is performed — callers restoring
     untrusted state should follow with {!validate}. *)
+
+val fmax : float -> float -> float
+(** [Float.max] without its call to C: the same bits on every pair
+    without a NaN, signed zeros included, and a NaN when either
+    argument is one. The store's time arithmetic runs on it; it is
+    exposed so that tests can pin it. *)
 
 val validate : t -> (unit, string) result
 (** Check every deterministic constraint of the model on the current

@@ -184,6 +184,21 @@ let[@inline] arrival d pi i =
   let p = pi.(i) in
   if p < 0 then 0.0 else d.(p)
 
+(* [Float.max] and [Float.min] without their C call ([caml_signbit],
+   made whenever [y > x] fails, which spills every live float
+   register): [Event_store.fmax]'s bits, each unit with its own copy. *)
+let[@inline] fmax (x : float) y =
+  if y > x then y
+  else if x > y then x
+  else if x = y && Float.abs x > 0.0 then x
+  else (* two zeros, whose sum is their max, or a NaN *) x +. y
+
+let[@inline] fmin (x : float) y =
+  if x < y then x
+  else if y < x then y
+  else if x = y && Float.abs x > 0.0 then y
+  else (* two zeros, -0 if either is, or a NaN *) -.(-.x -. y)
+
 (* The feasibility window of event [f]: L to [s_lower], U to [s_upper];
    returns whether U exists. The comparisons of [local_density], in its
    order. *)
@@ -191,13 +206,13 @@ let bounds sc (v : Store.view) f =
   let d = v.Store.v_departure and pi = v.Store.v_pi in
   let rho = v.Store.v_rho and rho_inv = v.Store.v_rho_inv in
   let a = arrival d pi f and r = rho.(f) in
-  sc.(s_lower) <- (if r < 0 then a else Float.max a d.(r));
+  sc.(s_lower) <- (if r < 0 then a else fmax a d.(r));
   let e = v.Store.v_pi_inv.(f) in
   if e >= 0 then begin
     sc.(s_upper) <- d.(e);
     let rho_e = rho.(e) in
     if rho_e >= 0 && rho_e <> f then
-      sc.(s_lower) <- Float.max sc.(s_lower) (arrival d pi rho_e);
+      sc.(s_lower) <- fmax sc.(s_lower) (arrival d pi rho_e);
     let next_e = rho_inv.(e) in
     if next_e >= 0 then begin
       let a = arrival d pi next_e in
@@ -372,7 +387,7 @@ let sample_window sc rng nh =
     else begin
       let em = if r > 0.0 || n = 1 then Float.expm1 rw else sc.(s_expm1 + i) in
       let y = if em < infinity then Float.log1p (q *. em) /. r else w +. (log q /. r) in
-      Float.max 0.0 (Float.min w y)
+      fmax 0.0 (fmin w y)
     end
   in
   sc.(s_draw) <- sc.(s_break + i) +. y

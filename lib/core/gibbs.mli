@@ -72,6 +72,15 @@ val sample_compiled :
 
 (** {1 Production kernel} *)
 
+val fmax : float -> float -> float
+(** The kernel's [Float.max], without the call to C that stdlib's makes
+    whenever [y > x] fails: the same bits on every pair without a NaN,
+    signed zeros included, and a NaN when either argument is one.
+    Exposed so that tests can pin it. *)
+
+val fmin : float -> float -> float
+(** The kernel's [Float.min], as {!fmax}. *)
+
 val window : Event_store.t -> int -> float * float option
 (** The feasibility window [(L, U)] of one event ([None] = unbounded
     tail), computed by the production kernel's bounds code and shared

@@ -66,19 +66,23 @@ type result = {
   log_likelihood_history : float array;
 }
 
+(* Each queue's ρ chain is walked in place through the store's view,
+   in arrival order, so the guess reads no float through a function and
+   allocates nothing per event. *)
 let initial_guess store =
+  Span.with_span "stem.initial_guess" @@ fun () ->
+  let v = Store.view store in
+  let d = v.Store.v_departure and observed = v.Store.v_observed in
+  let pi = v.Store.v_pi and rho = v.Store.v_rho in
   let nq = Store.num_queues store in
-  let m = Store.num_events store in
   let q0 = Store.arrival_queue store in
   let horizon = ref 0.0 in
-  for i = 0 to m - 1 do
-    if Store.observed store i then
-      horizon := Float.max !horizon (Store.departure store i)
+  for i = 0 to Array.length d - 1 do
+    if observed.(i) then horizon := Float.max !horizon d.(i)
   done;
   let horizon = if !horizon > 0.0 then !horizon else 1.0 in
-  let mean_service_guess q =
-    let order = Store.events_at_queue store q in
-    let n = Array.length order in
+  let rates = Array.make nq 0.0 in
+  for q = 0 to nq - 1 do
     (* (a) Exact services where the whole neighbourhood is observed. *)
     let exact_sum = ref 0.0 and exact_count = ref 0 in
     (* (b) Mean response of observed events: upper bound on service
@@ -87,46 +91,55 @@ let initial_guess store =
     (* (c) Mean inter-departure gap between observed events at known
        order indices — the event counter makes the index gap known.
        At q0 this estimates 1/λ exactly; elsewhere it upper-bounds the
-       mean service via utilization <= 1. *)
-    let first = ref None and last = ref None in
-    Array.iteri
-      (fun k i ->
-        let obs j = j < 0 || Store.observed store j in
-        if Store.observed store i then begin
-          (match !first with None -> first := Some (k, Store.departure store i) | Some _ -> ());
-          last := Some (k, Store.departure store i);
-          if obs (Store.pi store i) && obs (Store.rho store i) then begin
-            exact_sum := !exact_sum +. Store.service store i;
-            incr exact_count
-          end
-          else if q <> q0 && obs (Store.pi store i) then begin
-            resp_sum := !resp_sum +. (Store.departure store i -. Store.arrival store i);
-            incr resp_count
-          end
-        end)
-      order;
-    let candidates = ref [] in
-    if !exact_count >= 3 && !exact_sum > 0.0 then
-      candidates := (!exact_sum /. float_of_int !exact_count) :: !candidates;
-    if !resp_count >= 3 && !resp_sum > 0.0 then
-      candidates := (!resp_sum /. float_of_int !resp_count) :: !candidates;
-    (match (!first, !last) with
-    | Some (k0, d0), Some (k1, d1) when k1 > k0 && d1 > d0 ->
-        candidates := ((d1 -. d0) /. float_of_int (k1 - k0)) :: !candidates
-    | _ -> ());
-    match !candidates with
-    | [] ->
-        (* no observation at this queue at all: fall back to the
-           horizon-based throughput bound *)
-        Float.min (horizon /. float_of_int (Stdlib.max n 1)) horizon
-    | cs ->
-        (* every candidate is an upper bound on the mean service (or,
-           at q0, an estimate of it); take the tightest *)
-        List.fold_left Float.min infinity cs
-  in
-  let rates =
-    Array.init nq (fun q -> 1.0 /. Float.max 1e-9 (mean_service_guess q))
-  in
+       mean service via utilization <= 1. [k0] < 0 until one is seen. *)
+    let k0 = ref (-1) and d0 = ref 0.0 and k1 = ref (-1) and d1 = ref 0.0 in
+    let n = ref 0 and i = ref v.Store.v_heads.(q) in
+    while !i >= 0 do
+      let e = !i in
+      if observed.(e) then begin
+        if !k0 < 0 then begin
+          k0 := !n;
+          d0 := d.(e)
+        end;
+        k1 := !n;
+        d1 := d.(e);
+        let p = pi.(e) and r = rho.(e) in
+        let a = if p < 0 then 0.0 else d.(p) in
+        let obs_p = p < 0 || observed.(p) in
+        if obs_p && (r < 0 || observed.(r)) then begin
+          exact_sum := !exact_sum +. (d.(e) -. if r < 0 then a else Float.max a d.(r));
+          incr exact_count
+        end
+        else if q <> q0 && obs_p then begin
+          resp_sum := !resp_sum +. (d.(e) -. a);
+          incr resp_count
+        end
+      end;
+      incr n;
+      i := v.Store.v_rho_inv.(e)
+    done;
+    (* every candidate is an upper bound on the mean service (or, at
+       q0, an estimate of it); take the tightest, folding them in the
+       order (c), (b), (a) *)
+    let guess = ref infinity and candidates = ref 0 in
+    if !k0 >= 0 && !k1 > !k0 && !d1 > !d0 then begin
+      guess := Float.min !guess ((!d1 -. !d0) /. float_of_int (!k1 - !k0));
+      incr candidates
+    end;
+    if !resp_count >= 3 && !resp_sum > 0.0 then begin
+      guess := Float.min !guess (!resp_sum /. float_of_int !resp_count);
+      incr candidates
+    end;
+    if !exact_count >= 3 && !exact_sum > 0.0 then begin
+      guess := Float.min !guess (!exact_sum /. float_of_int !exact_count);
+      incr candidates
+    end;
+    (* no observation at this queue at all: fall back to the
+       horizon-based throughput bound *)
+    if !candidates = 0 then
+      guess := Float.min (horizon /. float_of_int (Stdlib.max !n 1)) horizon;
+    rates.(q) <- 1.0 /. Float.max 1e-9 !guess
+  done;
   Params.create ~rates ~arrival_queue:q0
 
 let mle_step ?prior store ~previous ~min_queue_events =

@@ -52,7 +52,9 @@ val initial_guess : Event_store.t -> Params.t
 (** A data-driven starting point computed from observed values only:
     exact service MLE where an event's full neighbourhood is observed,
     the inverse mean observed response time otherwise, and a
-    throughput-based estimate as the last resort. *)
+    throughput-based estimate as the last resort. It walks each
+    queue's ρ chain in place, inside the [stem.initial_guess] span and
+    profiling phase, and allocates nothing per event. *)
 
 val mle_step :
   ?prior:float * Params.t ->

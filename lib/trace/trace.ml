@@ -181,9 +181,24 @@ type line = {
   mutable commas : int;
   lo : int array;  (** with 4 commas, field [k] is bytes [lo.(k)] to [hi.(k) - 1] *)
   hi : int array;
+  mutable prev : event;  (** the last record read *)
+  mutable prev_lo : int;  (** its departure field is bytes [prev_lo] to [prev_hi - 1]; *)
+  mutable prev_hi : int;  (** [prev_hi < prev_lo] before the first record *)
 }
 
-let new_line () = { first = 0; last = 0; commas = 0; lo = Array.make 5 0; hi = Array.make 5 0 }
+let placeholder = { task = 0; state = 0; queue = 0; arrival = 0.0; departure = 0.0 }
+
+let new_line () =
+  {
+    first = 0;
+    last = 0;
+    commas = 0;
+    lo = Array.make 5 0;
+    hi = Array.make 5 0;
+    prev = placeholder;
+    prev_lo = 0;
+    prev_hi = -1;
+  }
 
 (* Scans the line that starts at [pos] into [l] and returns its end: the
    index of its newline, or the text's length. *)
@@ -250,16 +265,36 @@ let int_field text i j =
    substring. Raises [Failure] on a field [float_of_string] rejects. *)
 let float_field = Decimal.float_of_substring
 
-(* The record on a line with 4 commas. Raises [Failure] on a field the
-   conversions reject. *)
+(* Whether the bytes from [i] to [j - 1] are those from [i'] to [j' - 1]. *)
+let same_bytes text i j i' j' =
+  j - i = j' - i'
+  &&
+  let k = ref 0 in
+  while !k < j - i && String.unsafe_get text (i + !k) = String.unsafe_get text (i' + !k) do
+    incr k
+  done;
+  !k = j - i
+
+(* The record on a line with 4 commas. A chained event's arrival is its
+   predecessor's departure, and [to_csv] writes both alike, so an
+   arrival field with the bytes of the previous record's departure field
+   takes that departure, float box and all, without a parse. Raises
+   [Failure] on a field the conversions reject. *)
 let read_event text l =
   let lo = l.lo and hi = l.hi in
   let task = int_field text lo.(0) hi.(0) in
   let state = int_field text lo.(1) hi.(1) in
   let queue = int_field text lo.(2) hi.(2) in
-  let arrival = float_field text lo.(3) hi.(3) in
+  let arrival =
+    if same_bytes text lo.(3) hi.(3) l.prev_lo l.prev_hi then l.prev.departure
+    else float_field text lo.(3) hi.(3)
+  in
   let departure = float_field text lo.(4) hi.(4) in
-  { task; state; queue; arrival; departure }
+  let e = { task; state; queue; arrival; departure } in
+  l.prev <- e;
+  l.prev_lo <- lo.(4);
+  l.prev_hi <- hi.(4);
+  e
 
 let count_newlines text =
   let n = ref 0 in
@@ -267,8 +302,6 @@ let count_newlines text =
     if String.unsafe_get text i = '\n' then incr n
   done;
   !n
-
-let placeholder = { task = 0; state = 0; queue = 0; arrival = 0.0; departure = 0.0 }
 
 let of_csv ~num_queues text =
   (* At most one event per line, and none on a header line or on the

@@ -642,6 +642,38 @@ let test_plain_sweep_allocation () =
           per_event)
     [ false; true ]
 
+(* The kernel's and the store's min and max give [Float.max] and
+   [Float.min]'s bits on every pair of signed zeros, infinities,
+   subnormals, the extremes and ordinary values, each against itself,
+   its negation and every other; a NaN on either side gives a NaN. *)
+let test_min_max_helpers () =
+  let values =
+    [ 0.0; 1.0; 1.5; 0x1p-1074; 0x1.8p-1060; Float.min_float; Float.max_float;
+      Float.epsilon; 3.141592653589793; 1e300; infinity ]
+  in
+  let values = values @ List.map Float.neg values in
+  let bits = Int64.bits_of_float in
+  let helpers =
+    [ ("Gibbs.fmax", Gibbs.fmax, Float.max); ("Event_store.fmax", Store.fmax, Float.max);
+      ("Gibbs.fmin", Gibbs.fmin, Float.min) ]
+  in
+  List.iter
+    (fun (name, f, reference) ->
+      List.iter
+        (fun x ->
+          List.iter
+            (fun y ->
+              if bits (f x y) <> bits (reference x y) then
+                Alcotest.failf "%s %h %h = %h, stdlib %h" name x y (f x y) (reference x y))
+            values;
+          List.iter
+            (fun nan ->
+              if not (Float.is_nan (f nan x) && Float.is_nan (f x nan)) then
+                Alcotest.failf "%s with %h and a NaN gave no NaN" name x)
+            [ Float.nan; Float.neg Float.nan ])
+        values)
+    helpers
+
 let () =
   Alcotest.run "qnet_gibbs"
     [
@@ -698,5 +730,6 @@ let () =
             test_kernel_matches_reference_feedback;
           Alcotest.test_case "sweep ≡ reference sweep" `Quick test_sweep_matches_reference;
           Alcotest.test_case "plain sweep allocation" `Quick test_plain_sweep_allocation;
+          Alcotest.test_case "min and max ≡ Float.min, Float.max" `Quick test_min_max_helpers;
         ] );
     ]

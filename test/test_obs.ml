@@ -849,6 +849,7 @@ let test_trace_and_profile_one_tree () =
     [
       "stem.run";
       "stem.run;init.feasible";
+      "stem.run;stem.initial_guess";
       "stem.run;stem.iteration";
       "stem.run;stem.iteration;gibbs.sweep";
       "stem.run;stem.iteration;stem.loglik";

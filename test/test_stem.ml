@@ -279,6 +279,30 @@ let test_golden_initial_guess () =
       Alcotest.(check string) name (List.assoc name expected) (guess_hex store))
     (guess_stores ())
 
+(* [initial_guess] walks each queue's ρ chain in place, so one fixed
+   budget bounds what a call allocates on a 1k and a 10k store: its
+   rates, the parameters and the phase, about 500 B with 8 queues.
+   Through [events_at_queue], a closure per event and boxed floats it
+   took 45 B per event, over 40 KB at 1k. *)
+let test_initial_guess_allocation () =
+  let budget = 1024.0 in
+  let net =
+    Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 ()
+  in
+  List.iter
+    (fun tasks ->
+      let trace = Net_helpers.simulate_n (Rng.create ~seed:1031 ()) net tasks in
+      let mask = Obs.mask (Rng.create ~seed:1032 ()) (Obs.Task_fraction 0.05) trace in
+      let store = Store.of_trace ~observed:mask trace in
+      ignore (Stem.initial_guess store);
+      let w0 = Qnet_obs.Prof.allocated_words () in
+      ignore (Sys.opaque_identity (Stem.initial_guess store));
+      let b = (Qnet_obs.Prof.allocated_words () -. w0) *. float_of_int (Sys.word_size / 8) in
+      if b > budget then
+        Alcotest.failf "initial_guess on %d events allocated %.0f B (budget %.0f)"
+          (Store.num_events store) b budget)
+    [ 263; 2632 ]
+
 (* ------------------------------------------------------------------ *)
 (* Baseline estimators *)
 
@@ -369,6 +393,7 @@ let () =
       ( "stem",
         [
           Alcotest.test_case "initial guess" `Quick test_initial_guess_reasonable;
+          Alcotest.test_case "initial guess allocation" `Quick test_initial_guess_allocation;
           Alcotest.test_case "M-step exact" `Quick test_mle_step_exact_on_full_data;
           Alcotest.test_case "M-step guard" `Quick test_mle_step_guard;
           Alcotest.test_case "MAP prior direction" `Quick test_mle_step_map_prior_shrinks;

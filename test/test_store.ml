@@ -389,10 +389,11 @@ let test_reductions_allocation () =
     [ 263; 2632 ]
 
 (* The ceiling [make bench] gates as MAX_STORE_BPE, at 10k events: the
-   5% mask and the store build allocate 116 B per event, the store's
-   arrays and a merge sort of the buckets that arrive out of order. An
-   eager shuffle buffer cost 8 B more per latent event, and
-   heap-sorting every bucket 150 B in all. *)
+   5% mask and the store build allocate 98 B per event, the store's
+   arrays and a merge sort of the queues that arrive out of index
+   order. Copying every arrival and task index and bucketing every
+   queue took 116 B, an eager shuffle buffer 8 B more per latent event,
+   and heap-sorting every bucket 150 B in all. *)
 let test_setup_allocation () =
   let net = Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 () in
   let trace = Net_helpers.simulate_n (Rng.create ~seed:508 ()) net 2632 in
@@ -405,8 +406,8 @@ let test_setup_allocation () =
         ignore (Sys.opaque_identity (Store.of_trace ~observed:mask trace)))
   in
   let per_event = b /. float_of_int (Array.length trace.Trace.events) in
-  if per_event > 129.0 then
-    Alcotest.failf "mask + of_trace allocated %.1f B per event (budget 129)" per_event
+  if per_event > 109.0 then
+    Alcotest.failf "mask + of_trace allocated %.1f B per event (budget 109)" per_event
 
 (* [shuffled_latent] draws exactly as [Rng.shuffle_in_place] on a fresh
    copy of [latent]: the same permutation and the same generator state,

@@ -338,10 +338,11 @@ let test_golden_parse_errors () =
     malformed_corpus
 
 (* The ceiling [make bench] gates as MAX_PARSE_BPE, on the ~10k-event
-   golden trace: the parser allocates 84 B per event (the record, its
-   array slot and the boxed floats; a time of 0 is a shared constant).
-   Reading the float fields from substrings took 156 B, the split-based
-   parser 488 B. *)
+   golden trace: the parser allocates 72 B per event (the record, its
+   array slot and the departure's float box; an arrival shares its
+   predecessor's departure box and a time of 0 a constant). Boxing
+   every arrival took 84 B, reading the float fields from substrings
+   156 B, the split-based parser 488 B. *)
 let test_parse_allocation () =
   let t = List.assoc "three-tier 1-2-4" (golden_inputs ()) in
   let csv = Trace.to_csv t in
@@ -352,8 +353,8 @@ let test_parse_allocation () =
     *. float_of_int (Sys.word_size / 8)
     /. float_of_int (Array.length t.Trace.events)
   in
-  if per_event > 92.0 then
-    Alcotest.failf "of_csv allocated %.1f B per event (budget 92)" per_event
+  if per_event > 80.0 then
+    Alcotest.failf "of_csv allocated %.1f B per event (budget 80)" per_event
 
 (* Differential test of the parser. The oracle is the split-based
    [of_csv] the one-pass scanner replaced, kept verbatim. *)
