@@ -121,22 +121,22 @@ let initial_guess store =
     (* every candidate is an upper bound on the mean service (or, at
        q0, an estimate of it); take the tightest, folding them in the
        order (c), (b), (a) *)
-    let guess = ref infinity and candidates = ref 0 in
+    let guess = ref infinity and found = ref false in
     if !k0 >= 0 && !k1 > !k0 && !d1 > !d0 then begin
       guess := Float.min !guess ((!d1 -. !d0) /. float_of_int (!k1 - !k0));
-      incr candidates
+      found := true
     end;
     if !resp_count >= 3 && !resp_sum > 0.0 then begin
       guess := Float.min !guess (!resp_sum /. float_of_int !resp_count);
-      incr candidates
+      found := true
     end;
     if !exact_count >= 3 && !exact_sum > 0.0 then begin
       guess := Float.min !guess (!exact_sum /. float_of_int !exact_count);
-      incr candidates
+      found := true
     end;
     (* no observation at this queue at all: fall back to the
        horizon-based throughput bound *)
-    if !candidates = 0 then
+    if not !found then
       guess := Float.min (horizon /. float_of_int (Stdlib.max !n 1)) horizon;
     rates.(q) <- 1.0 /. Float.max 1e-9 !guess
   done;
