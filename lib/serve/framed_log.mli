@@ -10,9 +10,10 @@
     are quarantined with a reason, a torn tail is truncated back to the
     last valid frame, and legacy unframed lines still pass through. *)
 
-val crc32 : string -> int32
-(** Table-driven CRC32 (zlib polynomial, [0xEDB88320]). The standard
-    check value holds: [crc32 "123456789" = 0xCBF43926l]. *)
+val crc32 : string -> int
+(** Table-driven CRC32 (zlib polynomial, [0xEDB88320]), as an int in
+    [0 .. 0xFFFFFFFF]; allocates nothing. The standard check value
+    holds: [crc32 "123456789" = 0xCBF43926]. *)
 
 val frame : string -> string
 (** [frame payload] wraps [payload] in a one-line frame (no trailing

@@ -328,6 +328,7 @@ type t = {
   mutable overload_debt : float;  (* qnet-lint: racy-ok C001 worker-thread-only token bucket *)
   (* durable-log state *)
   mutable compaction_suspended : bool;  (* qnet-lint: racy-ok C001 worker-owned latch armed by corruption faults *)
+  mutable stale_lines : int;  (* log lines no window holds: trimmed by the cap or quarantined by replay *)
   mutable corrupt_frames : int;
   mutable torn_tails : int;
   mutable replayed_events : int;
@@ -483,8 +484,10 @@ let append_log t records =
             output_char oc '\n')
           records;
         flush oc;
-        if pos_out oc > t.cfg.max_log_bytes && not t.compaction_suspended then
-          rotate_log t
+        (* the file's length: on an append channel [pos_out] counts only
+           the bytes written since it was opened *)
+        if out_channel_length oc > t.cfg.max_log_bytes && not t.compaction_suspended
+        then rotate_log t
       with Sys_error m ->
         Log.warn (fun f -> f "shard %d: event log write failed: %s" t.shard_id m);
         close_out_noerr oc;
@@ -643,26 +646,40 @@ let snapshot_of_state t =
         tenants;
       })
 
-let current_log_lines t =
-  Mutex.protect t.mutex (fun () ->
-      Hashtbl.fold
-        (fun tenant ts acc ->
-          List.rev_map
+(* Rewrite the event log as [windows], each tenant's buffered events
+   newest first, and drop the rotated segment, which the windows
+   supersede. The caller takes the windows under [t.mutex]; the lists
+   are immutable, so they are rendered here without it. *)
+let compact_log t windows =
+  let log_tmp = log_path t ^ ".tmp" in
+  let oc = open_out log_tmp in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      List.iter
+        (fun (tenant, events) ->
+          List.iter
             (fun (e : Trace.event) ->
-              Ingest.to_json_line
-                {
-                  Ingest.tenant;
-                  task = e.Trace.task;
-                  state = e.Trace.state;
-                  queue = e.Trace.queue;
-                  arrival = e.Trace.arrival;
-                  departure = e.Trace.departure;
-                })
-            ts.events
-          @ acc)
-        t.tenant_tbl [])
+              output_string oc
+                (Framed_log.frame
+                   (Ingest.to_json_line
+                      {
+                        Ingest.tenant;
+                        task = e.Trace.task;
+                        state = e.Trace.state;
+                        queue = e.Trace.queue;
+                        arrival = e.Trace.arrival;
+                        departure = e.Trace.departure;
+                      }));
+              output_char oc '\n')
+            (List.rev events))
+        windows);
+  Sys.rename log_tmp (log_path t);
+  if Sys.file_exists (log1_path t) then Sys.remove (log1_path t);
+  Mutex.protect t.mutex (fun () -> t.stale_lines <- 0);
+  reopen_log t
 
-let write_checkpoint t =
+let write_checkpoint ?(final = false) t =
   try
     if t.ckpt_fail_pending then begin
       t.ckpt_fail_pending <- false;
@@ -678,27 +695,27 @@ let write_checkpoint t =
         output_string oc (Framed_log.frame line);
         output_char oc '\n');
     Sys.rename tmp path;
-    (* compact the event log to the surviving buffer window, then
-       reopen it for appends: replay cost stays bounded by the
-       per-tenant buffer caps, not by daemon uptime. Skipped while a
-       corruption fault is armed — compaction would silently erase the
-       injected damage the next start must prove it survives. *)
+    (* Compact the event log to the buffer windows only when its stale
+       lines outnumber its live ones (at a graceful stop, when any line
+       is stale), or when it is missing lines because a failed append
+       closed the channel, which compaction reopens. Replay then reads
+       at most twice the windows, and a round whose tenants stay under
+       the cap rewrites nothing. Skipped while a corruption fault is
+       armed — compaction would silently erase the injected damage the
+       next start must prove it survives. *)
     if not t.compaction_suspended then begin
-      let log_tmp = log_path t ^ ".tmp" in
-      let oc = open_out log_tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          List.iter
-            (fun l ->
-              output_string oc (Framed_log.frame l);
-              output_char oc '\n')
-            (current_log_lines t));
-      Sys.rename log_tmp (log_path t);
-      (* the compacted active segment holds the whole buffer window,
-         so any rotated-out segment is now redundant *)
-      if Sys.file_exists (log1_path t) then Sys.remove (log1_path t);
-      reopen_log t
+      let missing = Option.is_none t.log_oc in
+      let windows =
+        Mutex.protect t.mutex (fun () ->
+            let live = Hashtbl.fold (fun _ ts n -> n + ts.count) t.tenant_tbl 0 in
+            if missing || t.stale_lines > (if final then 0 else live) then
+              Some
+                (Hashtbl.fold
+                   (fun tenant ts acc -> (tenant, ts.events) :: acc)
+                   t.tenant_tbl [])
+            else None)
+      in
+      Option.iter (compact_log t) windows
     end;
     Metrics.Counter.inc (Lazy.force m_checkpoints)
   with Sys_error m ->
@@ -766,6 +783,7 @@ let absorb t items =
         List.iter
           (fun ts ->
             ts.events <- List.filteri (fun i _ -> i < cap) ts.events;
+            t.stale_lines <- t.stale_lines + ts.count - cap;
             ts.count <- cap)
           !over)
   end
@@ -1140,7 +1158,7 @@ let final_drain t =
         go ()
   in
   go ();
-  write_checkpoint t
+  write_checkpoint ~final:true t
 
 let rec supervise t =
   match
@@ -1227,19 +1245,25 @@ let replay_segment t path =
   else begin
     (* newest first; absorbed as one batch, so the buffer cap trims once *)
     let replayed = ref [] in
+    let quarantined = ref 0 in
+    let quarantine ~line ~reason =
+      incr quarantined;
+      quarantine_frame t ~line ~reason
+    in
     let result =
       Framed_log.replay_file ~path
         ~on_payload:(fun payload ->
           match Ingest.decode_line ~num_queues:t.cfg.num_queues payload with
           | Ok r ->
               replayed := { record = r; trace = None; enqueued_at = Float.nan } :: !replayed
-          | Error reason -> quarantine_frame t ~line:payload ~reason)
-        ~on_corrupt:(fun ~line ~reason -> quarantine_frame t ~line ~reason)
+          | Error reason -> quarantine ~line:payload ~reason)
+        ~on_corrupt:quarantine
         ()
     in
     absorb t (List.rev !replayed);
     Mutex.protect t.mutex (fun () ->
-        t.replayed_events <- t.replayed_events + List.length !replayed);
+        t.replayed_events <- t.replayed_events + List.length !replayed;
+        t.stale_lines <- t.stale_lines + !quarantined);
     match result with
     | Ok stats ->
         if stats.Framed_log.torn then begin
@@ -1431,6 +1455,7 @@ let create ?(faults = []) ?started_at ~dir ~id:shard_id cfg =
               overload_rps = 0.0;
               overload_debt = 0.0;
               compaction_suspended = false;
+              stale_lines = 0;
               corrupt_frames = 0;
               torn_tails = 0;
               replayed_events = 0;

@@ -22,10 +22,13 @@
     {e process} restarts the shard recovers from its data directory:
     a versioned single-line JSON checkpoint (counters + per-tenant
     posteriors, written atomically via tmp-rename) plus an append-only
-    event log that is replayed through the ingest decoder and
-    compacted at each checkpoint. Iteration counters are monotone
-    across a graceful restart; a hard kill loses at most the rounds
-    since the last checkpoint.
+    event log that is replayed through the ingest decoder. A
+    checkpoint compacts the log to the buffer windows only once its
+    stale lines (trimmed by the buffer cap or quarantined by replay)
+    outnumber its live ones, so replay reads at most twice the
+    windows; a graceful stop compacts when any line is stale.
+    Iteration counters are monotone across a graceful restart; a hard
+    kill loses at most the rounds since the last checkpoint.
 
     {b Degradation.} A fit failure (lenient repair leaves nothing
     usable, or the supervised run ends [Failed]) marks the shard
@@ -52,8 +55,8 @@
     tail back to the last valid frame, quarantines corrupt frames to
     [log-quarantine.jsonl] with exact counts, and reads the rotated
     segment ([events.log.1], written when the active segment exceeds
-    [max_log_bytes]) before the active one. Compaction at checkpoint
-    folds both segments back into one. *)
+    [max_log_bytes]) before the active one. Compaction folds both
+    segments back into one. *)
 
 module Fault = Qnet_runtime.Fault
 
@@ -94,7 +97,7 @@ type config = {
       (** queue fraction at or below which an evaluation counts as
           clean (default 0.25) *)
   max_log_bytes : int;
-      (** active event-log segment size that triggers rotation
+      (** size of the active event-log file past which it rotates
           (default 4 MiB) *)
 }
 
@@ -231,5 +234,6 @@ val posterior : t -> tenant:string -> posterior option
 val knows_tenant : t -> tenant:string -> bool
 
 val stop : t -> unit
-(** Graceful: close the queue, drain it, write a final checkpoint,
-    join the worker. Idempotent. *)
+(** Graceful: close the queue, drain it, write a final checkpoint
+    (which leaves only window lines in the log unless a corruption fault
+    suspended compaction), join the worker. Idempotent. *)

@@ -409,9 +409,60 @@ let test_service_fault_parse () =
 (* ------------------------------------------------------------------ *)
 
 let test_framed_crc32 () =
-  Alcotest.(check int32)
-    "standard check value" 0xCBF43926l
+  Alcotest.(check int)
+    "standard check value" 0xCBF43926
     (Framed_log.crc32 "123456789")
+
+(* The CRC as it was computed over boxed Int32 values, kept as the
+   oracle for the int version. *)
+let crc32_int32_oracle s =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          if Int32.to_int (Int32.logand !c 1l) = 1 then
+            c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else c := Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFFl in
+  String.iter
+    (fun ch ->
+      let idx =
+        Int32.to_int
+          (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
+      in
+      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
+    s;
+  Int32.logxor !c 0xFFFFFFFFl
+
+let test_framed_crc32_oracle () =
+  let st = Random.State.make [| 32 |] in
+  let random_payload () =
+    String.init (Random.State.int st 400) (fun _ ->
+        Char.chr (Random.State.int st 256))
+  in
+  List.iter
+    (fun s ->
+      Alcotest.(check int)
+        (Printf.sprintf "crc32 of %d bytes" (String.length s))
+        (Int32.to_int (crc32_int32_oracle s) land 0xFFFFFFFF)
+        (Framed_log.crc32 s))
+    ("" :: String.init 256 Char.chr :: List.init 500 (fun _ -> random_payload ()))
+
+let test_framed_crc32_allocates_nothing () =
+  let payload =
+    "{\"tenant\":\"t0\",\"task\":1042,\"state\":1,\"queue\":1,\"arrival\":104.2375,\"departure\":104.4421}"
+  in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Framed_log.crc32 payload))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  if words > 16.0 then
+    Alcotest.failf "%.0f words allocated by 1,000 calls on %d bytes" words
+      (String.length payload)
 
 let test_framed_parse () =
   let payload = "{\"tenant\":\"acme\",\"task\":1}" in
@@ -433,7 +484,7 @@ let test_framed_parse () =
   (* a length that lies about the payload is also corrupt *)
   match
     Framed_log.parse
-      (Printf.sprintf "%08lx %d %s" (Framed_log.crc32 payload)
+      (Printf.sprintf "%08x %d %s" (Framed_log.crc32 payload)
          (String.length payload + 1)
          payload)
   with
@@ -891,6 +942,196 @@ let test_shard_replay_past_cap () =
     (past_cap < 4.0 *. at_cap)
 
 (* ------------------------------------------------------------------ *)
+(* Event-log compaction                                                *)
+(* ------------------------------------------------------------------ *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* A record as the shard logs it. *)
+let canonical line =
+  match Ingest.decode_line ~num_queues:2 line with
+  | Ok r -> Ingest.to_json_line r
+  | Error m -> Alcotest.failf "bad line %S: %s" line m
+
+(* The payloads of a shard directory's active log segment. *)
+let logged dir =
+  read_file (Filename.concat dir "events.log")
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun l ->
+         match Framed_log.parse l with
+         | Ok payload -> payload
+         | Error _ -> Alcotest.failf "bad frame %S" l)
+
+(* Process-wide; it counts a checkpoint once its compaction, if any,
+   is done. *)
+let checkpoints () =
+  Metrics.Counter.value
+    (Lazy.force (Serve_metrics.counter "qnet_serve_checkpoints_total"))
+
+let copy_dir src dst =
+  Unix.mkdir dst 0o755;
+  Array.iter
+    (fun name ->
+      Out_channel.with_open_bin (Filename.concat dst name) (fun oc ->
+          Out_channel.output_string oc (read_file (Filename.concat src name))))
+    (Sys.readdir src)
+
+(* Under the cap a fit round rewrites nothing: across three rounds the
+   log keeps its inode, and the bytes it held before them are a prefix
+   of its bytes after. *)
+let test_log_rounds_append () =
+  let lines = tenant_lines "acme" 60 in
+  let chunk k = List.filteri (fun i _ -> i / 40 = k) lines in
+  let dir = dir_with_log "qnet-log-append" (chunk 0) in
+  let path = Filename.concat dir "events.log" in
+  let before = read_file path in
+  let inode = (Unix.stat path).Unix.st_ino in
+  match Shard.create ~dir ~id:0 fast_shard_config with
+  | Error m -> Alcotest.failf "shard: %s" m
+  | Ok s ->
+      (* the 40 replayed records make the tenant due at once, and each
+         chunk of 40 pushed after makes it due again *)
+      until ~what:"round 1" (fun () -> Shard.rounds s >= 1);
+      push_tenant_lines s (chunk 1);
+      until ~what:"round 2" (fun () -> Shard.rounds s >= 2);
+      push_tenant_lines s (chunk 2);
+      until ~what:"round 3" (fun () -> Shard.rounds s >= 3);
+      Shard.stop s;
+      Alcotest.(check int) "same inode" inode (Unix.stat path).Unix.st_ino;
+      Alcotest.(check bool)
+        "the old bytes are a prefix" true
+        (String.starts_with ~prefix:before (read_file path));
+      Alcotest.(check int) "every record logged" 120 (List.length (logged dir))
+
+(* Cap 20, 30 records: the 10 the cap trims are stale, but no more than
+   the 20 live, so the round leaves all 30 lines; the graceful stop
+   compacts to the newest 20. *)
+let test_log_stale_within_live () =
+  let dir = Filename.concat (fresh_dir "qnet-log-within") "s0" in
+  let cfg =
+    {
+      fast_shard_config with
+      Shard.max_tenant_events = 20;
+      refit_events = 30;
+      refit_interval = 1e9;
+    }
+  in
+  let lines = tenant_lines "acme" 15 in
+  match Shard.create ~dir ~id:0 cfg with
+  | Error m -> Alcotest.failf "shard: %s" m
+  | Ok s ->
+      let c0 = checkpoints () in
+      push_tenant_lines s lines;
+      until ~what:"the round's checkpoint" (fun () -> checkpoints () > c0);
+      let at_round = List.length (logged dir) in
+      Shard.stop s;
+      Alcotest.(check int) "the round keeps every line" 30 at_round;
+      Alcotest.(check (list string))
+        "the stop keeps the newest 20"
+        (List.map canonical (List.filteri (fun i _ -> i >= 10) lines))
+        (logged dir)
+
+(* Cap 20, 60 records: the 40 stale outnumber the 20 live, so the round
+   compacts to the newest 20, and a shard started on a copy of the
+   directory taken before the stop (a hard kill's image) replays exactly
+   those. *)
+let test_log_stale_past_live () =
+  let dir = Filename.concat (fresh_dir "qnet-log-past") "s0" in
+  let cfg =
+    {
+      fast_shard_config with
+      Shard.max_tenant_events = 20;
+      refit_events = 60;
+      refit_interval = 1e9;
+    }
+  in
+  let lines = tenant_lines "acme" 30 in
+  let newest = List.map canonical (List.filteri (fun i _ -> i >= 40) lines) in
+  let image = Filename.concat (fresh_dir "qnet-log-image") "s0" in
+  (match Shard.create ~dir ~id:0 cfg with
+  | Error m -> Alcotest.failf "shard: %s" m
+  | Ok s ->
+      let c0 = checkpoints () in
+      push_tenant_lines s lines;
+      until ~what:"the round's checkpoint" (fun () -> checkpoints () > c0);
+      copy_dir dir image;
+      Shard.stop s);
+  Alcotest.(check (list string)) "the round compacts" newest (logged image);
+  match Shard.create ~dir:image ~id:0 { cfg with Shard.refit_events = max_int } with
+  | Error m -> Alcotest.failf "shard on the image: %s" m
+  | Ok s ->
+      let replayed = Shard.replayed_events s in
+      Shard.stop s;
+      Alcotest.(check int) "the image replays the newest 20" 20 replayed;
+      Alcotest.(check (list string)) "and keeps them" newest (logged image)
+
+(* A frame replay quarantines is stale too: the graceful stop compacts
+   it away, so the next start finds no damage. *)
+let test_log_quarantined_frame_compacted () =
+  let lines = tenant_lines "acme" 5 in
+  let dir = dir_with_log "qnet-log-quarantine" lines in
+  (* the first frame's last payload byte changes: same shape, bad CRC *)
+  let path = Filename.concat dir "events.log" in
+  let b = Bytes.of_string (read_file path) in
+  Bytes.set b (Bytes.index b '\n' - 1) ']';
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+  let cfg =
+    { fast_shard_config with Shard.refit_events = max_int; refit_interval = 1e9 }
+  in
+  let corrupt_frames_at_start () =
+    match Shard.create ~dir ~id:0 cfg with
+    | Error m -> Alcotest.failf "shard: %s" m
+    | Ok s ->
+        let n = Shard.log_corrupt_frames s in
+        Shard.stop s;
+        n
+  in
+  Alcotest.(check int) "the first start quarantines it" 1 (corrupt_frames_at_start ());
+  Alcotest.(check int) "the second finds no damage" 0 (corrupt_frames_at_start ());
+  Alcotest.(check (list string))
+    "the other records stay" (List.map canonical (List.tl lines)) (logged dir)
+
+(* The active segment rotates once the file passes [max_log_bytes],
+   counting the bytes it held when the shard opened it. *)
+let test_log_rotates_on_file_size () =
+  let framed_bytes lines =
+    List.fold_left
+      (fun n l -> n + String.length (Framed_log.frame l) + 1)
+      0 lines
+  in
+  let rec under_limit n =
+    if framed_bytes (tenant_lines "acme" (n + 1)) > 4096 then n
+    else under_limit (n + 1)
+  in
+  let lines = tenant_lines "acme" (under_limit 1) in
+  let dir = dir_with_log "qnet-log-rotate" lines in
+  let cfg =
+    {
+      fast_shard_config with
+      Shard.max_log_bytes = 4096;
+      refit_events = max_int;
+      refit_interval = 1e9;
+    }
+  in
+  match Shard.create ~dir ~id:0 cfg with
+  | Error m -> Alcotest.failf "shard: %s" m
+  | Ok s ->
+      push_tenant_lines s (tenant_lines "beta" 2);
+      Shard.stop s;
+      let rotated = Filename.concat dir "events.log.1" in
+      Alcotest.(check bool) "events.log.1 written" true (Sys.file_exists rotated);
+      let segment_lines path =
+        read_file path |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+        |> List.length
+      in
+      Alcotest.(check int)
+        "both segments hold every record"
+        (List.length lines + 4)
+        (segment_lines rotated + segment_lines (Filename.concat dir "events.log"))
+
+(* ------------------------------------------------------------------ *)
 (* Refit golden                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1240,6 +1481,9 @@ let () =
       ( "framed-log",
         [
           Alcotest.test_case "crc32 check value" `Quick test_framed_crc32;
+          Alcotest.test_case "crc32 ≡ Int32 oracle" `Quick test_framed_crc32_oracle;
+          Alcotest.test_case "crc32 allocates nothing" `Quick
+            test_framed_crc32_allocates_nothing;
           Alcotest.test_case "parse verdicts" `Quick test_framed_parse;
           Alcotest.test_case "replay + torn tail" `Quick
             test_framed_replay_and_torn_tail;
@@ -1272,6 +1516,19 @@ let () =
             test_shard_buffer_cap;
           Alcotest.test_case "replay past the cap trims once" `Quick
             test_shard_replay_past_cap;
+        ] );
+      ( "event-log",
+        [
+          Alcotest.test_case "rounds under the cap append" `Quick
+            test_log_rounds_append;
+          Alcotest.test_case "stale within live is kept" `Quick
+            test_log_stale_within_live;
+          Alcotest.test_case "stale past live compacts" `Quick
+            test_log_stale_past_live;
+          Alcotest.test_case "a quarantined frame is stale" `Quick
+            test_log_quarantined_frame_compacted;
+          Alcotest.test_case "rotates on the file's size" `Quick
+            test_log_rotates_on_file_size;
         ] );
       ( "router",
         [ Alcotest.test_case "stable fnv routing" `Quick test_router ] );
