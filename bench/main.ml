@@ -330,6 +330,7 @@ type size_result = {
   parse_alloc_bytes_per_event : float;
   store_alloc_bytes_per_event : float;
   guess_alloc_bytes_per_event : float;
+  repair_alloc_bytes_per_event : float;
   pause_minor : Prof.pause_stats;
   pause_major : Prof.pause_stats;
   pauses_recorded : int;
@@ -383,7 +384,9 @@ let time_init spec store params =
 (* Bytes per trace event that set-up allocates: Trace.of_csv on the
    trace's to_csv text, which is rendered outside the count, then
    Observation.mask plus Event_store.of_trace, then Stem.initial_guess
-   on the size's store. All three counts are deterministic. *)
+   on the size's store, then the lenient repair a serve refit runs,
+   Trace.of_events_lenient, on the trace's events as a list built
+   outside the count. All four counts are deterministic. *)
 let setup_alloc trace store =
   let per_event f =
     let a0 = Prof.allocated_words () in
@@ -393,9 +396,11 @@ let setup_alloc trace store =
     /. float_of_int (Array.length trace.Trace.events)
   in
   let csv = Trace.to_csv trace in
+  let events = Array.to_list trace.Trace.events in
   ( per_event (fun () -> Trace.of_csv ~num_queues:trace.Trace.num_queues csv),
     per_event (fun () -> Store.of_trace ~observed:(mask_of trace) trace),
-    per_event (fun () -> Stem.initial_guess store) )
+    per_event (fun () -> Stem.initial_guess store),
+    per_event (fun () -> Trace.of_events_lenient ~num_queues:trace.Trace.num_queues events) )
 
 let run_size spec =
   let trace, store, params = size_store spec in
@@ -425,7 +430,10 @@ let run_size spec =
   (* Last, so that Init's store copies and constraint arrays are not
      on the major heap while the sweeps above are timed. *)
   let init_s, init_alloc_bytes_per_event = time_init spec store params in
-  let parse_alloc_bytes_per_event, store_alloc_bytes_per_event, guess_alloc_bytes_per_event =
+  let ( parse_alloc_bytes_per_event,
+        store_alloc_bytes_per_event,
+        guess_alloc_bytes_per_event,
+        repair_alloc_bytes_per_event ) =
     setup_alloc trace store
   in
   {
@@ -442,6 +450,7 @@ let run_size spec =
     parse_alloc_bytes_per_event;
     store_alloc_bytes_per_event;
     guess_alloc_bytes_per_event;
+    repair_alloc_bytes_per_event;
     pause_minor = find Prof.Minor;
     pause_major = find Prof.Major;
     pauses_recorded = pstats.Prof.pauses_recorded;
@@ -461,11 +470,11 @@ let size_json r =
     |> String.concat ""
   in
   Printf.sprintf
-    "\"%s\":{\"tasks\":%d,\"store_events\":%d,\"repeats\":%d,\"gibbs_sweeps_per_s\":%.2f,\"gibbs_sweeps_per_ref\":%.4f,\"alloc_bytes_per_sweep\":%.1f,\"shuffled_sweeps_per_s\":%.2f,\"shuffled_sweeps_per_ref\":%.4f,\"shuffled_alloc_bytes_per_sweep\":%.1f,\"init_s\":%.6g,\"init_alloc_bytes_per_event\":%.1f,\"parse_alloc_bytes_per_event\":%.1f,\"store_alloc_bytes_per_event\":%.1f,\"guess_alloc_bytes_per_event\":%.1f,\"minor_pause_p50_s\":%s,\"minor_pause_p99_s\":%s,\"major_pause_p50_s\":%s,\"major_pause_p99_s\":%s,\"gc_pauses\":%d%s}"
+    "\"%s\":{\"tasks\":%d,\"store_events\":%d,\"repeats\":%d,\"gibbs_sweeps_per_s\":%.2f,\"gibbs_sweeps_per_ref\":%.4f,\"alloc_bytes_per_sweep\":%.1f,\"shuffled_sweeps_per_s\":%.2f,\"shuffled_sweeps_per_ref\":%.4f,\"shuffled_alloc_bytes_per_sweep\":%.1f,\"init_s\":%.6g,\"init_alloc_bytes_per_event\":%.1f,\"parse_alloc_bytes_per_event\":%.1f,\"store_alloc_bytes_per_event\":%.1f,\"guess_alloc_bytes_per_event\":%.1f,\"repair_alloc_bytes_per_event\":%.1f,\"minor_pause_p50_s\":%s,\"minor_pause_p99_s\":%s,\"major_pause_p50_s\":%s,\"major_pause_p99_s\":%s,\"gc_pauses\":%d%s}"
     r.spec.label r.spec.tasks r.events r.spec.repeats r.sweeps_per_s r.sweeps_per_ref
     r.alloc_bytes_per_sweep r.shuffled_sweeps_per_s r.shuffled_sweeps_per_ref
     r.shuffled_alloc_bytes_per_sweep r.init_s r.init_alloc_bytes_per_event r.parse_alloc_bytes_per_event
-    r.store_alloc_bytes_per_event r.guess_alloc_bytes_per_event
+    r.store_alloc_bytes_per_event r.guess_alloc_bytes_per_event r.repair_alloc_bytes_per_event
     (jnum r.pause_minor.Prof.p50_s)
     (jnum r.pause_minor.Prof.p99_s) (jnum r.pause_major.Prof.p50_s)
     (jnum r.pause_major.Prof.p99_s) r.pauses_recorded phase_keys
@@ -540,11 +549,12 @@ let core_json ~sizes out =
   List.iter
     (fun r ->
       Printf.printf
-        "  %-4s %8d events: %10.2f sweeps/s in order (%.3f per reference, %.0f alloc B/sweep), %10.2f shuffled (%.3f, %.0f B), init %.3f s (%.0f B/event), parse %.0f B/event, store %.0f B/event, guess %.1f B/event, %d GC pause(s) [minor p99 %s, major p99 %s]\n"
+        "  %-4s %8d events: %10.2f sweeps/s in order (%.3f per reference, %.0f alloc B/sweep), %10.2f shuffled (%.3f, %.0f B), init %.3f s (%.0f B/event), parse %.0f B/event, store %.0f B/event, guess %.1f B/event, repair %.0f B/event, %d GC pause(s) [minor p99 %s, major p99 %s]\n"
         r.spec.label r.events r.sweeps_per_s r.sweeps_per_ref r.alloc_bytes_per_sweep
         r.shuffled_sweeps_per_s r.shuffled_sweeps_per_ref r.shuffled_alloc_bytes_per_sweep r.init_s
         r.init_alloc_bytes_per_event r.parse_alloc_bytes_per_event
-        r.store_alloc_bytes_per_event r.guess_alloc_bytes_per_event r.pauses_recorded
+        r.store_alloc_bytes_per_event r.guess_alloc_bytes_per_event
+        r.repair_alloc_bytes_per_event r.pauses_recorded
         (jnum r.pause_minor.Prof.p99_s)
         (jnum r.pause_major.Prof.p99_s))
     results;

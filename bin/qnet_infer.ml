@@ -366,7 +366,10 @@ let infer input num_queues fraction iterations seed bayes lenient checkpoint_eve
                   }
                 in
                 let make_store () = Store.of_trace ~observed:mask trace in
-                match Supervisor.run ~config ~faults ~seed make_store with
+                match
+                  Supervisor.run ~config ~faults ~diagnostics:Diagnostics.default ~seed
+                    make_store
+                with
                 | exception Invalid_argument m -> Error m
                 | r ->
                     say "%a@." Supervisor.pp_result r;
@@ -385,8 +388,11 @@ let infer input num_queues fraction iterations seed bayes lenient checkpoint_eve
           let config = runtime_config () in
           let result =
             match resume with
-            | Some path -> Runtime.resume_file ~config ~path rng store
-            | None -> initialized (fun () -> Runtime.run ~config rng store)
+            | Some path ->
+                Runtime.resume_file ~config ~diagnostics:Diagnostics.default ~path rng store
+            | None ->
+                initialized (fun () ->
+                    Runtime.run ~config ~diagnostics:Diagnostics.default rng store)
           in
           match result with
           | Error m -> Error m
@@ -409,7 +415,8 @@ let infer input num_queues fraction iterations seed bayes lenient checkpoint_eve
             (fun (result : Stem.result) ->
               let waiting = Stem.estimate_waiting rng store result.Stem.params in
               (result.Stem.mean_service, waiting, None))
-            (initialized (fun () -> Stem.run ~config rng store))
+            (initialized (fun () ->
+                 Stem.run ~config ~diagnostics:Diagnostics.default rng store))
         end
       in
       (match outcome with

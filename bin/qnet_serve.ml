@@ -108,15 +108,14 @@ let serve shards data_dir host port retry_ephemeral queues queue_capacity
          trace_sample_rate)
   else
   match
-    match log_level with
-    | None -> Ok ()
-    | Some s -> (
-        match parse_log_level s with
-        | Error m -> Error m
-        | Ok level ->
-            Logs.set_reporter (Logs_fmt.reporter ());
-            Logs.set_level level;
-            Ok ())
+    (* warnings (failed appends and checkpoints, torn tails, rotations)
+       reach stderr unless --log-level says otherwise *)
+    match Option.fold ~none:(Ok (Some Logs.Warning)) ~some:parse_log_level log_level with
+    | Error m -> Error m
+    | Ok level ->
+        Logs.set_reporter (Logs_fmt.reporter ());
+        Logs.set_level level;
+        Ok ()
   with
   | Error m -> Error m
   | Ok () -> (
@@ -429,7 +428,7 @@ let log_level =
     & opt (some string) None
     & info [ "log-level" ] ~docv:"LEVEL"
         ~doc:"Daemon log verbosity on stderr: quiet, error, warning, info \
-              or debug.")
+              or debug. Without it the daemon logs warnings and errors.")
 
 let profile =
   Arg.(

@@ -310,16 +310,7 @@ type snapshot = {
   s_heads : int array;
 }
 
-let snapshot t =
-  {
-    s_departure = Array.copy t.departure;
-    s_queue = Array.copy t.queue;
-    s_rho = Array.copy t.rho;
-    s_rho_inv = Array.copy t.rho_inv;
-    s_heads = Array.copy t.heads;
-  }
-
-let restore t s =
+let check_dimensions caller t s =
   let n = Array.length t.departure in
   if
     Array.length s.s_departure <> n
@@ -327,7 +318,31 @@ let restore t s =
     || Array.length s.s_rho <> n
     || Array.length s.s_rho_inv <> n
     || Array.length s.s_heads <> t.num_queues
-  then invalid_arg "Event_store.restore: snapshot dimension mismatch";
+  then invalid_arg (caller ^ ": snapshot dimension mismatch")
+
+let snapshot ?into t =
+  match into with
+  | None ->
+      {
+        s_departure = Array.copy t.departure;
+        s_queue = Array.copy t.queue;
+        s_rho = Array.copy t.rho;
+        s_rho_inv = Array.copy t.rho_inv;
+        s_heads = Array.copy t.heads;
+      }
+  | Some s ->
+      check_dimensions "Event_store.snapshot" t s;
+      let n = Array.length t.departure in
+      Array.blit t.departure 0 s.s_departure 0 n;
+      Array.blit t.queue 0 s.s_queue 0 n;
+      Array.blit t.rho 0 s.s_rho 0 n;
+      Array.blit t.rho_inv 0 s.s_rho_inv 0 n;
+      Array.blit t.heads 0 s.s_heads 0 t.num_queues;
+      s
+
+let restore t s =
+  check_dimensions "Event_store.restore" t s;
+  let n = Array.length t.departure in
   Array.blit s.s_departure 0 t.departure 0 n;
   Array.blit s.s_queue 0 t.queue 0 n;
   Array.blit s.s_rho 0 t.rho 0 n;
@@ -434,3 +449,22 @@ let means (counts, sums) =
 
 let mean_waiting_by_queue t = means (sums_by_queue t ~waiting:true)
 let mean_service_by_queue t = means (sums_by_queue t ~waiting:false)
+
+(* [log_likelihood] and [mean_service_by_queue] in one pass, with the
+   same operations in the same order, so the same bits. *)
+let log_likelihood_and_mean_service t params =
+  if Params.num_queues params <> t.num_queues then
+    invalid_arg "Event_store.log_likelihood_and_mean_service: params dimension mismatch";
+  let rates = params.Params.rates and d = t.departure and pi = t.pi and rho = t.rho in
+  let log_rates = Array.map log rates in
+  let counts = Array.make t.num_queues 0 and sums = Array.make t.num_queues 0.0 in
+  let acc = ref 0.0 in
+  for i = 0 to num_events t - 1 do
+    let q = t.queue.(i) in
+    let s = d.(i) -. start_in d pi rho i in
+    counts.(q) <- counts.(q) + 1;
+    sums.(q) <- sums.(q) +. s;
+    if s < 0.0 then acc := neg_infinity
+    else acc := !acc +. log_rates.(q) -. (rates.(q) *. s)
+  done;
+  (!acc, means (counts, sums))

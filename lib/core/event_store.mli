@@ -155,8 +155,11 @@ type snapshot = {
     rearranged. Fields are exposed so a checkpoint codec can
     serialize them; treat them as read-only. *)
 
-val snapshot : t -> snapshot
-(** [snapshot t] captures the current mutable state (deep copy). *)
+val snapshot : ?into:snapshot -> t -> snapshot
+(** [snapshot t] captures the current mutable state (deep copy). With
+    [into], a snapshot of a store with the same dimensions, it copies
+    the state into [into]'s arrays instead of new ones and returns
+    [into]; raises [Invalid_argument] on a dimension mismatch. *)
 
 val restore : t -> snapshot -> unit
 (** [restore t s] overwrites the mutable state of [t] with [s]. The
@@ -190,3 +193,7 @@ val mean_waiting_by_queue : t -> float array
 
 val mean_service_by_queue : t -> float array
 (** Mean realized service time per queue under the current state. *)
+
+val log_likelihood_and_mean_service : t -> Params.t -> float * float array
+(** [(log_likelihood t p, mean_service_by_queue t)], to the bit, from
+    one pass over the events instead of two. *)

@@ -204,7 +204,17 @@ let warmup ?(before_sweep = fun _ -> true) config c =
         incr k
       done)
 
-let step ?route_fsm ?(check = fun _ -> Ok ()) ?on_sample config c =
+let fork ~id rng c =
+  {
+    c with
+    id;
+    store = Store.copy c.store;
+    rng;
+    history = Array.copy c.history;
+    llh = Array.copy c.llh;
+  }
+
+let step ?route_fsm ?(check = fun _ -> Ok ()) ?on_sample ?diagnostics config c =
   Span.with_span "stem.iteration" @@ fun () ->
   let instrumented = Metrics.enabled () in
   let t0 = if instrumented then Clock.now () else 0.0 in
@@ -228,23 +238,38 @@ let step ?route_fsm ?(check = fun _ -> Ok ()) ?on_sample config c =
       let it = c.iteration in
       c.params <- p;
       c.history.(it) <- p;
-      c.llh.(it) <- Span.with_span "stem.loglik" (fun () -> Store.log_likelihood c.store p);
+      let hub = if instrumented then diagnostics else None in
+      (* The realized (imputed) per-queue means of this iterate — the
+         stochastic quantity convergence diagnostics track, not the
+         smoothed parameter estimate — come from the log-likelihood's
+         pass, and only when someone takes them. *)
+      let realized =
+        if Option.is_none hub && Option.is_none on_sample then begin
+          c.llh.(it) <- Span.with_span "stem.loglik" (fun () -> Store.log_likelihood c.store p);
+          [||]
+        end
+        else begin
+          let llh, realized =
+            Span.with_span "stem.loglik" (fun () ->
+                Store.log_likelihood_and_mean_service c.store p)
+          in
+          c.llh.(it) <- llh;
+          realized
+        end
+      in
       c.iteration <- it + 1;
-      if instrumented || Option.is_some on_sample then begin
-        (* The realized (imputed) per-queue means of this iterate — the
-           stochastic quantity convergence diagnostics track, not the
-           smoothed parameter estimate. *)
-        let realized = Store.mean_service_by_queue c.store in
-        Option.iter (fun f -> f realized) on_sample;
-        if instrumented then begin
-          Metrics.Histogram.observe (Lazy.force m_iteration_seconds) (Clock.now () -. t0);
-          Metrics.Counter.inc (Lazy.force m_iterations);
-          Diagnostics.set_arrival_queue Diagnostics.default (Store.arrival_queue c.store);
-          Diagnostics.observe_iteration Diagnostics.default ~chain:c.id
+      if instrumented then begin
+        Metrics.Histogram.observe (Lazy.force m_iteration_seconds) (Clock.now () -. t0);
+        Metrics.Counter.inc (Lazy.force m_iterations)
+      end;
+      (match on_sample with Some f -> f realized | None -> ());
+      (match hub with
+      | Some hub ->
+          Diagnostics.set_arrival_queue hub (Store.arrival_queue c.store);
+          Diagnostics.observe_iteration hub ~chain:c.id
             ~waiting:(Store.mean_waiting_by_queue c.store)
             realized
-        end
-      end;
+      | None -> ());
       Ok ()
 
 let average config c =
@@ -274,7 +299,7 @@ let average config c =
     log_likelihood_history = Array.sub c.llh 0 n;
   }
 
-let run ?(config = default_config) ?init ?route_fsm rng store =
+let run ?(config = default_config) ?init ?route_fsm ?diagnostics rng store =
   Span.with_span "stem.run" @@ fun () ->
   if config.iterations < 1 then invalid_arg "Stem.run: need at least one iteration";
   if config.burn_in < 0 || config.burn_in >= config.iterations then
@@ -285,8 +310,8 @@ let run ?(config = default_config) ?init ?route_fsm rng store =
   | Error msg -> failwith ("Stem.run: initialization failed: " ^ msg));
   warmup config c;
   for _ = 1 to config.iterations do
-    ignore (step ?route_fsm config c : (unit, string) Stdlib.result);
-    if Metrics.enabled () then Diagnostics.gc_tick Diagnostics.default
+    ignore (step ?route_fsm ?diagnostics config c : (unit, string) Stdlib.result);
+    if Metrics.enabled () then Option.iter Diagnostics.gc_tick diagnostics
   done;
   average config c
 

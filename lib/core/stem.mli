@@ -70,6 +70,7 @@ val run :
   ?config:config ->
   ?init:Params.t ->
   ?route_fsm:Qnet_fsm.Fsm.t ->
+  ?diagnostics:Qnet_obs.Diagnostics.t ->
   Qnet_prob.Rng.t ->
   Event_store.t ->
   result
@@ -79,8 +80,11 @@ val run :
     treated as latent too: every E-step additionally runs one
     Metropolis–Hastings routing sweep ({!Path_move.sweep}) under that
     FSM — the paper's "outer Metropolis-Hastings step" for unknown
-    paths. The store is left at the final imputed state. Raises
-    [Failure] if initialization fails (inconsistent observations). *)
+    paths. With metrics on, each step feeds [diagnostics] (see
+    {!step}) and each iteration ends with its {!Qnet_obs.Diagnostics.gc_tick};
+    without a hub the run feeds none. The store is left at the final
+    imputed state. Raises [Failure] if initialization fails
+    (inconsistent observations). *)
 
 (** {1 One chain, one step}
 
@@ -90,7 +94,7 @@ val run :
     it. *)
 
 type chain = {
-  id : int;  (** the chain's id in {!Qnet_obs.Diagnostics} *)
+  id : int;  (** the chain's id in a {!Qnet_obs.Diagnostics} hub *)
   store : Event_store.t;  (** the latent state, imputed in place *)
   rng : Qnet_prob.Rng.t;
   anchor : Params.t;
@@ -119,6 +123,15 @@ val start :
     {!Init.feasible}'s: on [Error] the chain exists but its latent
     state is not feasible. *)
 
+val fork : id:int -> Qnet_prob.Rng.t -> chain -> chain
+(** [fork ~id rng c] is a chain at [c]'s state — iterate, history,
+    anchor and latents — on its own {!Event_store.copy} of [c]'s
+    store, drawing from [rng]. {!reinit} draws nothing, so forking a
+    freshly {!start}ed chain gives the latents {!start} would give on
+    a fresh store of the same trace, to the bit, without a second
+    store build and {!Init.feasible}. The two chains share no mutable
+    state. *)
+
 val reinit : config -> chain -> (unit, string) Stdlib.result
 (** {!Init.feasible} towards the anchor with [config.init_strategy]:
     the start of a chain and every rollback. Draws nothing. *)
@@ -133,6 +146,7 @@ val step :
   ?route_fsm:Qnet_fsm.Fsm.t ->
   ?check:(Params.t -> (unit, string) Stdlib.result) ->
   ?on_sample:(float array -> unit) ->
+  ?diagnostics:Qnet_obs.Diagnostics.t ->
   config ->
   chain ->
   (unit, string) Stdlib.result
@@ -141,13 +155,16 @@ val step :
     ([stem.mstep]; MAP around the anchor when
     [config.prior_strength > 0]), then [check] on the new iterate. [Ok]
     commits it: [params], [history], [llh] ([stem.loglik]) and
-    [iteration] advance, [on_sample] gets the imputed state's mean
-    service per queue, and with metrics on the [qnet_stem_iteration*]
-    metrics and {!Qnet_obs.Diagnostics.default} (chain [id]) are fed;
-    those means are computed only then, and once. [Error] (never, with
-    the default [check]) commits nothing and leaves the store at the
-    rejected iteration's state. The hooks must not draw from the
-    chain's generator. *)
+    [iteration] advance, and with metrics on the
+    [qnet_stem_iteration*] metrics are fed. [on_sample] gets the
+    imputed state's mean service per queue, and with metrics on so
+    does the [diagnostics] hub (chain [id], with the mean waiting per
+    queue); those means are computed only for them, in the
+    log-likelihood's pass over the events. Without
+    [diagnostics] the step feeds no hub: the hub belongs to whoever
+    runs the chain. [Error] (never, with the default [check]) commits
+    nothing and leaves the store at the rejected iteration's state.
+    The hooks must not draw from the chain's generator. *)
 
 val register_metrics : unit -> unit
 (** Create the step's metric families now, the sweep's included — see

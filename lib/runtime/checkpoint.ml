@@ -32,13 +32,13 @@ type t = {
   llh : float array;
 }
 
-let capture (c : Qnet_core.Stem.chain) =
+let capture ?into (c : Qnet_core.Stem.chain) =
   {
     iteration = c.iteration;
     rng_state = Qnet_prob.Rng.state c.rng;
     params = c.params;
     anchor = c.anchor;
-    snapshot = Store.snapshot c.store;
+    snapshot = Store.snapshot ?into:(Option.map (fun ck -> ck.snapshot) into) c.store;
     history = Array.sub c.history 0 c.iteration;
     llh = Array.sub c.llh 0 c.iteration;
   }

@@ -24,8 +24,14 @@ type t = {
   llh : float array;  (** log-likelihood per completed iteration *)
 }
 
-val capture : Qnet_core.Stem.chain -> t
-(** The chain's whole state, copied. *)
+val capture : ?into:t -> Qnet_core.Stem.chain -> t
+(** The chain's whole state, copied. With [into], an earlier checkpoint
+    of this chain's store, the latent state is copied into [into]'s
+    snapshot arrays instead of new ones (a store's arrays are large
+    enough to go straight to the major heap), which leaves [into]
+    describing the new state under its old iteration: the caller must
+    not use [into] again. Raises [Invalid_argument] if [into] comes
+    from a store of other dimensions. *)
 
 val rollback : t -> Qnet_core.Stem.chain -> unit
 (** [rollback ck chain] puts the chain back at [ck]: latent state,

@@ -34,18 +34,28 @@ let describe = function
            pp_violation)
         vs
 
+let[@inline] arrival d pi i =
+  let p = pi.(i) in
+  if p < 0 then 0.0 else d.(p)
+
+(* The store's arrays are read in place through its view, and each
+   queue's ρ chain is walked from its head, so a check reads no time
+   through a function and builds no per-queue array. *)
 let check ?(tol = 1e-9) ?(max_rate = 1e12) store params =
   let acc = ref [] in
   let push v = acc := v :: !acc in
-  let n = Store.num_events store in
+  let v = Store.view store in
+  let d = v.Store.v_departure and pi = v.Store.v_pi and rho = v.Store.v_rho in
+  let n = Array.length d in
   (* Per-event: finite departures, non-negative services, causality. *)
   for i = 0 to n - 1 do
-    let d = Store.departure store i in
-    if not (Float.is_finite d) then push (Nan_latent i)
+    let di = d.(i) in
+    if not (Float.is_finite di) then push (Nan_latent i)
     else begin
-      let a = Store.arrival store i in
-      if Float.is_finite a && d < a -. tol then push (Departure_before_arrival i);
-      let s = Store.service store i in
+      let a = arrival d pi i in
+      if Float.is_finite a && di < a -. tol then push (Departure_before_arrival i);
+      let r = rho.(i) in
+      let s = di -. if r < 0 then a else Float.max a d.(r) in
       if Float.is_finite s && s < -.tol then push (Negative_service (i, s))
     end
   done;
@@ -53,17 +63,16 @@ let check ?(tol = 1e-9) ?(max_rate = 1e12) store params =
      coverage: every event must appear on exactly one chain. *)
   let walked = ref 0 in
   for q = 0 to Store.num_queues store - 1 do
-    let order = Store.events_at_queue store q in
-    walked := !walked + Array.length order;
-    let prev_arrival = ref neg_infinity in
-    Array.iter
-      (fun i ->
-        let a = Store.arrival store i in
-        if Store.queue store i <> q then push (Fifo_violation (q, i))
-        else if Float.is_finite a && a < !prev_arrival -. tol then
-          push (Fifo_violation (q, i));
-        if Float.is_finite a then prev_arrival := Float.max !prev_arrival a)
-      order
+    let prev_arrival = ref neg_infinity and i = ref v.Store.v_heads.(q) in
+    while !i >= 0 do
+      let e = !i in
+      incr walked;
+      let a = arrival d pi e in
+      if v.Store.v_queue.(e) <> q then push (Fifo_violation (q, e))
+      else if Float.is_finite a && a < !prev_arrival -. tol then push (Fifo_violation (q, e));
+      if Float.is_finite a then prev_arrival := Float.max !prev_arrival a;
+      i := v.Store.v_rho_inv.(e)
+    done
   done;
   if !walked <> n then push (Chain_leak (n, !walked));
   (* Parameters: positive, finite, physically plausible rates. *)

@@ -76,7 +76,7 @@ let pp_report ppf r =
    only ever flows through the high-water-marked telemetry clock. *)
 let now () = Qnet_obs.Clock.now ()
 
-let run ?(config = default_config) ?init ?resume ?chaos rng store =
+let run ?(config = default_config) ?init ?resume ?chaos ?diagnostics rng store =
   Span.with_span "runtime.run" @@ fun () ->
   let c = config.stem in
   if c.Stem.iterations < 1 then invalid_arg "Runtime.run: need at least one iteration";
@@ -150,7 +150,7 @@ let run ?(config = default_config) ?init ?resume ?chaos rng store =
   in
   while !stop = None && chain.Stem.iteration < iterations do
     (match
-       try Stem.step ~check c chain
+       try Stem.step ~check ?diagnostics c chain
        with exn -> Error ("exception: " ^ Printexc.to_string exn)
      with
     | Ok () ->
@@ -186,7 +186,7 @@ let run ?(config = default_config) ?init ?resume ?chaos rng store =
                  transient violations should not thrash rollback. *)
               validate_every := Stdlib.min (2 * !validate_every) iterations
         end);
-    if Metrics.enabled () then Diagnostics.gc_tick Diagnostics.default;
+    if Metrics.enabled () then Option.iter Diagnostics.gc_tick diagnostics;
     match config.max_seconds with
     | Some budget
       when !stop = None && chain.Stem.iteration < iterations && now () -. t0 >= budget ->
@@ -217,9 +217,9 @@ let run ?(config = default_config) ?init ?resume ?chaos rng store =
       };
   }
 
-let resume_file ?config ?chaos ~path rng store =
+let resume_file ?config ?chaos ?diagnostics ~path rng store =
   match Checkpoint.load ~path with
   | Error m -> Error m
   | Ok ck -> (
-      try Ok (run ?config ~resume:ck ?chaos rng store)
+      try Ok (run ?config ~resume:ck ?chaos ?diagnostics rng store)
       with Invalid_argument m -> Error m)

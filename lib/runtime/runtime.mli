@@ -76,6 +76,7 @@ val run :
   ?init:Qnet_core.Params.t ->
   ?resume:Checkpoint.t ->
   ?chaos:(int -> Qnet_core.Event_store.t -> unit) ->
+  ?diagnostics:Qnet_obs.Diagnostics.t ->
   Qnet_prob.Rng.t ->
   Qnet_core.Event_store.t ->
   result
@@ -91,11 +92,14 @@ val run :
     checkpoint's dimensions do not match [store], or on a nonsensical
     config. [chaos] is a test-only hook called after each iteration's
     M-step — fault-injection harnesses use it to corrupt the state
-    in a controlled way; it must not consume [rng]. *)
+    in a controlled way; it must not consume [rng]. With metrics on,
+    the chain feeds the [diagnostics] hub as {!Qnet_core.Stem.run}
+    does; without one it feeds none. *)
 
 val resume_file :
   ?config:config ->
   ?chaos:(int -> Qnet_core.Event_store.t -> unit) ->
+  ?diagnostics:Qnet_obs.Diagnostics.t ->
   path:string ->
   Qnet_prob.Rng.t ->
   Qnet_core.Event_store.t ->

@@ -219,11 +219,11 @@ let now () = Qnet_obs.Clock.now ()
 
 let fresh_welford nq = Array.init nq (fun _ -> Welford.create ())
 
-let init_chain cfg ~seed ~init make_store faults id =
-  let store = make_store () in
-  let rng = Rng.create ~seed:(seed + (id * 7919)) () in
-  let chain, init_outcome = Stem.start ~id ?init cfg.stem rng store in
-  let nq = Store.num_queues store in
+let chain_rng ~seed id = Rng.create ~seed:(seed + (id * 7919)) ()
+
+let init_chain cfg faults init_outcome chain =
+  let id = chain.Stem.id in
+  let nq = Store.num_queues chain.Stem.store in
   {
     chain;
     samples = Array.init cfg.stem.Stem.iterations (fun _ -> Array.make nq Float.nan);
@@ -294,7 +294,7 @@ let record_sample st realized =
 
 (* The heartbeat is armed when a worker takes the job, not when it is
    submitted: a chain still queued behind others is not stalled. *)
-let run_round cfg st ~stop_at =
+let run_round ?diagnostics cfg st ~stop_at =
   Watchdog.Heartbeat.arm st.hb ~now:(now ());
   let chain = st.chain in
   Span.with_span "chain.round"
@@ -317,7 +317,8 @@ let run_round cfg st ~stop_at =
        Watchdog.Heartbeat.beat st.hb ~now:(now ()) ~sweep:chain.Stem.iteration;
        fire_pre_step_faults st;
        ignore
-         (Stem.step ~check:(fire_post_step_faults st) ~on_sample:(record_sample st) c chain
+         (Stem.step ~check:(fire_post_step_faults st) ~on_sample:(record_sample st)
+            ?diagnostics c chain
            : (unit, string) Stdlib.result)
      done
    with exn -> st.outcome <- Round_crashed (Printexc.to_string exn));
@@ -327,10 +328,13 @@ let run_round cfg st ~stop_at =
 (* Barrier-side control: recovery, health checks, divergence.          *)
 (* ------------------------------------------------------------------ *)
 
+(* Called only once the barrier's health check has passed: the new
+   checkpoint reuses the previous one's arrays, which a rollback no
+   longer needs. *)
 let capture st =
   let instrumented = Metrics.enabled () in
   let t0 = if instrumented then Clock.now () else 0.0 in
-  let ck = Checkpoint.capture st.chain in
+  let ck = Checkpoint.capture ?into:st.last_good st.chain in
   if instrumented then begin
     Metrics.Histogram.observe (Lazy.force m_checkpoint_seconds) (Clock.now () -. t0);
     Metrics.Counter.inc (Lazy.force m_checkpoints)
@@ -691,27 +695,40 @@ let chain_status_string = function
   | Quarantined c -> "quarantined: " ^ c
   | Dead c -> "dead: " ^ c
 
-let export_diag_statuses chains =
+let export_diag_statuses hub chains =
   Array.iter
     (fun st ->
-      Diagnostics.set_chain_status Diagnostics.default ~chain:st.chain.Stem.id
+      Diagnostics.set_chain_status hub ~chain:st.chain.Stem.id
         (chain_status_string st.status))
     chains
 
-let run ?(config = default_config) ?init ?(faults = []) ~seed make_store =
+let run ?(config = default_config) ?init ?(faults = []) ?diagnostics ~seed make_store =
   validate config faults;
-  if Metrics.enabled () then begin
-    register_metrics ();
-    Diagnostics.register_metrics ();
-    Diagnostics.reset Diagnostics.default;
-    Diagnostics.set_ensemble_status Diagnostics.default "running"
-  end;
+  (* the hub, when the caller owns one and metrics are on *)
+  let hub = if Metrics.enabled () then diagnostics else None in
+  if Metrics.enabled () then register_metrics ();
+  Option.iter
+    (fun hub ->
+      Diagnostics.register_metrics ();
+      Diagnostics.reset hub;
+      Diagnostics.set_ensemble_status hub "running")
+    hub;
   Span.with_span "supervisor.run"
     ~attrs:[ ("chains", string_of_int config.chains) ]
   @@ fun () ->
   let t0 = now () in
+  (* Chain 0 builds and initializes the run's one store; every other
+     chain starts on a copy of it. [Init.feasible] draws nothing, so a
+     copy holds the latents its own build and initialization would
+     reach, to the bit, and when it fails it fails the same way for
+     every chain. *)
+  let first, init_outcome =
+    Stem.start ~id:0 ?init config.stem (chain_rng ~seed 0) (make_store ())
+  in
   let chains =
-    Array.init config.chains (init_chain config ~seed ~init make_store faults)
+    Array.init config.chains (fun id ->
+        init_chain config faults init_outcome
+          (if id = 0 then first else Stem.fork ~id (chain_rng ~seed id) first))
   in
   let waiter = Pool.waiter () in
   Fun.protect ~finally:(fun () -> Pool.release waiter) @@ fun () ->
@@ -742,7 +759,7 @@ let run ?(config = default_config) ?init ?(faults = []) ~seed make_store =
             let stop_at =
               Stdlib.min iterations (st.chain.Stem.iteration + config.round_iterations)
             in
-            (st, Pool.submit waiter (fun () -> run_round config st ~stop_at)))
+            (st, Pool.submit waiter (fun () -> run_round ?diagnostics:hub config st ~stop_at)))
           runnable
       in
       let abandoned = watch config waiter jobs in
@@ -761,28 +778,30 @@ let run ?(config = default_config) ?init ?(faults = []) ~seed make_store =
           else barrier_check config st)
         runnable;
       divergence_pass config chains;
-      if Metrics.enabled () then begin
-        Metrics.Counter.inc (Lazy.force m_rounds);
-        (* Barrier-side diagnostics export: verdict strings plus one
-           GC sample. Ticking GC here (supervisor domain) rather than
-           per-iteration keeps the pool workers' deltas from
-           interleaving; heap/major figures stay meaningful, minor
-           words are supervisor-local — an accepted approximation. *)
-        export_diag_statuses chains;
-        Diagnostics.gc_tick Diagnostics.default
-      end
+      if Metrics.enabled () then Metrics.Counter.inc (Lazy.force m_rounds);
+      (* Barrier-side diagnostics export: verdict strings plus one
+         GC sample. Ticking GC here (supervisor domain) rather than
+         per-iteration keeps the pool workers' deltas from
+         interleaving; heap/major figures stay meaningful, minor
+         words are supervisor-local — an accepted approximation. *)
+      Option.iter
+        (fun hub ->
+          export_diag_statuses hub chains;
+          Diagnostics.gc_tick hub)
+        hub
     end
   done;
   let r = finalize config chains t0 in
-  if Metrics.enabled () then begin
-    export_diag_statuses chains;
-    Diagnostics.set_ensemble_status Diagnostics.default
-      (match r.status with
-      | Quorum -> "quorum"
-      | Degraded -> "degraded"
-      | Failed -> "failed");
-    Diagnostics.publish Diagnostics.default
-  end;
+  Option.iter
+    (fun hub ->
+      export_diag_statuses hub chains;
+      Diagnostics.set_ensemble_status hub
+        (match r.status with
+        | Quorum -> "quorum"
+        | Degraded -> "degraded"
+        | Failed -> "failed");
+      Diagnostics.publish hub)
+    hub;
   Log.info (fun m ->
       m "run finished: %a, %d/%d chains healthy in %.2fs" pp_ensemble_status
         r.status r.healthy_chains (Array.length r.verdicts) r.wall_seconds);

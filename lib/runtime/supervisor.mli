@@ -30,6 +30,17 @@
     owns a private store and a private RNG stream seeded
     [seed + 7919·chain].
 
+    {b Start and barriers.} A run builds and initializes one store, for
+    chain 0, and starts every other chain on a copy of it
+    ({!Qnet_core.Stem.fork}): initialization draws nothing, so the
+    copies hold the latents a build and {!Qnet_core.Init.feasible} of
+    their own would reach, to the bit. A restart re-initializes the
+    chain's own store. At each healthy barrier a chain's checkpoint is
+    captured into the arrays of its previous one ({!Checkpoint.capture}
+    [~into]), after the health check has passed, so a rollback always
+    returns to the newest healthy barrier and a run allocates a
+    chain's checkpoint arrays once.
+
     {b Stalls.} An OCaml domain cannot be preempted. A stalled chain
     is cancelled cooperatively (a flag it checks at each iteration
     boundary); one that never reaches a boundary is abandoned after
@@ -147,13 +158,21 @@ val run :
   ?config:config ->
   ?init:Qnet_core.Params.t ->
   ?faults:Fault.chain_fault list ->
+  ?diagnostics:Qnet_obs.Diagnostics.t ->
   seed:int ->
   (unit -> Qnet_core.Event_store.t) ->
   result
-(** [run ~seed make_store] supervises [config.chains] StEM chains,
-    each on a fresh store from [make_store] (stores must be
-    independent values — they are mutated concurrently). [init]
+(** [run ~seed make_store] supervises [config.chains] StEM chains on
+    the store [make_store] returns, called once: chain 0 runs on it and
+    every other chain on a copy of it, made after its initialization
+    (see {e Start and barriers} above). [init]
     overrides the data-driven {!Qnet_core.Stem.initial_guess} anchor.
+    With metrics on and a [diagnostics] hub given ([qnet_infer] gives
+    {!Qnet_obs.Diagnostics.default}), the run resets the hub, its
+    chains feed it their iterates, and each barrier and the end export
+    verdicts and publish it. Without a hub the run touches none, so
+    runs on several threads at once (the serve daemon's shards) do not
+    mix their chains in one hub.
     [faults] injects deterministic chain-level faults (each fires at
     most once, so a restarted chain re-runs the faulted iteration
     cleanly). Each round runs the chains as {!Pool} jobs, so the first

@@ -646,16 +646,28 @@ let snapshot_of_state t =
         tenants;
       })
 
+(* Write [path] through [tmp]: [write] fills it, and it is closed, and
+   so flushed, before it is renamed over [path]. A write that fails, at
+   the final flush too, raises with [path] untouched and [tmp]
+   removed. *)
+let replace_file ~path ~tmp write =
+  let oc = open_out tmp in
+  match
+    write oc;
+    close_out oc
+  with
+  | () -> Sys.rename tmp path
+  | exception e ->
+      close_out_noerr oc;
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
+
 (* Rewrite the event log as [windows], each tenant's buffered events
    newest first, and drop the rotated segment, which the windows
    supersede. The caller takes the windows under [t.mutex]; the lists
    are immutable, so they are rendered here without it. *)
 let compact_log t windows =
-  let log_tmp = log_path t ^ ".tmp" in
-  let oc = open_out log_tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  replace_file ~path:(log_path t) ~tmp:(log_path t ^ ".tmp") (fun oc ->
       List.iter
         (fun (tenant, events) ->
           List.iter
@@ -674,7 +686,6 @@ let compact_log t windows =
               output_char oc '\n')
             (List.rev events))
         windows);
-  Sys.rename log_tmp (log_path t);
   if Sys.file_exists (log1_path t) then Sys.remove (log1_path t);
   Mutex.protect t.mutex (fun () -> t.stale_lines <- 0);
   reopen_log t
@@ -686,15 +697,9 @@ let write_checkpoint ?(final = false) t =
       raise (Sys_error "injected checkpoint write failure")
     end;
     let line = Ckpt.to_line (snapshot_of_state t) in
-    let path = ckpt_path t in
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
+    replace_file ~path:(ckpt_path t) ~tmp:(ckpt_path t ^ ".tmp") (fun oc ->
         output_string oc (Framed_log.frame line);
         output_char oc '\n');
-    Sys.rename tmp path;
     (* Compact the event log to the buffer windows only when its stale
        lines outnumber its live ones (at a graceful stop, when any line
        is stale), or when it is missing lines because a failed append

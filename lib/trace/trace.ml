@@ -414,19 +414,27 @@ let pp_ingest_report ppf r =
     (List.rev r.errors)
 
 (* The lenient passes, shared by both entry points. [feed candidate
-   malformed] hands over a source's records in source order and returns
-   the number of lines it read: [candidate line e] for each record,
-   [malformed line detail] for each line that holds none. [line] is the
-   record's 1-based source line, 0 when it has none. *)
-let lenient ~num_queues feed =
+   malformed] hands over a source's records in source order, at most
+   [capacity] of them, and returns the number of lines it read:
+   [candidate line e] for each record, [malformed line detail] for each
+   line that holds none. [line] is the record's 1-based source line, 0
+   when it has none.
+
+   The passes work on the surviving records' positions. One sort by
+   record and position makes exact duplicates neighbours and each task a
+   run in arrival order; the runs are then visited in order of each
+   task's first record. No per-task list, table or tuple is built. *)
+let lenient ~num_queues ~capacity feed =
   let errors = ref [] in
   let record ?line ?task reason detail =
     errors := { line; task_id = task; reason; detail } :: !errors
   in
   let at line = if line = 0 then None else Some line in
   let candidates = ref 0 in
-  (* Pass 1: per-field sanity. *)
-  let parsed = ref [] (* (line, event), newest first *) in
+  (* Pass 1: per-field sanity. [kept] holds the survivors in source
+     order, [lines] their source lines. *)
+  let kept = Array.make capacity placeholder and lines = Array.make capacity 0 in
+  let m = ref 0 in
   let candidate line ({ queue; arrival; departure; _ } as e) =
     incr candidates;
     if Float.is_nan arrival || Float.is_nan departure then
@@ -440,142 +448,183 @@ let lenient ~num_queues feed =
     else if departure < arrival -. chain_tolerance then
       record ?line:(at line) ~task:e.task Out_of_order
         (Printf.sprintf "departure %g before arrival %g" departure arrival)
-    else parsed := (line, e) :: !parsed
+    else begin
+      kept.(!m) <- e;
+      lines.(!m) <- line;
+      incr m
+    end
   in
   let malformed line detail =
     incr candidates;
     record ~line Malformed_line detail
   in
   let lines_read = feed candidate malformed in
-  let parsed = List.rev !parsed in
-  (* Pass 2: drop exact duplicates (keep the first occurrence). *)
-  let seen = Hashtbl.create 256 in
-  let deduped =
-    List.filter
-      (fun (line, e) ->
-        let key = (e.task, e.state, e.queue, e.arrival, e.departure) in
-        if Hashtbl.mem seen key then begin
-          record ?line:(at line) ~task:e.task Duplicate_event "exact duplicate record";
-          false
-        end
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      parsed
-  in
-  (* Pass 3: per-task chain repair. Sort each task's events by arrival
-     and keep the longest valid prefix of the chain; a clock-skewed or
-     missing record invalidates everything after it (the later arrivals
-     can no longer be tied to a departure), not the whole task. *)
-  let by_task = Hashtbl.create 64 in
-  let task_order = ref [] in
-  List.iter
-    (fun (_line, e) ->
-      match Hashtbl.find_opt by_task e.task with
-      | None ->
-          Hashtbl.add by_task e.task (ref [ e ]);
-          task_order := e.task :: !task_order
-      | Some l -> l := e :: !l)
-    deduped;
-  let task_order = List.rev !task_order in
-  let tasks_dropped = ref 0 in
-  let chains =
-    List.filter_map
-      (fun task ->
-        let events = List.rev !(Hashtbl.find by_task task) in
-        let events =
-          List.sort
-            (fun a b ->
-              match compare a.arrival b.arrival with
-              | 0 -> compare a.departure b.departure
+  let m = !m in
+  (* The survivors' positions by task, arrival, departure, state, queue
+     and position. Times compare as floats, so 0 and -0 are one time. *)
+  let order = Array.init m Fun.id in
+  Array.stable_sort
+    (fun i j ->
+      let a = kept.(i) and b = kept.(j) in
+      match Int.compare a.task b.task with
+      | 0 -> (
+          match Float.compare a.arrival b.arrival with
+          | 0 -> (
+              match Float.compare a.departure b.departure with
+              | 0 -> (
+                  match Int.compare a.state b.state with
+                  | 0 -> (
+                      match Int.compare a.queue b.queue with 0 -> Int.compare i j | c -> c)
+                  | c -> c)
               | c -> c)
-            events
-        in
-        match events with
-        | [] -> None
-        | first :: _ when not (Float.equal first.arrival 0.0) ->
-            record ~task Missing_initial
-              (Printf.sprintf "first event arrives at %g, not 0" first.arrival);
-            incr tasks_dropped;
-            None
-        | first :: rest ->
-            let kept = ref [ first ] in
-            let prev = ref first in
-            let broken = ref false in
-            List.iter
-              (fun e ->
-                if not !broken then begin
-                  if Float.abs (e.arrival -. !prev.departure) > chain_tolerance
-                  then begin
-                    record ~task Broken_chain
-                      (Printf.sprintf
-                         "arrival %g disagrees with predecessor departure %g; \
-                          dropping the task's remaining events"
-                         e.arrival !prev.departure);
-                    broken := true
-                  end
-                  else begin
-                    kept := e :: !kept;
-                    prev := e
-                  end
-                end)
-              rest;
-            Some (task, List.rev !kept))
-      task_order
+          | c -> c)
+      | c -> c)
+    order;
+  let same_time a b = Float.equal a.arrival b.arrival && Float.equal a.departure b.departure in
+  (* Pass 2: drop exact duplicates, keeping the first occurrence: in
+     [order] it leads its copies. Reported in source order. *)
+  let dup = Bytes.make m '\000' in
+  for k = 1 to m - 1 do
+    let a = kept.(order.(k - 1)) and b = kept.(order.(k)) in
+    if a.task = b.task && a.state = b.state && a.queue = b.queue && same_time a b then
+      Bytes.set dup order.(k) '\001'
+  done;
+  for i = 0 to m - 1 do
+    if Bytes.get dup i <> '\000' then
+      record ?line:(at lines.(i)) ~task:kept.(i).task Duplicate_event "exact duplicate record"
+  done;
+  let len = ref 0 in
+  Array.iter
+    (fun i ->
+      if Bytes.get dup i = '\000' then begin
+        order.(!len) <- i;
+        incr len
+      end)
+    order;
+  let len = !len in
+  (* Records of one task at one arrival and departure go back into
+     source order: the chain repair takes ties in the order they came. *)
+  let lo = ref 0 in
+  while !lo < len do
+    let a = kept.(order.(!lo)) in
+    let hi = ref (!lo + 1) in
+    while
+      !hi < len
+      &&
+      let b = kept.(order.(!hi)) in
+      b.task = a.task && same_time a b
+    do
+      incr hi
+    done;
+    if !hi - !lo > 1 then begin
+      let tie = Array.sub order !lo (!hi - !lo) in
+      Array.sort Int.compare tie;
+      Array.blit tie 0 order !lo (!hi - !lo)
+    end;
+    lo := !hi
+  done;
+  (* Each task is the run [order.(lo .. stop.(lo) - 1)], in arrival
+     order; [start.(p)] is the run's [lo] when [p] is the position of
+     the task's first record, so a scan of the positions meets the tasks
+     in order of first appearance. The repairs below only shorten a run,
+     by lowering its [stop]. *)
+  let start = Array.make m (-1) and stop = Array.make len 0 in
+  let lo = ref 0 in
+  while !lo < len do
+    let task = kept.(order.(!lo)).task in
+    let hi = ref (!lo + 1) and first = ref order.(!lo) in
+    while !hi < len && kept.(order.(!hi)).task = task do
+      first := Int.min !first order.(!hi);
+      incr hi
+    done;
+    start.(!first) <- !lo;
+    stop.(!lo) <- !hi;
+    lo := !hi
+  done;
+  let each_task f =
+    for p = 0 to m - 1 do
+      let lo = start.(p) in
+      if lo >= 0 && stop.(lo) > lo then f lo
+    done
   in
+  (* Pass 3: per-task chain repair. Keep the longest valid prefix of the
+     chain; a clock-skewed or missing record invalidates everything after
+     it (the later arrivals can no longer be tied to a departure), not
+     the whole task. *)
+  let tasks_dropped = ref 0 in
+  each_task (fun lo ->
+      let first = kept.(order.(lo)) in
+      let task = first.task in
+      if not (Float.equal first.arrival 0.0) then begin
+        record ~task Missing_initial
+          (Printf.sprintf "first event arrives at %g, not 0" first.arrival);
+        incr tasks_dropped;
+        stop.(lo) <- lo
+      end
+      else begin
+        let k = ref (lo + 1) and broken = ref false in
+        while (not !broken) && !k < stop.(lo) do
+          let prev = kept.(order.(!k - 1)) and e = kept.(order.(!k)) in
+          if Float.abs (e.arrival -. prev.departure) > chain_tolerance then begin
+            record ~task Broken_chain
+              (Printf.sprintf
+                 "arrival %g disagrees with predecessor departure %g; dropping the \
+                  task's remaining events"
+                 e.arrival prev.departure);
+            broken := true
+          end
+          else incr k
+        done;
+        stop.(lo) <- !k
+      end);
   (* Pass 4: route consistency — every surviving task must enter at the
      same (majority) arrival queue and never revisit it, or
-     [Event_store.of_trace] would reject the whole trace later. *)
-  let entry_counts = Hashtbl.create 8 in
-  List.iter
-    (fun (_task, events) ->
-      let q = (List.hd events).queue in
-      Hashtbl.replace entry_counts q
-        (1 + Option.value ~default:0 (Hashtbl.find_opt entry_counts q)))
-    chains;
+     [Event_store.of_trace] would reject the whole trace later. Among
+     queues with equally many entries the winner is the first a
+     [Hashtbl.fold] visits, over a table of the counts filled in order
+     of first entry: an arbitrary rule, but the repair's output depends
+     on it, so it is kept. *)
+  let entries = Array.make num_queues 0 and entry_queues = ref [] in
+  each_task (fun lo ->
+      let q = kept.(order.(lo)).queue in
+      if entries.(q) = 0 then entry_queues := q :: !entry_queues;
+      entries.(q) <- entries.(q) + 1);
+  let counts = Hashtbl.create 8 in
+  List.iter (fun q -> Hashtbl.replace counts q entries.(q)) (List.rev !entry_queues);
   let arrival_queue =
     Hashtbl.fold
       (fun q c best ->
         match best with
         | Some (_, c') when c' >= c -> best
         | _ -> Some (q, c))
-      entry_counts None
+      counts None
   in
-  let chains =
-    match arrival_queue with
-    | None -> []
-    | Some (q0, _) ->
-        List.filter_map
-          (fun (task, events) ->
-            let entry = List.hd events in
-            if entry.queue <> q0 then begin
+  let kept_events = ref 0 in
+  Option.iter
+    (fun (q0, _) ->
+      each_task (fun lo ->
+          let entry = kept.(order.(lo)) in
+          let task = entry.task in
+          if entry.queue <> q0 then begin
+            record ~task Inconsistent_route
+              (Printf.sprintf "task enters at queue %d, not the arrival queue %d"
+                 entry.queue q0);
+            incr tasks_dropped;
+            stop.(lo) <- lo
+          end
+          else begin
+            (* truncate at the first revisit of q0 *)
+            let k = ref (lo + 1) in
+            while !k < stop.(lo) && kept.(order.(!k)).queue <> q0 do
+              incr k
+            done;
+            if !k < stop.(lo) then
               record ~task Inconsistent_route
-                (Printf.sprintf "task enters at queue %d, not the arrival queue %d"
-                   entry.queue q0);
-              incr tasks_dropped;
-              None
-            end
-            else begin
-              (* truncate at the first revisit of q0 *)
-              let kept = ref [ entry ] in
-              let ok = ref true in
-              List.iter
-                (fun e ->
-                  if !ok then
-                    if e.queue = q0 then begin
-                      record ~task Inconsistent_route
-                        "task revisits the arrival queue; dropping its remaining \
-                         events";
-                      ok := false
-                    end
-                    else kept := e :: !kept)
-                (List.tl events);
-              Some (task, List.rev !kept)
-            end)
-          chains
-  in
-  let events = List.concat_map snd chains in
+                "task revisits the arrival queue; dropping its remaining events";
+            stop.(lo) <- !k;
+            kept_events := !kept_events + (!k - lo)
+          end))
+    arrival_queue;
   let report kept =
     {
       errors = !errors;
@@ -585,26 +634,35 @@ let lenient ~num_queues feed =
       tasks_dropped = !tasks_dropped;
     }
   in
-  match events with
-  | [] -> Error (report 0)
-  | events -> (
-      try Ok (create ~num_queues events, report (List.length events))
-      with Invalid_argument msg ->
-        (* The repair passes above should make this unreachable, but a
-           residual inconsistency must degrade into a report, not an
-           exception — that is the lenient contract. *)
-        record Malformed_line ("residual inconsistency: " ^ msg);
-        Error (report 0))
+  if !kept_events = 0 then Error (report 0)
+  else begin
+    let events = Array.make !kept_events placeholder in
+    let j = ref 0 in
+    each_task (fun lo ->
+        for k = lo to stop.(lo) - 1 do
+          events.(!j) <- kept.(order.(k));
+          incr j
+        done);
+    try Ok (of_array ~num_queues events, report !kept_events)
+    with Invalid_argument msg ->
+      (* The repair passes above should make this unreachable, but a
+         residual inconsistency must degrade into a report, not an
+         exception — that is the lenient contract. *)
+      record Malformed_line ("residual inconsistency: " ^ msg);
+      Error (report 0)
+  end
 
 let of_events_lenient ~num_queues events =
   if num_queues <= 0 then invalid_arg "Trace.of_events_lenient: num_queues must be positive";
-  lenient ~num_queues (fun candidate _ ->
+  let n = List.length events in
+  lenient ~num_queues ~capacity:n (fun candidate _ ->
       List.iter (candidate 0) events;
-      List.length events)
+      n)
 
 let of_csv_lenient ~num_queues text =
   if num_queues <= 0 then invalid_arg "Trace.of_csv_lenient: num_queues must be positive";
-  lenient ~num_queues (fun candidate malformed ->
+  (* at most one record per line *)
+  lenient ~num_queues ~capacity:(count_newlines text + 1) (fun candidate malformed ->
       let lines_read = ref 0 in
       let l = new_line () in
       let pos = ref 0 and lineno = ref 0 in

@@ -352,13 +352,21 @@ let test_runtime_equals_stem () =
     Net_helpers.modes
 
 (* With metrics on, the runtime feeds each committed iterate to the
-   diagnostics hub, as Stem.run does. *)
+   diagnostics hub it is given, as Stem.run does, and none without
+   one. *)
 let test_runtime_feeds_diagnostics () =
   let module D = Qnet_obs.Diagnostics in
   Net_helpers.with_mode `Metrics (fun () ->
       let _, _, store = fresh_store () in
+      ignore
+        (Runtime.run ~config:(runtime_config ~iterations:24 ()) (Rng.create ~seed:99 ()) store
+          : Runtime.result);
+      Alcotest.(check int) "no hub, nothing observed" 0
+        (D.snapshot D.default).D.iterations_total;
+      let _, _, store = fresh_store () in
       let r =
-        Runtime.run ~config:(runtime_config ~iterations:24 ()) (Rng.create ~seed:99 ()) store
+        Runtime.run ~config:(runtime_config ~iterations:24 ()) ~diagnostics:D.default
+          (Rng.create ~seed:99 ()) store
       in
       let s = D.snapshot D.default in
       Alcotest.(check int) "iterations observed" r.Runtime.report.Runtime.iterations_done

@@ -969,6 +969,10 @@ let checkpoints () =
   Metrics.Counter.value
     (Lazy.force (Serve_metrics.counter "qnet_serve_checkpoints_total"))
 
+let checkpoint_failures () =
+  Metrics.Counter.value
+    (Lazy.force (Serve_metrics.counter "qnet_serve_checkpoint_failures_total"))
+
 let copy_dir src dst =
   Unix.mkdir dst 0o755;
   Array.iter
@@ -1130,6 +1134,75 @@ let test_log_rotates_on_file_size () =
         "both segments hold every record"
         (List.length lines + 4)
         (segment_lines rotated + segment_lines (Filename.concat dir "events.log"))
+
+(* A file write that fails only at its final flush: the tmp path is a
+   link to /dev/full, which opens for writing, lets the bytes into the
+   channel's buffer and refuses them at the flush. The write counts as a
+   failed checkpoint, [path] keeps its bytes (and stays a file), and no
+   tmp file is left. [path]'s kind is checked before it is read: a
+   [path] renamed onto /dev/full would read zeros for ever. *)
+let check_flush_failure ~what ~path ~before f0 =
+  let tmp = path ^ ".tmp" in
+  until ~what (fun () -> checkpoint_failures () > f0);
+  Alcotest.(check bool)
+    (Filename.basename path ^ " is still a file") true
+    ((Unix.lstat path).Unix.st_kind = Unix.S_REG);
+  Alcotest.(check string) (Filename.basename path ^ " keeps its bytes") before (read_file path);
+  Alcotest.(check bool) "no tmp file left" false
+    (match Unix.lstat tmp with
+    | _ -> true
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> false)
+
+let test_checkpoint_flush_failure () =
+  let dir = Filename.concat (fresh_dir "qnet-ckpt-full") "s0" in
+  let cfg = { fast_shard_config with Shard.refit_events = 20; refit_interval = 1e9 } in
+  let lines = tenant_lines "acme" 20 in
+  match Shard.create ~dir ~id:0 cfg with
+  | Error m -> Alcotest.failf "shard: %s" m
+  | Ok s ->
+      Fun.protect
+        ~finally:(fun () -> Shard.stop s)
+        (fun () ->
+          let path = Filename.concat dir "shard.ckpt" in
+          let c0 = checkpoints () in
+          push_tenant_lines s (List.filteri (fun i _ -> i < 20) lines);
+          until ~what:"the first checkpoint" (fun () -> checkpoints () > c0);
+          let before = read_file path in
+          Unix.symlink "/dev/full" (path ^ ".tmp");
+          let f0 = checkpoint_failures () in
+          push_tenant_lines s (List.filteri (fun i _ -> i >= 20) lines);
+          check_flush_failure ~what:"the failed checkpoint" ~path ~before f0)
+
+(* The same for the event log's compaction: cap 20 and 60 records, so
+   the round's checkpoint compacts, into a link to /dev/full. *)
+let test_compaction_flush_failure () =
+  let dir = Filename.concat (fresh_dir "qnet-log-full") "s0" in
+  let cfg =
+    {
+      fast_shard_config with
+      Shard.max_tenant_events = 20;
+      refit_events = 60;
+      refit_interval = 1e9;
+    }
+  in
+  let lines = tenant_lines "acme" 30 in
+  match Shard.create ~dir ~id:0 cfg with
+  | Error m -> Alcotest.failf "shard: %s" m
+  | Ok s ->
+      Fun.protect
+        ~finally:(fun () -> Shard.stop s)
+        (fun () ->
+          let path = Filename.concat dir "events.log" in
+          Unix.symlink "/dev/full" (path ^ ".tmp");
+          let f0 = checkpoint_failures () in
+          push_tenant_lines s lines;
+          until ~what:"every record logged" (fun () ->
+              (Unix.lstat path).Unix.st_kind <> Unix.S_REG
+              || List.length (logged dir) = 60);
+          let before =
+            String.concat "" (List.map (fun l -> Framed_log.frame (canonical l) ^ "\n") lines)
+          in
+          check_flush_failure ~what:"the failed compaction" ~path ~before f0)
 
 (* ------------------------------------------------------------------ *)
 (* Refit golden                                                        *)
@@ -1529,6 +1602,10 @@ let () =
             test_log_quarantined_frame_compacted;
           Alcotest.test_case "rotates on the file's size" `Quick
             test_log_rotates_on_file_size;
+          Alcotest.test_case "a failed checkpoint flush keeps the file" `Quick
+            test_checkpoint_flush_failure;
+          Alcotest.test_case "a failed compaction flush keeps the log" `Quick
+            test_compaction_flush_failure;
         ] );
       ( "router",
         [ Alcotest.test_case "stable fnv routing" `Quick test_router ] );

@@ -385,8 +385,45 @@ let test_reductions_allocation () =
           ("service_sufficient_stats", fun () -> ignore (Store.service_sufficient_stats store));
           ("mean_service_by_queue", fun () -> ignore (Store.mean_service_by_queue store));
           ("mean_waiting_by_queue", fun () -> ignore (Store.mean_waiting_by_queue store));
+          ( "log_likelihood_and_mean_service",
+            fun () -> ignore (Store.log_likelihood_and_mean_service store params) );
         ])
     [ 263; 2632 ]
+
+(* A committed StEM iterate takes both reductions from one pass: the
+   same bits as the two passes, on a clean store, on a masked store's
+   imputed latents after each of five sweeps, and with a negative
+   service (a log-likelihood of -inf). *)
+let test_fused_loglik_and_means () =
+  let bits a = Array.to_list (Array.map Int64.bits_of_float a) in
+  let check name store params =
+    let llh, means = Store.log_likelihood_and_mean_service store params in
+    Alcotest.(check int64)
+      (name ^ ": log-likelihood")
+      (Int64.bits_of_float (Store.log_likelihood store params))
+      (Int64.bits_of_float llh);
+    Alcotest.(check (list int64))
+      (name ^ ": mean service")
+      (bits (Store.mean_service_by_queue store))
+      (bits means)
+  in
+  let net = Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 () in
+  let params = Params.of_network net in
+  let trace = Net_helpers.simulate_n (Rng.create ~seed:509 ()) net 500 in
+  check "clean" (Store.of_trace trace) params;
+  let rng = Rng.create ~seed:510 () in
+  let mask = Qnet_core.Observation.mask rng (Qnet_core.Observation.Task_fraction 0.2) trace in
+  let store = Store.of_trace ~observed:mask trace in
+  (match Qnet_core.Init.feasible ~target:params store with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  for k = 1 to 5 do
+    Qnet_core.Gibbs.sweep rng store params;
+    check (Printf.sprintf "after sweep %d" k) store params
+  done;
+  let e = (Store.latent store).(0) in
+  Store.set_departure store e (Store.start_service store e -. 1.0);
+  check "negative service" store params
 
 (* The ceiling [make bench] gates as MAX_STORE_BPE, at 10k events: the
    5% mask and the store build allocate 98 B per event, the store's
@@ -459,6 +496,8 @@ let () =
           Alcotest.test_case "golden structure" `Quick test_golden_structure;
           Alcotest.test_case "chains ≡ full bucket sort" `Quick test_chains_match_full_sort;
           Alcotest.test_case "reductions allocate per queue" `Quick test_reductions_allocation;
+          Alcotest.test_case "one-pass log-likelihood and means" `Quick
+            test_fused_loglik_and_means;
           Alcotest.test_case "set-up allocation" `Quick test_setup_allocation;
           Alcotest.test_case "shuffled latent ≡ Rng.shuffle_in_place" `Quick
             test_shuffled_latent_matches_rng;

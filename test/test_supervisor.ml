@@ -482,6 +482,104 @@ let test_no_run_inside_a_pool_job () =
     (Atomic.get outcome)
 
 (* ------------------------------------------------------------------ *)
+(* Hub ownership and the shared start *)
+(* ------------------------------------------------------------------ *)
+
+module Diagnostics = Qnet_obs.Diagnostics
+
+(* The serve daemon's shards run supervised refits on their own threads
+   at once, with metrics on and no hub. Neither run touches the
+   process-wide hub, so it shows no chain of theirs rather than the
+   chains 0 and 1 of two tenants mixed. *)
+let test_runs_without_a_hub_feed_none () =
+  Supervisor.register_metrics ();
+  Net_helpers.with_mode `Metrics (fun () ->
+      let cfg = sup_config ~chains:2 ~min_chains:1 () in
+      let outcomes = Array.make 2 "not run" in
+      let runs =
+        List.init 2 (fun k ->
+            Thread.create
+              (fun () ->
+                let r = Supervisor.run ~config:cfg ~seed:(7 + k) make_store in
+                outcomes.(k) <-
+                  Format.asprintf "%a" Supervisor.pp_ensemble_status r.Supervisor.status)
+              ())
+      in
+      List.iter Thread.join runs;
+      Alcotest.(check (array string))
+        "both runs reach quorum" [| "quorum"; "quorum" |] outcomes;
+      let s = Diagnostics.snapshot Diagnostics.default in
+      Alcotest.(check int) "no chain in the hub" 0 (Array.length s.Diagnostics.chains);
+      Alcotest.(check int) "no iterate in the hub" 0 s.Diagnostics.iterations_total)
+
+(* A run given the hub, as qnet_infer's supervised runs are, feeds it
+   every chain's iterates and verdicts and publishes its ensemble
+   status. *)
+let test_run_given_the_hub_feeds_it () =
+  Net_helpers.with_mode `Metrics (fun () ->
+      let cfg = sup_config ~chains:2 ~min_chains:1 () in
+      let r = Supervisor.run ~config:cfg ~diagnostics:Diagnostics.default ~seed:7 make_store in
+      Alcotest.(check int) "healthy" 2 r.Supervisor.healthy_chains;
+      let s = Diagnostics.snapshot Diagnostics.default in
+      Alcotest.(check (list (triple int int string)))
+        "every chain, every iteration, its verdict"
+        [ (0, 36, "healthy"); (1, 36, "healthy") ]
+        (Array.to_list
+           (Array.map
+              (fun c -> (c.Diagnostics.chain, c.Diagnostics.iterations, c.Diagnostics.status))
+              s.Diagnostics.chains));
+      Alcotest.(check string) "ensemble status" "quorum" s.Diagnostics.ensemble_status)
+
+let chain_bits (c : Stem.chain) =
+  let b = Buffer.create 65536 in
+  let s = Store.snapshot c.Stem.store in
+  Array.iter (Net_helpers.add_float b) s.Store.s_departure;
+  List.iter
+    (Array.iter (fun i -> Buffer.add_int64_le b (Int64.of_int i)))
+    [ s.Store.s_queue; s.Store.s_rho; s.Store.s_rho_inv; s.Store.s_heads ];
+  Net_helpers.add_params b c.Stem.anchor;
+  Net_helpers.add_params b c.Stem.params;
+  Array.iter (Net_helpers.add_params b) (Array.sub c.Stem.history 0 c.Stem.iteration);
+  Array.iter (Buffer.add_int64_le b) (Rng.state c.Stem.rng);
+  Printf.sprintf "iteration %d %s" c.Stem.iteration
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* A run builds and initializes one store and starts its other chains
+   on copies: a forked chain's latents, anchor and iterate are those of
+   its own fresh build and initialization, to the bit, before and after
+   a warm-up and a few steps, and sweeping it leaves the first chain's
+   store alone. *)
+let test_forked_start_is_a_fresh_start () =
+  let cfg = (sup_config ()).Supervisor.stem in
+  let started id =
+    let c, outcome = Stem.start ~id cfg (Rng.create ~seed:(7 + id) ()) (make_store ()) in
+    Alcotest.(check bool) "initialized" true (outcome = Ok ());
+    c
+  in
+  let first = started 0 in
+  let first_bits = chain_bits first in
+  let forked = Stem.fork ~id:1 (Rng.create ~seed:8 ()) first in
+  let fresh = started 1 in
+  Alcotest.(check string) "starting latents" (chain_bits fresh) (chain_bits forked);
+  List.iter
+    (fun c ->
+      Stem.warmup cfg c;
+      for _ = 1 to 4 do
+        ignore (Stem.step cfg c : (unit, string) Stdlib.result)
+      done)
+    [ forked; fresh ];
+  Alcotest.(check string) "after warm-up and 4 steps" (chain_bits fresh) (chain_bits forked);
+  Alcotest.(check string) "the first chain is untouched" first_bits (chain_bits first);
+  let builds = ref 0 in
+  let r =
+    Supervisor.run ~config:(sup_config ~chains:3 ~min_chains:1 ()) ~seed:7 (fun () ->
+        incr builds;
+        make_store ())
+  in
+  Alcotest.(check int) "three healthy chains" 3 r.Supervisor.healthy_chains;
+  Alcotest.(check int) "one store build per run" 1 !builds
+
+(* ------------------------------------------------------------------ *)
 (* Goldens: the bits of whole seeded runs, committed before Stem.run,
    Runtime and Supervisor shared one StEM step, in plain,
    metrics-enabled and profiled mode.
@@ -675,6 +773,15 @@ let () =
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "fault spec parsing" `Quick test_chain_fault_parsing;
           Alcotest.test_case "profile shows the step" `Quick test_profile_has_step_phases;
+        ] );
+      ( "ownership",
+        [
+          Alcotest.test_case "runs without a hub feed none" `Quick
+            test_runs_without_a_hub_feed_none;
+          Alcotest.test_case "a run given the hub feeds it" `Quick
+            test_run_given_the_hub_feeds_it;
+          Alcotest.test_case "a forked start is a fresh start" `Quick
+            test_forked_start_is_a_fresh_start;
         ] );
       ( "golden",
         [

@@ -923,6 +923,257 @@ let prop_events_lenient_matches_csv =
         QCheck.Test.fail_reportf "seed %d: an event-list error names a line" seed;
       true)
 
+(* The list-based repair that [Trace.of_events_lenient]'s array passes
+   replaced, kept verbatim (the source lines aside: an event list has
+   none) as the oracle they must match, bit for bit. *)
+module List_repair = struct
+  open Trace
+
+  let chain_tolerance = 1e-9
+
+  let of_events ~num_queues events =
+    let errors = ref [] in
+    let record ?task reason detail =
+      errors := { line = None; task_id = task; reason; detail } :: !errors
+    in
+    let candidates = ref 0 in
+    (* Pass 1: per-field sanity. *)
+    let parsed = ref [] in
+    List.iter
+      (fun ({ queue; arrival; departure; _ } as e) ->
+        incr candidates;
+        if Float.is_nan arrival || Float.is_nan departure then
+          record ~task:e.task Nan_field "NaN arrival or departure"
+        else if queue < 0 || queue >= num_queues then
+          record ~task:e.task Bad_queue
+            (Printf.sprintf "queue %d outside [0,%d)" queue num_queues)
+        else if arrival < 0.0 || departure < 0.0 then
+          record ~task:e.task Negative_time
+            (Printf.sprintf "negative time (arrival %g, departure %g)" arrival departure)
+        else if departure < arrival -. chain_tolerance then
+          record ~task:e.task Out_of_order
+            (Printf.sprintf "departure %g before arrival %g" departure arrival)
+        else parsed := e :: !parsed)
+      events;
+    let parsed = List.rev !parsed in
+    (* Pass 2: drop exact duplicates (keep the first occurrence). *)
+    let seen = Hashtbl.create 256 in
+    let deduped =
+      List.filter
+        (fun e ->
+          let key = (e.task, e.state, e.queue, e.arrival, e.departure) in
+          if Hashtbl.mem seen key then begin
+            record ~task:e.task Duplicate_event "exact duplicate record";
+            false
+          end
+          else begin
+            Hashtbl.add seen key ();
+            true
+          end)
+        parsed
+    in
+    (* Pass 3: per-task chain repair. *)
+    let by_task = Hashtbl.create 64 in
+    let task_order = ref [] in
+    List.iter
+      (fun e ->
+        match Hashtbl.find_opt by_task e.task with
+        | None ->
+            Hashtbl.add by_task e.task (ref [ e ]);
+            task_order := e.task :: !task_order
+        | Some l -> l := e :: !l)
+      deduped;
+    let task_order = List.rev !task_order in
+    let tasks_dropped = ref 0 in
+    let chains =
+      List.filter_map
+        (fun task ->
+          let events = List.rev !(Hashtbl.find by_task task) in
+          let events =
+            List.sort
+              (fun a b ->
+                match compare a.arrival b.arrival with
+                | 0 -> compare a.departure b.departure
+                | c -> c)
+              events
+          in
+          match events with
+          | [] -> None
+          | first :: _ when not (Float.equal first.arrival 0.0) ->
+              record ~task Missing_initial
+                (Printf.sprintf "first event arrives at %g, not 0" first.arrival);
+              incr tasks_dropped;
+              None
+          | first :: rest ->
+              let kept = ref [ first ] in
+              let prev = ref first in
+              let broken = ref false in
+              List.iter
+                (fun e ->
+                  if not !broken then begin
+                    if Float.abs (e.arrival -. !prev.departure) > chain_tolerance then begin
+                      record ~task Broken_chain
+                        (Printf.sprintf
+                           "arrival %g disagrees with predecessor departure %g; \
+                            dropping the task's remaining events"
+                           e.arrival !prev.departure);
+                      broken := true
+                    end
+                    else begin
+                      kept := e :: !kept;
+                      prev := e
+                    end
+                  end)
+                rest;
+              Some (task, List.rev !kept))
+        task_order
+    in
+    (* Pass 4: route consistency. *)
+    let entry_counts = Hashtbl.create 8 in
+    List.iter
+      (fun (_task, events) ->
+        let q = (List.hd events).queue in
+        Hashtbl.replace entry_counts q
+          (1 + Option.value ~default:0 (Hashtbl.find_opt entry_counts q)))
+      chains;
+    let arrival_queue =
+      Hashtbl.fold
+        (fun q c best ->
+          match best with
+          | Some (_, c') when c' >= c -> best
+          | _ -> Some (q, c))
+        entry_counts None
+    in
+    let chains =
+      match arrival_queue with
+      | None -> []
+      | Some (q0, _) ->
+          List.filter_map
+            (fun (task, events) ->
+              let entry = List.hd events in
+              if entry.queue <> q0 then begin
+                record ~task Inconsistent_route
+                  (Printf.sprintf "task enters at queue %d, not the arrival queue %d"
+                     entry.queue q0);
+                incr tasks_dropped;
+                None
+              end
+              else begin
+                let kept = ref [ entry ] in
+                let ok = ref true in
+                List.iter
+                  (fun e ->
+                    if !ok then
+                      if e.queue = q0 then begin
+                        record ~task Inconsistent_route
+                          "task revisits the arrival queue; dropping its remaining \
+                           events";
+                        ok := false
+                      end
+                      else kept := e :: !kept)
+                  (List.tl events);
+                Some (task, List.rev !kept)
+              end)
+            chains
+    in
+    let events = List.concat_map snd chains in
+    let report kept =
+      {
+        errors = !errors;
+        lines_read = !candidates;
+        events_kept = kept;
+        events_dropped = !candidates - kept;
+        tasks_dropped = !tasks_dropped;
+      }
+    in
+    match events with
+    | [] -> Error (report 0)
+    | events -> (
+        try Ok (create ~num_queues events, report (List.length events))
+        with Invalid_argument msg ->
+          record Malformed_line ("residual inconsistency: " ^ msg);
+          Error (report 0))
+end
+
+(* Corrupted event lists for the repair: a seeded tandem or feedback
+   trace, each record kept, dropped or dirtied — duplicated (±0 times
+   included), tied on (task, arrival, departure) with another state or
+   queue, NaN, negative, reversed, out of range, clock-skewed, without
+   its initial event, entering at queue 1 (a minority, or a tie with
+   queue 0 when the seed makes it common) or revisiting queue 0 — and a
+   third of the lists shuffled. *)
+let corrupted_events seed =
+  let rng = Rng.create ~seed () in
+  let net =
+    if Rng.bool rng then Topologies.tandem ~arrival_rate:8.0 ~service_rates:[ 12.0; 10.0 ]
+    else Topologies.feedback ~arrival_rate:3.0 ~service_rate:6.0 ~loop_prob:0.4
+  in
+  let trace = Net_helpers.simulate_n rng net (2 + Rng.int rng 30) in
+  let nq = trace.Trace.num_queues in
+  let reroutes = 1 + Rng.int rng 4 in
+  let dirty e =
+    let open Trace in
+    match Rng.int rng 30 with
+    | 0 -> [ e; e ]
+    | 1 -> [ e; { e with arrival = -.e.arrival } ]
+    | 2 -> [ { e with departure = -.e.departure }; e ]
+    | 3 -> [ e; { e with state = e.state + 1 + Rng.int rng 3 } ]
+    | 4 -> [ { e with queue = (e.queue + 1 + Rng.int rng (nq - 1)) mod nq }; e ]
+    | 5 -> [ { e with arrival = Float.nan } ]
+    | 6 -> [ { e with departure = -.Float.nan } ]
+    | 7 -> [ { e with arrival = -.e.arrival -. 1.0 } ]
+    | 8 -> [ { e with departure = e.arrival -. 0.01 } ]
+    | 9 -> [ { e with queue = (if Rng.bool rng then -1 else nq + Rng.int rng 3) } ]
+    | 10 -> [ { e with arrival = e.arrival +. (0.5 *. (e.departure -. e.arrival)) } ]
+    | 11 when e.state = 0 -> []
+    | 12 when e.state > 0 -> [ { e with queue = 0 } ]
+    | 13 -> [ { e with arrival = infinity; departure = infinity } ]
+    | k when k >= 26 && k < 26 + reroutes && e.state = 0 -> [ { e with queue = 1 } ]
+    | _ -> [ e ]
+  in
+  let events = List.concat_map dirty (Array.to_list trace.Trace.events) in
+  if Rng.int rng 3 = 0 then begin
+    let a = Array.of_list events in
+    Rng.shuffle_in_place rng a;
+    (nq, Array.to_list a)
+  end
+  else (nq, events)
+
+let repair_summary = function
+  | Ok (t, r) -> (Some (trace_bits t), r)
+  | Error r -> (None, r)
+
+let prop_repair_matches_list_oracle =
+  QCheck.Test.make ~name:"array repair ≡ list repair" ~count:1000
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let num_queues, events = corrupted_events seed in
+      let bits, report = repair_summary (Trace.of_events_lenient ~num_queues events) in
+      let bits', report' = repair_summary (List_repair.of_events ~num_queues events) in
+      if bits <> bits' then QCheck.Test.fail_reportf "seed %d: the traces differ" seed;
+      if report <> report' then
+        QCheck.Test.fail_reportf "seed %d: the reports differ:@ %a@ against@ %a" seed
+          Trace.pp_ingest_report report Trace.pp_ingest_report report';
+      true)
+
+(* The ceiling [make bench] gates as MAX_REPAIR_BPE, on the ~10k-event
+   golden trace: the repair keeps a few arrays of one word per record
+   and sorts the records' positions once, 71 B per event. The list
+   repair, a tuple and a cons per record, a table of 5-tuples and
+   per-task lists, took 615 B. *)
+let test_repair_allocation () =
+  let t = List.assoc "three-tier 1-2-4" (golden_inputs ()) in
+  let events = Array.to_list t.Trace.events in
+  let w0 = Qnet_obs.Prof.allocated_words () in
+  ignore (Sys.opaque_identity (Trace.of_events_lenient ~num_queues:t.Trace.num_queues events));
+  let per_event =
+    (Qnet_obs.Prof.allocated_words () -. w0)
+    *. float_of_int (Sys.word_size / 8)
+    /. float_of_int (Array.length t.Trace.events)
+  in
+  if per_event > 86.0 then
+    Alcotest.failf "of_events_lenient allocated %.1f B per event (budget 86)" per_event
+
 let () =
   Alcotest.run "qnet_trace"
     [
@@ -962,5 +1213,7 @@ let () =
             test_lenient_no_final_newline;
           Alcotest.test_case "blanks around fields" `Quick test_lenient_blanks_around_fields;
           QCheck_alcotest.to_alcotest prop_events_lenient_matches_csv;
+          QCheck_alcotest.to_alcotest prop_repair_matches_list_oracle;
+          Alcotest.test_case "repair allocation" `Quick test_repair_allocation;
         ] );
     ]
