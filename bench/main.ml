@@ -32,9 +32,10 @@
    short profiled pass (Qnet_obs.Prof)
    for GC pause p50/p99 and the phase self-time split; StEM
    iterations/s and piecewise draws/s are timed on the 1k fixture (the
-   draws next to a loop of the libm calls a draw makes), and
+   draws next to a loop of the libm calls a draw makes),
    Trace.of_csv parses/s on the 10k trace's text, next to a pass of
-   reads over that text.
+   reads over that text, and mask plus Event_store.of_trace builds/s
+   on that trace, next to a pass that copies its records' fields.
    Everything lands in PATH (default BENCH_core.json, schema 2, one
    size object per line). `make bench` compares that file against the
    committed baseline per size and fails when an in-order speed
@@ -216,6 +217,25 @@ let text_reference text passes =
     done
   done;
   ignore (Sys.opaque_identity !sum)
+
+(* The host reference for the store build: one pass over the trace's
+   records that reads every field and writes it into arrays of the
+   events' length, allocated for the pass as a build allocates its own.
+   It calls no qnet code, so no change to the set-up moves it. The
+   result runs [passes] passes. *)
+let records_reference trace passes =
+  let events = trace.Trace.events in
+  let n = Array.length events in
+  for _ = 1 to passes do
+    let ints = Array.make n 0 and links = Array.make n (-1) and times = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      let e = events.(i) in
+      ints.(i) <- e.Trace.state + e.Trace.queue;
+      if i > 0 && events.(i - 1).Trace.task = e.Trace.task then links.(i) <- i - 1;
+      times.(i) <- e.Trace.departure -. e.Trace.arrival
+    done;
+    ignore (Sys.opaque_identity (ints, links, times))
+  done
 
 (* The host reference for the draw: the calls a three-piece move
    makes, an exp and an expm1 per piece and a log1p to invert, over a
@@ -521,6 +541,15 @@ let core_json ~sizes out =
           (Sys.opaque_identity (Trace.of_csv ~num_queues:parse_trace.Trace.num_queues csv)))
       ~reference:(text_reference csv)
   in
+  (* Observation.mask plus Event_store.of_trace on the same trace, next
+     to passes of its records reference *)
+  let store_builds, store_builds_per_ref =
+    median_rate ~repeats ~per_repeat:10
+      ~work:(fun () ->
+        ignore
+          (Sys.opaque_identity (Store.of_trace ~observed:(mask_of parse_trace) parse_trace)))
+      ~reference:(records_reference parse_trace)
+  in
   let results = List.map run_size specs in
   let legacy =
     match List.find_opt (fun r -> r.spec.label = "1k") results with
@@ -539,9 +568,10 @@ let core_json ~sizes out =
     results;
   Buffer.add_string buf
     (Printf.sprintf
-       "},\n\"gibbs_sweeps_per_s\":%.2f,\"stem_iterations_per_s\":%.2f,\"piecewise_draws_per_s\":%.2f,\"csv_parses_per_s\":%.2f,\"gibbs_sweeps_per_ref\":%.4f,\"stem_iterations_per_ref\":%.4f,\"piecewise_draws_per_ref\":%.4f,\"csv_parses_per_ref\":%.4f}\n"
-       legacy.sweeps_per_s stem_iterations piecewise_draws csv_parses legacy.sweeps_per_ref
-       stem_iterations_per_ref piecewise_draws_per_ref csv_parses_per_ref);
+       "},\n\"gibbs_sweeps_per_s\":%.2f,\"stem_iterations_per_s\":%.2f,\"piecewise_draws_per_s\":%.2f,\"csv_parses_per_s\":%.2f,\"store_builds_per_s\":%.2f,\"gibbs_sweeps_per_ref\":%.4f,\"stem_iterations_per_ref\":%.4f,\"piecewise_draws_per_ref\":%.4f,\"csv_parses_per_ref\":%.4f,\"store_builds_per_ref\":%.4f}\n"
+       legacy.sweeps_per_s stem_iterations piecewise_draws csv_parses store_builds
+       legacy.sweeps_per_ref stem_iterations_per_ref piecewise_draws_per_ref csv_parses_per_ref
+       store_builds_per_ref);
   let oc = open_out out in
   output_string oc (Buffer.contents buf);
   close_out oc;
@@ -564,6 +594,8 @@ let core_json ~sizes out =
     piecewise_draws_per_ref;
   Printf.printf "  10k csv parses      %10.1f /s (%.3f per reference)\n" csv_parses
     csv_parses_per_ref;
+  Printf.printf "  10k store builds    %10.1f /s (%.3f per reference)\n" store_builds
+    store_builds_per_ref;
   Printf.printf "-> %s\n" out
 
 let benchmark () =

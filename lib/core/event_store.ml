@@ -25,18 +25,108 @@ type t = {
          call: only the random scan reads it *)
 }
 
-let latent_of observed =
-  let n = Array.fold_left (fun acc o -> if o then acc else acc + 1) 0 observed in
-  let latent = Array.make n 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun i o ->
-      if not o then begin
-        latent.(!k) <- i;
-        incr k
-      end)
-    observed;
-  latent
+(* Within-queue chains follow the true arrival order: the recorded
+   arrivals, ties broken by departure, then index, so q0's simultaneous
+   arrivals order by entry time. This order is the fixed "event counter"
+   data. The comparator is a total order, so the chains are unique.
+   [precedes events departure j i]: event [j] comes before event [i]. *)
+let[@inline] precedes events (departure : float array) j i =
+  match compare (Array.unsafe_get events j).Trace.arrival (Array.unsafe_get events i).Trace.arrival with
+  | 0 -> (
+      match compare departure.(j) departure.(i) with 0 -> j < i | c -> c < 0)
+  | c -> c < 0
+
+(* Backward steps an out-of-order queue may take per event it holds
+   before its chain is relinked from a sort instead. *)
+let moves_per_event = 16
+
+(* The within-queue chains as the walk links them, and per queue its
+   tail (its last event in arrival order), its event count, the steps
+   its insertions took, and whether it is still linked in order. *)
+type chains = {
+  c_rho : int array;
+  c_rho_inv : int array;
+  c_heads : int array;
+  tail : int array;
+  count : int array;
+  moves : int array;
+  sorted : bool array;
+}
+
+(* Links event [i] into queue [q]'s chain: after the tail when it sorts
+   after it, which at most queues it does; otherwise after the last
+   event before it, found by stepping back from the tail within the
+   queue's budget; past the budget, after the tail, with the queue left
+   for [sort_chain]. *)
+let link c events departure q i =
+  let t = c.tail.(q) in
+  c.count.(q) <- c.count.(q) + 1;
+  if t < 0 then begin
+    c.c_heads.(q) <- i;
+    c.tail.(q) <- i
+  end
+  else if (not c.sorted.(q)) || precedes events departure t i then begin
+    c.c_rho.(i) <- t;
+    c.c_rho_inv.(t) <- i;
+    c.tail.(q) <- i
+  end
+  else begin
+    let budget = (moves_per_event * c.count.(q)) - c.moves.(q) in
+    let j = ref c.c_rho.(t) and steps = ref 1 in
+    while !j >= 0 && !steps <= budget && not (precedes events departure !j i) do
+      j := c.c_rho.(!j);
+      incr steps
+    done;
+    c.moves.(q) <- c.moves.(q) + !steps;
+    if !steps > budget then begin
+      c.sorted.(q) <- false;
+      c.c_rho.(i) <- t;
+      c.c_rho_inv.(t) <- i;
+      c.tail.(q) <- i
+    end
+    else begin
+      let j = !j in
+      let s = if j < 0 then c.c_heads.(q) else c.c_rho_inv.(j) in
+      c.c_rho.(i) <- j;
+      c.c_rho_inv.(i) <- s;
+      c.c_rho.(s) <- i;
+      if j < 0 then c.c_heads.(q) <- i else c.c_rho_inv.(j) <- i
+    end
+  end
+
+(* Relinks queue [q]'s chain, whatever order its [count] events are
+   linked in, from a sort of its own events with their arrivals as flat
+   keys. *)
+let sort_chain events (departure : float array) chains q =
+  let count = chains.count.(q) and rho = chains.c_rho and rho_inv = chains.c_rho_inv in
+  let at = Array.make count 0 and key = Array.make count 0.0 in
+  let i = ref chains.c_heads.(q) in
+  for k = 0 to count - 1 do
+    at.(k) <- !i;
+    key.(k) <- events.(!i).Trace.arrival;
+    i := rho_inv.(!i)
+  done;
+  let by_key x y =
+    match compare key.(x) key.(y) with
+    | 0 -> (
+        match compare departure.(at.(x)) departure.(at.(y)) with
+        | 0 -> compare at.(x) at.(y)
+        | c -> c)
+    | c -> c
+  in
+  let order = Array.init count Fun.id in
+  Array.stable_sort by_key order;
+  chains.c_heads.(q) <- at.(order.(0));
+  rho.(at.(order.(0))) <- -1;
+  rho_inv.(at.(order.(count - 1))) <- -1;
+  for k = 1 to count - 1 do
+    rho.(at.(order.(k))) <- at.(order.(k - 1));
+    rho_inv.(at.(order.(k - 1))) <- at.(order.(k))
+  done
+
+(* The first error of the task checks; it is raised only once the walk
+   has met no event out of order. *)
+type task_check = Passed | No_initial | Inconsistent | Revisit
 
 let of_trace ?observed trace =
   Span.with_span "event_store.of_trace" @@ fun () ->
@@ -51,102 +141,92 @@ let of_trace ?observed trace =
           invalid_arg "Event_store.of_trace: observed mask length mismatch";
         Array.copy o
   in
-  (* Each task is a run of the (task, arrival)-sorted events, so the
-     dense task index, the task ids and the within-task chains all come
-     from the run boundaries. *)
-  let task_start = Task_runs.starts ~caller:"Event_store.of_trace" trace in
-  let num_tasks = Array.length task_start - 1 in
-  let task_ids = Array.init num_tasks (fun k -> events.(task_start.(k)).Trace.task) in
-  let pi = Array.make n (-1) in
-  let pi_inv = Array.make n (-1) in
-  for k = 0 to num_tasks - 1 do
-    for i = task_start.(k) + 1 to task_start.(k + 1) - 1 do
-      pi.(i) <- i - 1;
-      pi_inv.(i - 1) <- i
-    done
-  done;
+  (* One walk of the (task, arrival)-sorted events fills every array
+     and makes every check. Each task is a run, so the dense task index,
+     the task ids and the within-task chains come from the run
+     boundaries. A trace [Trace.create] made holds [num_tasks] runs. *)
+  let num_queues = trace.Trace.num_queues in
+  let runs = Int.max 1 trace.Trace.num_tasks in
+  let task_start = Array.make (runs + 1) n and task_ids = Array.make runs 0 in
+  let pi = Array.make n (-1) and pi_inv = Array.make n (-1) in
   let state = Array.make n 0 and queue = Array.make n 0 and departure = Array.make n 0.0 in
+  let c =
+    {
+      c_rho = Array.make n (-1);
+      c_rho_inv = Array.make n (-1);
+      c_heads = Array.make num_queues (-1);
+      tail = Array.make num_queues (-1);
+      count = Array.make num_queues 0;
+      moves = Array.make num_queues 0;
+      sorted = Array.make num_queues true;
+    }
+  in
+  let arrival_queue = events.(0).Trace.queue in
+  let tasks = ref 0 and unobserved = ref 0 and bad = ref Passed and stray = ref (-1) in
   for i = 0 to n - 1 do
     let e = events.(i) in
+    let q = e.Trace.queue in
     state.(i) <- e.Trace.state;
-    queue.(i) <- e.Trace.queue;
-    departure.(i) <- e.Trace.departure
-  done;
-  (* Initial events must be first per task and at a common queue. *)
-  let arrival_queue = queue.(0) in
-  for k = 0 to num_tasks - 1 do
-    let first = task_start.(k) in
-    if not (Float.equal events.(first).Trace.arrival 0.0) then
-      invalid_arg "Event_store.of_trace: task without initial event";
-    if queue.(first) <> arrival_queue then
-      invalid_arg "Event_store.of_trace: inconsistent arrival queue";
-    (* Only initial events may sit at the arrival queue: routing back
-       to q0 would break the paper's convention. *)
-    for i = first + 1 to task_start.(k + 1) - 1 do
-      if queue.(i) = arrival_queue then
-        invalid_arg "Event_store.of_trace: a task revisits the arrival queue"
-    done
-  done;
-  (* Within-queue chains from the true arrival order: the recorded
-     arrivals, ties broken by departure, then index, so q0's
-     simultaneous arrivals order by entry time. This order is the fixed
-     "event counter" data. The comparator is a total order, so the
-     chains are unique. One pass links each queue's events in index
-     order, which at most queues is their arrival order; a queue where
-     an event sorts before the one linked ahead of it is relinked from a
-     sort of its own events. *)
-  let num_queues = trace.Trace.num_queues in
-  let rho = Array.make n (-1) and rho_inv = Array.make n (-1) in
-  let heads = Array.make num_queues (-1) and tail = Array.make num_queues (-1) in
-  let tail_arrival = Array.make num_queues 0.0 in
-  let count = Array.make num_queues 0 and in_order = Array.make num_queues true in
-  for i = 0 to n - 1 do
-    let q = queue.(i) and a = events.(i).Trace.arrival in
-    let t = tail.(q) in
-    if t < 0 then heads.(q) <- i
+    queue.(i) <- q;
+    departure.(i) <- e.Trace.departure;
+    if not observed.(i) then incr unobserved;
+    let first =
+      i = 0
+      ||
+      let p = events.(i - 1) in
+      if e.Trace.task < p.Trace.task
+         || (e.Trace.task = p.Trace.task && e.Trace.arrival < p.Trace.arrival)
+      then Task_runs.out_of_order ~caller:"Event_store.of_trace" i;
+      p.Trace.task <> e.Trace.task
+    in
+    if first then begin
+      if !tasks < runs then begin
+        task_start.(!tasks) <- i;
+        task_ids.(!tasks) <- e.Trace.task
+      end;
+      incr tasks;
+      (* Initial events must be first per task and at a common queue. *)
+      if !bad = Passed then
+        if not (Float.equal e.Trace.arrival 0.0) then bad := No_initial
+        else if q <> arrival_queue then bad := Inconsistent
+    end
     else begin
-      (match compare tail_arrival.(q) a with
-      | 0 -> if compare departure.(t) departure.(i) > 0 then in_order.(q) <- false
-      | c -> if c > 0 then in_order.(q) <- false);
-      rho.(i) <- t;
-      rho_inv.(t) <- i
+      pi.(i) <- i - 1;
+      pi_inv.(i - 1) <- i;
+      (* Only initial events may sit at the arrival queue: routing back
+         to q0 would break the paper's convention. *)
+      if !bad = Passed && q = arrival_queue then bad := Revisit
     end;
-    tail.(q) <- i;
-    tail_arrival.(q) <- a;
-    count.(q) <- count.(q) + 1
+    if q >= 0 && q < num_queues then link c events departure q i
+    else if !stray < 0 then stray := i
   done;
+  (match !bad with
+  | Passed -> ()
+  | No_initial -> invalid_arg "Event_store.of_trace: task without initial event"
+  | Inconsistent -> invalid_arg "Event_store.of_trace: inconsistent arrival queue"
+  | Revisit -> invalid_arg "Event_store.of_trace: a task revisits the arrival queue");
+  (* what the array access at a queue out of range raised *)
+  if !stray >= 0 then invalid_arg "index out of bounds";
   for q = 0 to num_queues - 1 do
-    if not in_order.(q) then begin
-      (* the queue's events in index order (its chain so far), with
-         their arrivals as flat keys, sorted by position *)
-      let c = count.(q) in
-      let at = Array.make c 0 and key = Array.make c 0.0 in
-      let i = ref heads.(q) in
-      for k = 0 to c - 1 do
-        at.(k) <- !i;
-        key.(k) <- events.(!i).Trace.arrival;
-        i := rho_inv.(!i)
-      done;
-      let by_position x y =
-        match compare key.(x) key.(y) with
-        | 0 -> (
-            match compare departure.(at.(x)) departure.(at.(y)) with
-            | 0 -> compare x y
-            | c -> c)
-        | c -> c
-      in
-      let order = Array.init c Fun.id in
-      Array.stable_sort by_position order;
-      heads.(q) <- at.(order.(0));
-      rho.(at.(order.(0))) <- -1;
-      rho_inv.(at.(order.(c - 1))) <- -1;
-      for k = 1 to c - 1 do
-        rho.(at.(order.(k))) <- at.(order.(k - 1));
-        rho_inv.(at.(order.(k - 1))) <- at.(order.(k))
-      done
+    if not c.sorted.(q) then sort_chain events departure c q
+  done;
+  (* a record built by hand may give another task count: the runs are
+     then found again *)
+  let num_tasks = !tasks in
+  let task_start, task_ids =
+    if num_tasks = runs then (task_start, task_ids)
+    else begin
+      let task_start = Task_runs.starts ~caller:"Event_store.of_trace" trace in
+      (task_start, Array.init num_tasks (fun k -> events.(task_start.(k)).Trace.task))
+    end
+  in
+  let latent = Array.make !unobserved 0 and k = ref 0 in
+  for i = 0 to n - 1 do
+    if not observed.(i) then begin
+      latent.(!k) <- i;
+      incr k
     end
   done;
-  let latent = latent_of observed in
   {
     num_queues;
     num_tasks;
@@ -156,9 +236,9 @@ let of_trace ?observed trace =
     observed;
     pi;
     pi_inv;
-    rho;
-    rho_inv;
-    heads;
+    rho = c.c_rho;
+    rho_inv = c.c_rho_inv;
+    heads = c.c_heads;
     task_start;
     arrival_queue;
     task_ids;

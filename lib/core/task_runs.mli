@@ -9,3 +9,7 @@ val starts : caller:string -> Qnet_trace.Trace.t -> int array
     [starts.(k + 1) - 1], and the last entry is the event count.
     Raises [Invalid_argument] naming [caller] when the events are not
     ascending by task, or not ascending by arrival within a task. *)
+
+val out_of_order : caller:string -> int -> 'a
+(** [out_of_order ~caller i] raises the [Invalid_argument] {!starts}
+    raises when event [i] is the first out of order. *)

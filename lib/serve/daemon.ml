@@ -247,7 +247,7 @@ let handle_ingest t body =
                through refit to the end-to-end span *)
             let ctx = Trace_ctx.sample t.sampler in
             let enqueued_at = Clock.elapsed () in
-            let item = { Shard.record = r; trace = ctx; enqueued_at } in
+            let item = { Shard.record = r; line; trace = ctx; enqueued_at } in
             if Bounded_queue.try_push (Shard.queue s) item then begin
               Metrics.Counter.inc (Lazy.force m_accepted);
               Metrics.Counter.inc (tenant_counter r.Ingest.tenant);
@@ -511,10 +511,10 @@ let handle t (req : Server.request) =
 (* File tailers                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let push_tailed t (r : Ingest.record) =
+let push_tailed t ~line (r : Ingest.record) =
   let q = Shard.queue (shard_of t r.Ingest.tenant) in
   let item =
-    { Shard.record = r; trace = Trace_ctx.sample t.sampler;
+    { Shard.record = r; line; trace = Trace_ctx.sample t.sampler;
       enqueued_at = Clock.elapsed () }
   in
   let pushed =
@@ -549,7 +549,7 @@ let tail_line t line =
           ~now:(Clock.now ());
         if Admission.admit t.admission ~tenant then begin
           Admission.note t.admission ~tenant ~offered:1 ~admitted:1;
-          push_tailed t r
+          push_tailed t ~line r
         end
         else Admission.note t.admission ~tenant ~offered:1 ~admitted:0
     | Error reason ->

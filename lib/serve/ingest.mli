@@ -36,8 +36,9 @@ val decode_line : num_queues:int -> string -> (record, string) result
     "queue 7 out of range", ...). *)
 
 val to_json_line : record -> string
-(** Canonical JSONL rendering; [decode_line] round-trips it. This is
-    the normal form the shard event log stores. *)
+(** Canonical JSONL rendering; [decode_line] round-trips it. A shard
+    compacts its event log to this form; between compactions the log
+    holds each record's line as it was decoded. *)
 
 val to_trace_event : record -> Qnet_trace.Trace.event
 

@@ -261,14 +261,16 @@ let backoff ~base ~max_ attempt =
 (* Shard state                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* What travels through the ingest queue: the record itself plus the
-   trace context minted at the edge (None for the ~99% unsampled) and
-   the enqueue timestamp on the Clock.elapsed scale, so the worker can
-   attribute queue-wait per tenant. [enqueued_at = nan] marks items
-   that never crossed the queue (durable-log replay) and suppresses
-   their wait accounting. *)
+(* What travels through the ingest queue: the record itself, the line
+   it was decoded from (the event log frames that line rather than a
+   rendering of the record), the trace context minted at the edge (None
+   for the ~99% unsampled) and the enqueue timestamp on the
+   Clock.elapsed scale, so the worker can attribute queue-wait per
+   tenant. [enqueued_at = nan] marks items that never crossed the queue
+   (durable-log replay) and suppresses their wait accounting. *)
 type item = {
   record : Ingest.record;
+  line : string;
   trace : Trace_ctx.t option;
   enqueued_at : float;
 }
@@ -473,16 +475,18 @@ let rotate_log t =
      Log.warn (fun f -> f "shard %d: log rotation failed: %s" t.shard_id m));
   reopen_log t
 
-let append_log t records =
+(* Each item's line as it was decoded: replay decodes it to the same
+   record, and the worker spends no time rendering one. *)
+let append_log t items =
   match t.log_oc with
   | None -> ()
   | Some oc -> (
       try
         List.iter
-          (fun r ->
-            output_string oc (Framed_log.frame (Ingest.to_json_line r));
+          (fun it ->
+            output_string oc (Framed_log.frame it.line);
             output_char oc '\n')
-          records;
+          items;
         flush oc;
         (* the file's length: on an append channel [pos_out] counts only
            the bytes written since it was opened *)
@@ -736,7 +740,7 @@ let write_checkpoint ?(final = false) t =
 
 let absorb t items =
   if items <> [] then begin
-    append_log t (List.map (fun it -> it.record) items);
+    append_log t items;
     let absorbed_at = Clock.elapsed () in
     let cap = t.cfg.max_tenant_events in
     Mutex.protect t.mutex (fun () ->
@@ -1260,7 +1264,9 @@ let replay_segment t path =
         ~on_payload:(fun payload ->
           match Ingest.decode_line ~num_queues:t.cfg.num_queues payload with
           | Ok r ->
-              replayed := { record = r; trace = None; enqueued_at = Float.nan } :: !replayed
+              replayed :=
+                { record = r; line = payload; trace = None; enqueued_at = Float.nan }
+                :: !replayed
           | Error reason -> quarantine ~line:payload ~reason)
         ~on_corrupt:quarantine
         ()

@@ -169,6 +169,10 @@ val backoff : base:float -> max_:float -> int -> float
 
 type item = {
   record : Ingest.record;
+  line : string;
+      (** the trimmed line {!Ingest.decode_line} read [record] from, or
+          the payload of the log frame it was replayed from; the event
+          log stores it as it came *)
   trace : Qnet_obs.Trace_ctx.t option;
       (** the trace context minted at [POST /ingest] for the ~1% of
           requests head-sampled into a trace; [None] otherwise *)

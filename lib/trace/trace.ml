@@ -21,54 +21,107 @@ let compare_task_arrival a b =
       | c -> c)
   | c -> c
 
-(* [create] on an array it may reorder in place. [to_csv] and the
+(* [create]'s checks, made in one walk of the events in index order, or
+   inside the parse loop as each record is read. The walk notes whether
+   the events are strictly increasing, the first event that fails a
+   per-event check, the first task start without an initial event or
+   broken link of a chain, and the run count. The first per-event error
+   anywhere wins over any chain error, as when the checks were walks of
+   their own. *)
+type checks = {
+  mutable ordered : bool;
+  mutable bad_event : int;  (** -1 when none *)
+  mutable bad_chain : int;  (** -1 when none *)
+  mutable tasks : int;
+}
+
+let new_checks () = { ordered = true; bad_event = -1; bad_chain = -1; tasks = 0 }
+
+(* [compare_task_arrival p e < 0] without a call when no time is NaN: on
+   other floats the comparisons below order as [compare] does, -0 and 0
+   alike included, and a NaN makes them all false. *)
+let[@inline] before p e =
+  p.task < e.task
+  || p.task = e.task
+     && (p.arrival < e.arrival || (p.arrival = e.arrival && p.departure < e.departure))
+  || compare_task_arrival p e < 0
+
+let[@inline] bad_event ~num_queues e =
+  e.queue < 0 || e.queue >= num_queues
+  || e.arrival <> e.arrival || e.departure <> e.departure
+  || e.arrival < 0.0
+  || e.departure < e.arrival -. chain_tolerance
+
+(* Records event [i] in [c]; events [0] to [i - 1] were recorded before. *)
+let check_event c ~num_queues events i =
+  let e = Array.unsafe_get events i in
+  if c.bad_event < 0 && bad_event ~num_queues e then c.bad_event <- i;
+  if i = 0 then begin
+    c.tasks <- 1;
+    if not (Float.equal e.arrival 0.0) then c.bad_chain <- 0
+  end
+  else begin
+    let p = Array.unsafe_get events (i - 1) in
+    if p.task <> e.task then begin
+      c.tasks <- c.tasks + 1;
+      if c.bad_chain < 0 && not (Float.equal e.arrival 0.0) then c.bad_chain <- i
+    end
+    else if c.bad_chain < 0 && Float.abs (e.arrival -. p.departure) > chain_tolerance then
+      c.bad_chain <- i;
+    if c.ordered && not (before p e) then c.ordered <- false
+  end
+
+let walk c ~num_queues events =
+  for i = 0 to Array.length events - 1 do
+    check_event c ~num_queues events i
+  done
+
+(* The trace, once [c] holds every event of [events]. [to_csv] and the
    simulator write events in strictly increasing order, and a strictly
    increasing array is the only order any sort can give it; a tie or an
    inversion still goes through [Array.sort], which then sees exactly
-   the array it always saw, so ties keep their order. *)
-let of_array ~num_queues events =
-  let n = Array.length events in
-  let rec increasing i =
-    i >= n || (compare_task_arrival events.(i - 1) events.(i) < 0 && increasing (i + 1))
+   the array it always saw, so ties keep their order, and the checks
+   walk the sorted array again. *)
+let finish c ~num_queues events =
+  let c =
+    if c.ordered then c
+    else begin
+      Array.sort compare_task_arrival events;
+      let c = new_checks () in
+      walk c ~num_queues events;
+      c
+    end
   in
-  if not (increasing 1) then Array.sort compare_task_arrival events;
-  Array.iter
-    (fun e ->
-      if e.queue < 0 || e.queue >= num_queues then
-        invalid_arg
-          (Printf.sprintf "Trace.create: queue %d out of range [0,%d)" e.queue num_queues);
-      if Float.is_nan e.arrival || Float.is_nan e.departure then
-        invalid_arg "Trace.create: NaN time";
-      if e.arrival < 0.0 then invalid_arg "Trace.create: negative arrival time";
-      if e.departure < e.arrival -. chain_tolerance then
-        invalid_arg
-          (Printf.sprintf "Trace.create: departure %.12g before arrival %.12g (task %d)"
-             e.departure e.arrival e.task))
-    events;
-  (* Per-task chain check. *)
-  let num_tasks = ref 0 in
-  let n = Array.length events in
-  let i = ref 0 in
-  while !i < n do
-    let task = events.(!i).task in
-    incr num_tasks;
-    let first = events.(!i) in
-    if not (Float.equal first.arrival 0.0) then
+  if c.bad_event >= 0 then begin
+    let e = events.(c.bad_event) in
+    if e.queue < 0 || e.queue >= num_queues then
       invalid_arg
-        (Printf.sprintf "Trace.create: task %d has no initial event at time 0" task);
-    let j = ref (!i + 1) in
-    while !j < n && events.(!j).task = task do
-      let prev = events.(!j - 1) and cur = events.(!j) in
-      if Float.abs (cur.arrival -. prev.departure) > chain_tolerance then
-        invalid_arg
-          (Printf.sprintf
-             "Trace.create: task %d broken chain: arrival %.12g <> previous departure %.12g"
-             task cur.arrival prev.departure);
-      incr j
-    done;
-    i := !j
-  done;
-  { num_queues; num_tasks = !num_tasks; events }
+        (Printf.sprintf "Trace.create: queue %d out of range [0,%d)" e.queue num_queues);
+    if Float.is_nan e.arrival || Float.is_nan e.departure then
+      invalid_arg "Trace.create: NaN time";
+    if e.arrival < 0.0 then invalid_arg "Trace.create: negative arrival time";
+    invalid_arg
+      (Printf.sprintf "Trace.create: departure %.12g before arrival %.12g (task %d)"
+         e.departure e.arrival e.task)
+  end;
+  if c.bad_chain >= 0 then begin
+    let i = c.bad_chain in
+    let cur = events.(i) in
+    if i = 0 || events.(i - 1).task <> cur.task then
+      invalid_arg
+        (Printf.sprintf "Trace.create: task %d has no initial event at time 0" cur.task);
+    invalid_arg
+      (Printf.sprintf
+         "Trace.create: task %d broken chain: arrival %.12g <> previous departure %.12g"
+         cur.task cur.arrival events.(i - 1).departure)
+  end;
+  { num_queues; num_tasks = c.tasks; events }
+
+(* [create] on an array it may reorder in place. *)
+let of_array ~num_queues events =
+  let c = new_checks () in
+  walk c ~num_queues events;
+  finish c ~num_queues events
 
 let create ~num_queues events = of_array ~num_queues (Array.of_list events)
 
@@ -184,6 +237,7 @@ type line = {
   mutable prev : event;  (** the last record read *)
   mutable prev_lo : int;  (** its departure field is bytes [prev_lo] to [prev_hi - 1]; *)
   mutable prev_hi : int;  (** [prev_hi < prev_lo] before the first record *)
+  mutable comma : int;  (** the comma after the reader's last run of digits *)
 }
 
 let placeholder = { task = 0; state = 0; queue = 0; arrival = 0.0; departure = 0.0 }
@@ -198,6 +252,7 @@ let new_line () =
     prev = placeholder;
     prev_lo = 0;
     prev_hi = -1;
+    comma = 0;
   }
 
 (* Scans the line that starts at [pos] into [l] and returns its end: the
@@ -296,12 +351,130 @@ let read_event text l =
   l.prev_hi <- hi.(4);
   e
 
-let count_newlines text =
-  let n = ref 0 in
-  for i = 0 to String.length text - 1 do
-    if String.unsafe_get text i = '\n' then incr n
+(* The native-endian 8 bytes at [i]; a count of zero bytes does not
+   depend on their order. A primitive, so no [int64] is boxed. *)
+external get_int64 : string -> int -> int64 = "%caml_string_get64"
+
+(* Newlines a word at a time. In [x = w lxor 0x0a0a...], a byte is zero
+   exactly where [w] holds a newline. Adding 0x7f to each byte's low
+   seven bits carries into its high bit unless they are all zero, and no
+   byte carries into the next, so the high bit of
+   [((x land 0x7f...) + 0x7f...) lor x] is clear in each zero byte of [x]
+   and only there. *)
+let count_newlines text lo hi =
+  if lo < 0 || hi < lo || hi > String.length text then invalid_arg "Trace.count_newlines";
+  let n = ref 0 and i = ref lo in
+  while !i + 8 <= hi do
+    let x = Int64.logxor (get_int64 text !i) 0x0a0a0a0a0a0a0a0aL in
+    let low = 0x7f7f7f7f7f7f7f7fL in
+    let nonzero = Int64.logor (Int64.add (Int64.logand x low) low) x in
+    let zero = Int64.shift_right_logical (Int64.logand (Int64.lognot nonzero) 0x8080808080808080L) 7 in
+    (* one bit per zero byte, at the bottom of each byte: their sum
+       collects in the top byte *)
+    n := !n + Int64.to_int (Int64.shift_right_logical (Int64.mul zero 0x0101010101010101L) 56);
+    i := !i + 8
+  done;
+  for k = !i to hi - 1 do
+    if String.unsafe_get text k = '\n' then incr n
   done;
   !n
+
+(* The fast path of both parsers, for a line as [to_csv] writes it:
+   three runs of 1 to 18 digits, two float fields of bytes above ' ',
+   four commas and nothing else, up to a newline or the end of the
+   text. Blanks other than a newline may stand before and after it, so
+   a CRLF file takes this path too. The ints are read and the arrival's
+   bytes compared with the previous departure's as the bytes are
+   scanned; the floats go to [Decimal.float_of_substring]. On such a
+   line [scan_line] then [read_event] would find these fields, the same
+   values and the same [Failure]; with no blank inside a field, lenient
+   mode reads it alike. *)
+
+let is_end_blank = function ' ' | '\012' | '\r' | '\t' -> true | _ -> false
+
+(* A run of 1 to 18 digits from [p] to a comma: its value, the comma's
+   index in [l.comma]. -1 when the bytes from [p] are anything else. *)
+let digit_run text p l =
+  let len = String.length text in
+  let k = ref p and acc = ref 0 in
+  while
+    !k < len
+    &&
+    let c = String.unsafe_get text !k in
+    c >= '0' && c <= '9'
+  do
+    acc := (10 * !acc) + Char.code (String.unsafe_get text !k) - 48;
+    incr k
+  done;
+  if !k > p && !k - p <= 18 && !k < len && String.unsafe_get text !k = ',' then begin
+    l.comma <- !k;
+    !acc
+  end
+  else -1
+
+(* Reads a canonical line at [pos] into [l.prev], [l.prev_lo] and
+   [l.prev_hi] and returns its end (its newline's index, or the text's
+   length); returns -1, with those three as they were, on any other
+   line. Raises [Failure] on a float field [float_of_string] rejects. *)
+let read_canonical text pos l =
+  let len = String.length text in
+  let p = ref pos in
+  while !p < len && is_end_blank (String.unsafe_get text !p) do
+    incr p
+  done;
+  let task = digit_run text !p l in
+  let state = if task < 0 then -1 else digit_run text (l.comma + 1) l in
+  let queue = if state < 0 then -1 else digit_run text (l.comma + 1) l in
+  if queue < 0 then -1
+  else begin
+    let lo = l.comma + 1 in
+    (* the arrival's bytes against those at the same offset from the
+       previous departure's start, which lie before [lo] in the text *)
+    let shift = l.prev_lo - lo in
+    let k = ref lo and diff = ref 0 in
+    while
+      !k < len
+      &&
+      let c = String.unsafe_get text !k in
+      c > ' ' && c <> ','
+    do
+      diff :=
+        !diff
+        lor (Char.code (String.unsafe_get text !k)
+            lxor Char.code (String.unsafe_get text (!k + shift)));
+      incr k
+    done;
+    let hi = !k in
+    if hi >= len || String.unsafe_get text hi <> ',' then -1
+    else begin
+      k := hi + 1;
+      while
+        !k < len
+        &&
+        let c = String.unsafe_get text !k in
+        c > ' ' && c <> ','
+      do
+        incr k
+      done;
+      let last = !k in
+      while !k < len && is_end_blank (String.unsafe_get text !k) do
+        incr k
+      done;
+      let stop = !k in
+      if stop < len && String.unsafe_get text stop <> '\n' then -1
+      else begin
+        let arrival =
+          if !diff = 0 && hi - lo = l.prev_hi - l.prev_lo then l.prev.departure
+          else float_field text lo hi
+        in
+        let departure = float_field text (hi + 1) last in
+        l.prev <- { task; state; queue; arrival; departure };
+        l.prev_lo <- hi + 1;
+        l.prev_hi <- last;
+        stop
+      end
+    end
+  end
 
 let of_csv ~num_queues text =
   (* At most one event per line, and none on a header line or on the
@@ -310,31 +483,41 @@ let of_csv ~num_queues text =
   let len = String.length text in
   let first_end = Option.value (String.index_opt text '\n') ~default:len in
   let slots =
-    count_newlines text + 1
+    count_newlines text 0 len + 1
     - Bool.to_int (starts_with_task text 0 first_end)
     - Bool.to_int (len > 0 && String.unsafe_get text (len - 1) = '\n')
   in
   let events = Array.make slots placeholder in
   let count = ref 0 and error = ref None in
-  let l = new_line () in
+  let l = new_line () and c = new_checks () in
   let pos = ref 0 and lineno = ref 1 in
-  while Option.is_none !error && !pos <= String.length text do
-    let stop = scan_line text !pos l in
-    (* the header test reads the untrimmed line *)
-    if l.first = l.last || (!lineno = 1 && starts_with_task text !pos stop) then ()
-    else if l.commas <> 4 then
-      error := Some (Printf.sprintf "line %d: expected 5 comma-separated fields" !lineno)
+  while Option.is_none !error && !pos <= len do
+    let stop = match read_canonical text !pos l with s -> s | exception Failure _ -> -1 in
+    if stop >= 0 then begin
+      events.(!count) <- l.prev;
+      check_event c ~num_queues events !count;
+      incr count;
+      pos := stop + 1
+    end
     else begin
-      match read_event text l with
-      | e ->
-          events.(!count) <- e;
-          incr count
-      | exception Failure _ ->
-          (* int_of_string / float_of_string reject with Failure;
-             anything else (OOM-class) must propagate *)
-          error := Some (Printf.sprintf "line %d: malformed fields" !lineno)
+      let stop = scan_line text !pos l in
+      (* the header test reads the untrimmed line *)
+      if l.first = l.last || (!lineno = 1 && starts_with_task text !pos stop) then ()
+      else if l.commas <> 4 then
+        error := Some (Printf.sprintf "line %d: expected 5 comma-separated fields" !lineno)
+      else begin
+        match read_event text l with
+        | e ->
+            events.(!count) <- e;
+            check_event c ~num_queues events !count;
+            incr count
+        | exception Failure _ ->
+            (* int_of_string / float_of_string reject with Failure;
+               anything else (OOM-class) must propagate *)
+            error := Some (Printf.sprintf "line %d: malformed fields" !lineno)
+      end;
+      pos := stop + 1
     end;
-    pos := stop + 1;
     incr lineno
   done;
   match !error with
@@ -343,7 +526,7 @@ let of_csv ~num_queues text =
       let events =
         if !count = Array.length events then events else Array.sub events 0 !count
       in
-      try Ok (of_array ~num_queues events) with Invalid_argument msg -> Error msg)
+      try Ok (finish c ~num_queues events) with Invalid_argument msg -> Error msg)
 
 (* ------------------------------------------------------------------ *)
 (* Lenient ingestion: real-world trace files arrive with truncated
@@ -662,28 +845,36 @@ let of_events_lenient ~num_queues events =
 let of_csv_lenient ~num_queues text =
   if num_queues <= 0 then invalid_arg "Trace.of_csv_lenient: num_queues must be positive";
   (* at most one record per line *)
-  lenient ~num_queues ~capacity:(count_newlines text + 1) (fun candidate malformed ->
+  lenient ~num_queues ~capacity:(count_newlines text 0 (String.length text) + 1) (fun candidate malformed ->
       let lines_read = ref 0 in
       let l = new_line () in
       let pos = ref 0 and lineno = ref 0 in
       while !pos <= String.length text do
-        let stop = scan_line text !pos l in
         incr lineno;
-        if l.first < l.last then begin
+        let stop = match read_canonical text !pos l with s -> s | exception Failure _ -> -1 in
+        if stop >= 0 then begin
           incr lines_read;
-          (* unlike [of_csv], the header test reads the trimmed line *)
-          if not (!lineno = 1 && starts_with_task text l.first l.last) then
-            if l.commas <> 4 then
-              malformed !lineno
-                (Printf.sprintf "expected 5 comma-separated fields, got %d" (l.commas + 1))
-            else begin
-              trim_fields text l;
-              match read_event text l with
-              | exception Failure _ -> malformed !lineno "unparseable numeric field"
-              | e -> candidate !lineno e
-            end
-        end;
-        pos := stop + 1
+          candidate !lineno l.prev;
+          pos := stop + 1
+        end
+        else begin
+          let stop = scan_line text !pos l in
+          if l.first < l.last then begin
+            incr lines_read;
+            (* unlike [of_csv], the header test reads the trimmed line *)
+            if not (!lineno = 1 && starts_with_task text l.first l.last) then
+              if l.commas <> 4 then
+                malformed !lineno
+                  (Printf.sprintf "expected 5 comma-separated fields, got %d" (l.commas + 1))
+              else begin
+                trim_fields text l;
+                match read_event text l with
+                | exception Failure _ -> malformed !lineno "unparseable numeric field"
+                | e -> candidate !lineno e
+              end
+          end;
+          pos := stop + 1
+        end
       done;
       !lines_read)
 

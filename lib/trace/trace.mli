@@ -73,6 +73,12 @@ val of_csv : num_queues:int -> string -> (t, string) result
     is rejected exactly where, [float_of_string] on the field's text
     would. *)
 
+val count_newlines : string -> int -> int -> int
+(** [count_newlines text lo hi] is the number of ['\n'] bytes from
+    [lo] to [hi - 1], counted 8 bytes at a time; {!of_csv} sizes its
+    event array from it. Raises [Invalid_argument] unless
+    [0 <= lo <= hi <= String.length text]. *)
+
 (** {1 Lenient ingestion}
 
     Production trace files are dirty: truncated writes, NaN fields

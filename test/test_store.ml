@@ -314,6 +314,20 @@ let tied_trace rng =
   done;
   Trace.create ~num_queues !events
 
+let check_chains name trace store =
+  Array.iteri
+    (fun q order ->
+      Alcotest.(check (array int))
+        (name (Printf.sprintf "queue %d order" q))
+        order (Store.events_at_queue store q);
+      Array.iteri
+        (fun k i ->
+          let at j = if j < 0 || j >= Array.length order then -1 else order.(j) in
+          Alcotest.(check int) (name "rho") (at (k - 1)) (Store.rho store i);
+          Alcotest.(check int) (name "rho_inv") (at (k + 1)) (Store.rho_inv store i))
+        order)
+    (oracle_chains trace)
+
 let test_chains_match_full_sort () =
   for seed = 1 to 400 do
     let rng = Rng.create ~seed:(7000 + seed) () in
@@ -321,18 +335,7 @@ let test_chains_match_full_sort () =
     let n = Array.length trace.Trace.events in
     let store = Store.of_trace ~observed:(Array.init n (fun _ -> Rng.bool rng)) trace in
     let name what = Printf.sprintf "seed %d: %s" seed what in
-    Array.iteri
-      (fun q order ->
-        Alcotest.(check (array int))
-          (name (Printf.sprintf "queue %d order" q))
-          order (Store.events_at_queue store q);
-        Array.iteri
-          (fun k i ->
-            let at j = if j < 0 || j >= Array.length order then -1 else order.(j) in
-            Alcotest.(check int) (name "rho") (at (k - 1)) (Store.rho store i);
-            Alcotest.(check int) (name "rho_inv") (at (k + 1)) (Store.rho_inv store i))
-          order)
-      (oracle_chains trace);
+    check_chains name trace store;
     (* [task] is the dense rank of the event's task id, and [to_trace]
        gives the trace back, bit for bit *)
     let ids = Trace.tasks trace in
@@ -353,6 +356,139 @@ let test_chains_match_full_sort () =
         then Alcotest.failf "%s" (name (Printf.sprintf "to_trace event %d" i)))
       trace.Trace.events
   done
+
+(* [tasks] tasks whose ids are [id k] for the k-th to enter. Entry
+   times lie on a grid of three tasks a step, the first three enter at
+   time 0, and every other initial event arrives at -0, so q0 ties in
+   arrival, in departure and in sign; each task then visits one to
+   three of queues 1 to 3 with grid services, and a visit of a task
+   that entered at 0 arrives at -0 half the time. *)
+let grid_trace rng ~tasks ~id =
+  let events = ref [] in
+  for k = 0 to tasks - 1 do
+    let task = id k in
+    let entry = 0.25 *. float_of_int (k / 3) in
+    events := ev task 0 0 (if k mod 2 = 0 then 0.0 else -0.0) entry :: !events;
+    let t = ref entry in
+    for s = 1 to 1 + Rng.int rng 3 do
+      let d = !t +. (0.5 *. float_of_int (1 + Rng.int rng 3)) in
+      let a = if !t = 0.0 && Rng.bool rng then -0.0 else !t in
+      events := ev task s (1 + Rng.int rng 3) a d :: !events;
+      t := d
+    done
+  done;
+  Trace.create ~num_queues:4 !events
+
+(* The chains the walk links, by insertion or by its fallback sort,
+   against the full sort. With ids in entry order but for swapped
+   neighbours, every queue is nearly in index order and insertion takes
+   a few steps per event. With ids shuffled against entry time, an
+   event at q0 sits a third of the queue from its place on average, so
+   after about 64 events the insertions have spent their 16 steps per
+   event and the queue is sorted instead; the queues behind it follow
+   q0's order and go the same way. *)
+let test_chains_insertion_and_fallback () =
+  for seed = 1 to 30 do
+    let rng = Rng.create ~seed:(7500 + seed) () in
+    let tasks = 200 + Rng.int rng 1500 in
+    let perm = Array.init tasks Fun.id in
+    Rng.shuffle_in_place rng perm;
+    List.iter
+      (fun (what, id) ->
+        let trace = grid_trace rng ~tasks ~id in
+        let store = Store.of_trace trace in
+        check_chains (fun s -> Printf.sprintf "seed %d, %s: %s" seed what s) trace store)
+      [
+        ("neighbours swapped", fun k -> match k mod 8 with 2 -> k + 1 | 3 -> k - 1 | _ -> k);
+        ("ids shuffled", fun k -> perm.(k));
+        ("ids descending", fun k -> tasks - k);
+      ]
+  done
+
+(* Every error [of_trace] raises, alone and next to others: a short
+   mask wins over events out of order, events out of order win over
+   every task error however early it comes, the task errors come in
+   index order (no initial event, then an entry away from the arrival
+   queue, at a task's first event; a revisit at a later one), and a
+   queue out of range fails last. *)
+let test_of_trace_errors () =
+  let raw events = { Trace.num_queues = 3; num_tasks = 2; events = Array.of_list events } in
+  let msg m = "Event_store.of_trace: " ^ m in
+  let order i = msg (Printf.sprintf "event %d is out of (task, arrival) order" i) in
+  let cases =
+    [
+      ("empty", None, raw [], msg "empty trace");
+      ( "short mask",
+        Some [| true |],
+        raw [ ev 0 0 0 0.0 1.0; ev 0 1 1 1.0 2.0 ],
+        msg "observed mask length mismatch" );
+      ( "short mask and out of order",
+        Some [| true |],
+        raw [ ev 1 0 0 0.0 1.0; ev 0 1 1 1.0 2.0 ],
+        msg "observed mask length mismatch" );
+      ("tasks descending", None, raw [ ev 1 0 0 0.0 1.0; ev 0 0 0 0.0 1.0 ], order 1);
+      ( "arrival descending after a missing initial event",
+        None,
+        raw [ ev 0 0 0 0.5 1.0; ev 1 0 0 0.0 1.0; ev 1 2 2 2.0 3.0; ev 1 1 1 1.0 2.0 ],
+        order 3 );
+      ( "out of order after a revisit",
+        None,
+        raw [ ev 0 0 0 0.0 1.0; ev 0 1 0 1.0 2.0; ev 2 0 0 0.0 1.0; ev 1 0 0 0.0 1.0 ],
+        order 3 );
+      ("no initial event", None, raw [ ev 0 0 0 0.5 1.0; ev 0 1 1 1.0 2.0 ], msg "task without initial event");
+      ("NaN entry", None, raw [ ev 0 0 0 Float.nan 1.0 ], msg "task without initial event");
+      ( "second task without initial event",
+        None,
+        raw [ ev 0 0 0 0.0 1.0; ev 1 0 0 0.5 1.0 ],
+        msg "task without initial event" );
+      ( "inconsistent arrival queue",
+        None,
+        raw [ ev 0 0 0 0.0 1.0; ev 1 0 1 0.0 1.0 ],
+        msg "inconsistent arrival queue" );
+      ( "no initial event and another queue",
+        None,
+        raw [ ev 0 0 0 0.0 1.0; ev 1 0 1 0.5 1.0 ],
+        msg "task without initial event" );
+      ( "revisit",
+        None,
+        raw [ ev 0 0 0 0.0 1.0; ev 0 1 1 1.0 2.0; ev 0 2 0 2.0 3.0 ],
+        msg "a task revisits the arrival queue" );
+      ( "revisit before a missing initial event",
+        None,
+        raw [ ev 0 0 0 0.0 1.0; ev 0 1 0 1.0 2.0; ev 1 0 0 0.5 1.0 ],
+        msg "a task revisits the arrival queue" );
+      ( "missing initial event before a revisit",
+        None,
+        raw [ ev 0 0 0 0.5 1.0; ev 1 0 0 0.0 1.0; ev 1 1 0 1.0 2.0 ],
+        msg "task without initial event" );
+      ( "queue out of range",
+        None,
+        raw [ ev 0 0 0 0.0 1.0; ev 0 1 7 1.0 2.0 ],
+        "index out of bounds" );
+      ( "queue out of range before a revisit",
+        None,
+        raw [ ev 0 0 0 0.0 1.0; ev 0 1 7 1.0 2.0; ev 1 0 0 0.0 1.0; ev 1 1 0 1.0 2.0 ],
+        msg "a task revisits the arrival queue" );
+    ]
+  in
+  List.iter
+    (fun (name, observed, trace, expected) ->
+      Alcotest.check_raises name (Invalid_argument expected) (fun () ->
+          ignore (Store.of_trace ?observed trace)))
+    cases
+
+(* A trace record whose [num_tasks] is not its run count builds the
+   store a trace with the right count builds. *)
+let test_task_count_not_trusted () =
+  let trace = two_task_trace () in
+  let expected = structure_digest (Store.of_trace trace) in
+  List.iter
+    (fun k ->
+      let store = Store.of_trace { trace with Trace.num_tasks = k } in
+      Alcotest.(check int) (Printf.sprintf "num_tasks %d: tasks" k) 2 (Store.num_tasks store);
+      Alcotest.(check string) (Printf.sprintf "num_tasks %d: structure" k) expected
+        (structure_digest store))
+    [ 0; 1; 3; 100 ]
 
 (* Bytes [f] allocates. *)
 let allocated_bytes f =
@@ -426,11 +562,13 @@ let test_fused_loglik_and_means () =
   check "negative service" store params
 
 (* The ceiling [make bench] gates as MAX_STORE_BPE, at 10k events: the
-   5% mask and the store build allocate 98 B per event, the store's
-   arrays and a merge sort of the queues that arrive out of index
-   order. Copying every arrival and task index and bucketing every
-   queue took 116 B, an eager shuffle buffer 8 B more per latent event,
-   and heap-sorting every bucket 150 B in all. *)
+   5% mask and the store build allocate 86 B per event, the store's
+   arrays and nothing per queue, since insertion relinks the queues
+   that arrive out of index order. A merge sort of those queues and a
+   walk of its own for the task runs took 98 B, copying every arrival
+   and task index and bucketing every queue 116 B, an eager shuffle
+   buffer 8 B more per latent event, and heap-sorting every bucket 150 B
+   in all. *)
 let test_setup_allocation () =
   let net = Topologies.three_tier ~arrival_rate:10.0 ~tier_sizes:(1, 2, 4) ~service_rate:5.0 () in
   let trace = Net_helpers.simulate_n (Rng.create ~seed:508 ()) net 2632 in
@@ -443,8 +581,8 @@ let test_setup_allocation () =
         ignore (Sys.opaque_identity (Store.of_trace ~observed:mask trace)))
   in
   let per_event = b /. float_of_int (Array.length trace.Trace.events) in
-  if per_event > 109.0 then
-    Alcotest.failf "mask + of_trace allocated %.1f B per event (budget 109)" per_event
+  if per_event > 96.0 then
+    Alcotest.failf "mask + of_trace allocated %.1f B per event (budget 96)" per_event
 
 (* [shuffled_latent] draws exactly as [Rng.shuffle_in_place] on a fresh
    copy of [latent]: the same permutation and the same generator state,
@@ -495,6 +633,10 @@ let () =
             test_large_simulated_store_consistency;
           Alcotest.test_case "golden structure" `Quick test_golden_structure;
           Alcotest.test_case "chains ≡ full bucket sort" `Quick test_chains_match_full_sort;
+          Alcotest.test_case "insertion and fallback chains ≡ full sort" `Quick
+            test_chains_insertion_and_fallback;
+          Alcotest.test_case "of_trace errors" `Quick test_of_trace_errors;
+          Alcotest.test_case "task count not trusted" `Quick test_task_count_not_trusted;
           Alcotest.test_case "reductions allocate per queue" `Quick test_reductions_allocation;
           Alcotest.test_case "one-pass log-likelihood and means" `Quick
             test_fused_loglik_and_means;

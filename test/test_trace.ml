@@ -356,8 +356,65 @@ let test_parse_allocation () =
   if per_event > 80.0 then
     Alcotest.failf "of_csv allocated %.1f B per event (budget 80)" per_event
 
+(* [Trace.create] as three walks of the events: the order test, the
+   per-event checks, then the chain checks. The one-pass checks replaced
+   it; it is kept verbatim as their oracle. *)
+let three_pass_create ~num_queues events =
+  let events = Array.of_list events in
+  let chain_tolerance = 1e-9 in
+  let compare_task_arrival a b =
+    match compare a.Trace.task b.Trace.task with
+    | 0 -> (
+        match compare a.Trace.arrival b.Trace.arrival with
+        | 0 -> compare a.Trace.departure b.Trace.departure
+        | c -> c)
+    | c -> c
+  in
+  let n = Array.length events in
+  let rec increasing i =
+    i >= n || (compare_task_arrival events.(i - 1) events.(i) < 0 && increasing (i + 1))
+  in
+  if not (increasing 1) then Array.sort compare_task_arrival events;
+  Array.iter
+    (fun e ->
+      let open Trace in
+      if e.queue < 0 || e.queue >= num_queues then
+        invalid_arg
+          (Printf.sprintf "Trace.create: queue %d out of range [0,%d)" e.queue num_queues);
+      if Float.is_nan e.arrival || Float.is_nan e.departure then
+        invalid_arg "Trace.create: NaN time";
+      if e.arrival < 0.0 then invalid_arg "Trace.create: negative arrival time";
+      if e.departure < e.arrival -. chain_tolerance then
+        invalid_arg
+          (Printf.sprintf "Trace.create: departure %.12g before arrival %.12g (task %d)"
+             e.departure e.arrival e.task))
+    events;
+  let num_tasks = ref 0 in
+  let i = ref 0 in
+  while !i < n do
+    let task = events.(!i).Trace.task in
+    incr num_tasks;
+    let first = events.(!i) in
+    if not (Float.equal first.Trace.arrival 0.0) then
+      invalid_arg
+        (Printf.sprintf "Trace.create: task %d has no initial event at time 0" task);
+    let j = ref (!i + 1) in
+    while !j < n && events.(!j).Trace.task = task do
+      let prev = events.(!j - 1) and cur = events.(!j) in
+      if Float.abs (cur.Trace.arrival -. prev.Trace.departure) > chain_tolerance then
+        invalid_arg
+          (Printf.sprintf
+             "Trace.create: task %d broken chain: arrival %.12g <> previous departure %.12g"
+             task cur.Trace.arrival prev.Trace.departure);
+      incr j
+    done;
+    i := !j
+  done;
+  { Trace.num_queues; num_tasks = !num_tasks; events }
+
 (* Differential test of the parser. The oracle is the split-based
-   [of_csv] the one-pass scanner replaced, kept verbatim. *)
+   [of_csv] the one-pass scanner replaced, kept verbatim but for its
+   last step, the three-pass [create] above. *)
 let oracle_of_csv ~num_queues text =
   let lines = String.split_on_char '\n' text in
   let parse_line lineno line =
@@ -390,7 +447,7 @@ let oracle_of_csv ~num_queues text =
   match go 1 [] lines with
   | Error msg -> Error msg
   | Ok events -> (
-      try Ok (Trace.create ~num_queues events) with Invalid_argument msg -> Error msg)
+      try Ok (three_pass_create ~num_queues events) with Invalid_argument msg -> Error msg)
 
 let pick rng a = a.(Rng.int rng (Array.length a))
 
@@ -534,6 +591,260 @@ let prop_parser_matches_oracle =
           (match expected with Ok b -> b | Error m -> m)
           (match got with Ok b -> b | Error m -> m);
       true)
+
+(* The canonical-line reader against the rest of the scanner. A small
+   trace's [to_csv] text, whose every line the reader takes, gets one to
+   three mutations of the kinds it must hand on or read alike: blanks at
+   a line's ends or inside a field, a CR, a sign, 18 and 19 digits,
+   leading zeros, an exponent, hex, an empty field, 3 and 5 commas, a
+   header or a blank line in the middle, a control byte that is not a
+   blank, a NaN, and an arrival written otherwise than its predecessor's
+   departure. Strict mode must match the split-based oracle. Lenient
+   mode must match itself on the same text with a blank before each
+   line's first comma, which sends every line to [scan_line] and which
+   it trims away. *)
+let on_field rng ~fields f line =
+  match String.split_on_char ',' line with
+  | parts when List.length parts = 5 ->
+      let k = pick rng fields in
+      String.concat "," (List.mapi (fun i x -> if i = k then f x else x) parts)
+  | _ -> line
+
+let ints = [| 0; 1; 2 |]
+let floats = [| 3; 4 |]
+let any_field = [| 0; 1; 2; 3; 4 |]
+
+let mutate rng line =
+  match Rng.int rng 22 with
+  | 0 -> [ " \t" ^ line ^ " " ]
+  | 1 -> [ line ^ "\r" ]
+  | 2 -> [ "\012" ^ line ^ "\t\t" ]
+  | 3 -> [ on_field rng ~fields:ints (fun x -> (if Rng.bool rng then "+" else "-") ^ x) line ]
+  | 4 -> [ on_field rng ~fields:ints (fun _ -> "1" ^ String.make 17 '0') line ]
+  | 5 -> [ on_field rng ~fields:ints (fun _ -> "1" ^ String.make 18 '0') line ]
+  | 6 -> [ on_field rng ~fields:ints (fun x -> "00" ^ x) line ]
+  | 7 -> [ on_field rng ~fields:floats (fun x -> x ^ "e0") line ]
+  | 8 ->
+      [ on_field rng ~fields:ints
+          (fun x -> match int_of_string_opt x with Some k -> Printf.sprintf "0x%x" k | None -> x)
+          line ]
+  | 9 ->
+      [ on_field rng ~fields:floats
+          (fun x -> match float_of_string_opt x with Some f -> Printf.sprintf "%h" f | None -> x)
+          line ]
+  | 10 -> [ on_field rng ~fields:any_field (fun _ -> "") line ]
+  | 11 -> (
+      match String.rindex_opt line ',' with Some k -> [ String.sub line 0 k ] | None -> [ line ])
+  | 12 -> [ line ^ ",1" ]
+  | 13 -> [ line ^ "," ]
+  | 14 -> [ "task,state,queue,arrival,departure"; line ]
+  | 15 -> [ pick rng [| ""; "  "; "\r" |]; line ]
+  | 16 -> [ on_field rng ~fields:any_field (fun x -> if Rng.bool rng then x ^ " " else " " ^ x) line ]
+  | 17 -> [ line ^ pick rng [| "\011"; "\013"; "\000" |] ]
+  | 18 -> [ on_field rng ~fields:floats (fun _ -> "nan") line ]
+  | 19 ->
+      [ on_field rng ~fields:[| 3 |] (fun x -> if String.contains x '.' then x ^ "0" else x ^ ".0") line ]
+  | 20 -> [ on_field rng ~fields:[| 3 |] (fun x -> x ^ "1") line ]
+  | _ -> [ String.concat "," (List.rev (String.split_on_char ',' line)) ]
+
+let mutated_csv seed =
+  let rng = Rng.create ~seed () in
+  let t =
+    Net_helpers.simulate_n rng
+      (Topologies.tandem ~arrival_rate:8.0 ~service_rates:[ 12.0; 10.0 ])
+      (1 + Rng.int rng 8)
+  in
+  let t =
+    if Rng.bool rng then t
+    else { t with Trace.events = Array.map (fun e -> { e with Trace.task = 9 - e.Trace.task }) t.Trace.events }
+  in
+  let lines = Array.of_list (String.split_on_char '\n' (Trace.to_csv t)) in
+  let pieces = Array.map (fun l -> [ l ]) lines in
+  for _ = 0 to Rng.int rng 3 do
+    let k = Rng.int rng (Array.length lines) in
+    pieces.(k) <- List.concat_map (mutate rng) pieces.(k)
+  done;
+  let text = String.concat "\n" (List.concat (Array.to_list pieces)) in
+  if Rng.int rng 4 = 0 && String.ends_with ~suffix:"\n" text then
+    String.sub text 0 (String.length text - 1)
+  else text
+
+let slow_path text =
+  String.split_on_char '\n' text
+  |> List.map (fun l ->
+         match String.index_opt l ',' with
+         | Some k -> String.sub l 0 k ^ " " ^ String.sub l k (String.length l - k)
+         | None -> l)
+  |> String.concat "\n"
+
+let lenient_summary = function
+  | Ok (t, r) -> (Some (trace_bits t), r)
+  | Error r -> (None, r)
+
+let show_lenient (bits, r) =
+  Printf.sprintf "%s | read %d kept %d dropped %d tasks %d | %s"
+    (Option.value bits ~default:"-") r.Trace.lines_read r.Trace.events_kept
+    r.Trace.events_dropped r.Trace.tasks_dropped
+    (String.concat "; "
+       (List.map
+          (fun e ->
+            Printf.sprintf "%s %s %s %s"
+              (match e.Trace.line with Some l -> string_of_int l | None -> "-")
+              (match e.Trace.task_id with Some t -> string_of_int t | None -> "-")
+              (Trace.corruption_label e.Trace.reason) e.Trace.detail)
+          r.Trace.errors))
+
+let prop_reader_matches_scanner =
+  QCheck.Test.make ~name:"canonical reader ≡ scanner, every mutation" ~count:3000
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let csv = mutated_csv seed in
+      let expected = result_bits (oracle_of_csv ~num_queues:3 csv) in
+      let got = result_bits (Trace.of_csv ~num_queues:3 csv) in
+      if expected <> got then
+        QCheck.Test.fail_reportf "seed %d, input %S:@ oracle %s@ of_csv %s" seed csv
+          (match expected with Ok b -> b | Error m -> m)
+          (match got with Ok b -> b | Error m -> m);
+      let lenient text = show_lenient (lenient_summary (Trace.of_csv_lenient ~num_queues:3 text)) in
+      let expected = lenient (slow_path csv) and got = lenient csv in
+      if expected <> got then
+        QCheck.Test.fail_reportf "seed %d, input %S:@ scanner %s@ reader %s" seed csv expected got;
+      true)
+
+(* The newline count, 8 bytes at a time, against a byte loop: texts of
+   0 to 80 bytes, drawn from newlines, 0x8a (a newline's low bits with
+   the high bit set), 0x0b (a newline's neighbour) and random bytes,
+   placed at every offset from 0 to 15 between random bytes. *)
+let test_count_newlines () =
+  let rng = Rng.create ~seed:611 () in
+  let byte () =
+    match Rng.int rng 4 with
+    | 0 -> '\n'
+    | 1 -> '\x8a'
+    | 2 -> '\x0b'
+    | _ -> Char.chr (Rng.int rng 256)
+  in
+  let count s lo hi =
+    let n = ref 0 in
+    for i = lo to hi - 1 do
+      if s.[i] = '\n' then incr n
+    done;
+    !n
+  in
+  for len = 0 to 80 do
+    for _ = 1 to 12 do
+      let text = String.init len (fun _ -> byte ()) in
+      for offset = 0 to 15 do
+        let s =
+          String.init offset (fun _ -> byte ()) ^ text ^ String.init (Rng.int rng 16) (fun _ -> byte ())
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "%S at %d" text offset)
+          (count s offset (offset + len))
+          (Trace.count_newlines s offset (offset + len));
+        Alcotest.(check int) (Printf.sprintf "whole %S" s) (count s 0 (String.length s))
+          (Trace.count_newlines s 0 (String.length s))
+      done
+    done
+  done;
+  List.iter
+    (fun (lo, hi) ->
+      Alcotest.check_raises (Printf.sprintf "range %d %d" lo hi)
+        (Invalid_argument "Trace.count_newlines")
+        (fun () -> ignore (Trace.count_newlines "abc\n" lo hi)))
+    [ (-1, 2); (3, 2); (0, 5) ]
+
+(* [create]'s one walk against the three walks it replaced, on crafted
+   traces where the precedence of its errors shows: a per-event error
+   after an earlier chain error, one before it, a task without an
+   initial event, chain errors of two kinds, an inversion that moves
+   which error comes first, ties, a NaN, -0 entry times, and then on
+   random edits of a simulated trace. The same trace to the bit (the
+   same records in the same places) or the same error. *)
+let create_outcome ~num_queues create events =
+  match create ~num_queues events with
+  | t -> Ok (t.Trace.num_tasks, Array.to_list t.Trace.events)
+  | exception Invalid_argument m -> Error m
+
+let check_create name ~num_queues events =
+  let expected = create_outcome ~num_queues three_pass_create events in
+  let got = create_outcome ~num_queues Trace.create events in
+  match (expected, got) with
+  | Error m, Error m' -> Alcotest.(check string) name m m'
+  | Ok (k, es), Ok (k', es') ->
+      Alcotest.(check int) (name ^ ": tasks") k k';
+      Alcotest.(check int) (name ^ ": length") (List.length es) (List.length es');
+      List.iteri (fun i (e, e') -> if not (e == e') then Alcotest.failf "%s: event %d moved" name i)
+        (List.combine es es')
+  | Error m, Ok _ -> Alcotest.failf "%s: accepted, oracle says %s" name m
+  | Ok _, Error m -> Alcotest.failf "%s: rejected with %s" name m
+
+let test_create_one_walk () =
+  let crafted =
+    [
+      ("valid", [ ev 0 0 0 0.0 1.0; ev 0 1 1 1.0 2.0; ev 1 0 0 0.0 1.5; ev 1 1 1 1.5 3.0 ]);
+      ( "bad queue after a broken chain",
+        [ ev 0 0 0 0.0 1.0; ev 0 1 1 1.25 2.0; ev 1 0 0 0.0 1.5; ev 1 1 7 1.5 3.0 ] );
+      ( "bad queue before a broken chain",
+        [ ev 0 0 0 0.0 1.0; ev 0 1 7 1.0 2.0; ev 1 0 0 0.0 1.5; ev 1 1 1 1.75 3.0 ] );
+      ( "departure before arrival after a missing initial event",
+        [ ev 0 0 0 0.5 1.0; ev 0 1 1 1.0 2.0; ev 1 0 0 0.0 1.5; ev 1 1 1 1.5 1.0 ] );
+      ( "negative arrival after a broken chain",
+        [ ev 0 0 0 0.0 1.0; ev 0 1 1 1.5 2.0; ev 1 0 0 (-1.0) 1.5 ] );
+      ("missing initial event", [ ev 0 0 0 0.0 1.0; ev 1 0 0 0.25 1.5; ev 1 1 1 1.5 3.0 ]);
+      ( "missing initial event after a broken chain",
+        [ ev 0 0 0 0.0 1.0; ev 0 1 1 1.25 2.0; ev 1 0 0 0.25 1.5 ] );
+      ( "broken chain after a missing initial event",
+        [ ev 0 0 0 0.5 1.0; ev 1 0 0 0.0 1.5; ev 1 1 1 1.75 3.0 ] );
+      ("first event not initial", [ ev 3 1 1 1.0 2.0 ]);
+      ("NaN after a broken chain", [ ev 0 0 0 0.0 1.0; ev 0 1 1 1.5 2.0; ev 1 0 0 0.0 Float.nan ]);
+      ("NaN arrival", [ ev 0 0 0 Float.nan 1.0; ev 0 1 1 1.0 2.0 ]);
+      ( "inversion that puts a chain error first",
+        [ ev 1 0 0 0.0 1.5; ev 1 1 5 1.5 3.0; ev 0 0 0 0.0 1.0; ev 0 1 1 1.25 2.0 ] );
+      ( "inversion that puts a bad queue first",
+        [ ev 1 0 0 0.0 1.5; ev 1 1 1 1.75 3.0; ev 0 0 0 0.0 1.0; ev 0 1 6 1.0 2.0 ] );
+      ( "inversion within a task",
+        [ ev 0 1 1 1.0 2.0; ev 0 0 0 0.0 1.0; ev 0 2 2 2.0 3.0 ] );
+      ( "ties kept in order",
+        [ ev 0 0 0 0.0 1.0; ev 0 1 1 1.0 1.0; ev 0 2 2 1.0 1.0; ev 0 3 1 1.0 2.0 ] );
+      ( "ties out of order",
+        [ ev 0 0 0 0.0 1.0; ev 0 3 1 1.0 2.0; ev 0 1 1 1.0 1.0; ev 0 2 2 1.0 1.0 ] );
+      ( "-0 entry and arrival",
+        [ ev 0 0 0 (-0.0) 0.0; ev 0 1 1 (-0.0) 1.0; ev 1 0 0 0.0 (-0.0); ev 1 1 1 0.0 2.0 ] );
+      ("empty", []);
+    ]
+  in
+  List.iter (fun (name, events) -> check_create name ~num_queues:3 events) crafted;
+  let base =
+    (Net_helpers.simulate_n (Rng.create ~seed:612 ())
+       (Topologies.tandem ~arrival_rate:8.0 ~service_rates:[ 12.0; 10.0 ])
+       40)
+      .Trace.events
+  in
+  for seed = 1 to 400 do
+    let rng = Rng.create ~seed:(6120 + seed) () in
+    let a = Array.copy base in
+    for _ = 0 to Rng.int rng 3 do
+      let k = Rng.int rng (Array.length a) in
+      let e = a.(k) in
+      a.(k) <-
+        (match Rng.int rng 8 with
+        | 0 -> { e with Trace.queue = 3 + Rng.int rng 3 }
+        | 1 -> { e with Trace.arrival = e.Trace.arrival +. 0.5 }
+        | 2 -> { e with Trace.departure = Float.nan }
+        | 3 -> { e with Trace.departure = e.Trace.arrival -. 1.0 }
+        | 4 -> { e with Trace.task = e.Trace.task + 1 }
+        | 5 -> { e with Trace.arrival = -1.0 }
+        | 6 ->
+            let j = Rng.int rng (Array.length a) in
+            let f = a.(j) in
+            a.(j) <- e;
+            f
+        | _ -> e)
+    done;
+    if Rng.int rng 4 = 0 then Rng.shuffle_in_place rng a;
+    check_create (Printf.sprintf "seed %d" seed) ~num_queues:3 (Array.to_list a)
+  done
 
 (* Differential test of the float reader: [Decimal.float_of_substring]
    against [float_of_string] on the substring, the same bits or Failure
@@ -1204,6 +1515,9 @@ let () =
           Alcotest.test_case "power-of-five table" `Quick test_power_table;
           Alcotest.test_case "create ≡ Array.sort" `Quick test_create_matches_sort;
           Alcotest.test_case "parse allocation" `Quick test_parse_allocation;
+          QCheck_alcotest.to_alcotest prop_reader_matches_scanner;
+          Alcotest.test_case "newline count ≡ byte loop" `Quick test_count_newlines;
+          Alcotest.test_case "one-walk create ≡ three walks" `Quick test_create_one_walk;
         ] );
       ( "lenient-edges",
         [
