@@ -15,8 +15,12 @@ test:
 # compiler's own parser and enforce the determinism, domain-safety and
 # exception-hygiene rules in DESIGN.md section 10. Non-zero exit on
 # any finding that is neither suppressed in-source nor baselined.
+# Then scripts/unused_exports fails on any exported value or lib
+# module that nothing outside its own module names, unless its
+# allowlist keeps it as a test hook or oracle.
 lint: build
 	dune exec qnet_lint -- --root .
+	scripts/unused_exports
 
 # Cross-module concurrency analysis on top of the shallow rules:
 # whole-program race (C001/C003), lock-order-cycle (C002), blocking-

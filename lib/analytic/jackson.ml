@@ -58,8 +58,3 @@ let bottleneck reports =
   Array.fold_left
     (fun best r -> if r.utilization > best.utilization then r else best)
     reports.(0) reports
-
-let mean_end_to_end_response reports =
-  Array.fold_left
-    (fun acc r -> acc +. (r.visit_ratio *. r.mean_response_time))
-    0.0 reports

@@ -31,7 +31,3 @@ val analyze :
 
 val bottleneck : queue_report array -> queue_report
 (** The queue with the highest utilization. *)
-
-val mean_end_to_end_response : queue_report array -> float
-(** Σ_q v_q · W_q — the expected total time a task spends in the
-    network ([infinity] if any visited queue is unstable). *)

@@ -11,11 +11,6 @@ let utilization ~arrival_rate ~service_rate =
   check_positive arrival_rate service_rate;
   arrival_rate /. service_rate
 
-let mean_number_in_system ~arrival_rate ~service_rate =
-  check_stable arrival_rate service_rate;
-  let rho = arrival_rate /. service_rate in
-  rho /. (1.0 -. rho)
-
 let mean_response_time ~arrival_rate ~service_rate =
   check_stable arrival_rate service_rate;
   1.0 /. (service_rate -. arrival_rate)
@@ -25,22 +20,6 @@ let mean_waiting_time ~arrival_rate ~service_rate =
   let rho = arrival_rate /. service_rate in
   rho /. (service_rate -. arrival_rate)
 
-let mean_queue_length ~arrival_rate ~service_rate =
-  check_stable arrival_rate service_rate;
-  let rho = arrival_rate /. service_rate in
-  rho *. rho /. (1.0 -. rho)
-
-let prob_n_in_system ~arrival_rate ~service_rate n =
-  check_stable arrival_rate service_rate;
-  if n < 0 then invalid_arg "Mm1.prob_n_in_system: negative n";
-  let rho = arrival_rate /. service_rate in
-  (1.0 -. rho) *. (rho ** float_of_int n)
-
 let response_time_cdf ~arrival_rate ~service_rate x =
   check_stable arrival_rate service_rate;
   if x <= 0.0 then 0.0 else -.Float.expm1 (-.(service_rate -. arrival_rate) *. x)
-
-let response_time_quantile ~arrival_rate ~service_rate p =
-  check_stable arrival_rate service_rate;
-  if p < 0.0 || p >= 1.0 then invalid_arg "Mm1.response_time_quantile: p outside [0,1)";
-  -.Float.log1p (-.p) /. (service_rate -. arrival_rate)

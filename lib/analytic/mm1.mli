@@ -10,25 +10,11 @@
 val utilization : arrival_rate:float -> service_rate:float -> float
 (** ρ = λ/μ (valid for any positive rates). *)
 
-val mean_number_in_system : arrival_rate:float -> service_rate:float -> float
-(** L = ρ/(1-ρ). *)
-
 val mean_response_time : arrival_rate:float -> service_rate:float -> float
 (** W = 1/(μ-λ): mean waiting + service time. *)
 
 val mean_waiting_time : arrival_rate:float -> service_rate:float -> float
 (** Wq = ρ/(μ-λ): time in queue before service starts. *)
 
-val mean_queue_length : arrival_rate:float -> service_rate:float -> float
-(** Lq = ρ²/(1-ρ). *)
-
-val prob_n_in_system : arrival_rate:float -> service_rate:float -> int -> float
-(** P(N = n) = (1-ρ)ρⁿ. *)
-
 val response_time_cdf : arrival_rate:float -> service_rate:float -> float -> float
 (** The sojourn time is Exponential(μ-λ); this is its CDF. *)
-
-val response_time_quantile :
-  arrival_rate:float -> service_rate:float -> float -> float
-(** Inverse of {!response_time_cdf}; used for tail-latency ("slow 1%")
-    predictions. *)

@@ -26,18 +26,3 @@ let mean_observed_service trace ~observed_tasks =
   Array.mapi
     (fun q c -> if c = 0 then nan else sums.(q) /. float_of_int c)
     counts
-
-let mean_observed_response trace ~observed_tasks =
-  let sums, counts =
-    fold_observed trace ~observed_tasks ~value:(fun t q -> Trace.response_times t q)
-  in
-  Array.mapi
-    (fun q c -> if c = 0 then nan else sums.(q) /. float_of_int c)
-    counts
-
-let counts_by_queue trace ~observed_tasks =
-  let _, counts =
-    fold_observed trace ~observed_tasks ~value:(fun t q ->
-        Array.map (fun _ -> 0.0) (Trace.queue_events t q))
-  in
-  counts

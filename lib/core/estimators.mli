@@ -12,12 +12,3 @@ val mean_observed_service :
     belong to observed tasks. Queues with no observed events report
     [nan]. Service times are reconstructed from the full trace under
     FIFO, exactly as the instrumented system would measure them. *)
-
-val mean_observed_response :
-  Qnet_trace.Trace.t -> observed_tasks:int list -> float array
-(** Same, for response (sojourn) times [departure − arrival]. *)
-
-val counts_by_queue :
-  Qnet_trace.Trace.t -> observed_tasks:int list -> int array
-(** Number of observed-task events per queue (to flag starved queues,
-    like Figure 5's 19-request web server). *)

@@ -137,16 +137,8 @@ let num_params = function
   | Erlang _ -> 1 (* the shape is fixed, only the rate is fit *)
   | Gamma | Lognormal -> 2
 
-let select_families ?(candidates = [ Exponential; Gamma; Lognormal ])
-    ?(pilot_iterations = 100) rng store =
-  if candidates = [] then invalid_arg "General_stem.select_families: no candidates";
-  let pilot_config =
-    {
-      Stem.default_config with
-      Stem.iterations = pilot_iterations;
-      burn_in = pilot_iterations / 2;
-    }
-  in
+let select_families rng store =
+  let pilot_config = { Stem.default_config with Stem.iterations = 100; burn_in = 50 } in
   let _ = Stem.run ~config:pilot_config rng store in
   let samples = services_by_queue store in
   Array.init (Store.num_queues store) (fun q ->
@@ -162,7 +154,7 @@ let select_families ?(candidates = [ Exponential; Gamma; Lognormal ])
                         samples.(q),
                       family )
               | exception Invalid_argument _ -> None)
-            candidates
+            [ Exponential; Gamma; Lognormal ]
         in
         match List.sort compare scored with
         | (_, best) :: _ -> best

@@ -47,16 +47,11 @@ val run :
     {!Stem.initial_guess} rates, reshaped into each family at equal
     mean). *)
 
-val select_families :
-  ?candidates:family list ->
-  ?pilot_iterations:int ->
-  Qnet_prob.Rng.t ->
-  Event_store.t ->
-  family array
+val select_families : Qnet_prob.Rng.t -> Event_store.t -> family array
 (** [select_families rng store] chooses a service family per queue by
-    AIC: a pilot exponential StEM imputes the latent times, then each
-    queue's imputed service sample is fit with every candidate
-    (default: exponential, gamma, lognormal) and the lowest-AIC family
-    wins. Queues with too few samples default to [Exponential]. The
-    store is left at the pilot's final state, so a subsequent
-    {!run} continues from it. *)
+    AIC: a 100-iteration pilot exponential StEM imputes the latent
+    times, then each queue's imputed service sample is fit as
+    exponential, gamma and lognormal, and the lowest-AIC family wins.
+    Queues with too few samples default to [Exponential]. The store is
+    left at the pilot's final state, so a subsequent {!run} continues
+    from it. *)

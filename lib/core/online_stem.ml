@@ -202,10 +202,3 @@ let run ?(config = default_config) ?init ?(on_warning = fun _ -> ()) rng trace ~
       Metrics.Counter.inc (Lazy.force m_windows_skipped)
   done;
   List.rev !steps
-
-let arrival_rate_trajectory steps =
-  List.map
-    (fun s ->
-      let t0, t1 = s.window in
-      (0.5 *. (t0 +. t1), Params.arrival_rate s.params))
-    steps

@@ -59,7 +59,3 @@ val run :
     empty or inverted. Raises [Invalid_argument] only when no task has
     a finite entry timestamp, the mask length mismatches, or
     [num_windows < 1]. *)
-
-val arrival_rate_trajectory : step list -> (float * float) list
-(** [(window midpoint, λ̂)] per step — the series to plot against a
-    known ramp. *)

@@ -30,13 +30,6 @@ let rate t q = t.rates.(q)
 let arrival_rate t = t.rates.(t.arrival_queue)
 let mean_service t q = 1.0 /. t.rates.(q)
 
-let with_rate t q r =
-  if not (r > 0.0 && Float.is_finite r) then
-    invalid_arg "Params.with_rate: rate must be positive";
-  let rates = Array.copy t.rates in
-  rates.(q) <- r;
-  { t with rates }
-
 let map_rates t f =
   let rates = Array.mapi (fun q r -> f q r) t.rates in
   create ~rates ~arrival_queue:t.arrival_queue

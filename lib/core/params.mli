@@ -22,9 +22,6 @@ val arrival_rate : t -> float
 val mean_service : t -> int -> float
 (** [1 /. rate]. *)
 
-val with_rate : t -> int -> float -> t
-(** Functional single-rate update. *)
-
 val map_rates : t -> (int -> float -> float) -> t
 
 val distance : t -> t -> float

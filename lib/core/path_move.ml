@@ -79,15 +79,12 @@ let resample_event rng store params fsm i =
         end
   end
 
-let sweep ?targets rng store params fsm =
+let sweep rng store params fsm =
   let targets =
-    match targets with
-    | Some t -> t
-    | None ->
-        Array.of_list
-          (List.filter
-             (fun i -> eligible store fsm i)
-             (Array.to_list (Store.unobserved_events store)))
+    Array.of_list
+      (List.filter
+         (fun i -> eligible store fsm i)
+         (Array.to_list (Store.unobserved_events store)))
   in
   let proposed = ref 0 and accepted = ref 0 and infeasible = ref 0 in
   Array.iter

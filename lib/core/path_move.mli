@@ -38,13 +38,7 @@ val resample_event :
 (** One M–H move on one event's queue assignment. *)
 
 val sweep :
-  ?targets:int array ->
-  Qnet_prob.Rng.t ->
-  Event_store.t ->
-  Params.t ->
-  Qnet_fsm.Fsm.t ->
-  stats
-(** One pass of routing moves over [targets] (default: every eligible
-    event with an {e unobserved} departure — fully-observed tasks are
-    assumed to have known routes; pass explicit [targets] to resample
-    routes of timed-but-unrouted events). *)
+  Qnet_prob.Rng.t -> Event_store.t -> Params.t -> Qnet_fsm.Fsm.t -> stats
+(** One pass of routing moves over every eligible event with an
+    {e unobserved} departure, chosen before the first move
+    (fully-observed tasks are assumed to have known routes). *)

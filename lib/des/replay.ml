@@ -4,6 +4,8 @@ type item = { at : float; line : string; poison : bool }
 
 let tenant_key ~tenants task = Printf.sprintf "t%d" (task mod tenants)
 
+(* Realistic corruptions the daemon's ingest decoder rejects; none is
+   empty, since empty lines are skipped, not quarantined. *)
 let poison_variants =
   [|
     (* truncated JSON *)

@@ -26,12 +26,6 @@ val tenant_key : tenants:int -> int -> string
 (** [tenant_key ~tenants task] — the stable key ["t<k>"] with
     [k = task mod tenants]. *)
 
-val poison_line : int -> string
-(** The [i]-th poison line — cycles through a fixed set of realistic
-    corruptions (truncated JSON, NaN fields, bad queue ids, binary
-    junk). Every variant is rejected by the daemon's ingest decoder;
-    none is empty (empty lines are skipped, not quarantined). *)
-
 val plan :
   ?speedup:float -> ?poison:int -> tenants:int -> Qnet_trace.Trace.t -> item list
 (** [plan ~tenants trace] — the replay schedule, sorted by [at]

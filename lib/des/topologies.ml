@@ -82,50 +82,3 @@ let feedback ~arrival_rate ~service_rate ~loop_prob =
   Network.create ~fsm
     ~service:[| D.Exponential arrival_rate; D.Exponential service_rate |]
     ()
-
-let random_layered rng ~num_layers ~max_width ~arrival_rate
-    ~service_rate_range:(lo, hi) ?(skip_prob = 0.2) () =
-  if num_layers < 1 then invalid_arg "Topologies.random_layered: need >= 1 layer";
-  if max_width < 1 then invalid_arg "Topologies.random_layered: need max_width >= 1";
-  if not (lo > 0.0 && hi >= lo) then
-    invalid_arg "Topologies.random_layered: bad service rate range";
-  let module Rng = Qnet_prob.Rng in
-  let widths = Array.init num_layers (fun _ -> 1 + Rng.int rng max_width) in
-  let skipped =
-    (* every layer may be skipped except one randomly chosen anchor *)
-    let anchor = Rng.int rng num_layers in
-    Array.init num_layers (fun l -> l <> anchor && Rng.float_unit rng < skip_prob)
-  in
-  let kept = Array.to_list widths |> List.filteri (fun l _ -> not skipped.(l)) in
-  let num_kept = List.length kept in
-  let offsets = Array.make num_kept 0 in
-  let _ =
-    List.fold_left
-      (fun (i, acc) w ->
-        offsets.(i) <- acc;
-        (i + 1, acc + w))
-      (0, 1) kept
-  in
-  let num_queues = 1 + List.fold_left ( + ) 0 kept in
-  (* states: 0 = initial (emits q0), 1..num_kept = layers, final last *)
-  let final = num_kept + 1 in
-  let transitions =
-    List.init (num_kept + 1) (fun s -> (s, [ (s + 1, 1.0) ]))
-  in
-  let emissions =
-    (0, [ (0, 1.0) ])
-    :: List.mapi
-         (fun i w ->
-           (i + 1, List.init w (fun k -> (offsets.(i) + k, 1.0))))
-         kept
-  in
-  let fsm =
-    Qnet_fsm.Fsm.create ~num_states:(final + 1) ~num_queues ~initial:0 ~final
-      ~transitions ~emissions
-  in
-  let service =
-    Array.init num_queues (fun q ->
-        if q = 0 then Qnet_prob.Distributions.Exponential arrival_rate
-        else Qnet_prob.Distributions.Exponential (Rng.float_range rng lo hi))
-  in
-  Network.create ~fsm ~service ()

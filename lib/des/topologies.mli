@@ -38,21 +38,3 @@ val feedback :
 (** A single queue that tasks revisit with probability [loop_prob]
     after each service — exercises FSMs with cycles and tasks with
     repeated visits to one queue. *)
-
-val random_layered :
-  Qnet_prob.Rng.t ->
-  num_layers:int ->
-  max_width:int ->
-  arrival_rate:float ->
-  service_rate_range:float * float ->
-  ?skip_prob:float ->
-  unit ->
-  Network.t
-(** [random_layered rng ~num_layers ~max_width ~arrival_rate
-    ~service_rate_range ()] draws a random layered network: each of
-    the [num_layers] tiers gets 1..[max_width] parallel queues with
-    service rates uniform in the given range; each task visits one
-    uniformly chosen queue per tier, skipping a whole tier with
-    probability [skip_prob] (default 0.2, clamped so the path never
-    becomes empty). Used by the property-based tests to exercise the
-    pipeline on many shapes. *)

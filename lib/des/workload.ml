@@ -79,13 +79,3 @@ let generate rng w n =
         out.(i) <- !t
       done);
   out
-
-let mean_rate = function
-  | Poisson rate -> rate
-  | Ramp { final_rate; _ } -> final_rate
-  | Mmpp2 { rate0; rate1; switch01; switch10 } ->
-      (* stationary phase probabilities are proportional to the mean
-         sojourn times 1/switch01 and 1/switch10 *)
-      let p0 = switch10 /. (switch01 +. switch10) in
-      (p0 *. rate0) +. ((1.0 -. p0) *. rate1)
-  | Interarrival d -> 1.0 /. D.mean d

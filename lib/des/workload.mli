@@ -27,6 +27,3 @@ val validate : t -> (unit, string) result
 val generate : Qnet_prob.Rng.t -> t -> int -> float array
 (** [generate rng w n] draws the first [n] task entry times, strictly
     increasing. *)
-
-val mean_rate : t -> float
-(** Long-run average arrival rate (for the ramp: the plateau rate). *)

@@ -51,7 +51,6 @@ type t = {
   registry : Metrics.registry;
   window : int;
   publish_every : int;
-  rhat_good : float;
   mutable chains : chain_track list; (* unordered; snapshot sorts *)
   mutable num_queues : int; (* -1 until first observation *)
   mutable arrival : int; (* -1 until told *)
@@ -65,8 +64,10 @@ type t = {
   gc : gc_totals;
 }
 
-let create ?(registry = Metrics.default) ?(window = 512) ?(publish_every = 10)
-    ?(rhat_good = 1.05) () =
+(* The convergence verdict: the worst split-R̂ is below this. *)
+let rhat_good = 1.05
+
+let create ?(registry = Metrics.default) ?(window = 512) ?(publish_every = 10) () =
   if window < 8 then invalid_arg "Diagnostics.create: window must be >= 8";
   if publish_every < 1 then
     invalid_arg "Diagnostics.create: publish_every must be >= 1";
@@ -75,7 +76,6 @@ let create ?(registry = Metrics.default) ?(window = 512) ?(publish_every = 10)
     registry;
     window;
     publish_every;
-    rhat_good;
     chains = [];
     num_queues = -1;
     arrival = -1;
@@ -366,7 +366,7 @@ let snapshot_locked (t : t) =
     queues;
     arrival_queue = t.arrival;
     max_rhat;
-    converged = Float.is_finite max_rhat && max_rhat < t.rhat_good;
+    converged = Float.is_finite max_rhat && max_rhat < rhat_good;
     bottleneck;
     gc =
       {

@@ -41,14 +41,12 @@ val create :
   ?registry:Metrics.registry ->
   ?window:int ->
   ?publish_every:int ->
-  ?rhat_good:float ->
   unit ->
   t
 (** [window] (default 512) bounds the per-chain per-queue sample
     memory used for split-R̂ and quantiles — older samples age out,
     which doubles as burn-in forgetting. [publish_every] (default 10)
-    is the gauge/sink refresh period in observations. [rhat_good]
-    (default 1.05) is the convergence verdict threshold. Raises
+    is the gauge/sink refresh period in observations. Raises
     [Invalid_argument] if [window < 8] or [publish_every < 1]. *)
 
 val default : t
@@ -142,7 +140,7 @@ type snapshot = {
   queues : queue_summary array;  (** indexed by queue *)
   arrival_queue : int;  (** -1 when unset *)
   max_rhat : float;  (** over service queues; [nan] until computable *)
-  converged : bool;  (** [max_rhat] finite and below [rhat_good] *)
+  converged : bool;  (** [max_rhat] finite and below 1.05 *)
   bottleneck : int;
       (** service queue with the largest [wait_fraction]; -1 unknown *)
   gc : gc_summary;

@@ -226,6 +226,7 @@ end
 module Histogram = struct
   type t = hist_body
 
+  (* Decades from 100µs to 100s, for sweep and checkpoint latencies. *)
   let default_buckets =
     [| 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0; 100.0 |]
 

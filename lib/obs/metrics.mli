@@ -89,10 +89,6 @@ end
 module Histogram : sig
   type t
 
-  val default_buckets : float array
-  (** Exponential decades from 100µs to 100s — a sane default for
-      sweep/checkpoint latencies. *)
-
   val create :
     ?registry:registry ->
     ?help:string ->

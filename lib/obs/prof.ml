@@ -473,6 +473,7 @@ let pause_summary () =
         (Compaction, hist_stats s.p_compact);
       ]
 
+(* Intervals between the ends of major GC cycles. *)
 let major_cycle_summary () =
   match Atomic.get latest with
   | None -> empty_stats

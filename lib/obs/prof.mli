@@ -94,9 +94,6 @@ val pause_summary : unit -> (pause_kind * pause_stats) list
     current or most recent session (all-zero when none), as of the
     last ring read. *)
 
-val major_cycle_summary : unit -> pause_stats
-(** Intervals between the ends of major GC cycles. *)
-
 (** {1 Export} *)
 
 val to_folded : unit -> (string * int) list

@@ -23,7 +23,6 @@ type tracer = {
   mutable write : int; (* next slot *)
   mutable stored : int; (* valid entries, <= capacity *)
   mutable dropped : int;
-  drops_by_domain : (int, int) Hashtbl.t; (* domain id -> overwrites *)
   lock : Mutex.t;
   dropped_total : Metrics.Counter.t;
 }
@@ -46,7 +45,6 @@ let enable ?(capacity = 65536) () =
          write = 0;
          stored = 0;
          dropped = 0;
-         drops_by_domain = Hashtbl.create 8;
          lock = Mutex.create ();
          (* Created here, before any domain can record. The help string
             is kept in sync with Serve_metrics.families so whichever
@@ -66,13 +64,7 @@ let record tr s =
   tr.ring.(tr.write) <- Some s;
   tr.write <- (tr.write + 1) mod Array.length tr.ring;
   let overwrote = tr.stored = Array.length tr.ring in
-  if overwrote then begin
-    tr.dropped <- tr.dropped + 1;
-    let d = (Domain.self () :> int) in
-    Hashtbl.replace tr.drops_by_domain d
-      (1 + (try Hashtbl.find tr.drops_by_domain d with Not_found -> 0))
-  end
-  else tr.stored <- tr.stored + 1;
+  if overwrote then tr.dropped <- tr.dropped + 1 else tr.stored <- tr.stored + 1;
   Mutex.unlock tr.lock;
   (* metrics counter bumped outside the ring lock; its shard belongs
      to this domain, so no extra synchronization is needed *)
@@ -138,15 +130,6 @@ let dropped () =
   match Atomic.get state with
   | None -> 0
   | Some tr -> Mutex.protect tr.lock (fun () -> tr.dropped)
-
-let dropped_by_domain () =
-  match Atomic.get state with
-  | None -> []
-  | Some tr ->
-      Mutex.lock tr.lock;
-      let out = Hashtbl.fold (fun d n acc -> (d, n) :: acc) tr.drops_by_domain [] in
-      Mutex.unlock tr.lock;
-      List.sort compare out
 
 (* Record a phase measured externally (cross-thread hand-offs like
    queue-wait, where no single [with_span] scope exists). Always a
@@ -322,11 +305,6 @@ let to_folded spans =
     spans;
   Hashtbl.fold (fun stack us out -> (stack, us) :: out) acc []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let write_folded oc spans =
-  List.iter
-    (fun (stack, us) -> Printf.fprintf oc "%s %d\n" stack us)
-    (to_folded spans)
 
 (* ------------------------------------------------------------------ *)
 (* Summarization                                                       *)

@@ -69,11 +69,6 @@ val dropped : unit -> int
     overwrite also increments the [qnet_trace_dropped_total] metrics
     counter. *)
 
-val dropped_by_domain : unit -> (int * int) list
-(** Overwrites attributed to the domain that recorded the overwriting
-    span, as [(domain_id, count)] sorted by domain id. Sums to
-    {!dropped}. *)
-
 val to_json : span -> string
 
 val of_json : string -> (span, string) result
@@ -105,9 +100,6 @@ val to_folded : span list -> (string * int) list
     names are sanitized ([';'] and whitespace replaced) so the output
     feeds [flamegraph.pl] / speedscope unchanged. Deterministically
     sorted by stack. *)
-
-val write_folded : out_channel -> span list -> unit
-(** {!to_folded} rendered one [stack count] line at a time. *)
 
 (** Aggregate a span log into a per-phase wall-time breakdown. *)
 module Summary : sig

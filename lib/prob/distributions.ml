@@ -142,8 +142,6 @@ let log_pdf d x =
            normalizer is written with expm1 so negative rates work. *)
         -.(rate *. x) +. log (Float.abs rate) -. log (Float.abs (Float.expm1 (-.rate *. width)))
 
-let pdf d x = exp (log_pdf d x)
-
 let cdf d x =
   match d with
   | Exponential rate -> if x <= 0.0 then 0.0 else -.Float.expm1 (-.rate *. x)
@@ -290,15 +288,6 @@ let variance d =
 let squared_cv d =
   let m = mean d in
   variance d /. (m *. m)
-
-let exponential_mle samples =
-  match samples with
-  | [] -> invalid_arg "Distributions.exponential_mle: empty sample"
-  | _ ->
-      let n = float_of_int (List.length samples) in
-      let total = List.fold_left ( +. ) 0.0 samples in
-      if total <= 0.0 then invalid_arg "Distributions.exponential_mle: non-positive sum"
-      else n /. total
 
 let pp ppf d =
   match d with

@@ -46,9 +46,6 @@ val log_pdf : t -> float -> float
     elsewhere — it has no density, the value is only useful for
     support checks). *)
 
-val pdf : t -> float -> float
-(** [pdf d x] is [exp (log_pdf d x)]. *)
-
 val cdf : t -> float -> float
 (** [cdf d x] is P(X <= x). *)
 
@@ -66,11 +63,6 @@ val squared_cv : t -> float
 (** Squared coefficient of variation [variance / mean^2]; 1 for the
     exponential family, > 1 for hyperexponential, < 1 for Erlang.
     Drives the misspecification experiments. *)
-
-val exponential_mle : float list -> float
-(** [exponential_mle samples] is the maximum-likelihood rate
-    [n / sum samples] for an exponential model. Requires a non-empty
-    list with positive sum. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable formatter, e.g. [Exp(rate=5.)]. *)

@@ -27,7 +27,7 @@ let fit_lognormal xs =
   in
   Distributions.Lognormal (mu, Float.max (sqrt var) 1e-6)
 
-let fit_gamma ?(tolerance = 1e-10) ?(max_iter = 100) xs =
+let fit_gamma xs =
   check_samples "Fitting.fit_gamma" xs;
   let xbar = mean xs in
   let log_xbar = log xbar in
@@ -37,7 +37,8 @@ let fit_gamma ?(tolerance = 1e-10) ?(max_iter = 100) xs =
     (* numerically constant sample: an arbitrarily peaked Gamma; cap it *)
     Distributions.Gamma (1e6, 1e6 /. xbar)
   else begin
-    (* Minka's starting point, then Newton on f(k) = log k - psi k - s *)
+    (* Minka's starting point, then at most 100 Newton steps on
+       f(k) = log k - psi k - s, stopping at a relative step of 1e-10 *)
     let k0 = (3.0 -. s +. sqrt (((s -. 3.0) ** 2.0) +. (24.0 *. s))) /. (12.0 *. s) in
     let rec newton k iter =
       if iter = 0 then k
@@ -46,17 +47,13 @@ let fit_gamma ?(tolerance = 1e-10) ?(max_iter = 100) xs =
         let f' = (1.0 /. k) -. Special.trigamma k in
         let k' = k -. (f /. f') in
         if not (k' > 0.0 && Float.is_finite k') then k
-        else if Float.abs (k' -. k) < tolerance *. k then k'
+        else if Float.abs (k' -. k) < 1e-10 *. k then k'
         else newton k' (iter - 1)
       end
     in
-    let k = newton (Float.max k0 1e-3) max_iter in
+    let k = newton (Float.max k0 1e-3) 100 in
     Distributions.Gamma (k, k /. xbar)
   end
-
-let fit_deterministic xs =
-  check_samples "Fitting.fit_deterministic" xs;
-  Distributions.Deterministic (mean xs)
 
 let log_likelihood d xs =
   Array.fold_left (fun acc x -> acc +. Distributions.log_pdf d x) 0.0 xs

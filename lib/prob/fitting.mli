@@ -17,14 +17,11 @@ val fit_lognormal : float array -> Distributions.t
     [log x]. Degenerate samples (all equal) get a floor of 1e-6 on
     sigma. *)
 
-val fit_gamma : ?tolerance:float -> ?max_iter:int -> float array -> Distributions.t
+val fit_gamma : float array -> Distributions.t
 (** Full Gamma MLE: shape by Newton iteration on
     [log k − ψ(k) = log x̄ − mean (log x)] (started from the
     Minka/moment approximation), then rate [k / x̄]. Falls back to the
     moment estimator if Newton leaves the domain. *)
-
-val fit_deterministic : float array -> Distributions.t
-(** Point mass at the sample mean (for completeness). *)
 
 val log_likelihood : Distributions.t -> float array -> float
 (** Σ log pdf — used to compare fitted families (and by tests). *)

@@ -63,11 +63,6 @@ let set_state t s =
     invalid_arg "Rng.set_state: all-zero state is invalid for xoshiro256++";
   Array.iteri (fun i w -> set64u t (8 * i) w) s
 
-let of_state s =
-  let t = Bytes.create 32 in
-  set_state t s;
-  t
-
 let bits64 t = next t
 
 let split t = of_seed64 (next t)

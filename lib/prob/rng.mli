@@ -28,10 +28,6 @@ val set_state : t -> int64 array -> unit
     [s]. Raises [Invalid_argument] unless [s] has length 4 and is not
     all zero (the one state xoshiro can never leave). *)
 
-val of_state : int64 array -> t
-(** [of_state s] is a fresh generator at state [s] (same validation as
-    {!set_state}). *)
-
 val split : t -> t
 (** [split t] returns a new generator seeded from the output of [t]
     (advancing [t]). Streams obtained by repeated splitting are

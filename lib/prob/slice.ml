@@ -1,4 +1,7 @@
-let step_stats ?(max_shrink = 100) rng ~log_density ~lower ~upper ~current =
+(* Bounds the shrink loop; an exhausted loop keeps the current point. *)
+let max_shrink = 100
+
+let step_stats rng ~log_density ~lower ~upper ~current =
   if not (current >= lower && current <= upper) then
     invalid_arg "Slice.step: current point outside the interval";
   let ly = log_density current in
@@ -19,5 +22,5 @@ let step_stats ?(max_shrink = 100) rng ~log_density ~lower ~upper ~current =
   in
   shrink lower upper max_shrink
 
-let step ?max_shrink rng ~log_density ~lower ~upper ~current =
-  fst (step_stats ?max_shrink rng ~log_density ~lower ~upper ~current)
+let step rng ~log_density ~lower ~upper ~current =
+  fst (step_stats rng ~log_density ~lower ~upper ~current)

@@ -11,7 +11,6 @@
     naturally do). *)
 
 val step :
-  ?max_shrink:int ->
   Rng.t ->
   log_density:(float -> float) ->
   lower:float ->
@@ -22,12 +21,10 @@ val step :
     transition targeting [exp log_density] restricted to
     [\[lower, upper\]]. [current] must lie in the interval and have
     finite log-density; raises [Invalid_argument] otherwise.
-    [max_shrink] (default 100) bounds the shrink loop; if it is
-    exhausted (pathological target), the current point is returned —
-    a valid, if lazy, MCMC move. *)
+    After 100 shrinks (a pathological target) the current point is
+    returned — a valid, if lazy, MCMC move. *)
 
 val step_stats :
-  ?max_shrink:int ->
   Rng.t ->
   log_density:(float -> float) ->
   lower:float ->
@@ -36,7 +33,7 @@ val step_stats :
   float * int
 (** Exactly {!step}, additionally returning the number of shrink
     rejections the transition needed (0 = the first horizontal draw
-    was accepted; [max_shrink] = the loop was exhausted and the
+    was accepted; 100 = the loop was exhausted and the
     current point returned). Consumes the same RNG stream as {!step}
     for the same draw, so instrumented and uninstrumented runs stay
     bit-identical. The shrink count is the sampler-efficiency signal

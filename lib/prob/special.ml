@@ -72,8 +72,6 @@ let erfc_raw x =
 
 let erfc x = erfc_raw x
 
-let erf x = 1.0 -. erfc_raw x
-
 let sqrt2 = sqrt 2.0
 
 let std_normal_cdf x = 0.5 *. erfc (-.x /. sqrt2)

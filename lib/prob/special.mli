@@ -17,10 +17,6 @@ val log_factorial : int -> float
 (** [log_factorial n] is [log n!], exact summation below 32 and
     [log_gamma] above. *)
 
-val erf : float -> float
-(** Error function, Abramowitz–Stegun 7.1.26 refined by a series /
-    continued-fraction split; absolute error below 1e-12. *)
-
 val erfc : float -> float
 (** Complementary error function [1 - erf x], accurate for large [x]. *)
 

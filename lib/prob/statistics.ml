@@ -76,12 +76,6 @@ let quantile xs p =
   end
 
 let median xs = quantile xs 0.5
-let iqr xs = quantile xs 0.75 -. quantile xs 0.25
-
-let median_absolute_deviation xs =
-  let m = median xs in
-  median (Array.map (fun x -> Float.abs (x -. m)) xs)
-
 let histogram ?(bins = 20) xs =
   if bins <= 0 then invalid_arg "Statistics.histogram: bins must be positive";
   let n = Array.length xs in
@@ -101,12 +95,6 @@ let histogram ?(bins = 20) xs =
     Array.init bins (fun i ->
         (lo +. (float_of_int i *. width), lo +. (float_of_int (i + 1) *. width), counts.(i)))
   end
-
-let empirical_cdf xs x =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Statistics.empirical_cdf: empty input";
-  let count = Array.fold_left (fun acc v -> if v <= x then acc + 1 else acc) 0 xs in
-  float_of_int count /. float_of_int n
 
 let ks_statistic_against xs cdf =
   let n = Array.length xs in

@@ -46,19 +46,11 @@ val quantile : float array -> float -> float
     Raises [Invalid_argument] on empty input or [p] outside [[0,1]]. *)
 
 val median : float array -> float
-val iqr : float array -> float
-
-val median_absolute_deviation : float array -> float
-(** Raw MAD (no consistency constant). *)
 
 val histogram : ?bins:int -> float array -> (float * float * int) array
 (** [histogram ~bins xs] is an equal-width histogram as
     [(lo, hi, count)] triples covering [[min xs, max xs]].
     Default 20 bins. *)
-
-val empirical_cdf : float array -> float -> float
-(** [empirical_cdf xs x] is the fraction of samples <= [x] (the input
-    need not be sorted; O(n) per query). *)
 
 val ks_statistic_against : float array -> (float -> float) -> float
 (** [ks_statistic_against xs cdf] is the one-sample Kolmogorov–Smirnov
@@ -126,13 +118,6 @@ module Online : sig
 
   val mean : acf -> float
   (** [nan] when empty. *)
-
-  val autocovariance : acf -> int -> float
-  (** [autocovariance t k] is the streaming estimate
-      γ̂_k = S_k/(n−k) − μ̂² (global-mean centering — an O(1/n)
-      approximation of the batch estimator, converging to it).
-      [nan] with fewer than [k+1] samples; raises [Invalid_argument]
-      for [k] outside [0, max_lag]. *)
 
   val autocorrelation : acf -> int -> float
   (** γ̂_k/γ̂_0, clamped into [\[-1, 1\]] (the global-mean approximation

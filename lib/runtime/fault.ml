@@ -2,6 +2,7 @@ module Rng = Qnet_prob.Rng
 
 type mode = Duplicate | Truncate | Nan_field | Clock_skew | Reversed | Reorder
 
+(* Reorder comes last, so it scrambles the corrupted lines too. *)
 let all_modes = [ Duplicate; Truncate; Nan_field; Clock_skew; Reversed; Reorder ]
 
 let mode_label = function
@@ -32,7 +33,7 @@ let parse_fields line =
 let unparse f =
   Printf.sprintf "%s,%s,%s,%.17g,%.17g" f.task f.state f.queue f.arrival f.departure
 
-let inject ?(modes = all_modes) ?per_mode rng csv =
+let inject ?per_mode rng csv =
   let lines =
     String.split_on_char '\n' csv |> List.filter (fun l -> String.trim l <> "")
   in
@@ -130,10 +131,7 @@ let inject ?(modes = all_modes) ?per_mode rng csv =
         done);
     applied := (mode, !count) :: !applied
   in
-  (* Apply Reorder last so it scrambles the corrupted lines too. *)
-  let reorder, others = List.partition (fun m -> m = Reorder) modes in
-  List.iter apply others;
-  List.iter apply reorder;
+  List.iter apply all_modes;
   let buf = Buffer.create (String.length csv + 256) in
   (match header with
   | Some h ->
@@ -167,15 +165,6 @@ let () =
           (Printf.sprintf "Fault.Injected_crash(chain %d, iteration %d)" chain
              iteration)
     | _ -> None)
-
-let chain_fault_label f =
-  let kind =
-    match f.kind with
-    | Chain_stall s -> Printf.sprintf "stall(%.3gs)" s
-    | Chain_crash -> "crash"
-    | Chain_corrupt_latent -> "corrupt-latent"
-  in
-  Printf.sprintf "chain %d: %s @ iteration %d" f.chain kind f.at_iteration
 
 let corrupt_one_latent store =
   let u = Store.unobserved_events store in

@@ -20,14 +20,13 @@ val all_modes : mode list
 val mode_label : mode -> string
 
 val inject :
-  ?modes:mode list ->
   ?per_mode:int ->
   Qnet_prob.Rng.t ->
   string ->
   string * (mode * int) list
 (** [inject rng csv] corrupts [per_mode] (default [max 1 (lines/25)])
-    randomly chosen data lines per requested mode (default
-    {!all_modes}) and returns the corrupted text together with the
+    randomly chosen data lines per mode of {!all_modes}, in that
+    order, and returns the corrupted text together with the
     number of corruptions actually applied per mode (a mode can fall
     short when no line is eligible — e.g. no non-initial line for
     [Clock_skew]). The header line is never touched. *)
@@ -56,8 +55,6 @@ type chain_fault_kind =
 type chain_fault = { chain : int; at_iteration : int; kind : chain_fault_kind }
 
 exception Injected_crash of { chain : int; iteration : int }
-
-val chain_fault_label : chain_fault -> string
 
 val corrupt_one_latent : Qnet_core.Event_store.t -> bool
 (** Set the middle unobserved departure to NaN (via snapshot/restore,

@@ -38,10 +38,18 @@ let[@inline] arrival d pi i =
   let p = pi.(i) in
   if p < 0 then 0.0 else d.(p)
 
+(* Slack for time comparisons, matching [Event_store.validate]. *)
+let tol = 1e-9
+
+(* Bound on plausible rates: the exponential M-step can ratchet rates
+   toward infinity under sparse observation, and a rate beyond any
+   physical service time is a collapse, not an estimate. *)
+let max_rate = 1e12
+
 (* The store's arrays are read in place through its view, and each
    queue's ρ chain is walked from its head, so a check reads no time
    through a function and builds no per-queue array. *)
-let check ?(tol = 1e-9) ?(max_rate = 1e12) store params =
+let check store params =
   let acc = ref [] in
   let push v = acc := v :: !acc in
   let v = Store.view store in

@@ -30,27 +30,20 @@ type violation =
           different (censored) sample than it claims. Produced by
           {!of_accumulator}, not by {!check}. *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val describe : violation list -> string
 (** One-line summary ("3 violations: nan-latent(17), ...") for logs
     and abort messages. *)
 
-val check :
-  ?tol:float ->
-  ?max_rate:float ->
-  Qnet_core.Event_store.t ->
-  Qnet_core.Params.t ->
-  violation list
+val check : Qnet_core.Event_store.t -> Qnet_core.Params.t -> violation list
 (** [check store params] returns every invariant violation of the
     current latent state and parameters, in event order; [[]] means
-    healthy. [tol] (default 1e-9) is the slack used for time
-    comparisons, matching [Event_store.validate]. [max_rate] (default
-    1e12) bounds plausible rates: the exponential M-step can ratchet
-    rates toward infinity under sparse observation, and a rate beyond
-    any physical service time is a collapse, not an estimate. The
-    check never raises and never consumes randomness, so it can run
-    inside a reproducible sampling loop. *)
+    healthy. Times compare with a slack of 1e-9, matching
+    [Event_store.validate]. A rate above 1e12 is degenerate: the
+    exponential M-step can ratchet rates toward infinity under sparse
+    observation, and a rate beyond any physical service time is a
+    collapse, not an estimate. The check never raises and never
+    consumes randomness, so it can run inside a reproducible sampling
+    loop. *)
 
 val of_accumulator : Qnet_prob.Statistics.Welford.t -> violation list
 (** [of_accumulator w] is [[Sample_loss (skipped, kept)]] when the

@@ -95,8 +95,6 @@ type config = {
   sweep_deadline : float;
   stall_grace : float;
   max_restarts : int;
-  rhat_threshold : float;
-  ks_threshold : float;
 }
 
 let default_config =
@@ -108,9 +106,14 @@ let default_config =
     sweep_deadline = 5.0;
     stall_grace = 2.0;
     max_restarts = 2;
-    rhat_threshold = 1.2;
-    ks_threshold = 0.7;
   }
+
+(* Divergence gate: the outlier hunt runs only when the worst split-R̂
+   over the service queues exceeds [rhat_threshold], and quarantines
+   the outlier only when its KS distance against the pooled rest
+   exceeds [ks_threshold]. *)
+let rhat_threshold = 1.2
+let ks_threshold = 0.7
 
 type chain_status = Healthy | Quarantined of string | Dead of string
 
@@ -172,16 +175,6 @@ let pp_result ppf r =
       Array.iteri (fun q v -> Format.fprintf ppf " q%d=%.1f" q v) r.ess
   | Failed -> (* a salvage, not an estimate *) ());
   Format.fprintf ppf "@\n  wall: %.2fs" r.wall_seconds
-
-let ks_outlier_scores chains =
-  let n = Array.length chains in
-  if n < 2 then invalid_arg "Supervisor.ks_outlier_scores: need >= 2 chains";
-  Array.init n (fun i ->
-      let others =
-        Array.concat
-          (List.filteri (fun j _ -> j <> i) (Array.to_list chains))
-      in
-      Statistics.ks_two_sample chains.(i) others)
 
 (* ------------------------------------------------------------------ *)
 (* Per-chain supervised state.                                         *)
@@ -447,7 +440,7 @@ let divergence_pass cfg chains =
             Float.max acc (Statistics.split_gelman_rubin traces))
           0.0 service_queues
       in
-      if rhat_max > cfg.rhat_threshold then begin
+      if rhat_max > rhat_threshold then begin
         let score st =
           List.fold_left
             (fun acc q ->
@@ -470,11 +463,11 @@ let divergence_pass cfg chains =
             None healthy
         in
         match worst with
-        | Some (st, s) when s > cfg.ks_threshold ->
+        | Some (st, s) when s > ks_threshold ->
             let cause =
               Printf.sprintf
                 "divergence: split-Rhat %.3f > %.2f, KS %.3f vs pooled rest"
-                rhat_max cfg.rhat_threshold s
+                rhat_max rhat_threshold s
             in
             st.incidents <- (st.chain.Stem.iteration, cause) :: st.incidents;
             recover cfg st ~fatal:false ~cause

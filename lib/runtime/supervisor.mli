@@ -67,12 +67,6 @@ type config = {
   max_restarts : int;
       (** per-chain restart budget; the next failure is terminal
           (default 2) *)
-  rhat_threshold : float;
-      (** divergence gate: the outlier hunt only runs when the maximal
-          split-R̂ over service queues exceeds this (default 1.2) *)
-  ks_threshold : float;
-      (** a chain is quarantined as the outlier only when its KS
-          distance against the pooled rest exceeds this (default 0.7) *)
 }
 
 val default_config : config
@@ -139,13 +133,6 @@ val pp_result : Format.formatter -> result -> unit
     chain, the pooled estimate and diagnostics, wall time. A [Failed]
     run prints no pooled lines: its [mean_service] is a salvage, not an
     estimate. *)
-
-val ks_outlier_scores : float array array -> float array
-(** [ks_outlier_scores chains] scores each chain's draws by their
-    two-sample KS distance against the concatenation of every other
-    chain — the statistic the divergence monitor thresholds with
-    [ks_threshold]. Raises [Invalid_argument] with fewer than two
-    chains. Exposed for testing and external monitors. *)
 
 val register_metrics : unit -> unit
 (** Register the supervisor's metric families, the StEM step's, the

@@ -9,8 +9,6 @@ type 'a t = {
 
 type policy = Shed | Block
 
-let policy_label = function Shed -> "shed" | Block -> "block"
-
 let policy_of_string = function
   | "shed" -> Ok Shed
   | "block" -> Ok Block

@@ -24,7 +24,6 @@ type 'a t
 
 type policy = Shed | Block
 
-val policy_label : policy -> string
 val policy_of_string : string -> (policy, string) result
 
 val create : capacity:int -> 'a t

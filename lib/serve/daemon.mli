@@ -97,9 +97,6 @@ val fell_back : t -> bool
 val shards : t -> Shard.t list
 val dead_letter_count : t -> int
 
-val healthy_shards : t -> int
-(** Shards currently reporting {!Shard.Healthy}. *)
-
 val handle : t -> Qnet_webapp.Metrics_server.request ->
   Qnet_webapp.Metrics_server.response option
 (** The route handler (exposed for in-process tests; the listener

@@ -78,7 +78,7 @@ type stats = { frames : int; legacy : int; corrupt : int; torn : bool }
 
 let empty_stats = { frames = 0; legacy = 0; corrupt = 0; torn = false }
 
-let replay_file ?(truncate_torn = true) ~path ~on_payload ~on_corrupt () =
+let replay_file ~path ~on_payload ~on_corrupt () =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error m -> Error m
   | content ->
@@ -118,26 +118,21 @@ let replay_file ?(truncate_torn = true) ~path ~on_payload ~on_corrupt () =
                  its newline (repair) or a torn partial write
                  (truncate back to the previous record boundary). *)
               match parse last with
-              | Ok payload ->
+              | Ok payload -> (
                   incr frames;
                   on_payload payload;
-                  if truncate_torn then (
-                    match
-                      Out_channel.with_open_gen
-                        [ Open_append; Open_binary ] 0o644 path
-                        (fun oc -> Out_channel.output_char oc '\n')
-                    with
-                    | () -> Ok ()
-                    | exception Sys_error m -> Error m)
-                  else Ok ()
-              | Error _ ->
+                  match
+                    Out_channel.with_open_gen
+                      [ Open_append; Open_binary ] 0o644 path
+                      (fun oc -> Out_channel.output_char oc '\n')
+                  with
+                  | () -> Ok ()
+                  | exception Sys_error m -> Error m)
+              | Error _ -> (
                   torn := true;
-                  if truncate_torn then (
-                    match Unix.truncate path !offset with
-                    | () -> Ok ()
-                    | exception Unix.Unix_error (e, _, _) ->
-                        Error (Unix.error_message e))
-                  else Ok ())
+                  match Unix.truncate path !offset with
+                  | () -> Ok ()
+                  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)))
           | line :: rest ->
               classify line;
               offset := !offset + String.length line + 1;

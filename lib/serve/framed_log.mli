@@ -37,7 +37,6 @@ type stats = {
 }
 
 val replay_file :
-  ?truncate_torn:bool ->
   path:string ->
   on_payload:(string -> unit) ->
   on_corrupt:(line:string -> reason:string -> unit) ->
@@ -46,8 +45,8 @@ val replay_file :
 (** Replay every line of [path] in order. Valid frames and legacy
     lines go to [on_payload] (frames unwrapped, legacy verbatim);
     corrupt frames go to [on_corrupt] and are counted. An unterminated
-    final line that fails validation is a torn tail: when
-    [truncate_torn] (default [true]) the file is truncated back to the
-    last record boundary so the next append starts clean. An
+    final line that fails validation is a torn tail: the file is
+    truncated back to the last record boundary so the next append
+    starts clean. An
     unterminated final line that still validates is delivered and its
     missing newline repaired. Returns [Error] only on I/O failure. *)

@@ -179,27 +179,6 @@ let waiting_times t q = snd (service_and_waiting t q)
 let response_times t q =
   Array.map (fun e -> e.departure -. e.arrival) (queue_events t q)
 
-let end_to_end_response t =
-  (* events are sorted by (task, arrival): one pass suffices *)
-  let acc = ref [] in
-  let n = Array.length t.events in
-  let i = ref 0 in
-  while !i < n do
-    let task = t.events.(!i).task in
-    let entry = t.events.(!i).departure in
-    let last = ref entry in
-    let j = ref !i in
-    while !j < n && t.events.(!j).task = task do
-      last := t.events.(!j).departure;
-      incr j
-    done;
-    acc := (task, !last -. entry) :: !acc;
-    i := !j
-  done;
-  let a = Array.of_list !acc in
-  Array.sort compare a;
-  a
-
 let span t =
   Array.fold_left
     (fun (lo, hi) e -> (Float.min lo e.arrival, Float.max hi e.departure))
@@ -645,24 +624,29 @@ let lenient ~num_queues ~capacity feed =
   let m = !m in
   (* The survivors' positions by task, arrival, departure, state, queue
      and position. Times compare as floats, so 0 and -0 are one time. *)
+  let by_record i j =
+    let a = kept.(i) and b = kept.(j) in
+    match Int.compare a.task b.task with
+    | 0 -> (
+        match Float.compare a.arrival b.arrival with
+        | 0 -> (
+            match Float.compare a.departure b.departure with
+            | 0 -> (
+                match Int.compare a.state b.state with
+                | 0 -> (match Int.compare a.queue b.queue with 0 -> Int.compare i j | c -> c)
+                | c -> c)
+            | c -> c)
+        | c -> c)
+    | c -> c
+  in
   let order = Array.init m Fun.id in
-  Array.stable_sort
-    (fun i j ->
-      let a = kept.(i) and b = kept.(j) in
-      match Int.compare a.task b.task with
-      | 0 -> (
-          match Float.compare a.arrival b.arrival with
-          | 0 -> (
-              match Float.compare a.departure b.departure with
-              | 0 -> (
-                  match Int.compare a.state b.state with
-                  | 0 -> (
-                      match Int.compare a.queue b.queue with 0 -> Int.compare i j | c -> c)
-                  | c -> c)
-              | c -> c)
-          | c -> c)
-      | c -> c)
-    order;
+  (* Records usually arrive in this order already (every [to_csv] text
+     does): one pass over neighbours then replaces the sort. *)
+  let k = ref 1 in
+  while !k < m && by_record (!k - 1) !k < 0 do
+    incr k
+  done;
+  if !k < m then Array.stable_sort by_record order;
   let same_time a b = Float.equal a.arrival b.arrival && Float.equal a.departure b.departure in
   (* Pass 2: drop exact duplicates, keeping the first occurrence: in
      [order] it leads its copies. Reported in source order. *)

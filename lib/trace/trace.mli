@@ -52,10 +52,6 @@ val waiting_times : t -> int -> float array
 val response_times : t -> int -> float array
 (** [departure - arrival] per event at a queue. *)
 
-val end_to_end_response : t -> (int * float) array
-(** Per task: total time from system entry (departure of the initial
-    event) to the final departure. *)
-
 val utilization : t -> int -> float
 (** Busy fraction of a queue's server over the trace's time span. *)
 

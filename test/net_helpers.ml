@@ -16,6 +16,47 @@ let masked_store ?(scheme = Qnet_core.Observation.Task_fraction 0.1) rng net n =
   let store = Qnet_core.Event_store.of_trace ~observed:mask trace in
   (trace, mask, store)
 
+(* A random layered network for the property tests: each of the
+   [num_layers] tiers gets 1..[max_width] parallel queues with service
+   rates uniform in [service_rate_range]; each task visits one
+   uniformly chosen queue per tier. Every tier but one randomly chosen
+   anchor is skipped with probability 0.2, so the path never becomes
+   empty. *)
+let random_layered rng ~num_layers ~max_width ~arrival_rate ~service_rate_range:(lo, hi) =
+  let module D = Qnet_prob.Distributions in
+  let widths = Array.init num_layers (fun _ -> 1 + Rng.int rng max_width) in
+  let skipped =
+    let anchor = Rng.int rng num_layers in
+    Array.init num_layers (fun l -> l <> anchor && Rng.float_unit rng < 0.2)
+  in
+  let kept = Array.to_list widths |> List.filteri (fun l _ -> not skipped.(l)) in
+  let num_kept = List.length kept in
+  let offsets = Array.make num_kept 0 in
+  ignore
+    (List.fold_left
+       (fun (i, acc) w ->
+         offsets.(i) <- acc;
+         (i + 1, acc + w))
+       (0, 1) kept);
+  let num_queues = 1 + List.fold_left ( + ) 0 kept in
+  (* states: 0 = initial (emits q0), 1..num_kept = layers, final last *)
+  let final = num_kept + 1 in
+  let transitions = List.init (num_kept + 1) (fun s -> (s, [ (s + 1, 1.0) ])) in
+  let emissions =
+    (0, [ (0, 1.0) ])
+    :: List.mapi (fun i w -> (i + 1, List.init w (fun k -> (offsets.(i) + k, 1.0)))) kept
+  in
+  let fsm =
+    Qnet_fsm.Fsm.create ~num_states:(final + 1) ~num_queues ~initial:0 ~final
+      ~transitions ~emissions
+  in
+  let service =
+    Array.init num_queues (fun q ->
+        if q = 0 then D.Exponential arrival_rate
+        else D.Exponential (Rng.float_range rng lo hi))
+  in
+  Network.create ~fsm ~service ()
+
 (* The contents of a golden file of this directory. [dune runtest] runs
    the tests from the build copy of test/, where the files are
    dependencies; [dune exec test/<name>.exe] runs them from the

@@ -1,8 +1,6 @@
-(** Numerical integration.
-
-    Used by tests to verify that the exact samplers integrate to the
-    right masses, and by the analytic library for moments without
-    closed forms. *)
+(** Numerical integration: the test oracle that checks the exact
+    samplers' densities, normalizers and CDFs against direct
+    integration. *)
 
 val adaptive_simpson :
   ?tol:float -> ?max_depth:int -> (float -> float) -> float -> float -> float

@@ -137,15 +137,6 @@ let test_workload_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected invalid ramp"
 
-let test_mean_rate () =
-  check_close "poisson" 3.0 (Workload.mean_rate (Workload.Poisson 3.0));
-  check_close "interarrival" 4.0
-    (Workload.mean_rate (Workload.Interarrival (D.Exponential 4.0)));
-  let w =
-    Workload.Mmpp2 { rate0 = 2.0; rate1 = 10.0; switch01 = 1.0; switch10 = 1.0 }
-  in
-  check_close "mmpp balanced" 6.0 (Workload.mean_rate w)
-
 (* ------------------------------------------------------------------ *)
 (* Network simulation *)
 
@@ -337,7 +328,6 @@ let () =
           Alcotest.test_case "deterministic interarrival" `Quick
             test_interarrival_deterministic;
           Alcotest.test_case "validation" `Quick test_workload_validation;
-          Alcotest.test_case "mean rate" `Quick test_mean_rate;
         ] );
       ( "simulation",
         [

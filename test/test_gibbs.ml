@@ -14,7 +14,7 @@ module Obs = Qnet_core.Observation
 module Init = Qnet_core.Init
 module Piecewise = Qnet_prob.Piecewise
 module Stats = Qnet_prob.Statistics
-module Quad = Qnet_numerics.Quadrature
+module Quad = Quadrature
 module Topologies = Qnet_des.Topologies
 module Rng = Qnet_prob.Rng
 module Trace = Qnet_trace.Trace

@@ -1,7 +1,6 @@
-(* Tests for numerical integration and root finding. *)
+(* Tests for the numerical-integration oracle. *)
 
-module Quad = Qnet_numerics.Quadrature
-module Roots = Qnet_numerics.Roots
+module Quad = Quadrature
 
 let check_close ?(eps = 1e-9) name expected actual =
   if Float.abs (expected -. actual) > eps then
@@ -59,54 +58,8 @@ let test_log_integral_exp_extreme () =
 let test_log_integral_empty () =
   check_close "empty" neg_infinity (Quad.log_integral_exp (fun _ -> 0.0) 2.0 2.0)
 
-let test_brent_simple_roots () =
-  check_close ~eps:1e-10 "sqrt 2" (sqrt 2.0)
-    (Roots.brent (fun x -> (x *. x) -. 2.0) 0.0 2.0);
-  check_close ~eps:1e-10 "cos root" (Float.pi /. 2.0) (Roots.brent cos 0.0 3.0);
-  check_close ~eps:1e-10 "cubic root" 1.0
-    (Roots.brent (fun x -> (x ** 3.0) -. 1.0) 0.0 5.0)
-
-let test_brent_endpoint_root () =
-  check_close "root at a" 0.0 (Roots.brent (fun x -> x) 0.0 1.0);
-  check_close "root at b" 1.0 (Roots.brent (fun x -> x -. 1.0) 0.0 1.0)
-
-let test_brent_rejects_unbracketed () =
-  Alcotest.check_raises "not bracketed"
-    (Invalid_argument "Roots.brent: root not bracketed") (fun () ->
-      ignore (Roots.brent (fun x -> (x *. x) +. 1.0) 0.0 1.0))
-
-let test_bisect_agrees_with_brent () =
-  let f x = exp x -. 3.0 in
-  let rb = Roots.brent f 0.0 2.0 in
-  let rc = Roots.bisect f 0.0 2.0 in
-  check_close ~eps:1e-9 "bisect vs brent" rb rc;
-  check_close ~eps:1e-9 "log 3" (log 3.0) rb
-
-let test_golden_section () =
-  let f x = (x -. 1.3) ** 2.0 in
-  check_close ~eps:1e-6 "quadratic min" 1.3 (Roots.golden_section_min f 0.0 3.0);
-  check_close ~eps:1e-6 "cosine min" Float.pi
-    (Roots.golden_section_min cos 2.0 4.5)
-
-let test_kahan_sum () =
-  (* adding many tiny values to a large one loses precision naively *)
-  let xs = Array.make 10_001 1e-10 in
-  xs.(0) <- 1e10;
-  let kahan = Roots.kahan_sum xs in
-  check_close ~eps:1e-6 "kahan" (1e10 +. 1e-6) kahan
-
-let qcheck_brent_finds_roots =
-  QCheck.Test.make ~name:"brent solves shifted cubes" ~count:300
-    QCheck.(float_range (-5.0) 5.0)
-    (fun c ->
-      (* x^3 - c has the unique real root cbrt c *)
-      let f x = (x ** 3.0) -. c in
-      let r = Roots.brent f (-10.0) 10.0 in
-      Float.abs (f r) < 1e-6)
-
 let () =
-  let qc = QCheck_alcotest.to_alcotest in
-  Alcotest.run "qnet_numerics"
+  Alcotest.run "quadrature"
     [
       ( "quadrature",
         [
@@ -119,15 +72,5 @@ let () =
           Alcotest.test_case "log-integral basic" `Quick test_log_integral_exp_matches;
           Alcotest.test_case "log-integral extreme" `Quick test_log_integral_exp_extreme;
           Alcotest.test_case "log-integral empty" `Quick test_log_integral_empty;
-        ] );
-      ( "roots",
-        [
-          Alcotest.test_case "brent simple" `Quick test_brent_simple_roots;
-          Alcotest.test_case "brent endpoints" `Quick test_brent_endpoint_root;
-          Alcotest.test_case "brent unbracketed" `Quick test_brent_rejects_unbracketed;
-          Alcotest.test_case "bisect agrees" `Quick test_bisect_agrees_with_brent;
-          Alcotest.test_case "golden section" `Quick test_golden_section;
-          Alcotest.test_case "kahan sum" `Quick test_kahan_sum;
-          qc qcheck_brent_finds_roots;
         ] );
     ]

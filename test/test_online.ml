@@ -1,8 +1,7 @@
-(* Tests for the queue-length timeline and online (windowed) StEM. *)
+(* Tests for online (windowed) StEM. *)
 
 module Rng = Qnet_prob.Rng
 module Trace = Qnet_trace.Trace
-module Timeline = Qnet_trace.Timeline
 module Topologies = Qnet_des.Topologies
 module Network = Qnet_des.Network
 module Obs = Qnet_core.Observation
@@ -12,61 +11,6 @@ module Params = Qnet_core.Params
 let check_close ?(eps = 1e-9) name expected actual =
   if Float.abs (expected -. actual) > eps then
     Alcotest.failf "%s: expected %.9g, got %.9g" name expected actual
-
-let ev task state queue arrival departure =
-  { Trace.task; state; queue; arrival; departure }
-
-(* queue 1: task 0 in system [1, 2]; task 1 in system [1.5, 3] *)
-let small () =
-  Trace.create ~num_queues:2
-    [
-      ev 0 0 0 0.0 1.0;
-      ev 0 1 1 1.0 2.0;
-      ev 1 0 0 0.0 1.5;
-      ev 1 1 1 1.5 3.0;
-    ]
-
-let test_queue_length_steps () =
-  let t = small () in
-  let steps = Timeline.queue_length t 1 in
-  let as_list = Array.to_list (Array.map (fun p -> (p.Timeline.time, p.Timeline.count)) steps) in
-  Alcotest.(check (list (pair (float 1e-9) int)))
-    "step function"
-    [ (1.0, 1); (1.5, 2); (2.0, 1); (3.0, 0) ]
-    as_list
-
-let test_time_average_length () =
-  let t = small () in
-  (* N(t) over [1, 3]: 1 on [1,1.5), 2 on [1.5,2), 1 on [2,3):
-     integral = 0.5 + 1.0 + 1.0 = 2.5 over width 2 => 1.25 *)
-  check_close ~eps:1e-9 "L over [1,3]" 1.25
-    (Timeline.time_average_length ~from_:1.0 ~until:3.0 t 1);
-  (* narrower window inside the double-occupancy period *)
-  check_close ~eps:1e-9 "L over [1.5,2]" 2.0
-    (Timeline.time_average_length ~from_:1.5 ~until:2.0 t 1)
-
-let test_peak_length () =
-  let t = small () in
-  let peak, at = Timeline.peak_length t 1 in
-  Alcotest.(check int) "peak" 2 peak;
-  check_close "peak time" 1.5 at
-
-let test_littles_law_on_mm1 () =
-  let rng = Rng.create ~seed:801 () in
-  let net = Topologies.single_mm1 ~arrival_rate:4.0 ~service_rate:6.0 in
-  let trace = Net_helpers.simulate_n rng net 30_000 in
-  let r = Timeline.littles_law_residual trace 1 in
-  Alcotest.(check bool) (Printf.sprintf "residual %.4f" r) true (r < 0.03)
-
-let test_littles_law_empty_queue () =
-  let t = small () in
-  (* build a 3-queue trace where queue 2 is empty *)
-  let t3 = Trace.create ~num_queues:3 (Array.to_list t.Trace.events) in
-  Alcotest.(check bool) "nan on empty" true
-    (Float.is_nan (Timeline.littles_law_residual t3 2))
-
-(* ------------------------------------------------------------------ *)
-(* Online StEM *)
 
 let ramped_trace ~seed ~tasks =
   let net = Topologies.tandem ~arrival_rate:4.0 ~service_rates:[ 20.0 ] in
@@ -82,7 +26,7 @@ let test_online_tracks_ramp () =
   let mask = Obs.mask rng (Obs.Task_fraction 0.25) trace in
   let steps = Online_stem.run ~config:{ Online_stem.default_config with Online_stem.num_windows = 4 } rng trace ~mask in
   Alcotest.(check bool) "several windows" true (List.length steps >= 3);
-  let rates = List.map (fun (_, r) -> r) (Online_stem.arrival_rate_trajectory steps) in
+  let rates = List.map (fun s -> Params.arrival_rate s.Online_stem.params) steps in
   (match (rates, List.rev rates) with
   | first :: _, last :: _ ->
       Alcotest.(check bool)
@@ -261,14 +205,6 @@ let test_online_all_entries_corrupt_rejected () =
 let () =
   Alcotest.run "qnet_online"
     [
-      ( "timeline",
-        [
-          Alcotest.test_case "queue length steps" `Quick test_queue_length_steps;
-          Alcotest.test_case "time-average L" `Quick test_time_average_length;
-          Alcotest.test_case "peak" `Quick test_peak_length;
-          Alcotest.test_case "little's law on M/M/1" `Slow test_littles_law_on_mm1;
-          Alcotest.test_case "empty queue nan" `Quick test_littles_law_empty_queue;
-        ] );
       ( "online-stem",
         [
           Alcotest.test_case "tracks ramp" `Slow test_online_tracks_ramp;

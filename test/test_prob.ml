@@ -6,7 +6,7 @@ module Special = Qnet_prob.Special
 module D = Qnet_prob.Distributions
 module Piecewise = Qnet_prob.Piecewise
 module Stats = Qnet_prob.Statistics
-module Quad = Qnet_numerics.Quadrature
+module Quad = Quadrature
 
 let check_close ?(eps = 1e-9) name expected actual =
   if Float.abs (expected -. actual) > eps then
@@ -251,14 +251,6 @@ let test_log_factorial () =
   check_rel ~eps:1e-10 "50! matches log_gamma" (Special.log_gamma 51.0)
     (Special.log_factorial 50)
 
-let test_erf_known_values () =
-  (* reference values from standard tables *)
-  check_rel ~eps:1e-6 "erf(0.5)" 0.5204998778130465 (Special.erf 0.5);
-  check_rel ~eps:1e-6 "erf(1)" 0.8427007929497149 (Special.erf 1.0);
-  check_rel ~eps:1e-6 "erf(2)" 0.9953222650189527 (Special.erf 2.0);
-  check_close "erf(0)" 0.0 (Special.erf 0.0);
-  check_rel ~eps:1e-6 "erf odd" (-.Special.erf 1.3) (Special.erf (-1.3))
-
 let test_erfc_tail () =
   (* erfc(x) ~ exp(-x^2)/(x sqrt pi) for large x; check positivity and
      monotone decay where naive 1 - erf underflows *)
@@ -442,7 +434,7 @@ let test_pdf_integrates_to_cdf () =
   in
   List.iter
     (fun (d, lo, hi) ->
-      let integral = Quad.adaptive_simpson (D.pdf d) lo hi in
+      let integral = Quad.adaptive_simpson (fun x -> exp (D.log_pdf d x)) lo hi in
       check_rel ~eps:1e-6
         (Format.asprintf "pdf integral %a" D.pp d)
         (D.cdf d hi -. D.cdf d lo)
@@ -454,12 +446,6 @@ let test_squared_cv () =
   Alcotest.(check bool) "erlang scv < 1" true (D.squared_cv (D.Erlang (4, 1.0)) < 1.0);
   Alcotest.(check bool) "hyperexp scv > 1" true
     (D.squared_cv (D.Hyperexponential [| (0.9, 10.0); (0.1, 0.2) |]) > 1.0)
-
-let test_exponential_mle () =
-  check_rel "mle basic" 0.5 (D.exponential_mle [ 2.0; 2.0; 2.0 ]);
-  let rng = Rng.create ~seed:41 () in
-  let xs = Array.to_list (sample_many rng (D.Exponential 3.0) 100_000) in
-  check_rel ~eps:0.02 "mle recovers rate" 3.0 (D.exponential_mle xs)
 
 (* ------------------------------------------------------------------ *)
 (* Piecewise log-linear sampler *)
@@ -928,9 +914,7 @@ let test_quantile_interpolation () =
   check_close "median" 2.5 (Stats.quantile xs 0.5);
   check_close "q25" 1.75 (Stats.quantile xs 0.25)
 
-let test_median_and_mad () =
-  check_close "odd median" 3.0 (Stats.median [| 5.0; 1.0; 3.0 |]);
-  check_close "mad" 1.0 (Stats.median_absolute_deviation [| 1.0; 2.0; 3.0; 4.0; 5.0 |])
+let test_median () = check_close "odd median" 3.0 (Stats.median [| 5.0; 1.0; 3.0 |])
 
 let test_histogram_counts () =
   let xs = [| 0.1; 0.2; 0.9; 1.9; 2.0 |] in
@@ -939,12 +923,6 @@ let test_histogram_counts () =
   let _, _, c0 = h.(0) and _, _, c1 = h.(1) in
   Alcotest.(check int) "total count" 5 (c0 + c1);
   Alcotest.(check int) "first bin" 3 c0
-
-let test_empirical_cdf () =
-  let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
-  check_close "below" 0.0 (Stats.empirical_cdf xs 0.5);
-  check_close "mid" 0.5 (Stats.empirical_cdf xs 2.0);
-  check_close "above" 1.0 (Stats.empirical_cdf xs 9.0)
 
 let test_ks_two_sample_identical () =
   let xs = [| 1.0; 2.0; 3.0 |] in
@@ -1179,7 +1157,6 @@ let () =
           Alcotest.test_case "log_sum_exp" `Quick test_log_sum_exp;
           Alcotest.test_case "log_gamma" `Quick test_log_gamma_known_values;
           Alcotest.test_case "log_factorial" `Quick test_log_factorial;
-          Alcotest.test_case "erf" `Quick test_erf_known_values;
           Alcotest.test_case "erfc tail" `Quick test_erfc_tail;
           Alcotest.test_case "normal cdf" `Quick test_std_normal_cdf;
           Alcotest.test_case "normal quantile roundtrip" `Quick
@@ -1211,7 +1188,6 @@ let () =
           Alcotest.test_case "quantile roundtrip" `Quick test_quantile_roundtrip;
           Alcotest.test_case "pdf integrates to cdf" `Quick test_pdf_integrates_to_cdf;
           Alcotest.test_case "squared CV ordering" `Quick test_squared_cv;
-          Alcotest.test_case "exponential MLE" `Slow test_exponential_mle;
         ] );
       ( "piecewise",
         [
@@ -1243,9 +1219,8 @@ let () =
           Alcotest.test_case "welford vs direct" `Quick test_welford_matches_direct;
           Alcotest.test_case "welford merge" `Quick test_welford_merge;
           Alcotest.test_case "quantile interpolation" `Quick test_quantile_interpolation;
-          Alcotest.test_case "median and MAD" `Quick test_median_and_mad;
+          Alcotest.test_case "median" `Quick test_median;
           Alcotest.test_case "histogram" `Quick test_histogram_counts;
-          Alcotest.test_case "empirical cdf" `Quick test_empirical_cdf;
           Alcotest.test_case "ks two-sample identical" `Quick test_ks_two_sample_identical;
           Alcotest.test_case "ks two-sample disjoint" `Quick test_ks_two_sample_disjoint;
           Alcotest.test_case "autocorrelation" `Quick test_autocorrelation;

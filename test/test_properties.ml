@@ -5,7 +5,6 @@
 module Rng = Qnet_prob.Rng
 module D = Qnet_prob.Distributions
 module Trace = Qnet_trace.Trace
-module Topologies = Qnet_des.Topologies
 module Network = Qnet_des.Network
 module Obs = Qnet_core.Observation
 module Store = Qnet_core.Event_store
@@ -16,9 +15,9 @@ module Stem = Qnet_core.Stem
 
 let random_network seed =
   let rng = Rng.create ~seed () in
-  Topologies.random_layered rng ~num_layers:(1 + Rng.int rng 4)
+  Net_helpers.random_layered rng ~num_layers:(1 + Rng.int rng 4)
     ~max_width:3 ~arrival_rate:(2.0 +. Rng.float_unit rng *. 6.0)
-    ~service_rate_range:(4.0, 20.0) ()
+    ~service_rate_range:(4.0, 20.0)
 
 let random_trace seed =
   let net = random_network seed in

@@ -318,21 +318,6 @@ let test_baseline_empty_queue_nan () =
   let est = Estimators.mean_observed_service trace ~observed_tasks:[] in
   Alcotest.(check bool) "no tasks -> nan" true (Float.is_nan est.(1))
 
-let test_baseline_response_exceeds_service () =
-  let trace, mask, _ = masked ~seed:320 ~tasks:500 ~frac:0.3 () in
-  let observed = Obs.observed_tasks trace mask in
-  let s = Estimators.mean_observed_service trace ~observed_tasks:observed in
-  let r = Estimators.mean_observed_response trace ~observed_tasks:observed in
-  for q = 1 to 2 do
-    Alcotest.(check bool) "response >= service" true (r.(q) >= s.(q) -. 1e-9)
-  done
-
-let test_baseline_counts () =
-  let trace, mask, _ = masked ~seed:321 ~tasks:100 ~frac:0.2 () in
-  let observed = Obs.observed_tasks trace mask in
-  let counts = Estimators.counts_by_queue trace ~observed_tasks:observed in
-  Alcotest.(check int) "q1 counts = observed tasks" (List.length observed) counts.(1)
-
 (* ------------------------------------------------------------------ *)
 (* Localization *)
 
@@ -421,9 +406,6 @@ let () =
           Alcotest.test_case "mean observed service" `Quick
             test_baseline_mean_observed_service;
           Alcotest.test_case "empty -> nan" `Quick test_baseline_empty_queue_nan;
-          Alcotest.test_case "response >= service" `Quick
-            test_baseline_response_exceeds_service;
-          Alcotest.test_case "counts" `Quick test_baseline_counts;
         ] );
       ( "localization",
         [

@@ -84,15 +84,6 @@ let test_response_times () =
   check_close "task0 response" 1.0 r.(0);
   check_close "task1 response" 1.5 r.(1)
 
-let test_end_to_end () =
-  let t = small_trace () in
-  let e2e = Trace.end_to_end_response t in
-  Alcotest.(check int) "entries" 2 (Array.length e2e);
-  let _, r0 = e2e.(0) and _, r1 = e2e.(1) in
-  check_close "task0 e2e" 1.0 r0;
-  (* task 1 enters at 1.5, leaves 3.0 *)
-  check_close "task1 e2e" 1.5 r1
-
 let test_span_and_utilization () =
   let t = small_trace () in
   let lo, hi = Trace.span t in
@@ -1454,24 +1445,70 @@ let repair_summary = function
   | Ok (t, r) -> (Some (trace_bits t), r)
   | Error r -> (None, r)
 
+(* The array repair and the list repair agree on the events [seed]
+   drew, trace bits and report alike. *)
+let repair_agrees seed (num_queues, events) =
+  let bits, report = repair_summary (Trace.of_events_lenient ~num_queues events) in
+  let bits', report' = repair_summary (List_repair.of_events ~num_queues events) in
+  if bits <> bits' then QCheck.Test.fail_reportf "seed %d: the traces differ" seed;
+  if report <> report' then
+    QCheck.Test.fail_reportf "seed %d: the reports differ:@ %a@ against@ %a" seed
+      Trace.pp_ingest_report report Trace.pp_ingest_report report';
+  true
+
 let prop_repair_matches_list_oracle =
   QCheck.Test.make ~name:"array repair ≡ list repair" ~count:1000
     QCheck.(int_range 1 1_000_000)
-    (fun seed ->
-      let num_queues, events = corrupted_events seed in
-      let bits, report = repair_summary (Trace.of_events_lenient ~num_queues events) in
-      let bits', report' = repair_summary (List_repair.of_events ~num_queues events) in
-      if bits <> bits' then QCheck.Test.fail_reportf "seed %d: the traces differ" seed;
-      if report <> report' then
-        QCheck.Test.fail_reportf "seed %d: the reports differ:@ %a@ against@ %a" seed
-          Trace.pp_ingest_report report Trace.pp_ingest_report report';
-      true)
+    (fun seed -> repair_agrees seed (corrupted_events seed))
+
+(* Event lists already in the repair's order, or one step from it, so
+   the repair's in-order check meets both outcomes: a clean seeded
+   tandem or feedback trace; the same with only its last pair swapped;
+   with records tied on (task, arrival, departure) that differ only in
+   state or queue, next to the original; or with every initial event
+   arriving at -0. *)
+let ordered_events seed =
+  let rng = Rng.create ~seed () in
+  let net =
+    if Rng.bool rng then Topologies.tandem ~arrival_rate:8.0 ~service_rates:[ 12.0; 10.0 ]
+    else Topologies.feedback ~arrival_rate:3.0 ~service_rate:6.0 ~loop_prob:0.4
+  in
+  let trace = Net_helpers.simulate_n rng net (1 + Rng.int rng 30) in
+  let nq = trace.Trace.num_queues in
+  let events = Array.to_list trace.Trace.events in
+  let events =
+    match Rng.int rng 4 with
+    | 0 -> events
+    | 1 -> (
+        match List.rev events with
+        | b :: a :: rest -> List.rev_append rest [ b; a ]
+        | short -> List.rev short)
+    | 2 ->
+        List.concat_map
+          (fun (e : Trace.event) ->
+            match Rng.int rng 4 with
+            | 0 -> [ e; { e with state = e.state + 1 } ]
+            | 1 -> [ e; { e with queue = (e.queue + 1) mod nq } ]
+            | _ -> [ e ])
+          events
+    | _ ->
+        List.map
+          (fun (e : Trace.event) -> if e.arrival = 0.0 then { e with arrival = -0.0 } else e)
+          events
+  in
+  (nq, events)
+
+let prop_repair_in_order_matches_list_oracle =
+  QCheck.Test.make ~name:"array repair ≡ list repair, records in order" ~count:400
+    QCheck.(int_range 1 1_000_000)
+    (fun seed -> repair_agrees seed (ordered_events seed))
 
 (* The ceiling [make bench] gates as MAX_REPAIR_BPE, on the ~10k-event
-   golden trace: the repair keeps a few arrays of one word per record
-   and sorts the records' positions once, 71 B per event. The list
-   repair, a tuple and a cons per record, a table of 5-tuples and
-   per-task lists, took 615 B. *)
+   golden trace: the repair keeps a few arrays of one word per record,
+   and the records arrive in order, so it skips the sort: 49 B per
+   event, 71 B when it sorted them anyway. The list repair, a tuple and
+   a cons per record, a table of 5-tuples and per-task lists, took
+   615 B. *)
 let test_repair_allocation () =
   let t = List.assoc "three-tier 1-2-4" (golden_inputs ()) in
   let events = Array.to_list t.Trace.events in
@@ -1482,8 +1519,8 @@ let test_repair_allocation () =
     *. float_of_int (Sys.word_size / 8)
     /. float_of_int (Array.length t.Trace.events)
   in
-  if per_event > 86.0 then
-    Alcotest.failf "of_events_lenient allocated %.1f B per event (budget 86)" per_event
+  if per_event > 56.0 then
+    Alcotest.failf "of_events_lenient allocated %.1f B per event (budget 56)" per_event
 
 let () =
   Alcotest.run "qnet_trace"
@@ -1497,7 +1534,6 @@ let () =
           Alcotest.test_case "service and waiting" `Quick test_service_and_waiting;
           Alcotest.test_case "q0 interarrival" `Quick test_q0_service_is_interarrival;
           Alcotest.test_case "response times" `Quick test_response_times;
-          Alcotest.test_case "end-to-end" `Quick test_end_to_end;
           Alcotest.test_case "span and utilization" `Quick test_span_and_utilization;
           Alcotest.test_case "csv roundtrip" `Quick test_csv_roundtrip;
           Alcotest.test_case "csv rejects garbage" `Quick test_csv_rejects_garbage;
@@ -1528,6 +1564,7 @@ let () =
           Alcotest.test_case "blanks around fields" `Quick test_lenient_blanks_around_fields;
           QCheck_alcotest.to_alcotest prop_events_lenient_matches_csv;
           QCheck_alcotest.to_alcotest prop_repair_matches_list_oracle;
+          QCheck_alcotest.to_alcotest prop_repair_in_order_matches_list_oracle;
           Alcotest.test_case "repair allocation" `Quick test_repair_allocation;
         ] );
     ]
